@@ -25,6 +25,7 @@ from .space import (
     standard_basis,
     two_norm,
     two_norm_batch,
+    witness_norms,
     witness_residual,
 )
 from .mapping import (

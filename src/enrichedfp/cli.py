@@ -237,13 +237,21 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int) -> SelfMap:
         if lam is None:
             raise ScenarioError(f"{prefix}.lambda: missing for averaged")
         inner = _parse_map(kv, f"{prefix}.inner", dimension)
-        return Averaged(inner, _parse_float(lam, f"{prefix}.lambda"))
+        lam_value = _parse_float(lam, f"{prefix}.lambda")
+        try:
+            return Averaged(inner, lam_value)
+        except ValueError as exc:
+            raise ScenarioError(f"{prefix}.lambda: {exc}") from None
     if kind == "iterated":
         times = kv.pop(f"{prefix}.times", None)
         if times is None:
             raise ScenarioError(f"{prefix}.times: missing for iterated")
         inner = _parse_map(kv, f"{prefix}.inner", dimension)
-        return Iterated(inner, _parse_int(times, f"{prefix}.times"))
+        times_value = _parse_int(times, f"{prefix}.times")
+        try:
+            return Iterated(inner, times_value)
+        except ValueError as exc:
+            raise ScenarioError(f"{prefix}.times: {exc}") from None
     raise ScenarioError(f"{kind_key}: unknown map kind {kind!r}")
 
 
@@ -550,7 +558,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
         witnesses=cfg.witnesses,
         domain=cfg.domain,
         cycle_window=8,
-        seed=cfg.seed,
     )
     if cfg.mode == "picard":
         report = picard_solve(cfg.map, cfg.x0, solve_cfg, cfg.space)
@@ -765,11 +772,15 @@ seed=0
 
 def _cmd_check_norm(args: argparse.Namespace) -> int:
     label = args.space
+    space: Optional[TwoNormSpace] = None
     if label == "cross2":
         space = cross2_space()
     elif label.startswith("gram:"):
-        space = gram_space(int(label.split(":", 1)[1]))
-    else:
+        try:
+            space = gram_space(int(label.split(":", 1)[1]))
+        except ValueError:  # not an integer, or a dimension below 2
+            pass
+    if space is None:
         print(f"error: --space must be cross2 or gram:N, got {label!r}", file=sys.stderr)
         return EXIT_INTERNAL
     report = check_axioms(space, args.samples, args.seed, args.tol)

@@ -163,7 +163,15 @@ class Averaged(SelfMap):
 
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
-        t = self.inner.apply(x)
+        return self.combine(x, self.inner.apply(x))
+
+    def combine(self, x: SpaceElement, t: SpaceElement) -> SpaceElement:
+        """``(1 - lam) * x + lam * t`` for ``t = inner(x)`` already evaluated.
+
+        ``apply(x)`` is ``combine(x, inner.apply(x))``, so a caller holding
+        ``inner(x)`` gets the averaged value bit for bit without re-evaluating
+        the inner map.
+        """
         a = 1.0 - self.lam
         lam = self.lam
         return SpaceElement(tuple(a * xi + lam * ti for xi, ti in zip(x.coords, t.coords)))
@@ -201,7 +209,7 @@ class Iterated(SelfMap):
         return xs
 
 
-def averaged(T: SelfMap, lam: float) -> SelfMap:
+def averaged(T: SelfMap, lam: float) -> Averaged:
     """Wrap T in the averaging transform with parameter ``lam`` in (0, 1]."""
     return Averaged(T, float(lam))
 

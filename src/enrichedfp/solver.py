@@ -34,6 +34,7 @@ from .space import (
     in_open_ball,
     standard_basis,
     two_norm,
+    witness_norms,
     witness_residual,
 )
 
@@ -112,7 +113,6 @@ class SolveConfig:
     witnesses: Optional[WitnessSet] = None  # None picks the standard basis
     domain: Optional[Domain] = None
     cycle_window: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -243,9 +243,12 @@ def _solve_core(
     warnings: list[str] = []
     period: Optional[int] = None
 
-    x1_probe = Tlam.apply(x0)
-    f0_lam = witness_residual(space, wset, x1_probe, x0)
-    f0 = witness_residual(space, wset, T.apply(x0), x0)
+    # T is evaluated once per point: T x_n feeds both the fixed-point
+    # residual and x_{n+1} = Tlam.combine(x_n, T x_n), which is Tlam x_n.
+    t_n = T.apply(x0)
+    x_next: Optional[SpaceElement] = Tlam.combine(x0, t_n)
+    f0_lam = witness_residual(space, wset, x_next, x0)
+    f0 = witness_residual(space, wset, t_n, x0)
     if domain is not None and domain.bound_beta is not None and f0_lam > domain.bound_beta:
         warnings.append(
             f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
@@ -269,14 +272,19 @@ def _solve_core(
         status = SolveStatus.MAX_ITER
         x_star = None
         xs = [x0]
-        x_prev = x0
+        x_n = x0
         iterations = 0
         for n in range(1, cfg.max_iter + 1):
-            x_n = Tlam.apply(x_prev)
-            diff = x_n - x_prev
-            wsteps = tuple(two_norm(space, diff, z) for z in wset.witnesses)
+            # x_n = Tlam x_{n-1} from the previous step's T x_{n-1}, unless its
+            # convergence check formed it already. It is formed only after that
+            # step's domain and cycle checks pass, never past the last iterate.
+            x_prev = x_n
+            x_n = x_next if x_next is not None else Tlam.combine(x_prev, t_n)
+            x_next = None
+            wsteps = witness_norms(space, wset, x_n - x_prev)
             step = max(wsteps)
-            fixed_n = witness_residual(space, wset, T.apply(x_n), x_n)
+            t_n = T.apply(x_n)
+            fixed_n = witness_residual(space, wset, t_n, x_n)
             records.append((x_n, step, fixed_n, wsteps))
             xs.append(x_n)
             iterations = n
@@ -286,7 +294,8 @@ def _solve_core(
                 break
 
             if (cert is not None and cert.d == 0.0) or step <= threshold:
-                f_lam = witness_residual(space, wset, Tlam.apply(x_n), x_n)
+                x_next = Tlam.combine(x_n, t_n)
+                f_lam = witness_residual(space, wset, x_next, x_n)
                 if f_lam <= cfg.tol and fixed_n <= cfg.tol:
                     status = SolveStatus.CONVERGED
                     x_star = x_n
@@ -297,8 +306,6 @@ def _solve_core(
                 if period is not None:
                     status = SolveStatus.OSCILLATION
                     break
-
-            x_prev = x_n
 
     base = records[1][1] if len(records) > 1 else records[0][1]
     rows = tuple(
@@ -388,12 +395,13 @@ def local_ball_solve(
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    lhs = two_norm(space, x0 - T.apply(x0), u)
+    tx0 = T.apply(x0)
+    lhs = two_norm(space, x0 - tx0, u)
     margin = cert.b + 1.0 - cert.theta
     rhs = margin * r
     if not lhs < rhs:
         wset = _witnesses_for(space, cfg)
-        f0 = witness_residual(space, wset, T.apply(x0), x0)
+        f0 = witness_residual(space, wset, tx0, x0)
         row0 = TraceRow(0, x0, 0.0, f0, apriori_bound(cert, 0, 0.0),
                         tuple(0.0 for _ in wset.witnesses))
         return SolveReport(

@@ -20,6 +20,15 @@ disagree by thousands of ulps on a noticeable fraction of random pairs; with
 the compensated kernels they agree to a few ulps everywhere except at areas
 below the ~1e-14 double-double noise floor.
 
+Every witness residual goes through one kernel, :func:`witness_norms`, which
+returns ``||v, z_j||`` for all witnesses at once. A :class:`WitnessSet`
+precomputes, once, each witness's coordinates, their Dekker splits and its
+double-double ``|z|^2``; the kernel splits ``v`` and forms ``|v|^2`` once per
+call, then runs the ``gram`` arithmetic inline. It performs the same IEEE
+operations in the same order as the scalar :func:`two_norm`, so its results
+equal ``two_norm(space, v, z_j)`` bit for bit. The scalar kernel stays the
+reference, and serves the ball tests.
+
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
 construction and is documented rather than checked at runtime.
@@ -28,13 +37,13 @@ construction and is documented rather than checked at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._dd import dd_add, dd_mul, det2_dd, dot_dd
+from ._dd import _SPLIT, dd_add, dd_mul, det2_dd, dot_dd
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -53,6 +62,7 @@ __all__ = [
     "two_norm_batch",
     "seminorm",
     "standard_basis",
+    "witness_norms",
     "witness_residual",
     "in_closed_ball",
     "in_open_ball",
@@ -203,15 +213,25 @@ def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:
 
 # --- witness sets and residuals ---------------------------------------------
 
+def _split(a: float) -> tuple[float, float]:
+    # Dekker split, the same operations as inside _dd.two_prod.
+    ah = _SPLIT * a
+    ah = ah - (ah - a)
+    return ah, a - ah
+
+
 @dataclass(frozen=True)
 class WitnessSet:
     """A finite spanning family of vectors against which residuals are taken.
 
     Spanning guarantees that a vanishing max-residual pins the point down,
-    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``.
+    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds the
+    per-witness operands of :func:`witness_norms` (coordinates with their
+    Dekker splits, and the split double-double ``|z|^2``), computed once.
     """
 
     witnesses: tuple[SpaceElement, ...]
+    _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.witnesses:
@@ -223,6 +243,12 @@ class WitnessSet:
         mat = np.array([w.coords for w in self.witnesses], dtype=float)
         if np.linalg.matrix_rank(mat) < n:
             raise ValueError("witness set does not span the space")
+        operands = []
+        for w in self.witnesses:
+            szh, szl = dot_dd(w.coords, w.coords)
+            splits = tuple((a, *_split(a)) for a in w.coords)
+            operands.append((splits, szh, szl, *_split(szh)))
+        object.__setattr__(self, "_operands", tuple(operands))
 
     @property
     def dim(self) -> int:
@@ -234,14 +260,90 @@ def standard_basis(dimension: int) -> WitnessSet:
     return WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
 
 
+def witness_norms(
+    space: TwoNormSpace, wset: WitnessSet, v: SpaceElement
+) -> tuple[float, ...]:
+    """``||v, z_j||`` for every witness z_j, equal to :func:`two_norm` bit for bit.
+
+    For ``gram`` this is :func:`gram_norm` with ``_dd.two_prod``, ``dd_add``
+    and ``dd_mul`` written out inline: ``v``'s splits and ``|v|^2`` are formed
+    once per call and each witness's operands come precomputed from the set,
+    while every remaining operation runs in the order of the scalar kernel.
+    ``cross2`` has no squared norms to share, so it evaluates the scalar
+    kernel per witness.
+    """
+    if wset.dim != space.dimension:
+        raise ValueError("witness set dimension does not match the space")
+    _element_in(space, v)
+    if space.kind is SpaceKind.CROSS2:
+        return tuple(two_norm(space, v, z) for z in wset.witnesses)
+
+    # v's splits, and |v|^2 = dot_dd(v, v)
+    vt = []
+    h = l = 0.0
+    for a in v.coords:
+        ah = _SPLIT * a
+        ah = ah - (ah - a)
+        al = a - ah
+        vt.append((a, ah, al))
+        p = a * a
+        e = ((ah * ah - p) + ah * al + al * ah) + al * al
+        s = h + p
+        bb = s - h
+        e = (h - (s - bb)) + (p - bb) + (l + e)
+        h = s + e
+        bb = h - s
+        l = (s - (h - bb)) + (e - bb)
+    svh, svl = h, l
+    svhh, svhl = _split(svh)
+
+    sqrt = math.sqrt
+    out = []
+    for zt, szh, szl, szhh, szhl in wset._operands:
+        # <v, z> = dot_dd(v, z)
+        h = l = 0.0
+        for (a, ah, al), (b, bh, bl) in zip(vt, zt):
+            p = a * b
+            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+            s = h + p
+            bb = s - h
+            e = (h - (s - bb)) + (p - bb) + (l + e)
+            h = s + e
+            bb = h - s
+            l = (s - (h - bb)) + (e - bb)
+        # p1 = dd_mul(|v|^2, |z|^2)
+        p = svh * szh
+        e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
+        e = e + (svh * szl + svl * szh)
+        p1h = p + e
+        bb = p1h - p
+        p1l = (p - (p1h - bb)) + (e - bb)
+        # p2 = dd_mul(<v,z>, <v,z>)
+        hh = _SPLIT * h
+        hh = hh - (hh - h)
+        hl = h - hh
+        p = h * h
+        e = ((hh * hh - p) + hh * hl + hl * hh) + hl * hl
+        e = e + (h * l + l * h)
+        p2h = p + e
+        bb = p2h - p
+        p2l = (p - (p2h - bb)) + (e - bb)
+        # radicand = dd_add(p1, -p2), high part only
+        q = -p2h
+        s = p1h + q
+        bb = s - p1h
+        e = (p1h - (s - bb)) + (q - bb)
+        e = e + (p1l + -p2l)
+        r = s + e
+        out.append(sqrt(r if r > 0.0 else 0.0))  # max(0.0, r), nan -> 0.0
+    return tuple(out)
+
+
 def witness_residual(
     space: TwoNormSpace, wset: WitnessSet, x: SpaceElement, y: SpaceElement
 ) -> float:
     """``max_z ||x - y, z||`` over the witness set; zero iff x equals y."""
-    if wset.dim != space.dimension:
-        raise ValueError("witness set dimension does not match the space")
-    d = x - y
-    return max(two_norm(space, d, z) for z in wset.witnesses)
+    return max(witness_norms(space, wset, x - y))
 
 
 def in_closed_ball(

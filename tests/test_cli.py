@@ -1,10 +1,13 @@
 """Tests for scenario parsing, the run orchestration and artifact emission."""
 
+import hashlib
+
 import pytest
 
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
     EXIT_CONVERGED,
+    EXIT_INTERNAL,
     EXIT_NOT_CERTIFIABLE,
     EXIT_OSCILLATION,
     ScenarioError,
@@ -403,3 +406,88 @@ def test_parse_wraps_constructor_errors_with_field_paths():
     bad_sampling = REFLECTION_SCENARIO + "sampling.lo=9,9\nsampling.hi=1,1\n"
     with pytest.raises(ScenarioError, match="sampling"):
         parse_scenario_text(bad_sampling)
+
+
+def test_parse_rejects_bad_map_parameters_naming_the_key(tmp_path, capsys):
+    averaged_zero = REFLECTION_SCENARIO.replace(
+        "map.kind=reflection\nmap.w=2,0",
+        "map.kind=averaged\nmap.lambda=0\nmap.inner.kind=reflection\nmap.inner.w=2,0",
+    )
+    with pytest.raises(ScenarioError, match=r"^map\.lambda: averaging parameter"):
+        parse_scenario_text(averaged_zero)
+    iterated_zero = REFLECTION_SCENARIO.replace(
+        "map.kind=reflection\nmap.w=2,0",
+        "map.kind=iterated\nmap.times=2\nmap.inner.kind=iterated\nmap.inner.times=0\n"
+        "map.inner.inner.kind=reflection\nmap.inner.inner.w=2,0",
+    )
+    with pytest.raises(ScenarioError, match=r"^map\.inner\.times: iterate count"):
+        parse_scenario_text(iterated_zero)
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(averaged_zero)
+    assert main(["solve", "--scenario", str(scenario)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("scenario error: map.lambda:")
+
+
+@pytest.mark.parametrize("label", ["gram:1", "gram:x", "gram:", "hilbert"])
+def test_main_check_norm_rejects_bad_space(label, capsys):
+    assert main(["check-norm", "--space", label, "--samples", "10"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == f"error: --space must be cross2 or gram:N, got {label!r}\n"
+
+
+# --- pinned artifact bytes ------------------------------------------------------------
+
+# A gram:8 Krasnoselskij solve of T^2 against a non-basis witness set, so the
+# witness kernel runs on precomputed operands that are not unit vectors.
+GRAM8_ITERATED_SCENARIO = """\
+schema=1
+space.kind=gram
+space.dimension=8
+mode=krasnoselskij
+map.kind=iterated
+map.times=2
+map.inner.kind=scalar_affine
+map.inner.scale=-0.8
+map.inner.shift=1,-2,0.5,3,-0.25,0,-1.5,2
+b=0.25
+theta=estimate
+x0=3,1,-4,1,5,-9,2,6
+witnesses=1,0.5,0,0,0,0,0,0;0,1,0.5,0,0,0,0,0;0,0,1,0.5,0,0,0,0;0,0,0,1,0.5,0,0,0;\
+0,0,0,0,1,0.5,0,0;0,0,0,0,0,1,0.5,0;0,0,0,0,0,0,1,0.5;0.5,0,0,0,0,0,0,1;1,-1,1,-1,1,-1,1,-1
+tol=1e-12
+max_iter=10000
+seed=0
+"""
+
+# sha256 of each artifact as the per-witness scalar norm loop wrote it; the
+# witness kernel and the one map evaluation per iteration reproduce them.
+PINNED_SHA256 = {
+    "reflection.trace.csv":
+        "4506602c761eb2e4eac04b4cbbdba8598643d83a4ac7bbad8cf86219c3ca73ff",
+    "reflection.report.txt":
+        "24f2a7ce30837a161c8c3ea1482821788bd498f784d9764f5b54ce6fbec88790",
+    "picard-oscillation.trace.csv":
+        "8a1395410f6a9c1482f821092d7c2b7aaceb2520fc99c52cb4bf3e80a7df0f34",
+    "picard-oscillation.report.txt":
+        "0e7df535517bb1c6f05aed07b808fef9799b49e2f0d1dc241978fe85c1f22f8e",
+    "asymptotic-piecewise.trace.csv":
+        "b9b0f3ed8e2a4ab4c1413a0e2833590e1a99f4380afff9f6c09332e06e9fb5f7",
+    "asymptotic-piecewise.report.txt":
+        "aa1d1b9831ff74b25f434b2f208aa4a7a1f1119d5d14f940e4af37196f6fb03f",
+    "iter.trace.csv":
+        "c55cc30961ac460c7b3235fd7f9fef7aa8355b6d1dd056ac39da418b3aa37419",
+    "iter.report.txt":
+        "0e5d14aa485f9d3fe2c677791ef89d1496923336ec3518121825ca8b2fd3ac73",
+}
+
+
+def test_artifacts_match_pinned_bytes(tmp_path):
+    for name in DEMO_SCENARIOS:
+        main(["demo", name, "--outdir", str(tmp_path)])
+    scenario = tmp_path / "iter.scenario"
+    scenario.write_text(GRAM8_ITERATED_SCENARIO)
+    assert main(["solve", "--scenario", str(scenario),
+                 "--trace", str(tmp_path / "iter.trace.csv"),
+                 "--report", str(tmp_path / "iter.report.txt")]) == EXIT_CONVERGED
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_SHA256}
+    assert got == PINNED_SHA256

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from enrichedfp.analyzer import Provenance, certify
-from enrichedfp.mapping import Reflection, ScalarAffine, averaged, default_piecewise, iterated
+from enrichedfp.mapping import (
+    Reflection,
+    ScalarAffine,
+    SelfMap,
+    averaged,
+    default_piecewise,
+    iterated,
+)
 from enrichedfp.solver import (
     Box,
     Domain,
@@ -373,3 +380,63 @@ def test_two_norm_ball_domain():
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(domain=ball), SP)
     assert rep.status == SolveStatus.CONVERGED
+
+
+# --- map evaluations per iteration -------------------------------------------------
+
+class CountingMap(SelfMap):
+    """Delegates to an inner map and counts its ``apply`` calls."""
+
+    def __init__(self, inner: SelfMap):
+        self.inner = inner
+        self.calls = 0
+
+    @property
+    def dimension(self) -> int:
+        return self.inner.dimension
+
+    def apply(self, x):
+        self.calls += 1
+        return self.inner.apply(x)
+
+    def apply_batch(self, xs):
+        return self.inner.apply_batch(xs)
+
+
+def test_solve_evaluates_the_map_once_per_iteration():
+    # T x0 once, then T x_n once per iteration; x_1, each next iterate and the
+    # final T_lam check reuse those values instead of calling T again.
+    T = CountingMap(ScalarAffine(-0.5, el(1.0, 2.0)))
+    cert = certify(0.25, 0.25, Provenance.closed_form())
+    rep = krasnoselskij_solve(T, cert, el(4, -3), SolveConfig(tol=1e-12), SP)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations > 5
+    assert T.calls == rep.iterations + 1
+
+    T.calls = 0
+    rep = picard_solve(T, el(4, -3), SolveConfig(tol=1e-12), SP)
+    assert rep.status == SolveStatus.CONVERGED
+    assert T.calls == rep.iterations + 1
+
+    # d = 0: the averaged map is constant and one iteration lands on x*.
+    T.calls = 0
+    rep = krasnoselskij_solve(T, certify(0.5, 0.0, Provenance.closed_form()),
+                              el(4, -3), SolveConfig(), SP)
+    assert rep.iterations == 1 and T.calls == 2
+
+
+def test_asymptotic_solve_halves_leaf_evaluations():
+    # Through T^2 every T^2 evaluation is two leaf calls, plus one final check
+    # of the limit against T itself.
+    T = CountingMap(ScalarAffine(0.5, el(1.0, 0.0)))
+    cert = certify(0.0, 0.25, Provenance.closed_form())
+    rep = asymptotic_solve(T, 2, cert, el(3, 3), SolveConfig(tol=1e-10), SP)
+    assert rep.status == SolveStatus.CONVERGED
+    assert T.calls == 2 * (rep.iterations + 1) + 1
+
+
+def test_solve_keeps_its_exception_when_iterates_overflow():
+    # A divergent map still stops where it always did: forming the step of
+    # the iterate that overflows raises the non-finite coordinate error.
+    T = ScalarAffine(1e300, el(1.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        picard_solve(T, el(1.0, 1.0), SolveConfig(max_iter=10), SP)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enrichedfp.space import (
@@ -23,6 +23,7 @@ from enrichedfp.space import (
     standard_basis,
     two_norm,
     two_norm_batch,
+    witness_norms,
     witness_residual,
 )
 
@@ -127,20 +128,28 @@ def test_witness_set_must_span():
 
 
 @given(vec(2), vec(2), vec(2))
+@example(el(5e-324, 0.0), el(0.0, 1.0), el(0.0, 0.5))
 @settings(max_examples=200)
 def test_seminorm_is_a_seminorm(z, x, y):
     sp = cross2_space()
     sub = seminorm(sp, z, x + y)
     scale = (math.hypot(*x.coords) + math.hypot(*y.coords)) * math.hypot(*z.coords)
-    assert sub <= seminorm(sp, z, x) + seminorm(sp, z, y) + 1e-9 * scale
+    # Areas in the subnormal range are rounded to a grid of absolute spacing
+    # ulp(0), which no relative slack covers: 1.5 * 5e-324 rounds up to 1e-323
+    # while 1.0 * 5e-324 and 0.5 * 5e-324 round to 5e-324 and 0.
+    slack = 1e-9 * scale + 2 * math.ulp(0.0)
+    assert sub <= seminorm(sp, z, x) + seminorm(sp, z, y) + slack
 
 
 @given(vec(2), vec(2), st.floats(min_value=-8, max_value=8, allow_nan=False))
+@example(el(0.0, 2.0), el(0.00390625, 0.0), 2.2250738585e-313)
 @settings(max_examples=200)
 def test_seminorm_absolute_homogeneity(z, x, a):
     sp = cross2_space()
     ceiling = abs(a) * math.hypot(*x.coords) * math.hypot(*z.coords)
-    assert abs(seminorm(sp, z, a * x) - abs(a) * seminorm(sp, z, x)) <= 1e-9 * ceiling
+    # As above: subnormal areas round on an absolute grid of spacing ulp(0).
+    slack = 1e-9 * ceiling + 2 * math.ulp(0.0)
+    assert abs(seminorm(sp, z, a * x) - abs(a) * seminorm(sp, z, x)) <= slack
 
 
 @given(vec(2))
@@ -268,6 +277,15 @@ def test_batch_norms_match_scalar_bitwise():
         for i in range(200):
             scalar = two_norm(space, SpaceElement(tuple(X[i])), SpaceElement(tuple(Y[i])))
             assert batch[i] == scalar
+        # Three ways: the rows of Y as a witness set, against the batch kernel
+        # on X[i] repeated and the scalar kernel per witness.
+        k = n + 2
+        wset = WitnessSet(tuple(SpaceElement(tuple(r)) for r in Y[:k]))
+        for i in range(20):
+            v = SpaceElement(tuple(X[i]))
+            rows = two_norm_batch(space, np.tile(X[i], (k, 1)), Y[:k])
+            scalars = tuple(two_norm(space, v, z) for z in wset.witnesses)
+            assert witness_norms(space, wset, v) == tuple(rows) == scalars
 
 
 # --- axiom checker -------------------------------------------------------------
@@ -307,3 +325,66 @@ def test_check_axioms_flags_broken_evaluator():
 def test_check_axioms_rejects_bad_count():
     with pytest.raises(ValueError):
         check_axioms(cross2_space(), 0, seed=0, tolerance=1e-9)
+
+
+# --- the witness kernel ----------------------------------------------------------
+
+KERNEL_SPACES = [cross2_space()] + [gram_space(n) for n in range(2, 9)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(space, witness set, v): basis or random spanning sets, and v drawn
+    generic, nearly dependent on a witness, or with signed-zero coordinates."""
+    space = draw(st.sampled_from(KERNEL_SPACES))
+    n = space.dimension
+    if draw(st.booleans()):
+        wset = standard_basis(n)
+    else:
+        rows = draw(st.lists(st.tuples(*([coord] * n)), min_size=n, max_size=n + 2))
+        mat = np.array(rows, dtype=float)
+        if np.linalg.matrix_rank(mat) < n:
+            wset = standard_basis(n)
+        else:
+            wset = WitnessSet(tuple(SpaceElement(r) for r in rows))
+    kind = draw(st.sampled_from(["generic", "dependent", "zeros"]))
+    scale = draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
+    if kind == "generic":
+        coords = tuple(scale * c for c in draw(st.tuples(*([coord] * n))))
+    elif kind == "dependent":
+        z = draw(st.sampled_from(wset.witnesses))
+        alpha = draw(coord)
+        tiny = draw(st.tuples(*([coord] * n)))
+        coords = tuple(alpha * a + 1e-12 * t for a, t in zip(z.coords, tiny))
+    else:
+        coords = tuple(
+            draw(st.sampled_from([0.0, -0.0, scale * draw(coord)])) for _ in range(n)
+        )
+    return space, wset, SpaceElement(coords)
+
+
+@given(kernel_cases())
+@settings(max_examples=400, deadline=None)
+def test_witness_norms_match_scalar_bitwise(case):
+    space, wset, v = case
+    expected = tuple(two_norm(space, v, z) for z in wset.witnesses)
+    got = witness_norms(space, wset, v)
+    assert got == expected
+    # Exact float equality would let -0.0 stand for 0.0; compare the bits too.
+    assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in expected]
+
+
+def test_witness_norms_signed_zeros_and_dependence():
+    sp = gram_space(3)
+    w = standard_basis(3)
+    for v in (el(0.0, -0.0, 0.0), el(-0.0, -0.0, -0.0), el(-0.0, 2.0, 0.0)):
+        assert witness_norms(sp, w, v) == tuple(two_norm(sp, v, z) for z in w.witnesses)
+    # v a multiple of a witness: that seminorm vanishes exactly.
+    assert witness_norms(sp, w, el(0.0, -3.0, 0.0))[1] == 0.0
+
+
+def test_witness_norms_checks_dimensions():
+    with pytest.raises(ValueError):
+        witness_norms(gram_space(3), standard_basis(2), el(1, 2))
+    with pytest.raises(ValueError):
+        witness_norms(gram_space(3), standard_basis(3), el(1, 2))
