@@ -246,8 +246,7 @@ def _solve_core(
     # T is evaluated once per point: T x_n feeds both the fixed-point
     # residual and x_{n+1} = Tlam.combine(x_n, T x_n), which is Tlam x_n.
     t_n = T.apply(x0)
-    x_next: Optional[SpaceElement] = Tlam.combine(x0, t_n)
-    f0_lam = witness_residual(space, wset, x_next, x0)
+    f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
     f0 = witness_residual(space, wset, t_n, x0)
     if domain is not None and domain.bound_beta is not None and f0_lam > domain.bound_beta:
         warnings.append(
@@ -275,12 +274,8 @@ def _solve_core(
         x_n = x0
         iterations = 0
         for n in range(1, cfg.max_iter + 1):
-            # x_n = Tlam x_{n-1} from the previous step's T x_{n-1}, unless its
-            # convergence check formed it already. It is formed only after that
-            # step's domain and cycle checks pass, never past the last iterate.
             x_prev = x_n
-            x_n = x_next if x_next is not None else Tlam.combine(x_prev, t_n)
-            x_next = None
+            x_n = Tlam.combine(x_prev, t_n)
             wsteps = witness_norms(space, wset, x_n - x_prev)
             step = max(wsteps)
             t_n = T.apply(x_n)
@@ -294,8 +289,7 @@ def _solve_core(
                 break
 
             if (cert is not None and cert.d == 0.0) or step <= threshold:
-                x_next = Tlam.combine(x_n, t_n)
-                f_lam = witness_residual(space, wset, x_next, x_n)
+                f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
                 if f_lam <= cfg.tol and fixed_n <= cfg.tol:
                     status = SolveStatus.CONVERGED
                     x_star = x_n
