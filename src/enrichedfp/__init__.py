@@ -10,6 +10,7 @@ witness set.
 from .space import (
     AxiomReport,
     AxiomViolation,
+    NonFiniteError,
     SpaceElement,
     SpaceKind,
     TwoNormSpace,

@@ -207,6 +207,98 @@ _NOISE_NUM = 8.0
 _NOISE_DEN = 4.0
 
 
+class _ThetaSample:
+    """The b-invariant part of ``estimate_theta`` over one draw of triples.
+
+    Of the sampled ratio ``||b D + E, z|| / ||D, z||`` with ``D = x - y`` and
+    ``E = Tx - Ty``, only the numerator vector ``V = b D + E`` depends on b.
+    The draws, both map applications, ``D``, ``E``, the denominators, the
+    dependence mask and the b-free parts of the forward error model are
+    computed here once; :meth:`estimate` then costs one batch norm per b.
+    """
+
+    def __init__(self, T: SelfMap, space: TwoNormSpace, region: SamplingBox,
+                 witnesses: Optional[WitnessSet], count: int, seed: int,
+                 eps_dep: float):
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        if eps_dep <= 0:
+            raise ValueError(f"eps_dep must be positive, got {eps_dep}")
+        self.space = space
+        self.count = count
+        self.seed = seed
+        self.X, self.Y, self.Z = _draw_triples(region, witnesses, count, seed)
+        TX = T.apply_batch(self.X)
+        TY = T.apply_batch(self.Y)
+        self.D = self.X - self.Y
+        self.E = TX - TY
+        self.den = two_norm_batch(space, self.D, self.Z)
+        dep = self.den <= eps_dep * region.scale
+        self.n_dep = int(np.count_nonzero(dep))
+        self.live = ~dep
+
+        # Forward error model: T evaluated in doubles perturbs each coordinate
+        # of the numerator vector by ~EPS times the magnitudes that entered
+        # it, and ||e, z|| <= |e| |z| bounds how that reaches the area.
+        self.zmag = _row_norm(self.Z)
+        self.err_den = EPS * (_NOISE_DEN * _row_norm(np.abs(self.D)) * self.zmag
+                              + 4.0 * self.den)
+        self.abs_XY = np.abs(self.X) + np.abs(self.Y)
+        self.abs_TX = np.abs(TX)
+        self.abs_TY = np.abs(TY)
+
+    def noise_filter(self, num: np.ndarray, coord_mag: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ratios ``num/den``, their forward error bounds and the accepted mask.
+
+        ``coord_mag`` holds, per sample, the coordinate magnitudes that entered
+        the numerator vector; a live ratio is accepted when its error bound is
+        at most ``tol``.
+        """
+        ratio = np.divide(num, self.den, out=np.zeros_like(num), where=self.live)
+        err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * self.zmag + 4.0 * num)
+        err_ratio = np.divide(err_num + ratio * self.err_den, self.den,
+                              out=np.full_like(num, np.inf), where=self.live)
+        return ratio, err_ratio, self.live & (err_ratio <= tol)
+
+    def estimate(self, b: float, ratio_noise_tol: float = 1e-12,
+                 ratio_cap: float = 1e6) -> ThetaEstimate:
+        """The theta estimate at b over this sample."""
+        V = b * self.D + self.E
+        num = two_norm_batch(self.space, V, self.Z)
+        # Keep this order: pre-adding |TX| + |TY| would round differently.
+        coord_mag = abs(b) * self.abs_XY + self.abs_TX + self.abs_TY + np.abs(V)
+        ratio, err_ratio, accepted = self.noise_filter(num, coord_mag, ratio_noise_tol)
+
+        unbounded = bool(np.any(self.live & (ratio - err_ratio > ratio_cap)))
+        n_noisy = int(np.count_nonzero(self.live & ~accepted))
+        n_acc = int(np.count_nonzero(accepted))
+
+        if n_acc == 0:
+            theta_hat, triple = 0.0, None
+        else:
+            masked = np.where(accepted, ratio, -np.inf)
+            idx = int(np.argmax(masked))  # argmax returns the lowest tied index
+            theta_hat = float(ratio[idx])
+            triple = (
+                SpaceElement(tuple(self.X[idx])),
+                SpaceElement(tuple(self.Y[idx])),
+                SpaceElement(tuple(self.Z[idx])),
+            )
+
+        return ThetaEstimate(
+            b=float(b),
+            theta_hat=theta_hat,
+            argmax_triple=triple,
+            skipped_dependent=self.n_dep,
+            skipped_noisy=n_noisy,
+            accepted=n_acc,
+            unbounded_flag=unbounded,
+            sample_count=self.count,
+            seed=self.seed,
+        )
+
+
 def estimate_theta(
     T: SelfMap,
     b: float,
@@ -227,64 +319,8 @@ def estimate_theta(
     """
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if eps_dep <= 0:
-        raise ValueError(f"eps_dep must be positive, got {eps_dep}")
-
-    X, Y, Z = _draw_triples(region, witnesses, count, seed)
-    TX = T.apply_batch(X)
-    TY = T.apply_batch(Y)
-    D = X - Y
-    V = b * D + (TX - TY)
-
-    den = two_norm_batch(space, D, Z)
-    num = two_norm_batch(space, V, Z)
-
-    dep = den <= eps_dep * region.scale
-    live = ~dep
-
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=live)
-
-    # Forward error model: T evaluated in doubles perturbs each coordinate of
-    # the numerator vector by ~EPS times the magnitudes that entered it, and
-    # ||e, z|| <= |e| |z| bounds how that reaches the area.
-    zmag = _row_norm(Z)
-    coord_mag = abs(b) * (np.abs(X) + np.abs(Y)) + np.abs(TX) + np.abs(TY) + np.abs(V)
-    err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * zmag + 4.0 * num)
-    err_den = EPS * (_NOISE_DEN * _row_norm(np.abs(D)) * zmag + 4.0 * den)
-    err_ratio = np.divide(err_num + ratio * err_den, den,
-                          out=np.full_like(num, np.inf), where=live)
-
-    accepted = live & (err_ratio <= ratio_noise_tol)
-    unbounded = bool(np.any(live & (ratio - err_ratio > ratio_cap)))
-    n_dep = int(np.count_nonzero(dep))
-    n_noisy = int(np.count_nonzero(live & ~accepted))
-    n_acc = int(np.count_nonzero(accepted))
-
-    if n_acc == 0:
-        theta_hat, triple = 0.0, None
-    else:
-        masked = np.where(accepted, ratio, -np.inf)
-        idx = int(np.argmax(masked))  # argmax returns the lowest tied index
-        theta_hat = float(ratio[idx])
-        triple = (
-            SpaceElement(tuple(X[idx])),
-            SpaceElement(tuple(Y[idx])),
-            SpaceElement(tuple(Z[idx])),
-        )
-
-    return ThetaEstimate(
-        b=float(b),
-        theta_hat=theta_hat,
-        argmax_triple=triple,
-        skipped_dependent=n_dep,
-        skipped_noisy=n_noisy,
-        accepted=n_acc,
-        unbounded_flag=unbounded,
-        sample_count=count,
-        seed=seed,
-    )
+    sample = _ThetaSample(T, space, region, witnesses, count, seed, eps_dep)
+    return sample.estimate(b, ratio_noise_tol, ratio_cap)
 
 
 _INFLATION = 1.01
@@ -335,24 +371,38 @@ def optimize_b(
     Evaluates ``d_hat(b) = theta(b)/(b+1)`` on the grid, using the closed form
     |b + c| when the map tree reduces to x -> c*x + t and the sampled estimate
     otherwise, then golden-section refines inside the bracket around the grid
-    minimiser. d(b) is unimodal for affine maps; for sampled maps this is a
-    heuristic. Ties go to the smaller b (larger averaging step). Candidates
+    minimiser. Ties go to the smaller b (larger averaging step). Candidates
     whose sampled ratios look unbounded are discarded.
+
+    Every sampled candidate is evaluated on one fixed sample: the triples are
+    drawn and mapped once, on first need, and each b only forms its numerator
+    ``b(x-y) + Tx - Ty``. The returned certificate is therefore exactly
+    ``certify_sampled(b, estimate_theta(T, b, ..., count, seed, eps_dep))``
+    at the returned b. On that sample each ratio ``||b D + E, z|| / ||D, z||``
+    is convex in b (by the triangle inequality N4 and absolute homogeneity N3
+    of the 2-norm), so their maximum theta_hat(b) is convex and
+    ``d_hat(b) = theta_hat(b)/(b+1)`` is quasiconvex: the bracket around the
+    grid minimiser holds the minimum on the sample, and golden section narrows
+    it. One caveat remains: the noise filter's coordinate magnitudes depend on
+    b, so the set of accepted samples can change with b.
     """
     grid = sorted(set(float(g) for g in grid))
     if not grid or any(g < 0 for g in grid):
         raise ValueError("grid must be a nonempty collection of b >= 0")
 
     closed = affine_reduction(T) if allow_closed_form else None
+    sample: Optional[_ThetaSample] = None
     cache: dict[float, ThetaEstimate] = {}
 
     def theta_at(b: float) -> float:
+        nonlocal sample
         if closed is not None:
             return theta_scalar_affine(closed[0], b)
         est = cache.get(b)
         if est is None:
-            est = estimate_theta(T, b, space, region, witnesses, count, seed, eps_dep)
-            cache[b] = est
+            if sample is None:
+                sample = _ThetaSample(T, space, region, witnesses, count, seed, eps_dep)
+            est = cache[b] = sample.estimate(b)
         if est.unbounded_flag or est.accepted == 0:
             return math.inf
         return est.theta_hat
@@ -421,27 +471,10 @@ def verify_averaged_contraction(
     slack: float = 1e-9,
 ) -> ContractionCheck:
     """Sample ``||T_lam x - T_lam y, z|| / ||x - y, z||`` against d + slack."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    Tl = averaged(T, cert.lam)
-    X, Y, Z = _draw_triples(region, None, count, seed)
-    AX = Tl.apply_batch(X)
-    AY = Tl.apply_batch(Y)
-    D = X - Y
-    V = AX - AY
-
-    den = two_norm_batch(space, D, Z)
-    num = two_norm_batch(space, V, Z)
-    live = den > eps_dep * region.scale
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=live)
-
-    zmag = _row_norm(Z)
-    coord_mag = np.abs(AX) + np.abs(AY) + np.abs(V)
-    err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * zmag + 4.0 * num)
-    err_den = EPS * (_NOISE_DEN * _row_norm(np.abs(D)) * zmag + 4.0 * den)
-    err_ratio = np.divide(err_num + ratio * err_den, den,
-                          out=np.full_like(num, np.inf), where=live)
-    accepted = live & (err_ratio <= 1e-12)
+    sample = _ThetaSample(averaged(T, cert.lam), space, region, None, count, seed, eps_dep)
+    num = two_norm_batch(space, sample.E, sample.Z)
+    coord_mag = sample.abs_TX + sample.abs_TY + np.abs(sample.E)
+    ratio, _, accepted = sample.noise_filter(num, coord_mag, 1e-12)
 
     checked = int(np.count_nonzero(accepted))
     worst = float(np.max(np.where(accepted, ratio, -np.inf))) if checked else 0.0

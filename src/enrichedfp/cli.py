@@ -15,7 +15,8 @@ emitted artifacts are rendered with 17 significant digits so reruns are
 byte-identical and every value round-trips.
 
 Exit codes: 0 converged, 2 not certifiable / precondition failed, 3
-oscillation detected, 4 iteration budget exceeded, 5 left the domain.
+oscillation detected, 4 iteration budget exceeded, 5 left the domain, 6
+diverged (an iterate overflowed).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ EXIT_NOT_CERTIFIABLE = 2
 EXIT_OSCILLATION = 3
 EXIT_MAX_ITER = 4
 EXIT_LEFT_DOMAIN = 5
+EXIT_DIVERGED = 6
 
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_CONVERGED,
@@ -101,6 +103,7 @@ _STATUS_EXIT = {
     SolveStatus.OSCILLATION: EXIT_OSCILLATION,
     SolveStatus.MAX_ITER: EXIT_MAX_ITER,
     SolveStatus.LEFT_DOMAIN: EXIT_LEFT_DOMAIN,
+    SolveStatus.DIVERGED: EXIT_DIVERGED,
 }
 
 MODES = ("krasnoselskij", "picard", "local", "asymptotic")
@@ -683,6 +686,10 @@ def report_text(report: SolveReport) -> str:
             human.append("Rejected before iterating; see warnings.")
     elif report.status == SolveStatus.LEFT_DOMAIN:
         human.append(f"Iterate {report.iterations} left the configured domain.")
+    elif report.status == SolveStatus.DIVERGED:
+        human.append(
+            f"Diverged: the iteration overflowed after {report.iterations} iteration(s)."
+        )
     else:
         human.append(f"Stopped after {report.iterations} iteration(s) without meeting tol.")
     if cert is not None:

@@ -13,7 +13,8 @@ of that proof into machinery:
 * cycle detection for the plain Picard variant, which oscillates for maps
   like the reflection x -> w - x;
 * a local variant confined to a closed two-norm ball and an asymptotic
-  variant that iterates T^N and hands the fixed point back to T.
+  variant that iterates T^N and hands the fixed point back to T;
+* a Diverged status, with the trace so far, once a point overflows.
 
 All residuals are ``max_z ||., z||`` over the configured witness set.
 """
@@ -27,6 +28,7 @@ from typing import Optional, Sequence, Union
 from .analyzer import EnrichedCertificate
 from .mapping import SelfMap, averaged, iterated
 from .space import (
+    NonFiniteError,
     SpaceElement,
     TwoNormSpace,
     WitnessSet,
@@ -144,6 +146,7 @@ class SolveStatus:
     MAX_ITER = "MaxIterExceeded"
     LEFT_DOMAIN = "LeftDomain"
     PRECONDITION_FAILED = "PreconditionFailed"
+    DIVERGED = "Diverged"
 
 
 @dataclass(frozen=True)
@@ -242,66 +245,65 @@ def _solve_core(
 
     warnings: list[str] = []
     period: Optional[int] = None
+    records: list[tuple[SpaceElement, float, float, tuple[float, ...]]] = []
+    x_star: Optional[SpaceElement] = None
+    iterations = 0
 
-    # T is evaluated once per point: T x_n feeds both the fixed-point
-    # residual and x_{n+1} = Tlam.combine(x_n, T x_n), which is Tlam x_n.
-    t_n = T.apply(x0)
-    f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
-    f0 = witness_residual(space, wset, t_n, x0)
-    if domain is not None and domain.bound_beta is not None and f0_lam > domain.bound_beta:
-        warnings.append(
-            f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
-            f"exceeds beta = {domain.bound_beta!r}"
-        )
+    try:
+        # T is evaluated once per point: T x_n feeds both the fixed-point
+        # residual and x_{n+1} = Tlam.combine(x_n, T x_n), which is Tlam x_n.
+        t_n = T.apply(x0)
+        f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
+        f0 = witness_residual(space, wset, t_n, x0)
+        if domain is not None and domain.bound_beta is not None and f0_lam > domain.bound_beta:
+            warnings.append(
+                f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
+                f"exceeds beta = {domain.bound_beta!r}"
+            )
+        records.append((x0, 0.0, f0, tuple(0.0 for _ in wset.witnesses)))
 
-    zeros = tuple(0.0 for _ in wset.witnesses)
-    records: list[tuple[SpaceElement, float, float, tuple[float, ...]]] = [
-        (x0, 0.0, f0, zeros)
-    ]
+        if domain is not None and not domain.contains(space, x0):
+            status = SolveStatus.LEFT_DOMAIN
+        elif f0 <= cfg.tol and f0_lam <= cfg.tol:
+            status = SolveStatus.CONVERGED
+            x_star = x0
+        else:
+            status = SolveStatus.MAX_ITER
+            xs = [x0]
+            x_n = x0
+            for n in range(1, cfg.max_iter + 1):
+                x_prev = x_n
+                x_n = Tlam.combine(x_prev, t_n)
+                wsteps = witness_norms(space, wset, x_n - x_prev)
+                step = max(wsteps)
+                t_n = T.apply(x_n)
+                fixed_n = witness_residual(space, wset, t_n, x_n)
+                records.append((x_n, step, fixed_n, wsteps))
+                xs.append(x_n)
+                iterations = n
 
-    if domain is not None and not domain.contains(space, x0):
-        status = SolveStatus.LEFT_DOMAIN
-        x_star = None
-        iterations = 0
-    elif f0 <= cfg.tol and f0_lam <= cfg.tol:
-        status = SolveStatus.CONVERGED
-        x_star = x0
-        iterations = 0
-    else:
-        status = SolveStatus.MAX_ITER
-        x_star = None
-        xs = [x0]
-        x_n = x0
-        iterations = 0
-        for n in range(1, cfg.max_iter + 1):
-            x_prev = x_n
-            x_n = Tlam.combine(x_prev, t_n)
-            wsteps = witness_norms(space, wset, x_n - x_prev)
-            step = max(wsteps)
-            t_n = T.apply(x_n)
-            fixed_n = witness_residual(space, wset, t_n, x_n)
-            records.append((x_n, step, fixed_n, wsteps))
-            xs.append(x_n)
-            iterations = n
-
-            if domain is not None and not domain.contains(space, x_n):
-                status = SolveStatus.LEFT_DOMAIN
-                break
-
-            if (cert is not None and cert.d == 0.0) or step <= threshold:
-                f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
-                if f_lam <= cfg.tol and fixed_n <= cfg.tol:
-                    status = SolveStatus.CONVERGED
-                    x_star = x_n
+                if domain is not None and not domain.contains(space, x_n):
+                    status = SolveStatus.LEFT_DOMAIN
                     break
 
-            if detect_cycles and step > cfg.tol:
-                period = detect_cycle(space, wset, xs, cfg.cycle_window, cfg.tol)
-                if period is not None:
-                    status = SolveStatus.OSCILLATION
-                    break
+                if (cert is not None and cert.d == 0.0) or step <= threshold:
+                    f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
+                    if f_lam <= cfg.tol and fixed_n <= cfg.tol:
+                        status = SolveStatus.CONVERGED
+                        x_star = x_n
+                        break
 
-    base = records[1][1] if len(records) > 1 else records[0][1]
+                if detect_cycles and step > cfg.tol:
+                    period = detect_cycle(space, wset, xs, cfg.cycle_window, cfg.tol)
+                    if period is not None:
+                        status = SolveStatus.OSCILLATION
+                        break
+    except NonFiniteError:
+        # A point overflowed: the iteration diverges, whatever the certificate
+        # claimed. The trace keeps every iterate recorded before that.
+        status = SolveStatus.DIVERGED
+
+    base = records[1][1] if len(records) > 1 else 0.0
     rows = tuple(
         TraceRow(
             n=i,
@@ -389,8 +391,12 @@ def local_ball_solve(
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    tx0 = T.apply(x0)
-    lhs = two_norm(space, x0 - tx0, u)
+    try:
+        tx0 = T.apply(x0)
+        lhs = two_norm(space, x0 - tx0, u)
+    except NonFiniteError:
+        return SolveReport(status=SolveStatus.DIVERGED, x_star=None, iterations=0,
+                           certificate=cert, trace=IterationTrace(()), bound_violations=0)
     margin = cert.b + 1.0 - cert.theta
     rhs = margin * r
     if not lhs < rhs:

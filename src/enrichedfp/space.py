@@ -48,6 +48,7 @@ from ._dd import _SPLIT, dd_add, dd_mul, det2_dd, dot_dd
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
 __all__ = [
+    "NonFiniteError",
     "SpaceElement",
     "SpaceKind",
     "TwoNormSpace",
@@ -70,6 +71,10 @@ __all__ = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A coordinate is infinite or NaN, as a diverging iteration's become."""
+
+
 @dataclass(frozen=True)
 class SpaceElement:
     """A point of the linear space, held as an immutable coordinate tuple.
@@ -85,7 +90,7 @@ class SpaceElement:
         if not coords:
             raise ValueError("SpaceElement needs at least one coordinate")
         if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinates: {coords}")
+            raise NonFiniteError(f"non-finite coordinates: {coords}")
         object.__setattr__(self, "coords", coords)
 
     @property

@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from enrichedfp import analyzer
 from enrichedfp.analyzer import (
     DEFAULT_B_GRID,
     NotCertifiableError,
@@ -17,8 +19,15 @@ from enrichedfp.analyzer import (
     theta_scalar_affine,
     verify_averaged_contraction,
 )
-from enrichedfp.mapping import Reflection, ScalarAffine, default_piecewise
-from enrichedfp.space import SpaceElement, cross2_space, standard_basis, two_norm
+from enrichedfp.mapping import (
+    Reflection,
+    ScalarAffine,
+    SelfMap,
+    averaged,
+    default_piecewise,
+    iterated,
+)
+from enrichedfp.space import SpaceElement, cross2_space, gram_space, standard_basis, two_norm
 
 SP = cross2_space()
 BOX = SamplingBox.symmetric(2)
@@ -261,6 +270,87 @@ def test_optimize_b_sampled_route_matches_closed_form():
     assert b == 1.0
     assert cert.provenance.kind == "sampled"
     assert cert.d <= 1e-9
+
+
+# --- one sample shared by every candidate b -------------------------------------------
+
+class CountingMap(SelfMap):
+    """Delegates to an inner map and records the arrays ``apply_batch`` gets."""
+
+    def __init__(self, inner: SelfMap):
+        self.inner = inner
+        self.batches = []
+
+    @property
+    def dimension(self) -> int:
+        return self.inner.dimension
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+    def apply_batch(self, xs):
+        self.batches.append(xs.copy())
+        return self.inner.apply_batch(xs)
+
+
+# A sampled optimum inside a grid bracket: the averaged reflection is
+# x -> -0.6 x + 0.8 w, so d(b) = |b - 0.6|/(b + 1) is least at b = 0.6. The
+# wrapper hides the map tree from the closed form.
+def _reflection_at_0_6(dim):
+    return CountingMap(averaged(Reflection(el(*([2.0] + [0.0] * (dim - 1)))), 0.8))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_per_b_evaluation_equals_estimate_theta(dim):
+    space = cross2_space() if dim == 2 else gram_space(3)
+    box, wit = SamplingBox.symmetric(dim, 4.0), standard_basis(dim)
+    rng = random.Random(dim)
+    bs = list(DEFAULT_B_GRID) + [0.6, 1e-12, 3.3] + [rng.uniform(0.0, 10.0) for _ in range(8)]
+    maps = (default_piecewise(dim), iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim))
+    seen = []
+    # (eps_dep, ratio_noise_tol, ratio_cap): the defaults, then guards tight
+    # enough that dependent, noisy, empty and unbounded estimates all occur.
+    for eps_dep, tol, cap in ((1e-8, 1e-12, 1e6), (0.5, 1e-14, 2.0)):
+        for T in maps:
+            sample = analyzer._ThetaSample(T, space, box, wit, 3_000, 7, eps_dep)
+            for b in bs:
+                got = sample.estimate(b, tol, cap)
+                want = estimate_theta(T, b, space, box, wit, 3_000, 7, eps_dep, tol, cap)
+                assert got.theta_hat.hex() == want.theta_hat.hex()
+                assert got.argmax_triple == want.argmax_triple
+                assert (got.skipped_dependent, got.skipped_noisy, got.accepted) == (
+                    want.skipped_dependent, want.skipped_noisy, want.accepted)
+                assert got.unbounded_flag == want.unbounded_flag
+                assert got == want
+                seen.append(want)
+    assert any(e.skipped_dependent for e in seen) and any(e.skipped_noisy for e in seen)
+    assert any(e.accepted == 0 for e in seen) and any(e.unbounded_flag for e in seen)
+
+
+def test_optimize_b_maps_its_sample_once(monkeypatch):
+    T = _reflection_at_0_6(2)
+    norms = []
+    real = analyzer.two_norm_batch
+    monkeypatch.setattr(analyzer, "two_norm_batch",
+                        lambda sp, v, z: norms.append(v) or real(sp, v, z))
+    b, cert = optimize_b(T, SP, BOX, WIT, count=5_000, seed=2)
+    X, Y, _ = analyzer._draw_triples(BOX, WIT, 5_000, 2)
+    assert len(T.batches) == 2
+    assert np.array_equal(T.batches[0], X) and np.array_equal(T.batches[1], Y)
+    # One denominator, then one numerator per distinct candidate b: the grid
+    # and the golden-section points.
+    assert len(norms) > 1 + len(DEFAULT_B_GRID) + 30
+    assert abs(b - 0.6) < 1e-3 and cert.d < 1e-3
+
+
+@pytest.mark.parametrize("space,dim", [(cross2_space(), 2), (gram_space(3), 3)])
+def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
+    T = _reflection_at_0_6(dim)
+    box, wit = SamplingBox.symmetric(dim), standard_basis(dim)
+    b, cert = optimize_b(T, space, box, wit, count=4_000, seed=11, eps_dep=1e-7)
+    assert cert.provenance == Provenance.sampled(4_000, 11)
+    est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)
+    assert cert == certify_sampled(b, est)
 
 
 # --- averaged-contraction verification ----------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
     EXIT_CONVERGED,
+    EXIT_DIVERGED,
     EXIT_INTERNAL,
     EXIT_NOT_CERTIFIABLE,
     EXIT_OSCILLATION,
@@ -426,6 +427,27 @@ def test_parse_rejects_bad_map_parameters_naming_the_key(tmp_path, capsys):
     scenario.write_text(averaged_zero)
     assert main(["solve", "--scenario", str(scenario)]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("scenario error: map.lambda:")
+
+
+_DIVERGENT = "schema=1\nspace.kind=cross2\nspace.dimension=2\nx0=0.5,0.25\n"
+
+
+@pytest.mark.parametrize("body", [
+    "mode=picard\nmap.kind=scalar_affine\nmap.scale=3\nmap.shift=1,0\n",
+    "mode=krasnoselskij\nmap.kind=scalar_affine\nmap.scale=1.5\nmap.shift=1,0\n"
+    "b=0\ntheta=0.5\n",
+])
+def test_main_divergent_solve_exits_six(body, tmp_path, capsys):
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(_DIVERGENT + body)
+    trace = tmp_path / "out.csv"
+    code = main(["solve", "--scenario", str(scenario), "--trace", str(trace)])
+    out = capsys.readouterr().out
+    assert code == EXIT_DIVERGED == 6
+    assert out.startswith("status=Diverged\n")
+    assert "x_star=none\n" in out and "Diverged: the iteration overflowed" in out
+    iterations = int(out.split("iterations=")[1].split("\n")[0])
+    assert len(trace.read_text().splitlines()) == iterations + 2  # header + rows
 
 
 @pytest.mark.parametrize("label", ["gram:1", "gram:x", "gram:", "hilbert"])

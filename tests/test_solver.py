@@ -434,9 +434,36 @@ def test_asymptotic_solve_halves_leaf_evaluations():
     assert T.calls == 2 * (rep.iterations + 1) + 1
 
 
-def test_solve_keeps_its_exception_when_iterates_overflow():
-    # A divergent map still stops where it always did: forming the step of
-    # the iterate that overflows raises the non-finite coordinate error.
+def test_solve_reports_divergence_when_iterates_overflow():
+    # x_1 = T x0 is finite but T x_1 overflows, so row 1 cannot be formed: the
+    # solve stops with Diverged and keeps the rows recorded before that.
     T = ScalarAffine(1e300, el(1.0, 1.0))
-    with pytest.raises(ValueError, match="non-finite"):
-        picard_solve(T, el(1.0, 1.0), SolveConfig(max_iter=10), SP)
+    rep = picard_solve(T, el(1.0, 1.0), SolveConfig(max_iter=10), SP)
+    assert rep.status == SolveStatus.DIVERGED
+    assert rep.x_star is None and rep.bound_violations == 0
+    assert rep.iterations == 0
+    assert [r.x for r in rep.trace.rows] == [el(1.0, 1.0)]
+
+
+def test_divergent_solves_stop_with_a_status():
+    # |c| > 1 under plain iteration, and an asserted theta the map violates.
+    rep = picard_solve(ScalarAffine(3.0, el(1, 0)), el(0.5, 0.25), SolveConfig(), SP)
+    assert rep.status == SolveStatus.DIVERGED and rep.iterations > 600
+    cert = certify(0.0, 0.5, Provenance.asserted())
+    rep = krasnoselskij_solve(ScalarAffine(1.5, el(1, 0)), cert, el(0.5, 0.25),
+                              SolveConfig(), SP)
+    assert rep.status == SolveStatus.DIVERGED
+    assert len(rep.trace.rows) == rep.iterations + 1
+    assert all(math.isfinite(c) for r in rep.trace.rows for c in r.x.coords)
+
+
+def test_divergence_on_the_first_map_evaluation():
+    # T x0 itself overflows: no trace row can be formed.
+    T = ScalarAffine(3.0, el(1, 0))
+    x0 = el(1e308, 0)
+    rep = picard_solve(T, x0, SolveConfig(), SP)
+    assert rep.status == SolveStatus.DIVERGED
+    assert rep.iterations == 0 and rep.trace.rows == ()
+    rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.asserted()), x0, el(0, 1),
+                           1.0, SolveConfig(), SP)
+    assert rep.status == SolveStatus.DIVERGED and rep.trace.rows == ()

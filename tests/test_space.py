@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from enrichedfp.space import (
     EPS,
+    NonFiniteError,
     SpaceElement,
     WitnessSet,
     check_axioms,
@@ -52,6 +53,15 @@ def test_cross2_dependent_pair_is_zero():
 def test_cross2_hand_evaluated():
     # |3*2 - 1*1| evaluated by hand
     assert cross2_norm(el(3, 1), el(1, 2)) == 5.0
+
+
+def test_non_finite_coordinates_raise_a_value_error_subclass():
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        el(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        el(1.0, math.nan)
+    with pytest.raises(NonFiniteError):
+        el(1e308, 0.0) - el(-1e308, 0.0)
 
 
 def test_cross2_rejects_dimension_mismatch():
@@ -128,21 +138,34 @@ def test_witness_set_must_span():
     WitnessSet((el(1, 0), el(1, 1)))  # spanning, fine
 
 
+# Correctly rounded areas in the subnormal range lie on an absolute grid of
+# spacing ulp(0), so the relative bounds below also get two grid steps of
+# absolute slack; each @example is an input that fails without it.
+_AREA_GRID = 2 * math.ulp(0.0)
+
+
 @given(vec(2), vec(2), vec(2))
+@example(el(5e-324, 0), el(0, 1), el(0, 0.5))  # 1.5 * 5e-324 rounds to 1e-323
 @settings(max_examples=200)
 def test_seminorm_is_a_seminorm(z, x, y):
     sp = cross2_space()
     sub = seminorm(sp, z, x + y)
     scale = (math.hypot(*x.coords) + math.hypot(*y.coords)) * math.hypot(*z.coords)
-    assert sub <= seminorm(sp, z, x) + seminorm(sp, z, y) + 1e-9 * scale
+    assert sub <= seminorm(sp, z, x) + seminorm(sp, z, y) + 1e-9 * scale + _AREA_GRID
 
 
 @given(vec(2), vec(2), st.floats(min_value=-8, max_value=8, allow_nan=False))
+@example(el(0, 2), el(0.00390625, 0), 2.2250738585e-313)
+@example(el(0, 6), el(1.5, 0), 5e-324)  # a * x rounds to (1e-323, 0)
+@example(el(0, 6), el(5.960464477539063e-08, 0), 2.225073858507e-311)
 @settings(max_examples=200)
 def test_seminorm_absolute_homogeneity(z, x, a):
     sp = cross2_space()
     ceiling = abs(a) * math.hypot(*x.coords) * math.hypot(*z.coords)
-    assert abs(seminorm(sp, z, a * x) - abs(a) * seminorm(sp, z, x)) <= 1e-9 * ceiling
+    deviation = abs(seminorm(sp, z, a * x) - abs(a) * seminorm(sp, z, x))
+    # a * x itself rounds to the subnormal grid, and |z| scales that error.
+    grid = _AREA_GRID + math.hypot(*z.coords) * math.ulp(0.0)
+    assert deviation <= 1e-9 * ceiling + grid
 
 
 @given(vec(2))
