@@ -10,6 +10,7 @@ witness set.
 from .space import (
     AxiomReport,
     AxiomViolation,
+    Box,
     NonFiniteError,
     SpaceElement,
     SpaceKind,
@@ -20,8 +21,6 @@ from .space import (
     cross2_space,
     gram_norm,
     gram_space,
-    in_closed_ball,
-    in_open_ball,
     seminorm,
     standard_basis,
     two_norm,
@@ -47,7 +46,6 @@ from .analyzer import (
     EnrichedCertificate,
     NotCertifiableError,
     Provenance,
-    SamplingBox,
     ThetaEstimate,
     certify,
     certify_sampled,
@@ -57,7 +55,6 @@ from .analyzer import (
     verify_averaged_contraction,
 )
 from .solver import (
-    Box,
     Domain,
     IterationTrace,
     SolveConfig,

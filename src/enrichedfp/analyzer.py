@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mapping import SelfMap, affine_reduction, averaged
-from .space import EPS, SpaceElement, TwoNormSpace, WitnessSet, two_norm_batch
+from .space import EPS, Box, SpaceElement, TwoNormSpace, WitnessSet, two_norm_batch
 
 __all__ = [
     "NotCertifiableError",
@@ -41,7 +41,6 @@ __all__ = [
     "EnrichedCertificate",
     "ThetaEstimate",
     "ContractionCheck",
-    "SamplingBox",
     "DEFAULT_B_GRID",
     "theta_scalar_affine",
     "certify",
@@ -135,37 +134,6 @@ def theta_scalar_affine(c: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class SamplingBox:
-    """An axis-aligned box from which analysis triples are drawn."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or not lo:
-            raise ValueError("box bounds must be matching nonempty tuples")
-        if any(not (math.isfinite(a) and math.isfinite(b)) or a > b for a, b in zip(lo, hi)):
-            raise ValueError(f"invalid box bounds lo={lo} hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def symmetric(cls, dimension: int, half_width: float = 10.0) -> "SamplingBox":
-        return cls(tuple(-half_width for _ in range(dimension)),
-                   tuple(half_width for _ in range(dimension)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lo)
-
-    @property
-    def scale(self) -> float:
-        return max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi), 1.0)
-
-
-@dataclass(frozen=True)
 class ThetaEstimate:
     """Sampled lower estimate of the enrichment coefficient at a given b."""
 
@@ -180,7 +148,7 @@ class ThetaEstimate:
     seed: int
 
 
-def _draw_triples(region: SamplingBox, witnesses: Optional[WitnessSet],
+def _draw_triples(region: Box, witnesses: Optional[WitnessSet],
                   count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # One block of draws per sample keeps the stream prefix-stable in count,
     # which makes theta_hat monotone under sample-count extension.
@@ -217,7 +185,7 @@ class _ThetaSample:
     computed here once; :meth:`estimate` then costs one batch norm per b.
     """
 
-    def __init__(self, T: SelfMap, space: TwoNormSpace, region: SamplingBox,
+    def __init__(self, T: SelfMap, space: TwoNormSpace, region: Box,
                  witnesses: Optional[WitnessSet], count: int, seed: int,
                  eps_dep: float):
         if count < 1:
@@ -303,7 +271,7 @@ def estimate_theta(
     T: SelfMap,
     b: float,
     space: TwoNormSpace,
-    region: SamplingBox,
+    region: Box,
     witnesses: Optional[WitnessSet],
     count: int,
     seed: int,
@@ -357,7 +325,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def optimize_b(
     T: SelfMap,
     space: TwoNormSpace,
-    region: SamplingBox,
+    region: Box,
     witnesses: Optional[WitnessSet],
     grid: Sequence[float] = DEFAULT_B_GRID,
     refine_steps: int = 32,
@@ -464,7 +432,7 @@ def verify_averaged_contraction(
     cert: EnrichedCertificate,
     T: SelfMap,
     space: TwoNormSpace,
-    region: SamplingBox,
+    region: Box,
     count: int,
     seed: int,
     eps_dep: float = 1e-8,

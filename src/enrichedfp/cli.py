@@ -32,7 +32,6 @@ from .analyzer import (
     EnrichedCertificate,
     NotCertifiableError,
     Provenance,
-    SamplingBox,
     certify,
     certify_sampled,
     estimate_theta,
@@ -51,7 +50,6 @@ from .mapping import (
     iterated,
 )
 from .solver import (
-    Box,
     Domain,
     IterationTrace,
     SolveConfig,
@@ -64,6 +62,7 @@ from .solver import (
     picard_solve,
 )
 from .space import (
+    Box,
     SpaceElement,
     TwoNormSpace,
     WitnessSet,
@@ -126,11 +125,7 @@ class ScenarioError(ValueError):
 class SamplingSettings:
     count: int
     eps_dep: float
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def box(self) -> SamplingBox:
-        return SamplingBox(self.lo, self.hi)
+    box: Box
 
 
 @dataclass(frozen=True)
@@ -430,9 +425,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         lo = tuple(lo[0] for _ in range(dim))
     if len(hi) == 1:
         hi = tuple(hi[0] for _ in range(dim))
-    sampling = SamplingSettings(count=count, eps_dep=eps_dep, lo=lo, hi=hi)
     try:
-        sampling.box()
+        sampling = SamplingSettings(count=count, eps_dep=eps_dep, box=Box(lo, hi))
     except ValueError as exc:
         raise ScenarioError(f"sampling: {exc}") from None
 
@@ -502,8 +496,8 @@ def write_scenario(cfg: ScenarioConfig) -> str:
         lines.append(f"local.r={fmt_float(cfg.local_r)}")
     lines.append(f"sampling.count={cfg.sampling.count}")
     lines.append(f"sampling.eps_dep={fmt_float(cfg.sampling.eps_dep)}")
-    lines.append(f"sampling.lo={_fmt_coords(cfg.sampling.lo)}")
-    lines.append(f"sampling.hi={_fmt_coords(cfg.sampling.hi)}")
+    lines.append(f"sampling.lo={_fmt_coords(cfg.sampling.box.lo)}")
+    lines.append(f"sampling.hi={_fmt_coords(cfg.sampling.box.hi)}")
     return "\n".join(lines) + "\n"
 
 
@@ -516,12 +510,11 @@ def resolve_certificate(cfg: ScenarioConfig, target: SelfMap) -> EnrichedCertifi
     form |b + c| when the map tree is affine-reducible and a sampled estimate
     otherwise; b=auto searches the grid for the d-minimising b.
     """
-    box = cfg.sampling.box()
     if cfg.b == "auto":
         _, cert = optimize_b(
             target,
             cfg.space,
-            box,
+            cfg.sampling.box,
             cfg.witnesses,
             count=cfg.sampling.count,
             seed=cfg.seed,
@@ -538,7 +531,7 @@ def resolve_certificate(cfg: ScenarioConfig, target: SelfMap) -> EnrichedCertifi
         target,
         b,
         cfg.space,
-        box,
+        cfg.sampling.box,
         cfg.witnesses,
         cfg.sampling.count,
         cfg.seed,
@@ -640,7 +633,7 @@ def _worst_step_ratio(trace: IterationTrace) -> float:
 
 def report_text(report: SolveReport) -> str:
     """Render a report: machine key=value lines, then a human-readable block."""
-    lines = [f"status={report.status}"]
+    lines = [f"status={report.status.value}"]
     if report.period is not None:
         lines.append(f"period={report.period}")
     lines.append(f"iterations={report.iterations}")

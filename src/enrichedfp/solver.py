@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .analyzer import EnrichedCertificate
 from .mapping import SelfMap, averaged, iterated
 from .space import (
+    Box,
     NonFiniteError,
     SpaceElement,
     TwoNormSpace,
     WitnessSet,
-    in_closed_ball,
-    in_open_ball,
     standard_basis,
     two_norm,
     witness_norms,
@@ -41,7 +41,6 @@ from .space import (
 )
 
 __all__ = [
-    "Box",
     "TwoNormBall",
     "Domain",
     "SolveConfig",
@@ -60,24 +59,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or not lo or any(a > b for a, b in zip(lo, hi)):
-            raise ValueError(f"invalid box bounds lo={lo} hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def contains(self, space: TwoNormSpace, x: SpaceElement) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi))
-
-
-@dataclass(frozen=True)
 class TwoNormBall:
+    """The ball ``{x : ||x - center, u|| <= radius}``, or ``<`` when open."""
+
     u: SpaceElement
     center: SpaceElement
     radius: float
@@ -88,9 +72,8 @@ class TwoNormBall:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
 
     def contains(self, space: TwoNormSpace, x: SpaceElement) -> bool:
-        if self.closed:
-            return in_closed_ball(space, self.u, self.center, self.radius, x)
-        return in_open_ball(space, self.u, self.center, self.radius, x)
+        dist = two_norm(space, x - self.center, self.u)
+        return dist <= self.radius if self.closed else dist < self.radius
 
 
 @dataclass(frozen=True)
@@ -140,7 +123,7 @@ class IterationTrace:
     rows: tuple[TraceRow, ...]
 
 
-class SolveStatus:
+class SolveStatus(Enum):
     CONVERGED = "Converged"
     OSCILLATION = "OscillationDetected"
     MAX_ITER = "MaxIterExceeded"
@@ -151,7 +134,7 @@ class SolveStatus:
 
 @dataclass(frozen=True)
 class SolveReport:
-    status: str
+    status: SolveStatus
     x_star: Optional[SpaceElement]
     iterations: int
     certificate: Optional[EnrichedCertificate]

@@ -50,6 +50,7 @@ EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 __all__ = [
     "NonFiniteError",
     "SpaceElement",
+    "Box",
     "SpaceKind",
     "TwoNormSpace",
     "WitnessSet",
@@ -65,8 +66,6 @@ __all__ = [
     "standard_basis",
     "witness_norms",
     "witness_residual",
-    "in_closed_ball",
-    "in_open_ball",
     "check_axioms",
 ]
 
@@ -111,6 +110,40 @@ class SpaceElement:
     def __rmul__(self, scalar: float) -> "SpaceElement":
         s = float(scalar)
         return SpaceElement(tuple(s * a for a in self.coords))
+
+
+@dataclass(frozen=True)
+class Box:
+    """An axis-aligned box: a sampling region or a solver domain."""
+
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+
+    def __post_init__(self):
+        lo = tuple(float(v) for v in self.lo)
+        hi = tuple(float(v) for v in self.hi)
+        if len(lo) != len(hi) or not lo:
+            raise ValueError("box bounds must be matching nonempty tuples")
+        if any(not (math.isfinite(a) and math.isfinite(b)) or a > b for a, b in zip(lo, hi)):
+            raise ValueError(f"invalid box bounds lo={lo} hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def symmetric(cls, dimension: int, half_width: float = 10.0) -> "Box":
+        return cls(tuple(-half_width for _ in range(dimension)),
+                   tuple(half_width for _ in range(dimension)))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.lo)
+
+    @property
+    def scale(self) -> float:
+        return max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi), 1.0)
+
+    def contains(self, space: "TwoNormSpace", x: SpaceElement) -> bool:
+        return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi))
 
 
 def _same_dim(x: SpaceElement, y: SpaceElement) -> None:
@@ -179,10 +212,13 @@ def gram_norm(x: SpaceElement, y: SpaceElement) -> float:
     """Area 2-norm ``sqrt(|x|^2 |y|^2 - <x,y>^2)`` on R^n.
 
     The radicand is clamped at zero: Cauchy-Schwarz keeps it nonnegative
-    analytically, rounding can push it a hair below.
+    analytically, rounding can push it a hair below. A NaN radicand (the
+    Dekker split overflows once ``|x|^2`` passes about 1.3e300) stays NaN, as
+    in :func:`two_norm_batch`, so an overflowed area never reads as zero.
     """
     _same_dim(x, y)
-    return math.sqrt(max(0.0, _gram_radicand(x.coords, y.coords)))
+    r = _gram_radicand(x.coords, y.coords)
+    return math.sqrt(r if r > 0.0 or r != r else 0.0)
 
 
 def two_norm(space: TwoNormSpace, x: SpaceElement, y: SpaceElement) -> float:
@@ -340,7 +376,7 @@ def witness_norms(
         e = (p1h - (s - bb)) + (q - bb)
         e = e + (p1l + -p2l)
         r = s + e
-        out.append(sqrt(r if r > 0.0 else 0.0))  # max(0.0, r), nan -> 0.0
+        out.append(sqrt(r if r > 0.0 or r != r else 0.0))  # as in gram_norm
     return tuple(out)
 
 
@@ -349,32 +385,6 @@ def witness_residual(
 ) -> float:
     """``max_z ||x - y, z||`` over the witness set; zero iff x equals y."""
     return max(witness_norms(space, wset, x - y))
-
-
-def in_closed_ball(
-    space: TwoNormSpace,
-    u: SpaceElement,
-    center: SpaceElement,
-    radius: float,
-    x: SpaceElement,
-) -> bool:
-    """Membership in the closed ball {x : ||x - center, u|| <= radius}."""
-    if not radius > 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    return two_norm(space, x - center, u) <= radius
-
-
-def in_open_ball(
-    space: TwoNormSpace,
-    u: SpaceElement,
-    center: SpaceElement,
-    radius: float,
-    x: SpaceElement,
-) -> bool:
-    """Open-ball variant of :func:`in_closed_ball` (strict inequality)."""
-    if not radius > 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    return two_norm(space, x - center, u) < radius
 
 
 # --- axiom checking ----------------------------------------------------------
@@ -396,6 +406,7 @@ class AxiomReport:
 
 
 _SAMPLING_BOX = 10.0  # axioms are homogeneous, so the box scale is immaterial
+_RECORD_LIMIT = 32  # violations kept on the report; violation_count has them all
 
 
 def check_axioms(
@@ -404,7 +415,6 @@ def check_axioms(
     seed: int,
     tolerance: float,
     norm_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    record_limit: int = 32,
 ) -> AxiomReport:
     """Probe the four 2-norm axioms on seeded random triples.
 
@@ -512,7 +522,7 @@ def check_axioms(
     found.sort(key=lambda v: (v[0], v[1], v[2]))
     recorded = tuple(
         AxiomViolation(axiom, i, witness_makers[tag](i), dev)
-        for i, axiom, tag, dev in found[:record_limit]
+        for i, axiom, tag, dev in found[:_RECORD_LIMIT]
     )
     return AxiomReport(
         samples_tested=sample_count,

@@ -11,7 +11,6 @@ import pytest
 
 from enrichedfp.analyzer import (
     Provenance,
-    SamplingBox,
     certify,
     estimate_theta,
     optimize_b,
@@ -22,17 +21,18 @@ from enrichedfp.mapping import Reflection, ScalarAffine, default_piecewise
 from enrichedfp.solver import (
     SolveConfig,
     SolveStatus,
+    TwoNormBall,
     apriori_bound,
     asymptotic_solve,
     krasnoselskij_solve,
     local_ball_solve,
 )
 from enrichedfp.space import (
+    Box,
     SpaceElement,
     check_axioms,
     cross2_space,
     gram_space,
-    in_closed_ball,
     standard_basis,
     witness_residual,
 )
@@ -72,7 +72,7 @@ def _random_affine_runs(count, seed):
         c = rng.uniform(-3.0, 0.9)
         shift = el(*(rng.uniform(-2, 2) for _ in range(dim)))
         T = ScalarAffine(c, shift)
-        box = SamplingBox.symmetric(dim)
+        box = Box.symmetric(dim)
         _, cert = optimize_b(T, space, box, wit, refine_steps=64)
         x0 = el(*(rng.uniform(-5, 5) for _ in range(dim)))
         report = krasnoselskij_solve(T, cert, x0, SolveConfig(tol=1e-10), space)
@@ -164,7 +164,7 @@ def test_criterion_05_apriori_bound_dominance():
 
 
 def test_criterion_06_theta_oracle():
-    box = SamplingBox.symmetric(2)
+    box = Box.symmetric(2)
     shift = el(0.7, -0.3)
     for c in (-3.0, -1.0, -0.5, 0.3):
         T = ScalarAffine(c, shift)
@@ -187,7 +187,7 @@ def test_criterion_07_local_solver():
     assert ok.precondition == (2.0, 4.0)
     assert witness_residual(SP, WIT, ok.x_star, el(1, 0)) <= 1e-10
     for row in ok.trace.rows:
-        assert in_closed_ball(SP, el(0, 1), el(0, 0), ok.epsilon, row.x)
+        assert TwoNormBall(el(0, 1), el(0, 0), ok.epsilon).contains(SP, row.x)
 
     bad = local_ball_solve(Reflection(el(2, 0)), cert, el(0, 0), el(0, 1), 0.5, cfg, SP)
     assert bad.status == SolveStatus.PRECONDITION_FAILED

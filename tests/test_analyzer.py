@@ -11,7 +11,6 @@ from enrichedfp.analyzer import (
     DEFAULT_B_GRID,
     NotCertifiableError,
     Provenance,
-    SamplingBox,
     certify,
     certify_sampled,
     estimate_theta,
@@ -27,10 +26,17 @@ from enrichedfp.mapping import (
     default_piecewise,
     iterated,
 )
-from enrichedfp.space import SpaceElement, cross2_space, gram_space, standard_basis, two_norm
+from enrichedfp.space import (
+    Box,
+    SpaceElement,
+    cross2_space,
+    gram_space,
+    standard_basis,
+    two_norm,
+)
 
 SP = cross2_space()
-BOX = SamplingBox.symmetric(2)
+BOX = Box.symmetric(2)
 WIT = standard_basis(2)
 
 
@@ -177,7 +183,7 @@ def test_estimate_theta_band_holds_on_gram_space():
     from enrichedfp.space import gram_space
 
     sp3 = gram_space(3)
-    box3 = SamplingBox.symmetric(3)
+    box3 = Box.symmetric(3)
     wit3 = standard_basis(3)
     T = ScalarAffine(0.3, el(0.7, -0.3, 1.1))
     for b in (0.0, 2.0):
@@ -303,7 +309,7 @@ def _reflection_at_0_6(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_per_b_evaluation_equals_estimate_theta(dim):
     space = cross2_space() if dim == 2 else gram_space(3)
-    box, wit = SamplingBox.symmetric(dim, 4.0), standard_basis(dim)
+    box, wit = Box.symmetric(dim, 4.0), standard_basis(dim)
     rng = random.Random(dim)
     bs = list(DEFAULT_B_GRID) + [0.6, 1e-12, 3.3] + [rng.uniform(0.0, 10.0) for _ in range(8)]
     maps = (default_piecewise(dim), iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim))
@@ -346,7 +352,7 @@ def test_optimize_b_maps_its_sample_once(monkeypatch):
 @pytest.mark.parametrize("space,dim", [(cross2_space(), 2), (gram_space(3), 3)])
 def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     T = _reflection_at_0_6(dim)
-    box, wit = SamplingBox.symmetric(dim), standard_basis(dim)
+    box, wit = Box.symmetric(dim), standard_basis(dim)
     b, cert = optimize_b(T, space, box, wit, count=4_000, seed=11, eps_dep=1e-7)
     assert cert.provenance == Provenance.sampled(4_000, 11)
     est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)

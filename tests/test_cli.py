@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
@@ -23,7 +25,7 @@ from enrichedfp.cli import (
     write_scenario,
 )
 from enrichedfp.mapping import Reflection, default_piecewise
-from enrichedfp.solver import IterationTrace, SolveStatus, TraceRow
+from enrichedfp.solver import IterationTrace, SolveReport, SolveStatus, TraceRow
 from enrichedfp.space import SpaceElement, cross2_space, standard_basis
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
@@ -50,7 +52,7 @@ def test_parse_reflection_defaults():
     assert cfg.n == 1
     assert cfg.sampling.count == 100_000
     assert cfg.sampling.eps_dep == 1e-8
-    assert cfg.sampling.lo == (-10.0, -10.0)
+    assert cfg.sampling.box.lo == (-10.0, -10.0)
 
 
 def test_parse_rejects_local_mode_without_block():
@@ -143,11 +145,107 @@ domain.closed=false
     assert parse_scenario_text(write_scenario(cfg3)) == cfg3
 
 
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _csv(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _vec(dim):
+    return st.lists(_num, min_size=dim, max_size=dim).map(_csv)
+
+
+def _bounds(dim):
+    # Pairs lo <= hi per coordinate, as text.
+    pairs = st.lists(st.tuples(_num, _num).map(sorted), min_size=dim, max_size=dim)
+    return pairs.map(lambda ps: (_csv(p[0] for p in ps), _csv(p[1] for p in ps)))
+
+
+def _map_lines(dim):
+    """A random map tree as (key under the map prefix, value) pairs."""
+    leaves = st.one_of(
+        st.builds(lambda w: [("kind", "reflection"), ("w", w)], _vec(dim)),
+        st.builds(lambda s, t: [("kind", "scalar_affine"), ("scale", repr(s)), ("shift", t)],
+                  _num, _vec(dim)),
+        st.builds(lambda u, th: [("kind", "piecewise_two_set"), ("u", u),
+                                 ("region.threshold", repr(th))], _vec(dim), _num),
+    )
+
+    def nest(kind, key, value, inner):
+        return [("kind", kind), (key, value)] + [(f"inner.{k}", v) for k, v in inner]
+
+    def wrap(inner):
+        return st.one_of(
+            st.builds(lambda lam, sub: nest("averaged", "lambda", repr(lam), sub),
+                      st.floats(min_value=0.0, max_value=1.0, exclude_min=True), inner),
+            st.builds(lambda t, sub: nest("iterated", "times", str(t), sub),
+                      st.integers(1, 5), inner),
+        )
+
+    return st.recursive(leaves, wrap, max_leaves=4)
+
+
+@st.composite
+def _scenario_texts(draw):
+    dim = draw(st.sampled_from([2, 2, 3, 4]))
+    kind = "cross2" if dim == 2 and draw(st.booleans()) else "gram"
+    mode = draw(st.sampled_from(["krasnoselskij", "picard", "local", "asymptotic"]))
+    lines = ["schema=1", f"space.kind={kind}", f"space.dimension={dim}", f"mode={mode}"]
+    lines += [f"map.{k}={v}" for k, v in draw(_map_lines(dim))]
+    if draw(st.booleans()):
+        lines += ["b=auto", "theta=estimate"]
+    else:
+        theta = draw(st.one_of(st.just("estimate"), _positive.map(repr)))
+        lines += [f"b={draw(_positive)!r}", f"theta={theta}"]
+    lines += [f"n={draw(st.integers(1, 4))}", f"x0={draw(_vec(dim))}"]
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+        rows = [_csv(s if i == j else 0.0 for j in range(dim)) for i, s in enumerate(scales)]
+        extra = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).map(_csv)
+        lines.append("witnesses=" + ";".join(rows + draw(st.lists(extra, max_size=2))))
+    lines += [f"tol={draw(_positive)!r}", f"max_iter={draw(st.integers(1, 10**6))}",
+              f"seed={draw(st.integers(0, 2**32))}"]
+    domain = draw(st.sampled_from([None, "box", "ball"]))
+    if domain == "box":
+        lo, hi = draw(_bounds(dim))
+        lines += ["domain.kind=box", f"domain.lo={lo}", f"domain.hi={hi}"]
+    elif domain == "ball":
+        lines += ["domain.kind=ball", f"domain.u={draw(_vec(dim))}",
+                  f"domain.center={draw(_vec(dim))}", f"domain.radius={draw(_positive)!r}",
+                  f"domain.closed={draw(st.sampled_from(['true', 'false']))}"]
+    if domain is not None and draw(st.booleans()):
+        lines.append(f"domain.beta={draw(_num)!r}")
+    if mode == "local" or draw(st.booleans()):
+        lines += [f"local.u={draw(_vec(dim))}", f"local.r={draw(_positive)!r}"]
+    lines += [f"sampling.count={draw(st.integers(1, 10**6))}",
+              f"sampling.eps_dep={draw(_positive)!r}"]
+    sampling = draw(st.sampled_from([None, "broadcast", "full"]))
+    if sampling == "broadcast":
+        lo, hi = draw(_bounds(1))
+        lines += [f"sampling.lo={lo}", f"sampling.hi={hi}"]
+    elif sampling == "full":
+        lo, hi = draw(_bounds(dim))
+        lines += [f"sampling.lo={lo}", f"sampling.hi={hi}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(_scenario_texts())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_property(text):
+    cfg = parse_scenario_text(text)
+    written = write_scenario(cfg)
+    assert parse_scenario_text(written) == cfg
+    assert write_scenario(parse_scenario_text(written)) == written
+    assert cfg.sampling.box.dimension == cfg.space.dimension
+
+
 def test_scalar_sampling_bounds_broadcast():
     text = REFLECTION_SCENARIO + "sampling.lo=-3\nsampling.hi=3\n"
     cfg = parse_scenario_text(text)
-    assert cfg.sampling.lo == (-3.0, -3.0)
-    assert cfg.sampling.hi == (3.0, 3.0)
+    assert cfg.sampling.box.lo == (-3.0, -3.0)
+    assert cfg.sampling.box.hi == (3.0, 3.0)
 
 
 # --- run_scenario ----------------------------------------------------------------
@@ -310,6 +408,17 @@ def test_report_contains_certificate_lines():
     assert "provenance=closed_form" in text
 
 
+def test_report_status_line_is_the_status_value():
+    assert [s.value for s in SolveStatus] == [
+        "Converged", "OscillationDetected", "MaxIterExceeded", "LeftDomain",
+        "PreconditionFailed", "Diverged",
+    ]
+    for status in SolveStatus:
+        report = SolveReport(status=status, x_star=None, iterations=0, certificate=None,
+                             trace=IterationTrace(()), bound_violations=0)
+        assert report_text(report).startswith(f"status={status.value}\niterations=0\n")
+
+
 def test_report_oscillation_period_line():
     report, _ = run_scenario(parse_scenario_text(DEMO_SCENARIOS["picard-oscillation"]))
     text = report_text(report)
@@ -448,6 +557,21 @@ def test_main_divergent_solve_exits_six(body, tmp_path, capsys):
     assert "x_star=none\n" in out and "Diverged: the iteration overflowed" in out
     iterations = int(out.split("iterations=")[1].split("\n")[0])
     assert len(trace.read_text().splitlines()) == iterations + 2  # header + rows
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("certificate", ["mode=picard\n", "b=0\ntheta=0.5\n"])
+def test_main_divergent_gram_solve_exits_six(dim, certificate, tmp_path, capsys):
+    # Past |x| ~ 1.2e150 the gram norm is NaN; a step that read 0 there would
+    # stop the run as Converged at an overflowing point.
+    pad = ",0" * (dim - 2)
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(
+        f"schema=1\nspace.kind=gram\nspace.dimension={dim}\n{certificate}"
+        f"map.kind=scalar_affine\nmap.scale=3\nmap.shift=1,0{pad}\nx0=0.5,0.25{pad}\n"
+    )
+    assert main(["solve", "--scenario", str(scenario)]) == EXIT_DIVERGED
+    assert capsys.readouterr().out.startswith("status=Diverged\niterations=645\n")
 
 
 @pytest.mark.parametrize("label", ["gram:1", "gram:x", "gram:", "hilbert"])

@@ -15,7 +15,6 @@ from enrichedfp.mapping import (
     iterated,
 )
 from enrichedfp.solver import (
-    Box,
     Domain,
     SolveConfig,
     SolveStatus,
@@ -29,10 +28,10 @@ from enrichedfp.solver import (
     picard_solve,
 )
 from enrichedfp.space import (
+    Box,
     SpaceElement,
     cross2_space,
     gram_space,
-    in_closed_ball,
     standard_basis,
     witness_residual,
 )
@@ -291,7 +290,7 @@ def test_local_ball_accepts_and_stays_inside():
     assert rep.precondition == (2.0, 4.0)
     assert rep.epsilon == pytest.approx(1.5)
     for row in rep.trace.rows:
-        assert in_closed_ball(SP, el(0, 1), el(0, 0), rep.epsilon, row.x)
+        assert TwoNormBall(el(0, 1), el(0, 0), rep.epsilon).contains(SP, row.x)
 
 
 def test_local_ball_precondition_failure():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enrichedfp.solver import TwoNormBall
 from enrichedfp.space import (
     EPS,
+    Box,
     NonFiniteError,
     SpaceElement,
     WitnessSet,
@@ -18,8 +20,6 @@ from enrichedfp.space import (
     cross2_space,
     gram_norm,
     gram_space,
-    in_closed_ball,
-    in_open_ball,
     seminorm,
     standard_basis,
     two_norm,
@@ -178,25 +178,49 @@ def test_witness_residual_zero_iff_equal(x):
     assert witness_residual(sp, w, x, shifted) > 0.0
 
 
-# --- balls --------------------------------------------------------------------
+# --- boxes and balls -----------------------------------------------------------
+
+def test_box_contains_and_scale():
+    sp = cross2_space()
+    box = Box((-1, 0), (1, 2))
+    assert box.lo == (-1.0, 0.0) and box.dimension == 2 and box.scale == 2.0
+    assert box.contains(sp, el(1, 0)) and box.contains(sp, el(0, 2))
+    assert not box.contains(sp, el(1.5, 1))
+    assert Box.symmetric(3, 0.5) == Box((-0.5,) * 3, (0.5,) * 3)
+    assert Box.symmetric(2, 0.5).scale == 1.0  # the scale never drops below 1
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ((0.0, -math.inf), (1.0, 1.0), "invalid box bounds"),
+    ((0.0, 0.0), (1.0, math.inf), "invalid box bounds"),
+    ((math.nan, 0.0), (1.0, 1.0), "invalid box bounds"),
+    ((0.0, 0.0), (1.0, math.nan), "invalid box bounds"),
+    ((2.0, 0.0), (1.0, 1.0), "invalid box bounds"),
+    ((0.0, 0.0), (1.0,), "matching nonempty"),
+    ((), (), "matching nonempty"),
+])
+def test_box_rejects_invalid_bounds(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        Box(lo, hi)
+
 
 def test_closed_ball_membership():
     sp = cross2_space()
     u, c = el(0, 1), el(0, 0)
-    assert in_closed_ball(sp, u, c, 1.0, el(1, 5))      # ||(1,5),(0,1)|| = 1
-    assert not in_closed_ball(sp, u, c, 1.0, el(2, 0))  # residual 2
-    assert in_closed_ball(sp, u, c, 0.5, c)             # center always inside
+    assert TwoNormBall(u, c, 1.0).contains(sp, el(1, 5))      # ||(1,5),(0,1)|| = 1
+    assert not TwoNormBall(u, c, 1.0).contains(sp, el(2, 0))  # residual 2
+    assert TwoNormBall(u, c, 0.5).contains(sp, c)             # center always inside
 
 
 def test_open_ball_is_strict():
     sp = cross2_space()
     u, c = el(0, 1), el(0, 0)
-    assert not in_open_ball(sp, u, c, 1.0, el(1, 5))    # boundary excluded
-    assert in_open_ball(sp, u, c, 1.0001, el(1, 5))
+    assert not TwoNormBall(u, c, 1.0, closed=False).contains(sp, el(1, 5))  # boundary excluded
+    assert TwoNormBall(u, c, 1.0001, closed=False).contains(sp, el(1, 5))
     with pytest.raises(ValueError):
-        in_open_ball(sp, u, c, 0.0, c)
+        TwoNormBall(u, c, 0.0, closed=False)
     with pytest.raises(ValueError):
-        in_closed_ball(sp, u, c, -1.0, c)
+        TwoNormBall(u, c, -1.0)
 
 
 # --- norm axioms as properties -------------------------------------------------
@@ -302,6 +326,13 @@ def test_batch_norms_match_scalar_bitwise():
             rows = two_norm_batch(space, np.tile(X[i], (k, 1)), Y[:k])
             scalars = tuple(two_norm(space, v, z) for z in wset.witnesses)
             assert witness_norms(space, wset, v) == tuple(rows) == scalars
+    # Past |v| ~ 1.2e150 the Dekker split of |v|^2 overflows; every path gives
+    # NaN, so an overflowed area never reads as zero.
+    space, v, z = gram_space(2), el(2e150, 5e149), el(1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = two_norm_batch(space, np.array([v.coords]), np.array([z.coords]))
+    paths = (float(batch[0]), two_norm(space, v, z), witness_norms(space, standard_basis(2), v)[0])
+    assert [a.hex() for a in paths] == [math.nan.hex()] * 3
 
 
 # --- axiom checker -------------------------------------------------------------
@@ -384,14 +415,14 @@ def kernel_cases(draw):
 @example((gram_space(3), standard_basis(3), el(-0.0, -0.0, -0.0)))
 @example((gram_space(3), standard_basis(3), el(-0.0, 2.0, 0.0)))
 @example((gram_space(3), standard_basis(3), el(0.0, -3.0, 0.0)))
+@example((gram_space(2), standard_basis(2), el(2e150, 5e149)))  # |v|^2 split overflows
 @settings(max_examples=400, deadline=None)
 def test_witness_norms_match_scalar_bitwise(case):
     space, wset, v = case
     expected = tuple(two_norm(space, v, z) for z in wset.witnesses)
     got = witness_norms(space, wset, v)
-    assert got == expected
-    # Exact float equality would let -0.0 stand for 0.0; compare the bits too.
-    assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in expected]
+    # float.hex matches NaN with NaN and keeps -0.0 apart from 0.0.
+    assert [a.hex() for a in got] == [b.hex() for b in expected]
 
 
 def test_witness_norms_checks_dimensions():
