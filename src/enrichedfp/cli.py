@@ -14,7 +14,9 @@ blocks (map/domain/local/sampling) and a ``schema=1`` header. All floats in
 emitted artifacts are rendered with 17 significant digits so reruns are
 byte-identical and every value round-trips.
 
-Exit codes: 0 converged, 2 not certifiable / precondition failed, 3
+Exit codes: 0 converged, 1 scenario or usage error (a message on stderr;
+this covers coordinate lists whose length is not the space dimension and
+``check-norm --samples`` below 1), 2 not certifiable / precondition failed, 3
 oscillation detected, 4 iteration budget exceeded, 5 left the domain, 6
 diverged (an iterate overflowed).
 """
@@ -175,6 +177,19 @@ def _parse_coords(raw: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(p, key) for p in parts)
 
 
+def _require_dim(coords: tuple[float, ...], key: str, dim: int) -> tuple[float, ...]:
+    if len(coords) != dim:
+        raise ScenarioError(
+            f"{key}: dimension {len(coords)} does not match space dimension {dim}"
+        )
+    return coords
+
+
+def _parse_point(raw: str, key: str, dim: int) -> tuple[float, ...]:
+    """A coordinate list that must have one entry per space dimension."""
+    return _require_dim(_parse_coords(raw, key), key, dim)
+
+
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "false"):
@@ -331,9 +346,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     raw_x0 = kv.pop("x0", None)
     if raw_x0 is None:
         raise ScenarioError("x0: missing")
-    x0 = SpaceElement(_parse_coords(raw_x0, "x0"))
-    if x0.dim != dim:
-        raise ScenarioError(f"x0: dimension {x0.dim} does not match space dimension {dim}")
+    x0 = SpaceElement(_parse_point(raw_x0, "x0", dim))
 
     raw_wit = kv.pop("witnesses", "basis")
     if raw_wit == "basis":
@@ -369,7 +382,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                 if lo is None or hi is None:
                     raise ScenarioError("domain: box needs domain.lo and domain.hi")
                 domain = Domain(
-                    Box(_parse_coords(lo, "domain.lo"), _parse_coords(hi, "domain.hi")), beta
+                    Box(_parse_point(lo, "domain.lo", dim), _parse_point(hi, "domain.hi", dim)),
+                    beta,
                 )
             elif domain_kind == "ball":
                 u = kv.pop("domain.u", None)
@@ -382,8 +396,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                     )
                 domain = Domain(
                     TwoNormBall(
-                        SpaceElement(_parse_coords(u, "domain.u")),
-                        SpaceElement(_parse_coords(center, "domain.center")),
+                        SpaceElement(_parse_point(u, "domain.u", dim)),
+                        SpaceElement(_parse_point(center, "domain.center", dim)),
                         _parse_float(radius, "domain.radius"),
                         closed,
                     ),
@@ -398,7 +412,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 
     local_u_raw = kv.pop("local.u", None)
     local_r_raw = kv.pop("local.r", None)
-    local_u = None if local_u_raw is None else SpaceElement(_parse_coords(local_u_raw, "local.u"))
+    local_u = (
+        None if local_u_raw is None else SpaceElement(_parse_point(local_u_raw, "local.u", dim))
+    )
     local_r = None if local_r_raw is None else _parse_float(local_r_raw, "local.r")
     if mode == "local" and (local_u is None or local_r is None):
         raise ScenarioError("local: mode=local requires local.u and local.r")
@@ -425,6 +441,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         lo = tuple(lo[0] for _ in range(dim))
     if len(hi) == 1:
         hi = tuple(hi[0] for _ in range(dim))
+    _require_dim(lo, "sampling.lo", dim)
+    _require_dim(hi, "sampling.hi", dim)
     try:
         sampling = SamplingSettings(count=count, eps_dep=eps_dep, box=Box(lo, hi))
     except ValueError as exc:
@@ -782,6 +800,9 @@ def _cmd_check_norm(args: argparse.Namespace) -> int:
             pass
     if space is None:
         print(f"error: --space must be cross2 or gram:N, got {label!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return EXIT_INTERNAL
     report = check_axioms(space, args.samples, args.seed, args.tol)
     print(

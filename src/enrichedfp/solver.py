@@ -16,7 +16,12 @@ of that proof into machinery:
   variant that iterates T^N and hands the fixed point back to T;
 * a Diverged status, with the trace so far, once a point overflows.
 
-All residuals are ``max_z ||., z||`` over the configured witness set.
+All residuals are ``max_z ||., z||`` over the configured witness set. Inside
+the loop only the stopping test evaluates them, and it stops at the first
+witness that settles the answer (``space.witness_max_prefix``); the trace
+columns and the post-hoc bound check are evaluated after the loop in one
+``space.witness_norm_rows`` pass, bit for bit what a per-iteration evaluation
+gives.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .space import (
     WitnessSet,
     standard_basis,
     two_norm,
+    witness_max_prefix,
+    witness_norm_rows,
     witness_norms,
     witness_residual,
 )
@@ -228,7 +235,13 @@ def _solve_core(
 
     warnings: list[str] = []
     period: Optional[int] = None
-    records: list[tuple[SpaceElement, float, float, tuple[float, ...]]] = []
+    # Row n of the trace is x_n with v_n = x_n - x_{n-1} and d_n = T x_n - x_n
+    # (row 0 has no v_0 or d_0); the loop tests only the stopping rule, and
+    # every column is evaluated after it in one witness_norm_rows call.
+    xs: list[SpaceElement] = []
+    vs: list[SpaceElement] = []
+    ds: list[SpaceElement] = []
+    f0 = math.nan
     x_star: Optional[SpaceElement] = None
     iterations = 0
 
@@ -243,7 +256,7 @@ def _solve_core(
                 f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
                 f"exceeds beta = {domain.bound_beta!r}"
             )
-        records.append((x0, 0.0, f0, tuple(0.0 for _ in wset.witnesses)))
+        xs.append(x0)
 
         if domain is not None and not domain.contains(space, x0):
             status = SolveStatus.LEFT_DOMAIN
@@ -252,25 +265,32 @@ def _solve_core(
             x_star = x0
         else:
             status = SolveStatus.MAX_ITER
-            xs = [x0]
             x_n = x0
             for n in range(1, cfg.max_iter + 1):
                 x_prev = x_n
                 x_n = Tlam.combine(x_prev, t_n)
-                wsteps = witness_norms(space, wset, x_n - x_prev)
-                step = max(wsteps)
+                v_n = x_n - x_prev
                 t_n = T.apply(x_n)
-                fixed_n = witness_residual(space, wset, t_n, x_n)
-                records.append((x_n, step, fixed_n, wsteps))
+                d_n = t_n - x_n
                 xs.append(x_n)
+                vs.append(v_n)
+                ds.append(d_n)
                 iterations = n
 
                 if domain is not None and not domain.contains(space, x_n):
                     status = SolveStatus.LEFT_DOMAIN
                     break
 
+                # witness_max_prefix stops at the first witness whose norm
+                # lifts the running max past threshold, so step <= threshold
+                # and step > threshold each hold exactly when they hold for
+                # the full max. The cycle test below compares with cfg.tol,
+                # which is exact too: only Picard detects cycles, and without
+                # a certificate threshold == cfg.tol.
+                step = witness_max_prefix(space, wset, v_n, threshold)
                 if (cert is not None and cert.d == 0.0) or step <= threshold:
                     f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
+                    fixed_n = max(witness_norms(space, wset, d_n))
                     if f_lam <= cfg.tol and fixed_n <= cfg.tol:
                         status = SolveStatus.CONVERGED
                         x_star = x_n
@@ -286,25 +306,34 @@ def _solve_core(
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
 
-    base = records[1][1] if len(records) > 1 else 0.0
+    # One pass over the trace: the step rows, the fixed-point rows and, for a
+    # certified fixed point, each row's distance to it for the bound check.
+    certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
+    gaps = [x - x_star for x in xs] if certified else []
+    m = len(vs)
+    norm_rows = witness_norm_rows(space, wset, vs + ds + gaps)
+    zeros = tuple(0.0 for _ in wset.witnesses)
+    witness_steps = [zeros] + norm_rows[:m]
+    fixed = [f0] + [max(r) for r in norm_rows[m : 2 * m]]
+    base = max(witness_steps[1]) if m else 0.0
     rows = tuple(
         TraceRow(
             n=i,
-            x=rec[0],
-            step_residual=rec[1],
-            fixed_residual=rec[2],
+            x=x,
+            step_residual=max(wsteps),
+            fixed_residual=fixed_i,
             apriori_bound=apriori_bound(cert, i, base) if cert is not None else math.nan,
-            witness_steps=rec[3],
+            witness_steps=wsteps,
         )
-        for i, rec in enumerate(records)
+        for i, (x, wsteps, fixed_i) in enumerate(zip(xs, witness_steps, fixed))
     )
 
     bound_violations = 0
-    if status == SolveStatus.CONVERGED and cert is not None and x_star is not None:
+    if certified:
         # Post-hoc check of the tail bound against the returned fixed point.
         slack = 1e-12 * max(1.0, base)
-        for row in rows:
-            if witness_residual(space, wset, row.x, x_star) > row.apriori_bound + slack:
+        for row, gap in zip(rows, norm_rows[2 * m :]):
+            if max(gap) > row.apriori_bound + slack:
                 bound_violations += 1
 
     return SolveReport(

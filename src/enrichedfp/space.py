@@ -20,14 +20,18 @@ disagree by thousands of ulps on a noticeable fraction of random pairs; with
 the compensated kernels they agree to a few ulps everywhere except at areas
 below the ~1e-14 double-double noise floor.
 
-Every witness residual goes through one kernel, :func:`witness_norms`, which
-returns ``||v, z_j||`` for all witnesses at once. A :class:`WitnessSet`
-precomputes, once, each witness's coordinates, their Dekker splits and its
-double-double ``|z|^2``; the kernel splits ``v`` and forms ``|v|^2`` once per
-call, then runs the ``gram`` arithmetic inline. It performs the same IEEE
-operations in the same order as the scalar :func:`two_norm`, so its results
-equal ``two_norm(space, v, z_j)`` bit for bit. The scalar kernel stays the
-reference, and serves the ball tests.
+Witness residuals go through one kernel body, which yields ``||v, z_j||``
+for the witnesses in order. A :class:`WitnessSet` precomputes, once, each
+witness's coordinates, their Dekker splits and its double-double ``|z|^2``;
+the kernel splits ``v`` and forms ``|v|^2`` once per call, then runs the
+``gram`` arithmetic inline. It performs the same IEEE operations in the same
+order as the scalar :func:`two_norm`, so its results equal
+``two_norm(space, v, z_j)`` bit for bit. :func:`witness_norms` collects every
+value; :func:`witness_max_prefix` stops as soon as the running max passes a
+limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
+many vectors and, from 24 on, evaluates them with :func:`two_norm_batch`,
+bit for bit the same. The scalar kernel stays the reference, and serves the
+ball tests.
 
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +69,8 @@ __all__ = [
     "seminorm",
     "standard_basis",
     "witness_norms",
+    "witness_max_prefix",
+    "witness_norm_rows",
     "witness_residual",
     "check_axioms",
 ]
@@ -143,7 +149,7 @@ class Box:
         return max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi), 1.0)
 
     def contains(self, space: "TwoNormSpace", x: SpaceElement) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi))
+        return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi, strict=True))
 
 
 def _same_dim(x: SpaceElement, y: SpaceElement) -> None:
@@ -301,10 +307,8 @@ def standard_basis(dimension: int) -> WitnessSet:
     return WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
 
 
-def witness_norms(
-    space: TwoNormSpace, wset: WitnessSet, v: SpaceElement
-) -> tuple[float, ...]:
-    """``||v, z_j||`` for every witness z_j, equal to :func:`two_norm` bit for bit.
+def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
+    """Yield ``||v, z_j||`` in witness order: the one body of the witness kernels.
 
     For ``gram`` this is :func:`gram_norm` with ``_dd.two_prod``, ``dd_add``
     and ``dd_mul`` written out inline: ``v``'s splits and ``|v|^2`` are formed
@@ -317,7 +321,9 @@ def witness_norms(
         raise ValueError("witness set dimension does not match the space")
     _element_in(space, v)
     if space.kind is SpaceKind.CROSS2:
-        return tuple(two_norm(space, v, z) for z in wset.witnesses)
+        for z in wset.witnesses:
+            yield two_norm(space, v, z)
+        return
 
     # v's splits, and |v|^2 = dot_dd(v, v)
     vt = []
@@ -339,7 +345,6 @@ def witness_norms(
     svhh, svhl = _split(svh)
 
     sqrt = math.sqrt
-    out = []
     for zt, szh, szl, szhh, szhl in wset._operands:
         # <v, z> = dot_dd(v, z)
         h = l = 0.0
@@ -376,8 +381,77 @@ def witness_norms(
         e = (p1h - (s - bb)) + (q - bb)
         e = e + (p1l + -p2l)
         r = s + e
-        out.append(sqrt(r if r > 0.0 or r != r else 0.0))  # as in gram_norm
-    return tuple(out)
+        yield sqrt(r if r > 0.0 or r != r else 0.0)  # as in gram_norm
+
+
+def witness_norms(
+    space: TwoNormSpace, wset: WitnessSet, v: SpaceElement
+) -> tuple[float, ...]:
+    """``||v, z_j||`` for every witness z_j, equal to :func:`two_norm` bit for bit."""
+    return tuple(_witness_norm_iter(space, wset, v))
+
+
+def witness_max_prefix(
+    space: TwoNormSpace, wset: WitnessSet, v: SpaceElement, limit: float
+) -> float:
+    """``max(witness_norms(space, wset, v))``, cut short once it passes ``limit``.
+
+    Keeps the running value of Python's ``max`` in witness order and returns
+    it as soon as it is not ``<= limit``, without evaluating later witnesses.
+    So the result is ``<= limit`` exactly when the full max is, and
+    ``> limit`` exactly when the full max is; a NaN first norm stays NaN, as
+    in ``max``.
+    """
+    norms = _witness_norm_iter(space, wset, v)
+    r = next(norms)
+    if r <= limit:
+        for x in norms:
+            if x > r:
+                r = x
+                if not r <= limit:
+                    break
+    return r
+
+
+# Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
+# 3.11, numpy 2.4, runs vary up to 2x): one two_norm_batch call costs about
+# 30-90 us on cross2, 190-400 us on gram:3, 330-520 us on gram:4 and
+# 450-730 us on gram:8 however few rows it gets, while witness_norms costs
+# about 5-8, 8-14, 16 and 41-47 us per vector. The batch therefore wins from
+# about 6 (cross2) to 30 (gram:4) vectors; it takes over at 24, where it is at
+# worst about even, and long traces gain most. Slices of at most 4096 vectors
+# bound its temporaries: an unsliced 10,000-iteration gram:8 trace would stack
+# 240,000 pairs, two 15 MB input arrays and 1.9 MB per column temporary.
+_ROWS_BATCH_MIN = 24
+_ROWS_BATCH_SLICE = 4096
+
+
+def witness_norm_rows(
+    space: TwoNormSpace, wset: WitnessSet, vectors: Sequence[SpaceElement]
+) -> list[tuple[float, ...]]:
+    """``witness_norms(space, wset, v)`` for every v, equal to it bit for bit.
+
+    Few vectors go through :func:`witness_norms` one at a time; more go
+    through :func:`two_norm_batch` over every (vector, witness) pair, which
+    runs the same operation sequence as the scalar kernel. A vector that
+    overflows the kernel (``|v|`` past about 1.2e150 on ``gram``, coordinates
+    past about 1.3e300 on ``cross2``) gets NaN on both paths, and numpy's
+    overflow warnings are silenced, as Python float arithmetic gives none.
+    """
+    if len(vectors) < _ROWS_BATCH_MIN:
+        return [witness_norms(space, wset, v) for v in vectors]
+    if wset.dim != space.dimension:
+        raise ValueError("witness set dimension does not match the space")
+    m = len(wset.witnesses)
+    W = np.array([z.coords for z in wset.witnesses], dtype=float)
+    rows: list[tuple[float, ...]] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
+            V = np.array([v.coords for v in vectors[start : start + _ROWS_BATCH_SLICE]],
+                         dtype=float)
+            norms = two_norm_batch(space, np.repeat(V, m, axis=0), np.tile(W, (len(V), 1)))
+            rows.extend(map(tuple, norms.reshape(len(V), m).tolist()))
+    return rows
 
 
 def witness_residual(

@@ -551,7 +551,8 @@ def test_main_divergent_solve_exits_six(body, tmp_path, capsys):
     scenario.write_text(_DIVERGENT + body)
     trace = tmp_path / "out.csv"
     code = main(["solve", "--scenario", str(scenario), "--trace", str(trace)])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""  # no numpy overflow warning from the NaN rows
     assert code == EXIT_DIVERGED == 6
     assert out.startswith("status=Diverged\n")
     assert "x_star=none\n" in out and "Diverged: the iteration overflowed" in out
@@ -571,7 +572,9 @@ def test_main_divergent_gram_solve_exits_six(dim, certificate, tmp_path, capsys)
         f"map.kind=scalar_affine\nmap.scale=3\nmap.shift=1,0{pad}\nx0=0.5,0.25{pad}\n"
     )
     assert main(["solve", "--scenario", str(scenario)]) == EXIT_DIVERGED
-    assert capsys.readouterr().out.startswith("status=Diverged\niterations=645\n")
+    out, err = capsys.readouterr()
+    assert out.startswith("status=Diverged\niterations=645\n")
+    assert err == ""
 
 
 @pytest.mark.parametrize("label", ["gram:1", "gram:x", "gram:", "hilbert"])
@@ -579,6 +582,78 @@ def test_main_check_norm_rejects_bad_space(label, capsys):
     assert main(["check-norm", "--space", label, "--samples", "10"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == f"error: --space must be cross2 or gram:N, got {label!r}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_main_check_norm_rejects_too_few_samples(samples, capsys):
+    assert main(["check-norm", "--space", "cross2", "--samples", samples]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+# --- coordinate lists against the space dimension -------------------------------------
+
+def _dimension_scenario(kind, dim, domain):
+    zeros = ",".join(["0"] * dim)
+    unit = ",".join(["1"] + ["0"] * (dim - 1))
+    lines = [
+        "schema=1", f"space.kind={kind}", f"space.dimension={dim}",
+        "map.kind=scalar_affine", "map.scale=0.5", f"map.shift={zeros}",
+        "b=0", "theta=0.5", f"x0={zeros}",
+        f"local.u={unit}", "local.r=1",
+        f"sampling.lo={','.join(['-5'] * dim)}", f"sampling.hi={','.join(['5'] * dim)}",
+    ]
+    if domain == "box":
+        lines += ["domain.kind=box", f"domain.lo={','.join(['-5'] * dim)}",
+                  f"domain.hi={','.join(['5'] * dim)}"]
+    else:
+        lines += ["domain.kind=ball", f"domain.u={unit}", f"domain.center={zeros}",
+                  "domain.radius=10"]
+    return "\n".join(lines) + "\n"
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(text)
+    return str(path)
+
+
+# Lengths dim - 1 and dim + 1 for every key; one sampling value is no mismatch,
+# it broadcasts (test_scalar_sampling_bounds_broadcast).
+_MISMATCHES = [
+    (key, kind, dim, dim + offset)
+    for key in ("domain.lo", "domain.hi", "domain.u", "domain.center", "local.u",
+                "sampling.lo", "sampling.hi")
+    for kind, dim in (("cross2", 2), ("gram", 3))
+    for offset in (-1, 1)
+    if not (dim + offset == 1 and key.startswith("sampling."))
+]
+
+
+@pytest.mark.parametrize("key, kind, dim, length", _MISMATCHES)
+def test_parse_rejects_coordinates_of_another_dimension(key, kind, dim, length,
+                                                        tmp_path, capsys):
+    domain = "ball" if key in ("domain.u", "domain.center") else "box"
+    good = _dimension_scenario(kind, dim, domain)
+    assert main(["solve", "--scenario", _write(tmp_path, "good", good)]) == EXIT_CONVERGED
+    capsys.readouterr()
+    lines = [f"{key}={','.join(['0.5'] * length)}" if line.startswith(f"{key}=") else line
+             for line in good.splitlines()]
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(ScenarioError, match=(
+            rf"^{key}: dimension {length} does not match space dimension {dim}$")):
+        parse_scenario_text(bad)
+    assert main(["solve", "--scenario", _write(tmp_path, "bad", bad)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith(f"scenario error: {key}: dimension")
+
+
+def test_box_of_another_dimension_no_longer_converges(tmp_path):
+    # lo/hi with 3 coordinates on the plane once reached Box.contains, whose
+    # zip cut them to 2, and the run converged with exit 0.
+    text = (_dimension_scenario("cross2", 2, "box")
+            .replace("domain.lo=-5,-5", "domain.lo=-5,-5,7")
+            .replace("domain.hi=5,5", "domain.hi=5,5,8"))
+    assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_INTERNAL
 
 
 # --- pinned artifact bytes ------------------------------------------------------------

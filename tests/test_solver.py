@@ -30,9 +30,11 @@ from enrichedfp.solver import (
 from enrichedfp.space import (
     Box,
     SpaceElement,
+    WitnessSet,
     cross2_space,
     gram_space,
     standard_basis,
+    two_norm,
     witness_residual,
 )
 
@@ -466,3 +468,68 @@ def test_divergence_on_the_first_map_evaluation():
     rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.asserted()), x0, el(0, 1),
                            1.0, SolveConfig(), SP)
     assert rep.status == SolveStatus.DIVERGED and rep.trace.rows == ()
+
+
+# --- trace columns against a scalar recomputation ------------------------------------
+
+def _scalar_norms(space, wset, v):
+    return tuple(two_norm(space, v, z) for z in wset.witnesses)
+
+
+def assert_trace_matches_scalar_kernel(T, rep, wset, space):
+    """Every trace column and the bound-violation count, recomputed with the
+    scalar kernel per witness and compared by float.hex."""
+    rows = rep.trace.rows
+    for i, row in enumerate(rows):
+        steps = (_scalar_norms(space, wset, row.x - rows[i - 1].x) if i
+                 else tuple(0.0 for _ in wset.witnesses))
+        assert [a.hex() for a in row.witness_steps] == [b.hex() for b in steps]
+        assert row.step_residual.hex() == max(steps).hex()
+        fixed = max(_scalar_norms(space, wset, T.apply(row.x) - row.x))
+        assert row.fixed_residual.hex() == fixed.hex()
+    violations = 0
+    if rep.status == SolveStatus.CONVERGED and rep.certificate is not None:
+        base = rows[1].step_residual if len(rows) > 1 else 0.0
+        slack = 1e-12 * max(1.0, base)
+        violations = sum(
+            max(_scalar_norms(space, wset, row.x - rep.x_star)) > row.apriori_bound + slack
+            for row in rows
+        )
+    assert rep.bound_violations == violations
+
+
+def test_short_solve_columns_match_the_scalar_kernel():
+    # 3 * iterations + 1 < 24 vectors: the columns take the per-vector path.
+    T = ScalarAffine(-0.5, el(1.0, 2.0))
+    cert = certify(0.25, 0.25, Provenance.closed_form())
+    rep = krasnoselskij_solve(T, cert, el(4, -3), SolveConfig(tol=1e-4), SP)
+    assert rep.status == SolveStatus.CONVERGED and 3 * rep.iterations + 1 < 24
+    assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
+
+
+def test_gram8_solve_columns_match_the_scalar_kernel():
+    # A converged gram:8 run long enough for the batch path, against a
+    # witness set that is not the standard basis.
+    space = gram_space(8)
+    wset = WitnessSet(tuple(
+        SpaceElement(tuple(float(j == i) + 0.5 * float(j == (i + 1) % 8) for j in range(8)))
+        for i in range(8)
+    ) + (el(1, -1, 1, -1, 1, -1, 1, -1),))
+    T = ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2))
+    cert = certify(0.25, 0.55, Provenance.closed_form())
+    cfg = SolveConfig(tol=1e-12, witnesses=wset)
+    rep = krasnoselskij_solve(T, cert, el(3, 1, -4, 1, 5, -9, 2, 6), cfg, space)
+    assert rep.status == SolveStatus.CONVERGED and 3 * rep.iterations + 1 >= 24
+    assert_trace_matches_scalar_kernel(T, rep, wset, space)
+
+
+def test_divergent_solve_columns_match_the_scalar_kernel():
+    # Past about 1.3e300 the cross2 kernels give NaN: rows 629-645 of this
+    # Picard run hold NaN residuals, and the batch path must keep them NaN.
+    T = ScalarAffine(3.0, el(1, 0))
+    rep = picard_solve(T, el(0.5, 0.25), SolveConfig(), SP)
+    assert rep.status == SolveStatus.DIVERGED and rep.iterations == 645
+    nan_rows = [r.n for r in rep.trace.rows
+                if math.isnan(r.step_residual) or math.isnan(r.fixed_residual)]
+    assert nan_rows == list(range(629, 646))
+    assert_trace_matches_scalar_kernel(T, rep, WIT, SP)

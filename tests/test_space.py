@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enrichedfp.space as space_module
 from enrichedfp.solver import TwoNormBall
 from enrichedfp.space import (
     EPS,
@@ -24,6 +25,8 @@ from enrichedfp.space import (
     standard_basis,
     two_norm,
     two_norm_batch,
+    witness_max_prefix,
+    witness_norm_rows,
     witness_norms,
     witness_residual,
 )
@@ -188,6 +191,13 @@ def test_box_contains_and_scale():
     assert not box.contains(sp, el(1.5, 1))
     assert Box.symmetric(3, 0.5) == Box((-0.5,) * 3, (0.5,) * 3)
     assert Box.symmetric(2, 0.5).scale == 1.0  # the scale never drops below 1
+
+
+def test_box_contains_rejects_a_point_of_another_dimension():
+    # A plane point against a 3-d box must not be checked on two coordinates.
+    box = Box((-5, -5, 7), (5, 5, 8))
+    with pytest.raises(ValueError):
+        box.contains(cross2_space(), el(0, 0))
 
 
 @pytest.mark.parametrize("lo, hi, message", [
@@ -430,3 +440,100 @@ def test_witness_norms_checks_dimensions():
         witness_norms(gram_space(3), standard_basis(2), el(1, 2))
     with pytest.raises(ValueError):
         witness_norms(gram_space(3), standard_basis(3), el(1, 2))
+    with pytest.raises(ValueError):
+        witness_max_prefix(gram_space(3), standard_basis(3), el(1, 2), 1.0)
+    for count in (1, 24):
+        with pytest.raises(ValueError):
+            witness_norm_rows(gram_space(3), standard_basis(2), [el(1, 2)] * count)
+
+
+@st.composite
+def prefix_cases(draw):
+    """A kernel case plus a limit: one of its norms, a signed zero or a draw."""
+    space, wset, v = draw(kernel_cases())
+    norms = witness_norms(space, wset, v)
+    limit = draw(st.one_of(
+        st.sampled_from(norms),
+        st.sampled_from([0.0, -0.0, math.inf]),
+        st.floats(min_value=0.0, max_value=1e4),
+    ))
+    return space, wset, v, limit
+
+
+@given(prefix_cases())
+@example((gram_space(2), standard_basis(2), el(2e150, 5e149), 1.0))  # every norm NaN
+@example((gram_space(2), standard_basis(2), el(2e150, 5e149), math.inf))
+@example((gram_space(3), standard_basis(3), el(0.0, -0.0, 0.0), 0.0))
+@example((gram_space(3), standard_basis(3), el(0.0, -0.0, 0.0), -0.0))
+@example((cross2_space(), standard_basis(2), el(3.0, 0.0), 0.0))  # norms 0 then 3
+@example((cross2_space(), standard_basis(2), el(3.0, 0.0), 3.0))
+# Norms sqrt(5), sqrt(10), sqrt(13): the limit is a running max that a later
+# witness exceeds, so stopping at a max equal to the limit would be wrong.
+@example((gram_space(3), standard_basis(3), el(3.0, 2.0, 1.0), math.sqrt(10.0)))
+@settings(max_examples=400, deadline=None)
+def test_witness_max_prefix_decides_like_the_full_max(case):
+    space, wset, v, limit = case
+    full = max(witness_norms(space, wset, v))
+    got = witness_max_prefix(space, wset, v, limit)
+    assert (got <= limit) == (full <= limit)
+    assert (got > limit) == (full > limit)
+    if full <= limit:  # no early exit: the value is the full max itself
+        assert got.hex() == full.hex()
+    if math.isnan(full):
+        assert math.isnan(got)
+
+
+def _row_vectors(space, count, rng):
+    """``count`` vectors: generic draws with every few rows a zero vector, a
+    signed-zero mix, a nearly dependent pair member or one whose norms are
+    NaN (past the Dekker split's overflow)."""
+    n = space.dimension
+    huge = 1e301 if space.kind.value == "cross2" else 2e150
+    out = []
+    for i in range(count):
+        kind = i % 7
+        if kind == 0:
+            coords = [0.0] * n
+        elif kind == 1:
+            coords = [-0.0 if j % 2 else 0.0 for j in range(n)]
+            coords[i % n] = rng.uniform(-10, 10)
+        elif kind == 2:
+            coords = [1e-12 * rng.uniform(-1, 1) for _ in range(n)]
+            coords[0] += 3.0
+        elif kind == 3 and i % 2:
+            coords = [huge] + [0.5 * huge] * (n - 1)
+        else:
+            coords = [rng.uniform(-10, 10) for _ in range(n)]
+        out.append(SpaceElement(tuple(coords)))
+    return out
+
+
+@pytest.mark.parametrize("space", [cross2_space(), gram_space(3), gram_space(8)],
+                         ids=lambda s: f"{s.kind.value}:{s.dimension}")
+@pytest.mark.parametrize("count, batch_calls", [(1, 0), (23, 0), (24, 1), (4097, 2)])
+def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls,
+                                                       monkeypatch):
+    rng = random.Random(count)
+    n = space.dimension
+    witnesses = [SpaceElement(tuple(float(i == j) + 0.5 * (j == (i + 1) % n)
+                                    for j in range(n))) for i in range(n)]
+    wset = WitnessSet(tuple(witnesses) + (el(*([1.0, -1.0] * n)[:n]),))
+    vectors = _row_vectors(space, count, rng)
+    calls = []
+    batch = space_module.two_norm_batch
+
+    def counting_batch(space, xs, ys):
+        calls.append(len(xs))
+        return batch(space, xs, ys)
+
+    monkeypatch.setattr(space_module, "two_norm_batch", counting_batch)
+    rows = witness_norm_rows(space, wset, vectors)
+    # Below 24 vectors the scalar path runs; from 24 on one batch call per
+    # slice of at most 4096 vectors.
+    assert len(calls) == batch_calls
+    assert all(c <= 4096 * len(wset.witnesses) for c in calls)
+    assert len(rows) == count
+    for v, row in zip(vectors, rows):
+        assert [a.hex() for a in row] == [b.hex() for b in witness_norms(space, wset, v)]
+    if count >= 4:
+        assert any(math.isnan(a) for row in rows for a in row)
