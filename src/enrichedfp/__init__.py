@@ -42,7 +42,6 @@ from .mapping import (
     iterated,
 )
 from .analyzer import (
-    ContractionCheck,
     EnrichedCertificate,
     NotCertifiableError,
     Provenance,
@@ -52,7 +51,6 @@ from .analyzer import (
     estimate_theta,
     optimize_b,
     theta_scalar_affine,
-    verify_averaged_contraction,
 )
 from .solver import (
     Domain,

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .mapping import SelfMap, affine_reduction, averaged
+from .mapping import SelfMap, affine_reduction
 from .space import EPS, Box, SpaceElement, TwoNormSpace, WitnessSet, two_norm_batch
 
 __all__ = [
@@ -40,14 +40,12 @@ __all__ = [
     "Provenance",
     "EnrichedCertificate",
     "ThetaEstimate",
-    "ContractionCheck",
     "DEFAULT_B_GRID",
     "theta_scalar_affine",
     "certify",
     "certify_sampled",
     "estimate_theta",
     "optimize_b",
-    "verify_averaged_contraction",
 ]
 
 
@@ -215,20 +213,6 @@ class _ThetaSample:
         self.abs_TX = np.abs(TX)
         self.abs_TY = np.abs(TY)
 
-    def noise_filter(self, num: np.ndarray, coord_mag: np.ndarray, tol: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ratios ``num/den``, their forward error bounds and the accepted mask.
-
-        ``coord_mag`` holds, per sample, the coordinate magnitudes that entered
-        the numerator vector; a live ratio is accepted when its error bound is
-        at most ``tol``.
-        """
-        ratio = np.divide(num, self.den, out=np.zeros_like(num), where=self.live)
-        err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * self.zmag + 4.0 * num)
-        err_ratio = np.divide(err_num + ratio * self.err_den, self.den,
-                              out=np.full_like(num, np.inf), where=self.live)
-        return ratio, err_ratio, self.live & (err_ratio <= tol)
-
     def estimate(self, b: float, ratio_noise_tol: float = 1e-12,
                  ratio_cap: float = 1e6) -> ThetaEstimate:
         """The theta estimate at b over this sample."""
@@ -236,7 +220,12 @@ class _ThetaSample:
         num = two_norm_batch(self.space, V, self.Z)
         # Keep this order: pre-adding |TX| + |TY| would round differently.
         coord_mag = abs(b) * self.abs_XY + self.abs_TX + self.abs_TY + np.abs(V)
-        ratio, err_ratio, accepted = self.noise_filter(num, coord_mag, ratio_noise_tol)
+        # A live ratio is trusted when its forward error bound is within tol.
+        ratio = np.divide(num, self.den, out=np.zeros_like(num), where=self.live)
+        err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * self.zmag + 4.0 * num)
+        err_ratio = np.divide(err_num + ratio * self.err_den, self.den,
+                              out=np.full_like(num, np.inf), where=self.live)
+        accepted = self.live & (err_ratio <= ratio_noise_tol)
 
         unbounded = bool(np.any(self.live & (ratio - err_ratio > ratio_cap)))
         n_noisy = int(np.count_nonzero(self.live & ~accepted))
@@ -294,14 +283,12 @@ def estimate_theta(
 _INFLATION = 1.01
 
 
-def certify_sampled(
-    b: float, estimate: ThetaEstimate, inflation: float = _INFLATION
-) -> EnrichedCertificate:
+def certify_sampled(b: float, estimate: ThetaEstimate) -> EnrichedCertificate:
     """Certify from a sampled estimate, inflating theta_hat for margin.
 
     Sampling estimates the supremum from below, so theta_hat is inflated by
-    ``inflation`` (capped midway below b+1) before certification; unbounded or
-    empty estimates are refused outright.
+    ``_INFLATION`` (capped midway below b+1) before certification; unbounded
+    or empty estimates are refused outright.
     """
     if estimate.unbounded_flag:
         raise NotCertifiableError(
@@ -313,7 +300,7 @@ def certify_sampled(
         raise NotCertifiableError(
             f"sampled theta_hat={estimate.theta_hat} is not below b+1={b + 1.0}"
         )
-    theta = min(inflation * estimate.theta_hat, 0.5 * (estimate.theta_hat + b + 1.0))
+    theta = min(_INFLATION * estimate.theta_hat, 0.5 * (estimate.theta_hat + b + 1.0))
     return certify(b, theta, Provenance.sampled(estimate.sample_count, estimate.seed))
 
 
@@ -327,7 +314,6 @@ def optimize_b(
     space: TwoNormSpace,
     region: Box,
     witnesses: Optional[WitnessSet],
-    grid: Sequence[float] = DEFAULT_B_GRID,
     refine_steps: int = 32,
     count: int = 100_000,
     seed: int = 0,
@@ -336,11 +322,11 @@ def optimize_b(
 ) -> tuple[float, EnrichedCertificate]:
     """Search for the b minimising the averaged contraction factor d(b).
 
-    Evaluates ``d_hat(b) = theta(b)/(b+1)`` on the grid, using the closed form
-    |b + c| when the map tree reduces to x -> c*x + t and the sampled estimate
-    otherwise, then golden-section refines inside the bracket around the grid
-    minimiser. Ties go to the smaller b (larger averaging step). Candidates
-    whose sampled ratios look unbounded are discarded.
+    Evaluates ``d_hat(b) = theta(b)/(b+1)`` on ``DEFAULT_B_GRID``, using the
+    closed form |b + c| when the map tree reduces to x -> c*x + t and the
+    sampled estimate otherwise, then golden-section refines inside the bracket
+    around the grid minimiser. Ties go to the smaller b (larger averaging
+    step). Candidates whose sampled ratios look unbounded are discarded.
 
     Every sampled candidate is evaluated on one fixed sample: the triples are
     drawn and mapped once, on first need, and each b only forms its numerator
@@ -354,10 +340,7 @@ def optimize_b(
     it. One caveat remains: the noise filter's coordinate magnitudes depend on
     b, so the set of accepted samples can change with b.
     """
-    grid = sorted(set(float(g) for g in grid))
-    if not grid or any(g < 0 for g in grid):
-        raise ValueError("grid must be a nonempty collection of b >= 0")
-
+    grid = DEFAULT_B_GRID  # ascending, so ties below keep the smaller b
     closed = affine_reduction(T) if allow_closed_form else None
     sample: Optional[_ThetaSample] = None
     cache: dict[float, ThetaEstimate] = {}
@@ -416,39 +399,3 @@ def optimize_b(
     else:
         cert = certify_sampled(best_b, cache[best_b])
     return best_b, cert
-
-
-@dataclass(frozen=True)
-class ContractionCheck:
-    """Outcome of sampling the averaged map against its certified factor."""
-
-    passed: bool
-    worst_ratio: float
-    checked: int
-    skipped: int
-
-
-def verify_averaged_contraction(
-    cert: EnrichedCertificate,
-    T: SelfMap,
-    space: TwoNormSpace,
-    region: Box,
-    count: int,
-    seed: int,
-    eps_dep: float = 1e-8,
-    slack: float = 1e-9,
-) -> ContractionCheck:
-    """Sample ``||T_lam x - T_lam y, z|| / ||x - y, z||`` against d + slack."""
-    sample = _ThetaSample(averaged(T, cert.lam), space, region, None, count, seed, eps_dep)
-    num = two_norm_batch(space, sample.E, sample.Z)
-    coord_mag = sample.abs_TX + sample.abs_TY + np.abs(sample.E)
-    ratio, _, accepted = sample.noise_filter(num, coord_mag, 1e-12)
-
-    checked = int(np.count_nonzero(accepted))
-    worst = float(np.max(np.where(accepted, ratio, -np.inf))) if checked else 0.0
-    return ContractionCheck(
-        passed=worst <= cert.d + slack,
-        worst_ratio=worst,
-        checked=checked,
-        skipped=int(count - checked),
-    )

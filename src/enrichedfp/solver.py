@@ -12,16 +12,17 @@ of that proof into machinery:
   cross-checked post hoc against the final iterate;
 * cycle detection for the plain Picard variant, which oscillates for maps
   like the reflection x -> w - x;
-* a local variant confined to a closed two-norm ball and an asymptotic
-  variant that iterates T^N and hands the fixed point back to T;
+* a local variant confined to a closed two-norm ball (and to the configured
+  domain, if any) and an asymptotic variant that iterates T^N and hands the
+  fixed point back to T;
 * a Diverged status, with the trace so far, once a point overflows.
 
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
-the loop only the stopping test evaluates them, and it stops at the first
-witness that settles the answer (``space.witness_max_prefix``); the trace
-columns and the post-hoc bound check are evaluated after the loop in one
-``space.witness_norm_rows`` pass, bit for bit what a per-iteration evaluation
-gives.
+the loop only the stopping and cycle tests evaluate them, and each stops at
+the first witness that settles the answer (``space.witness_max_prefix``);
+the trace columns and the post-hoc bound check are evaluated after the loop
+in one ``space.witness_norm_rows`` pass, bit for bit what a per-iteration
+evaluation gives.
 """
 
 from __future__ import annotations
@@ -104,15 +105,12 @@ class SolveConfig:
     max_iter: int = 10_000
     witnesses: Optional[WitnessSet] = None  # None picks the standard basis
     domain: Optional[Domain] = None
-    cycle_window: int = 8
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.cycle_window < 2:
-            raise ValueError(f"cycle_window must be at least 2, got {self.cycle_window}")
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,14 @@ def aposteriori_step_threshold(cert: EnrichedCertificate, tol: float) -> float:
     return tol * (1.0 - cert.d) / cert.d
 
 
+# Longest period the Picard loop looks for.
+_CYCLE_WINDOW = 8
+
+
 def detect_cycle(
     space: TwoNormSpace,
     witnesses: WitnessSet,
-    trace: Union[IterationTrace, Sequence[SpaceElement]],
+    xs: Sequence[SpaceElement],
     window: int,
     eps: float,
 ) -> Optional[int]:
@@ -193,18 +195,19 @@ def detect_cycle(
 
     Returns p when ``x_n ~ x_{n-p}`` and ``x_{n-1} ~ x_{n-1-p}`` both hold
     within eps in witness residual, None otherwise. The two-index requirement
-    avoids flagging a single accidental near-return.
+    avoids flagging a single accidental near-return. Each test stops at the
+    first witness that settles it (``witness_max_prefix``), so it decides as
+    ``witness_residual(...) <= eps`` does, NaN included.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
-    xs = [r.x for r in trace.rows] if isinstance(trace, IterationTrace) else list(trace)
     n = len(xs) - 1
     for p in range(1, window + 1):
         if n - 1 - p < 0:
             break
         if (
-            witness_residual(space, witnesses, xs[n], xs[n - p]) <= eps
-            and witness_residual(space, witnesses, xs[n - 1], xs[n - 1 - p]) <= eps
+            witness_max_prefix(space, witnesses, xs[n] - xs[n - p], eps) <= eps
+            and witness_max_prefix(space, witnesses, xs[n - 1] - xs[n - 1 - p], eps) <= eps
         ):
             return p
     return None
@@ -223,21 +226,27 @@ def _solve_core(
     x0: SpaceElement,
     cfg: SolveConfig,
     space: TwoNormSpace,
-    domain: Optional[Domain],
-    detect_cycles: bool,
+    ball: Optional[TwoNormBall] = None,
 ) -> SolveReport:
+    """The one solve loop; without a certificate it is Picard with cycle tests.
+
+    Every iterate must lie in ``cfg.domain`` and, when given, in ``ball``.
+    """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
     wset = _witnesses_for(space, cfg)
     lam = cert.lam if cert is not None else 1.0
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
+    domain = cfg.domain
+    regions = [r for r in (domain, ball) if r is not None]
 
     warnings: list[str] = []
     period: Optional[int] = None
     # Row n of the trace is x_n with v_n = x_n - x_{n-1} and d_n = T x_n - x_n
-    # (row 0 has no v_0 or d_0); the loop tests only the stopping rule, and
-    # every column is evaluated after it in one witness_norm_rows call.
+    # (row 0 has no v_0 or d_0); the loop tests only the stopping rule and,
+    # for Picard, cycles, and every column is evaluated after it in one
+    # witness_norm_rows call.
     xs: list[SpaceElement] = []
     vs: list[SpaceElement] = []
     ds: list[SpaceElement] = []
@@ -258,7 +267,7 @@ def _solve_core(
             )
         xs.append(x0)
 
-        if domain is not None and not domain.contains(space, x0):
+        if not all(r.contains(space, x0) for r in regions):
             status = SolveStatus.LEFT_DOMAIN
         elif f0 <= cfg.tol and f0_lam <= cfg.tol:
             status = SolveStatus.CONVERGED
@@ -277,7 +286,7 @@ def _solve_core(
                 ds.append(d_n)
                 iterations = n
 
-                if domain is not None and not domain.contains(space, x_n):
+                if not all(r.contains(space, x_n) for r in regions):
                     status = SolveStatus.LEFT_DOMAIN
                     break
 
@@ -296,8 +305,8 @@ def _solve_core(
                         x_star = x_n
                         break
 
-                if detect_cycles and step > cfg.tol:
-                    period = detect_cycle(space, wset, xs, cfg.cycle_window, cfg.tol)
+                if cert is None and step > cfg.tol:
+                    period = detect_cycle(space, wset, xs, _CYCLE_WINDOW, cfg.tol)
                     if period is not None:
                         status = SolveStatus.OSCILLATION
                         break
@@ -365,7 +374,7 @@ def krasnoselskij_solve(
     """
     if cert is None:
         raise ValueError("krasnoselskij_solve needs a certificate")
-    return _solve_core(T, cert, x0, cfg, space, cfg.domain, detect_cycles=False)
+    return _solve_core(T, cert, x0, cfg, space)
 
 
 def picard_solve(
@@ -381,7 +390,7 @@ def picard_solve(
     shows up (the reflection map cycles with period 2 from any start off its
     fixed point). The a priori bound column is nan in the uncertified trace.
     """
-    return _solve_core(T, None, x0, cfg, space, cfg.domain, detect_cycles=True)
+    return _solve_core(T, None, x0, cfg, space)
 
 
 def local_ball_solve(
@@ -399,7 +408,8 @@ def local_ball_solve(
     displaced too far relative to the ball. The solve is then confined to the
     closed ball of radius eps around x0, where eps is the midpoint of the
     admissible interval ``(||x0 - T x0, u|| / (b+1-theta), r)``; every iterate
-    is checked for membership and an exit is reported as LeftDomain.
+    is checked for membership in that ball and in ``cfg.domain``, and an exit
+    from either is reported as LeftDomain.
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
@@ -426,8 +436,8 @@ def local_ball_solve(
             precondition=(lhs, rhs),
         )
     eps_ball = 0.5 * (lhs / margin + r)
-    ball = Domain(TwoNormBall(u=u, center=x0, radius=eps_ball, closed=True))
-    report = _solve_core(T, cert, x0, cfg, space, ball, detect_cycles=False)
+    ball = TwoNormBall(u=u, center=x0, radius=eps_ball, closed=True)
+    report = _solve_core(T, cert, x0, cfg, space, ball)
     return replace(report, epsilon=eps_ball, precondition=(lhs, rhs))
 
 
@@ -450,7 +460,7 @@ def asymptotic_solve(
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     TN = iterated(T, N)
-    report = _solve_core(TN, cert, x0, cfg, space, cfg.domain, detect_cycles=False)
+    report = _solve_core(TN, cert, x0, cfg, space)
     if report.status == SolveStatus.CONVERGED and report.x_star is not None:
         wset = _witnesses_for(space, cfg)
         t_res = witness_residual(space, wset, T.apply(report.x_star), report.x_star)

@@ -16,7 +16,6 @@ from enrichedfp.analyzer import (
     estimate_theta,
     optimize_b,
     theta_scalar_affine,
-    verify_averaged_contraction,
 )
 from enrichedfp.mapping import (
     Reflection,
@@ -358,26 +357,3 @@ def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)
     assert cert == certify_sampled(b, est)
 
-
-# --- averaged-contraction verification ----------------------------------------------
-
-def test_verify_reflection_certificate():
-    cert = certify(0.5, 0.5, Provenance.closed_form())
-    chk = verify_averaged_contraction(cert, Reflection(el(2, 0)), SP, BOX, 20_000, seed=3)
-    assert chk.passed
-    assert chk.worst_ratio <= 1.0 / 3.0 + 1e-9
-    assert chk.checked > 0
-
-
-def test_verify_constant_map_has_zero_ratio():
-    cert = certify(0.0, 0.0, Provenance.asserted())
-    chk = verify_averaged_contraction(cert, ScalarAffine(0.0, el(1, 1)), SP, BOX, 5_000, seed=4)
-    assert chk.passed
-    assert chk.worst_ratio == 0.0
-
-
-def test_verify_catches_forged_certificate():
-    forged = certify(0.0, 0.5, Provenance.asserted())
-    chk = verify_averaged_contraction(forged, ScalarAffine(1.0, el(0, 0)), SP, BOX, 5_000, seed=5)
-    assert not chk.passed
-    assert chk.worst_ratio == 1.0

@@ -11,6 +11,7 @@ from enrichedfp.cli import (
     EXIT_CONVERGED,
     EXIT_DIVERGED,
     EXIT_INTERNAL,
+    EXIT_LEFT_DOMAIN,
     EXIT_NOT_CERTIFIABLE,
     EXIT_OSCILLATION,
     ScenarioError,
@@ -338,6 +339,42 @@ local.r={r}
     assert rep_bad.status == SolveStatus.PRECONDITION_FAILED
     assert rep_bad.precondition == (2.0, 1.0)
 
+
+# A local solve with a box domain: x0 lies in the local ball, and in the box
+# only when the box is the large one.
+_LOCAL_WITH_DOMAIN = """\
+schema=1
+space.kind=cross2
+mode={mode}
+map.kind=scalar_affine
+map.scale=0.5
+map.shift=1,0
+b=0
+theta=estimate
+x0=1.5,0
+local.u=0,1
+local.r=10
+domain.kind=box
+domain.lo={lo}
+domain.hi={hi}
+"""
+
+
+@pytest.mark.parametrize("mode", ["local", "krasnoselskij"])
+def test_main_local_mode_honours_the_domain(mode, tmp_path, capsys):
+    # The local solve once checked its ball only, so this run converged, exit 0.
+    text = _LOCAL_WITH_DOMAIN.format(mode=mode, lo="-0.1,-0.1", hi="0.1,0.1")
+    code = main(["solve", "--scenario", _write(tmp_path, "s", text)])
+    assert code == EXIT_LEFT_DOMAIN == 5
+    assert capsys.readouterr().out.startswith("status=LeftDomain\n")
+
+
+def test_run_local_mode_checks_the_domain_beta():
+    # ||x0 - T_lam x0|| = 0.25 exceeds beta, in the ball and the box alike.
+    text = _LOCAL_WITH_DOMAIN.format(mode="local", lo="-10,-10", hi="10,10")
+    report, code = run_scenario(parse_scenario_text(text + "domain.beta=0.01\n"))
+    assert code == EXIT_CONVERGED
+    assert any("bound_beta" in w for w in report.warnings)
 
 # --- trace CSV --------------------------------------------------------------------
 

@@ -1,0 +1,75 @@
+"""Import and export hygiene of the package, read with the standard ast module.
+
+Every module must use each name it imports (the package ``__init__`` imports
+to re-export, so it is exempt), and every ``__all__`` entry must be a name
+the module defines or imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "enrichedfp"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree):
+    """Each name an import statement binds, anywhere in the module, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defined(tree):
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names | set(_imports(tree))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | set(_all(tree))
+    unused = sorted(f"{name} (line {line})" for name, line in _imports(tree).items()
+                    if name not in used)
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_name_in_all(path):
+    tree = _tree(path)
+    assert sorted(set(_all(tree)) - _defined(tree)) == []
+
+
+def test_the_checks_see_every_module():
+    assert {p.name for p in MODULES} >= {
+        "__init__.py", "_dd.py", "analyzer.py", "cli.py", "mapping.py", "solver.py", "space.py"
+    }

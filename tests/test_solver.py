@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enrichedfp.analyzer import Provenance, certify
 from enrichedfp.mapping import (
@@ -280,6 +282,78 @@ def test_detect_cycle_needs_history():
         detect_cycle(SP, WIT, [el(0, 0)], window=1, eps=1e-10)
 
 
+
+def _detect_cycle_reference(space, wset, xs, window, eps):
+    """The first definition: full witness residuals over a copy of the list."""
+    xs = list(xs)
+    n = len(xs) - 1
+    for p in range(1, window + 1):
+        if n - 1 - p < 0:
+            break
+        if (
+            witness_residual(space, wset, xs[n], xs[n - p]) <= eps
+            and witness_residual(space, wset, xs[n - 1], xs[n - 1 - p]) <= eps
+        ):
+            return p
+    return None
+
+
+@st.composite
+def cycle_cases(draw):
+    """An iterate list on cross2 or gram:3 that is near-periodic, converging
+    or overflowing (norms NaN past the Dekker split), a window and an eps
+    that is often one of the residuals the detector compares with it."""
+    space = draw(st.sampled_from([cross2_space(), gram_space(3)]))
+    dim = space.dimension
+    wset = standard_basis(dim)
+
+    def point(lo, hi):
+        return draw(st.lists(st.floats(min_value=lo, max_value=hi), min_size=dim, max_size=dim))
+
+    length = draw(st.integers(min_value=1, max_value=14))
+    kind = draw(st.sampled_from(["periodic", "converging", "overflowing"]))
+    if kind == "periodic":
+        orbit = [point(-10, 10) for _ in range(draw(st.integers(min_value=1, max_value=5)))]
+        jitter = draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]))
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        xs = [el(*(c + jitter * rng.uniform(-1, 1) for c in orbit[k % len(orbit)]))
+              for k in range(length)]
+    elif kind == "converging":
+        centre, direction = point(-10, 10), point(-10, 10)
+        rate = draw(st.floats(min_value=-0.9, max_value=0.9))
+        xs = [el(*(c + rate**k * v for c, v in zip(centre, direction))) for k in range(length)]
+    else:
+        start = point(0.1, 1.0)
+        scale = draw(st.sampled_from([1e140, 1e150, 1e295, 1e300]))
+        growth = draw(st.sampled_from([-3.0, 3.0]))
+        xs = [el(*(c * scale * growth**k for c in start)) for k in range(length)]
+
+    window = draw(st.integers(min_value=2, max_value=10))
+    n = len(xs) - 1
+    residuals = [witness_residual(space, wset, xs[i], xs[i - p])
+                 for i in (n, n - 1) for p in range(1, window + 1) if i - p >= 0]
+    eps = draw(st.one_of(
+        st.sampled_from(residuals or [0.0]),
+        st.sampled_from([0.0, 1e-10, 1e-8, math.inf]),
+        st.floats(min_value=0.0, max_value=20.0),
+    ))
+    return space, wset, xs, window, eps
+
+
+@given(cycle_cases())
+@example((SP, WIT, [el(0, 0), el(2, 0), el(0, 0), el(2, 0)], 8, 1e-10))  # period 2
+# Norms sqrt(5), sqrt(10), sqrt(13) of the last step: eps is a running max
+# that a later witness exceeds, so stopping at a max equal to eps is wrong.
+@example((gram_space(3), standard_basis(3), [el(0, 0, 0), el(0, 0, 0), el(3, 2, 1)], 8,
+          math.sqrt(10.0)))
+@example((gram_space(3), standard_basis(3), [el(0, 0, 0), el(3, 2, 1), el(0, 0, 0),
+                                             el(3, 2, 1)], 8, math.sqrt(10.0)))
+@settings(max_examples=300, deadline=None)
+def test_detect_cycle_matches_the_full_residual_definition(case):
+    space, wset, xs, window, eps = case
+    assert detect_cycle(space, wset, xs, window, eps) == _detect_cycle_reference(
+        space, wset, xs, window, eps)
+
 # --- local ball -------------------------------------------------------------------
 
 def test_local_ball_accepts_and_stays_inside():
@@ -372,8 +446,6 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveConfig(cycle_window=1)
 
 
 def test_two_norm_ball_domain():
