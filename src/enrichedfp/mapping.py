@@ -70,7 +70,7 @@ class Reflection(SelfMap):
 
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
-        return SpaceElement(tuple(wi - xi for wi, xi in zip(self.w.coords, x.coords)))
+        return SpaceElement([wi - xi for wi, xi in zip(self.w.coords, x.coords)])
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = self._check_batch(xs)
@@ -91,7 +91,7 @@ class ScalarAffine(SelfMap):
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
         c = self.scale
-        return SpaceElement(tuple(c * xi + ti for xi, ti in zip(x.coords, self.shift.coords)))
+        return SpaceElement([c * xi + ti for xi, ti in zip(x.coords, self.shift.coords)])
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = self._check_batch(xs)
@@ -174,7 +174,7 @@ class Averaged(SelfMap):
         """
         a = 1.0 - self.lam
         lam = self.lam
-        return SpaceElement(tuple(a * xi + lam * ti for xi, ti in zip(x.coords, t.coords)))
+        return SpaceElement([a * xi + lam * ti for xi, ti in zip(x.coords, t.coords)])
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = self._check_batch(xs)

@@ -32,6 +32,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .analyzer import EnrichedCertificate
 from .mapping import SelfMap, averaged, iterated
 from .space import (
@@ -317,10 +319,16 @@ def _solve_core(
 
     # One pass over the trace: the step rows, the fixed-point rows and, for a
     # certified fixed point, each row's distance to it for the bound check.
+    # The gaps x_n - x_star are one numpy subtraction, elementwise the same
+    # IEEE subtraction as SpaceElement's; a gap that overflows becomes inf.
     certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
-    gaps = [x - x_star for x in xs] if certified else []
     m = len(vs)
-    norm_rows = witness_norm_rows(space, wset, vs + ds + gaps)
+    block = np.array([e.coords for e in vs + ds + (xs if certified else [])],
+                     dtype=float).reshape(-1, space.dimension)
+    if certified:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block[2 * m :] -= x_star.coords
+    norm_rows = witness_norm_rows(space, wset, block)
     zeros = tuple(0.0 for _ in wset.witnesses)
     witness_steps = [zeros] + norm_rows[:m]
     fixed = [f0] + [max(r) for r in norm_rows[m : 2 * m]]
@@ -341,8 +349,11 @@ def _solve_core(
     if certified:
         # Post-hoc check of the tail bound against the returned fixed point.
         slack = 1e-12 * max(1.0, base)
+        # A row passes only when every witness gap is within the bound, so a
+        # NaN gap (an overflowed x_n - x_star) or a NaN bound is a violation.
         for row, gap in zip(rows, norm_rows[2 * m :]):
-            if max(gap) > row.apriori_bound + slack:
+            limit = row.apriori_bound + slack
+            if not all(g <= limit for g in gap):
                 bound_violations += 1
 
     return SolveReport(

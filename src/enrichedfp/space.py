@@ -29,9 +29,9 @@ order as the scalar :func:`two_norm`, so its results equal
 ``two_norm(space, v, z_j)`` bit for bit. :func:`witness_norms` collects every
 value; :func:`witness_max_prefix` stops as soon as the running max passes a
 limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
-many vectors and, from 24 on, evaluates them with :func:`two_norm_batch`,
-bit for bit the same. The scalar kernel stays the reference, and serves the
-ball tests.
+many vectors and, from 24 on, evaluates them with one broadcasting
+:func:`two_norm_batch` call against every witness, bit for bit the same. The
+scalar kernel stays the reference, and serves the ball tests.
 
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,10 +91,10 @@ class SpaceElement:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(map(float, self.coords))
         if not coords:
             raise ValueError("SpaceElement needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise NonFiniteError(f"non-finite coordinates: {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -107,15 +107,15 @@ class SpaceElement:
 
     def __add__(self, other: "SpaceElement") -> "SpaceElement":
         _same_dim(self, other)
-        return SpaceElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return SpaceElement([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "SpaceElement") -> "SpaceElement":
         _same_dim(self, other)
-        return SpaceElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return SpaceElement([a - b for a, b in zip(self.coords, other.coords)])
 
     def __rmul__(self, scalar: float) -> "SpaceElement":
         s = float(scalar)
-        return SpaceElement(tuple(s * a for a in self.coords))
+        return SpaceElement([s * a for a in self.coords])
 
 
 @dataclass(frozen=True)
@@ -236,20 +236,26 @@ def two_norm(space: TwoNormSpace, x: SpaceElement, y: SpaceElement) -> float:
 
 
 def two_norm_batch(space: TwoNormSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`two_norm` over rows of two ``(m, n)`` arrays.
+    """Vectorised :func:`two_norm` over the last axis of two broadcast arrays.
 
-    Runs the same compensated operation sequence as the scalar kernels, so
-    each row matches the scalar result bit for bit.
+    ``xs`` and ``ys`` have equal ``ndim >= 2``, last axis ``space.dimension``
+    and broadcastable leading shapes, so two ``(m, n)`` arrays give the ``m``
+    paired norms and ``xs[:, None]`` against ``ys[None]`` gives the ``(k, m)``
+    table of every pair. Terms of one operand alone (``|x|^2``, ``|y|^2`` and
+    the Dekker splits) are formed once per row of that operand, before they
+    broadcast. Each pair still runs the compensated operation sequence of the
+    scalar kernels, so every entry matches the scalar result bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != space.dimension:
-        raise ValueError(f"expected matching (m, {space.dimension}) arrays")
+    n = space.dimension
+    if (xs.ndim < 2 or xs.ndim != ys.ndim or xs.shape[-1] != n or ys.shape[-1] != n
+            or any(a != b and a != 1 and b != 1 for a, b in zip(xs.shape, ys.shape))):
+        raise ValueError(f"expected (..., {n}) arrays of equal ndim with broadcastable "
+                         f"leading shapes, got {xs.shape} and {ys.shape}")
     if space.kind is SpaceKind.CROSS2:
-        return np.abs(det2_dd(xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]))
-    cols_x = [xs[:, i] for i in range(xs.shape[1])]
-    cols_y = [ys[:, i] for i in range(ys.shape[1])]
-    r = _gram_radicand(cols_x, cols_y)
+        return np.abs(det2_dd(xs[..., 0], xs[..., 1], ys[..., 0], ys[..., 1]))
+    r = _gram_radicand([xs[..., i] for i in range(n)], [ys[..., i] for i in range(n)])
     return np.sqrt(np.maximum(0.0, r))
 
 
@@ -414,43 +420,52 @@ def witness_max_prefix(
 
 
 # Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, runs vary up to 2x): one two_norm_batch call costs about
-# 30-90 us on cross2, 190-400 us on gram:3, 330-520 us on gram:4 and
-# 450-730 us on gram:8 however few rows it gets, while witness_norms costs
-# about 5-8, 8-14, 16 and 41-47 us per vector. The batch therefore wins from
-# about 6 (cross2) to 30 (gram:4) vectors; it takes over at 24, where it is at
-# worst about even, and long traces gain most. Slices of at most 4096 vectors
-# bound its temporaries: an unsliced 10,000-iteration gram:8 trace would stack
-# 240,000 pairs, two 15 MB input arrays and 1.9 MB per column temporary.
+# 3.11, numpy 2.4, best of 7; standard-basis witnesses): one broadcast
+# two_norm_batch call costs about 31-40 us on cross2, 170-200 us on gram:3,
+# 215-255 us on gram:4 and 385-490 us on gram:8 for 1 to 32 vectors (90, 340,
+# 450 and 965 us for 300), while witness_norms costs about 4, 7, 9.5 and 25 us
+# per vector. The batch therefore wins from about 10 (cross2), 19 (gram:8),
+# 27 (gram:4) and 30 (gram:3) vectors; it takes over at 24, where it is at
+# worst about 40 us behind (gram:3), and long traces gain most. Slices of at
+# most 4096 vectors bound its (k, m) temporaries: an unsliced 10,000-iteration
+# gram:8 trace would give 240,000 pairs, 1.9 MB per temporary.
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
 
 
 def witness_norm_rows(
-    space: TwoNormSpace, wset: WitnessSet, vectors: Sequence[SpaceElement]
+    space: TwoNormSpace,
+    wset: WitnessSet,
+    vectors: Union[Sequence[SpaceElement], np.ndarray],
 ) -> list[tuple[float, ...]]:
     """``witness_norms(space, wset, v)`` for every v, equal to it bit for bit.
 
-    Few vectors go through :func:`witness_norms` one at a time; more go
-    through :func:`two_norm_batch` over every (vector, witness) pair, which
-    runs the same operation sequence as the scalar kernel. A vector that
-    overflows the kernel (``|v|`` past about 1.2e150 on ``gram``, coordinates
-    past about 1.3e300 on ``cross2``) gets NaN on both paths, and numpy's
-    overflow warnings are silenced, as Python float arithmetic gives none.
+    ``vectors`` is a sequence of elements or an ``(N, n)`` float array. Few
+    vectors go through :func:`witness_norms` one at a time (array rows as
+    elements of Python floats); more, and any array with an inf or NaN, which
+    no element can hold, go through one :func:`two_norm_batch` call per slice,
+    on the slice's ``(k, 1, n)`` rows against the ``(1, m, n)`` witnesses.
+    That runs the same operation sequence as the scalar kernel and forms each
+    ``|v|^2`` and ``|z|^2`` once. A vector that overflows the kernel (``|v|``
+    past about 1.2e150 on ``gram``, coordinates past about 1.3e300 on
+    ``cross2``) gets NaN on both paths, and numpy's overflow warnings are
+    silenced, as Python float arithmetic gives none.
     """
+    is_array = isinstance(vectors, np.ndarray)
     if len(vectors) < _ROWS_BATCH_MIN:
-        return [witness_norms(space, wset, v) for v in vectors]
+        if not is_array:
+            return [witness_norms(space, wset, v) for v in vectors]
+        if np.isfinite(vectors).all():
+            return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
-    m = len(wset.witnesses)
-    W = np.array([z.coords for z in wset.witnesses], dtype=float)
+    W = np.array([z.coords for z in wset.witnesses], dtype=float)[None, :, :]
     rows: list[tuple[float, ...]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
-            V = np.array([v.coords for v in vectors[start : start + _ROWS_BATCH_SLICE]],
-                         dtype=float)
-            norms = two_norm_batch(space, np.repeat(V, m, axis=0), np.tile(W, (len(V), 1)))
-            rows.extend(map(tuple, norms.reshape(len(V), m).tolist()))
+            chunk = vectors[start : start + _ROWS_BATCH_SLICE]
+            V = chunk if is_array else np.array([v.coords for v in chunk], dtype=float)
+            rows.extend(map(tuple, two_norm_batch(space, V[:, None, :], W).tolist()))
     return rows
 
 

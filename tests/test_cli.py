@@ -1,6 +1,7 @@
 """Tests for scenario parsing, the run orchestration and artifact emission."""
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from enrichedfp.cli import (
 )
 from enrichedfp.mapping import Reflection, default_piecewise
 from enrichedfp.solver import IterationTrace, SolveReport, SolveStatus, TraceRow
-from enrichedfp.space import SpaceElement, cross2_space, standard_basis
+from enrichedfp.space import SpaceElement, WitnessSet, cross2_space, standard_basis
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
 
@@ -395,6 +396,25 @@ def test_emit_trace_csv_serialises_manual_trace(tmp_path):
     assert lines[2].split(",")[3] == fmt_float(0.0)
 
 
+def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    wit = WitnessSet((el(1, 0), el(0, 1), el(1, -1)))
+    rows = tuple(
+        TraceRow(n, el(specials[3 + n % 3], specials[3 + (n + 1) % 3]),
+                 specials[n % 6], specials[(n + 1) % 6], specials[(n + 2) % 6],
+                 tuple(specials[(n + j) % 6] for j in (3, 4, 5)))
+        for n in range(7)
+    )
+    path = tmp_path / "t.csv"
+    emit_trace_csv(IterationTrace(rows), wit, path)
+    want = ["n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1,res_w2"]
+    for r in rows:
+        cells = [r.x.coords[0], r.x.coords[1], r.step_residual, r.fixed_residual,
+                 r.apriori_bound, *r.witness_steps]
+        want.append(",".join([str(r.n)] + [fmt_float(c) for c in cells]))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_emit_trace_csv_refuses_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_trace_csv(IterationTrace(()), standard_basis(2), tmp_path / "x.csv")
@@ -595,6 +615,28 @@ def test_main_divergent_solve_exits_six(body, tmp_path, capsys):
     assert "x_star=none\n" in out and "Diverged: the iteration overflowed" in out
     iterations = int(out.split("iterations=")[1].split("\n")[0])
     assert len(trace.read_text().splitlines()) == iterations + 2  # header + rows
+
+
+@pytest.mark.parametrize("scale, shift, iterations", [
+    ("0.5", "-5e307", 28),     # 85 bound-check rows: the batch kernel
+    ("0.02", "-8.0164e307", 6),  # 19 rows: the per-vector kernel
+])
+def test_main_overflowing_bound_check_counts_violations(scale, shift, iterations,
+                                                        tmp_path, capsys):
+    # The solve converges from 1e308 to below -8e307, so x0 - x_star
+    # overflows in the post-hoc bound check; that row is a violation, not a
+    # traceback or a silent pass.
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(
+        "schema=1\nspace.kind=cross2\nspace.dimension=2\nmode=krasnoselskij\n"
+        f"map.kind=scalar_affine\nmap.scale={scale}\nmap.shift={shift},0\n"
+        "b=0\ntheta=estimate\nx0=1e308,0\ntol=1e300\n"
+    )
+    main(["solve", "--scenario", str(scenario)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"status=Converged\niterations={iterations}\n")
+    assert int(out.split("bound_violations=")[1].split("\n")[0]) > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])

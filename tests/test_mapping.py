@@ -15,7 +15,13 @@ from enrichedfp.mapping import (
     default_piecewise,
     iterated,
 )
-from enrichedfp.space import SpaceElement, cross2_space, standard_basis, witness_residual
+from enrichedfp.space import (
+    NonFiniteError,
+    SpaceElement,
+    cross2_space,
+    standard_basis,
+    witness_residual,
+)
 
 
 def el(*coords):
@@ -229,3 +235,51 @@ def test_apply_batch_matches_apply_bitwise():
         for i in range(X.shape[0]):
             single = T.apply(SpaceElement(tuple(X[i])))
             assert tuple(batch[i]) == single.coords
+
+
+# --- coordinate types and overflow ----------------------------------------------
+
+def _all_floats(x):
+    return all(type(c) is float for c in x.coords)
+
+
+@pytest.mark.parametrize("param", [np.float64, int, float], ids=lambda t: t.__name__)
+def test_outputs_hold_python_floats_whatever_the_parameter_type(param):
+    x = SpaceElement((np.float64(1.5), 2))
+    y = SpaceElement([3, np.float64(-0.25)])
+    shift = SpaceElement((param(1), param(-2)))
+    outs = [
+        ScalarAffine(param(2), shift).apply(x),
+        ScalarAffine(param(1), shift).apply(y),
+        Reflection(SpaceElement((param(4), param(0)))).apply(x),
+        Averaged(ScalarAffine(param(3), shift), param(1)).apply(x),
+        Averaged(Reflection(shift), np.float64(0.25)).combine(x, y),
+        averaged(Reflection(shift), 0.5).combine(x, y),
+        x + y,
+        x - y,
+        param(3) * x,
+        x.__rmul__(param(2)),
+    ]
+    assert _all_floats(x) and _all_floats(y)
+    assert all(_all_floats(o) for o in outs)
+
+
+def test_overflow_raises_non_finite_in_the_producing_call():
+    # Each call overflows a coordinate and must raise itself, as before the
+    # element operators and maps built from list comprehensions.
+    big = el(1e308, 0.0)
+    cases = [
+        lambda: ScalarAffine(10.0, el(0, 0)).apply(big),
+        lambda: ScalarAffine(np.float64(10.0), el(0, 0)).apply(big),
+        lambda: ScalarAffine(1, big).apply(big),
+        lambda: Reflection(big).apply(el(-1e308, 0.0)),
+        lambda: Averaged(ScalarAffine(10.0, el(0, 0)), np.float64(0.5)).apply(big),
+        lambda: big + big,
+        lambda: big - el(-1e308, 0.0),
+        lambda: np.float64(10.0) * big,
+        lambda: 10 * big,
+    ]
+    with np.errstate(over="ignore"):  # np.float64 arithmetic warns on overflow
+        for make in cases:
+            with pytest.raises(NonFiniteError):
+                make()

@@ -537,3 +537,57 @@ def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls
         assert [a.hex() for a in row] == [b.hex() for b in witness_norms(space, wset, v)]
     if count >= 4:
         assert any(math.isnan(a) for row in rows for a in row)
+
+
+@pytest.mark.parametrize("space", [cross2_space(), gram_space(3), gram_space(8)],
+                         ids=lambda s: f"{s.kind.value}:{s.dimension}")
+def test_two_norm_batch_broadcast_table_matches_scalar_bitwise(space):
+    # Every (vector, witness) pair of the (k, 1, n) x (1, m, n) broadcast
+    # against the scalar kernel, with zero, signed-zero, nearly dependent and
+    # NaN-producing rows on both sides.
+    rng = random.Random(5)
+    vectors = _row_vectors(space, 29, rng)
+    witnesses = _row_vectors(space, 11, rng)
+    V = np.array([v.coords for v in vectors])
+    W = np.array([z.coords for z in witnesses])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = two_norm_batch(space, V[:, None], W[None])
+    assert table.shape == (len(vectors), len(witnesses))
+    for i, v in enumerate(vectors):
+        for j, z in enumerate(witnesses):
+            assert float(table[i, j]).hex() == two_norm(space, v, z).hex()
+    assert np.isnan(table).any()
+
+
+@pytest.mark.parametrize("xs_shape, ys_shape", [
+    ((2, 3), (2, 2)),      # mismatched last axes
+    ((2, 2), (2, 3)),
+    ((2, 1, 3), (2, 3)),   # unequal ndim
+    ((3,), (3,)),          # 1-D
+    ((2, 3), (3, 3)),      # leading shapes that do not broadcast
+    ((2, 1, 3), (3, 4, 3)),
+])
+def test_two_norm_batch_rejects_bad_shapes(xs_shape, ys_shape):
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 3\) arrays of equal ndim"):
+        two_norm_batch(gram_space(3), np.ones(xs_shape), np.ones(ys_shape))
+
+
+@pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
+                         ids=lambda s: f"{s.kind.value}:{s.dimension}")
+@pytest.mark.parametrize("count", [1, 23, 24])
+def test_witness_norm_rows_takes_an_array(space, count):
+    vectors = _row_vectors(space, count, random.Random(count))
+    wset = standard_basis(space.dimension)
+    rows = witness_norm_rows(space, wset, np.array([v.coords for v in vectors]))
+    assert [[a.hex() for a in r] for r in rows] == [
+        [a.hex() for a in witness_norms(space, wset, v)] for v in vectors]
+    assert all(type(a) is float for r in rows for a in r)
+
+
+def test_witness_norm_rows_array_may_hold_non_finite_rows():
+    # An overflowed difference (inf) has no SpaceElement; its row reads NaN
+    # on any count instead of raising.
+    space, wset = cross2_space(), standard_basis(2)
+    rows = witness_norm_rows(space, wset, np.array([[math.inf, 0.0], [1.0, 2.0]]))
+    assert all(math.isnan(a) for a in rows[0])
+    assert rows[1] == witness_norms(space, wset, el(1.0, 2.0))
