@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .mapping import SelfMap, affine_reduction
-from .space import EPS, Box, SpaceElement, TwoNormSpace, WitnessSet, two_norm_batch
+from .space import (EPS, Box, SpaceElement, TwoNormSpace, WitnessSet, norm_operand,
+                    two_norm_batch)
 
 __all__ = [
     "NotCertifiableError",
@@ -148,6 +149,11 @@ class ThetaEstimate:
 
 def _draw_triples(region: Box, witnesses: Optional[WitnessSet],
                   count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # numpy draws uniformly only from ranges whose width hi - lo is finite.
+    width = max(h - l for l, h in zip(region.lo, region.hi))
+    if not math.isfinite(width):
+        raise NotCertifiableError(
+            f"sampling box width hi - lo = {width} is not finite, so no sample can be drawn")
     # One block of draws per sample keeps the stream prefix-stable in count,
     # which makes theta_hat monotone under sample-count extension.
     rng = np.random.default_rng(seed)
@@ -166,7 +172,9 @@ def _draw_triples(region: Box, witnesses: Optional[WitnessSet],
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=1)
+    # np.linalg.norm(a, axis=1) without its wrapper: numpy's own code path
+    # for that call, so the same bits.
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 _NOISE_NUM = 8.0
@@ -178,9 +186,16 @@ class _ThetaSample:
 
     Of the sampled ratio ``||b D + E, z|| / ||D, z||`` with ``D = x - y`` and
     ``E = Tx - Ty``, only the numerator vector ``V = b D + E`` depends on b.
-    The draws, both map applications, ``D``, ``E``, the denominators, the
-    dependence mask and the b-free parts of the forward error model are
-    computed here once; :meth:`estimate` then costs one batch norm per b.
+    The draws, both map applications, ``D``, ``E``, the
+    :class:`~enrichedfp.space.NormOperand` of ``Z`` (its splits and
+    ``|z|^2``), the denominators, the dependence mask and the b-free parts of
+    the forward error model are computed here once. :meth:`estimate` then
+    costs one batch norm per b, against that operand: the operand of ``V``
+    plus one pair step.
+
+    Overflowing draws (a box near the float range) yield inf and NaN norms,
+    which the guards reject; numpy's warnings about them are silenced, as in
+    :func:`~enrichedfp.space.witness_norm_rows`.
     """
 
     def __init__(self, T: SelfMap, space: TwoNormSpace, region: Box,
@@ -194,40 +209,44 @@ class _ThetaSample:
         self.count = count
         self.seed = seed
         self.X, self.Y, self.Z = _draw_triples(region, witnesses, count, seed)
-        TX = T.apply_batch(self.X)
-        TY = T.apply_batch(self.Y)
-        self.D = self.X - self.Y
-        self.E = TX - TY
-        self.den = two_norm_batch(space, self.D, self.Z)
-        dep = self.den <= eps_dep * region.scale
-        self.n_dep = int(np.count_nonzero(dep))
-        self.live = ~dep
+        with np.errstate(over="ignore", invalid="ignore"):
+            TX = T.apply_batch(self.X)
+            TY = T.apply_batch(self.Y)
+            self.D = self.X - self.Y
+            self.E = TX - TY
+            self.z_op = norm_operand(space, self.Z)
+            self.den = two_norm_batch(space, self.D, self.z_op)
+            dep = self.den <= eps_dep * region.scale
+            self.n_dep = int(np.count_nonzero(dep))
+            self.live = ~dep
 
-        # Forward error model: T evaluated in doubles perturbs each coordinate
-        # of the numerator vector by ~EPS times the magnitudes that entered
-        # it, and ||e, z|| <= |e| |z| bounds how that reaches the area.
-        self.zmag = _row_norm(self.Z)
-        self.err_den = EPS * (_NOISE_DEN * _row_norm(np.abs(self.D)) * self.zmag
-                              + 4.0 * self.den)
-        self.abs_XY = np.abs(self.X) + np.abs(self.Y)
-        self.abs_TX = np.abs(TX)
-        self.abs_TY = np.abs(TY)
+            # Forward error model: T evaluated in doubles perturbs each
+            # coordinate of the numerator vector by ~EPS times the magnitudes
+            # that entered it, and ||e, z|| <= |e| |z| bounds how that reaches
+            # the area.
+            self.zmag = _row_norm(self.Z)
+            self.err_den = EPS * (_NOISE_DEN * _row_norm(np.abs(self.D)) * self.zmag
+                                  + 4.0 * self.den)
+            self.abs_XY = np.abs(self.X) + np.abs(self.Y)
+            self.abs_TX = np.abs(TX)
+            self.abs_TY = np.abs(TY)
 
     def estimate(self, b: float, ratio_noise_tol: float = 1e-12,
                  ratio_cap: float = 1e6) -> ThetaEstimate:
         """The theta estimate at b over this sample."""
-        V = b * self.D + self.E
-        num = two_norm_batch(self.space, V, self.Z)
-        # Keep this order: pre-adding |TX| + |TY| would round differently.
-        coord_mag = abs(b) * self.abs_XY + self.abs_TX + self.abs_TY + np.abs(V)
-        # A live ratio is trusted when its forward error bound is within tol.
-        ratio = np.divide(num, self.den, out=np.zeros_like(num), where=self.live)
-        err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * self.zmag + 4.0 * num)
-        err_ratio = np.divide(err_num + ratio * self.err_den, self.den,
-                              out=np.full_like(num, np.inf), where=self.live)
-        accepted = self.live & (err_ratio <= ratio_noise_tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = b * self.D + self.E
+            num = two_norm_batch(self.space, V, self.z_op)
+            # Keep this order: pre-adding |TX| + |TY| would round differently.
+            coord_mag = abs(b) * self.abs_XY + self.abs_TX + self.abs_TY + np.abs(V)
+            # A live ratio is trusted when its forward error bound is within tol.
+            ratio = np.divide(num, self.den, out=np.zeros_like(num), where=self.live)
+            err_num = EPS * (_NOISE_NUM * _row_norm(coord_mag) * self.zmag + 4.0 * num)
+            err_ratio = np.divide(err_num + ratio * self.err_den, self.den,
+                                  out=np.full_like(num, np.inf), where=self.live)
+            accepted = self.live & (err_ratio <= ratio_noise_tol)
+            unbounded = bool(np.any(self.live & (ratio - err_ratio > ratio_cap)))
 
-        unbounded = bool(np.any(self.live & (ratio - err_ratio > ratio_cap)))
         n_noisy = int(np.count_nonzero(self.live & ~accepted))
         n_acc = int(np.count_nonzero(accepted))
 
@@ -272,7 +291,8 @@ def estimate_theta(
 
     Deterministic given the seed; the maximum is taken over triples that pass
     the dependence and noise guards described in the module docstring, and the
-    maximising triple is the lowest-index one.
+    maximising triple is the lowest-index one. A box too wide to sample, where
+    ``hi - lo`` overflows, raises :class:`NotCertifiableError`.
     """
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
@@ -329,8 +349,11 @@ def optimize_b(
     step). Candidates whose sampled ratios look unbounded are discarded.
 
     Every sampled candidate is evaluated on one fixed sample: the triples are
-    drawn and mapped once, on first need, and each b only forms its numerator
-    ``b(x-y) + Tx - Ty``. The returned certificate is therefore exactly
+    drawn and mapped once, on first need, together with the batch-norm
+    operand of ``z`` (its splits and ``|z|^2``). Each b then forms only its
+    numerator ``V = b(x-y) + Tx - Ty``, whose norm costs one operand for
+    ``V`` plus one pair step against that of ``z``. The returned certificate
+    is therefore exactly
     ``certify_sampled(b, estimate_theta(T, b, ..., count, seed, eps_dep))``
     at the returned b. On that sample each ratio ``||b D + E, z|| / ||D, z||``
     is convex in b (by the triangle inequality N4 and absolute homogeneity N3

@@ -20,13 +20,21 @@ disagree by thousands of ulps on a noticeable fraction of random pairs; with
 the compensated kernels they agree to a few ulps everywhere except at areas
 below the ~1e-14 double-double noise floor.
 
+The batch kernel :func:`two_norm_batch` works in two parts. A
+:class:`NormOperand` holds the terms of one side alone: the columns of an
+``(..., n)`` array, their Dekker splits and, for ``gram``, the double-double
+``|a|^2``. A pair step then runs the rest of the scalar kernel's operations,
+in their order, on two operands. A side that meets many others, such as the
+b search's ``z`` sample or a witness set, is made an operand once.
+
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
-for the witnesses in order. A :class:`WitnessSet` precomputes, once, each
-witness's coordinates, their Dekker splits and its double-double ``|z|^2``;
-the kernel splits ``v`` and forms ``|v|^2`` once per call, then runs the
-``gram`` arithmetic inline. It performs the same IEEE operations in the same
-order as the scalar :func:`two_norm`, so its results equal
-``two_norm(space, v, z_j)`` bit for bit. :func:`witness_norms` collects every
+for the witnesses in order. A :class:`WitnessSet` builds, once, the operand
+of its witnesses, and reads each witness's coordinates, Dekker splits and
+double-double ``|z|^2`` off it as Python floats; the kernel splits ``v`` and
+forms ``|v|^2`` once per call, then runs the ``gram`` arithmetic inline. It
+performs the same IEEE operations in the same order as the scalar
+:func:`two_norm`, so its results equal ``two_norm(space, v, z_j)`` bit for
+bit. :func:`witness_norms` collects every
 value; :func:`witness_max_prefix` stops as soon as the running max passes a
 limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
 many vectors and, from 24 on, evaluates them with one broadcasting
@@ -47,7 +55,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._dd import _SPLIT, dd_add, dd_mul, det2_dd, dot_dd
+from ._dd import _SPLIT, dd_add, dd_mul, dd_mul_split, det2_dd, dot_dd, split, two_prod_split
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -65,6 +73,8 @@ __all__ = [
     "cross2_norm",
     "gram_norm",
     "two_norm",
+    "NormOperand",
+    "norm_operand",
     "two_norm_batch",
     "seminorm",
     "standard_basis",
@@ -235,28 +245,99 @@ def two_norm(space: TwoNormSpace, x: SpaceElement, y: SpaceElement) -> float:
     return gram_norm(x, y)
 
 
-def two_norm_batch(space: TwoNormSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`two_norm` over the last axis of two broadcast arrays.
+class NormOperand:
+    """One side of :func:`two_norm_batch`, prepared once for any number of pairs.
 
-    ``xs`` and ``ys`` have equal ``ndim >= 2``, last axis ``space.dimension``
-    and broadcastable leading shapes, so two ``(m, n)`` arrays give the ``m``
-    paired norms and ``xs[:, None]`` against ``ys[None]`` gives the ``(k, m)``
-    table of every pair. Terms of one operand alone (``|x|^2``, ``|y|^2`` and
-    the Dekker splits) are formed once per row of that operand, before they
-    broadcast. Each pair still runs the compensated operation sequence of the
-    scalar kernels, so every entry matches the scalar result bit for bit.
+    Built from an ``(..., n)`` float array, it holds the terms of one operand
+    alone in the scalar kernels. ``terms`` is ``(a, ah, al)``: the columns,
+    stacked along a new first axis so that ``a[i]`` is coordinate ``i``,
+    contiguous, and their Dekker splits. With ``squares``, ``sq`` is
+    ``(h, l, hh, hl)``: the double-double ``|a|^2`` and the split of its
+    high part; ``cross2`` needs only the splits. :func:`norm_operand` builds
+    the operand that a space needs.
     """
+
+    __slots__ = ("shape", "terms", "sq")
+
+    def __init__(self, xs: np.ndarray, squares: bool):
+        xs = np.asarray(xs, dtype=float)
+        self.shape = xs.shape
+        a = np.moveaxis(xs, -1, 0).copy()
+        self.terms = (a, *split(a))
+        self.sq = None
+        if squares:
+            h, l = _dd_sum(two_prod_split(*self.terms, *self.terms))
+            self.sq = (h, l, *split(h))
+
+
+def norm_operand(space: TwoNormSpace, xs: np.ndarray) -> NormOperand:
+    """The :class:`NormOperand` of an ``(..., space.dimension)`` array for ``space``."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    if xs.ndim < 2 or xs.shape[-1] != space.dimension:
+        raise ValueError(f"expected an (..., {space.dimension}) array, got {xs.shape}")
+    return NormOperand(xs, space.kind is SpaceKind.GRAM)
+
+
+def _dd_sum(products: tuple) -> tuple:
+    # dot_dd's accumulation, in coordinate order, of the stacked products
+    # (p, e) = two_prod of every coordinate pair.
+    h = l = 0.0
+    for p, e in zip(*products):
+        h, l = dd_add(h, l, p, e)
+    return h, l
+
+
+def _cross2_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
+    # det2_dd(x0, x1, y0, y1): the products x0*y1 and x1*y0, stacked, with
+    # the splits taken from the operands.
+    (p1, p2), (e1, e2) = two_prod_split(*x.terms, *(t[::-1] for t in y.terms))
+    h, _ = dd_add(p1, e1, -p2, -e2)
+    return np.abs(h)
+
+
+def _gram_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
+    # _gram_radicand with |x|^2, |y|^2 and every split taken from the operands.
+    sh, sl = _dd_sum(two_prod_split(*x.terms, *y.terms))
+    p1h, p1l = dd_mul_split(*x.sq, *y.sq)
+    shh, shl = split(sh)
+    p2h, p2l = dd_mul_split(sh, sl, shh, shl, sh, sl, shh, shl)
+    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
+    return np.sqrt(np.maximum(0.0, rh))
+
+
+def two_norm_batch(space: TwoNormSpace, xs: Union[np.ndarray, NormOperand],
+                   ys: Union[np.ndarray, NormOperand]) -> np.ndarray:
+    """Vectorised :func:`two_norm` over the last axis of two broadcast operands.
+
+    ``xs`` and ``ys`` are float arrays or :class:`NormOperand` s of them, of
+    equal ``ndim >= 2``, last axis ``space.dimension`` and broadcastable
+    leading shapes, so two ``(m, n)`` arrays give the ``m`` paired norms and
+    ``xs[:, None]`` against ``ys[None]`` gives the ``(k, m)`` table of every
+    pair. An array side is made an operand first; then one pair step runs
+    the rest of the scalar kernel's compensated operation sequence, in its
+    order, so every entry matches the scalar result bit for bit. An operand
+    passed in is reused as is, so a side that meets many others (the b
+    search's ``z``, a witness set) pays for its splits and ``|z|^2`` once,
+    and each further pair costs one operand for the other side plus one pair
+    step.
+    """
+    if not isinstance(xs, NormOperand):
+        xs = np.asarray(xs, dtype=float)
+    if not isinstance(ys, NormOperand):
+        ys = np.asarray(ys, dtype=float)
     n = space.dimension
-    if (xs.ndim < 2 or xs.ndim != ys.ndim or xs.shape[-1] != n or ys.shape[-1] != n
+    if (len(xs.shape) < 2 or len(xs.shape) != len(ys.shape) or xs.shape[-1] != n
+            or ys.shape[-1] != n
             or any(a != b and a != 1 and b != 1 for a, b in zip(xs.shape, ys.shape))):
         raise ValueError(f"expected (..., {n}) arrays of equal ndim with broadcastable "
                          f"leading shapes, got {xs.shape} and {ys.shape}")
-    if space.kind is SpaceKind.CROSS2:
-        return np.abs(det2_dd(xs[..., 0], xs[..., 1], ys[..., 0], ys[..., 1]))
-    r = _gram_radicand([xs[..., i] for i in range(n)], [ys[..., i] for i in range(n)])
-    return np.sqrt(np.maximum(0.0, r))
+    gram = space.kind is SpaceKind.GRAM
+    x, y = (v if isinstance(v, NormOperand) else NormOperand(v, gram) for v in (xs, ys))
+    if not gram:
+        return _cross2_pair(x, y)
+    if x.sq is None or y.sq is None:
+        raise ValueError("a gram norm needs operands built with their squared norms")
+    return _gram_pair(x, y)
 
 
 def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:
@@ -266,24 +347,19 @@ def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:
 
 # --- witness sets and residuals ---------------------------------------------
 
-def _split(a: float) -> tuple[float, float]:
-    # Dekker split, the same operations as inside _dd.two_prod.
-    ah = _SPLIT * a
-    ah = ah - (ah - a)
-    return ah, a - ah
-
-
 @dataclass(frozen=True)
 class WitnessSet:
     """A finite spanning family of vectors against which residuals are taken.
 
     Spanning guarantees that a vanishing max-residual pins the point down,
-    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds the
-    per-witness operands of :func:`witness_norms` (coordinates with their
-    Dekker splits, and the split double-double ``|z|^2``), computed once.
+    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds, built
+    once, the ``(1, m, n)`` :class:`NormOperand` of its witnesses (with
+    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, and the
+    same terms as Python floats per witness for :func:`witness_norms`.
     """
 
     witnesses: tuple[SpaceElement, ...]
+    _batch: NormOperand = field(init=False, repr=False, compare=False)
     _operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -296,12 +372,13 @@ class WitnessSet:
         mat = np.array([w.coords for w in self.witnesses], dtype=float)
         if np.linalg.matrix_rank(mat) < n:
             raise ValueError("witness set does not span the space")
-        operands = []
-        for w in self.witnesses:
-            szh, szl = dot_dd(w.coords, w.coords)
-            splits = tuple((a, *_split(a)) for a in w.coords)
-            operands.append((splits, szh, szl, *_split(szh)))
-        object.__setattr__(self, "_operands", tuple(operands))
+        batch = NormOperand(mat[None], squares=True)
+        # Per witness: ((a, ah, al) per coordinate, then |z|^2 as h, l, hh, hl).
+        a, ah, al = (t[:, 0].T.tolist() for t in batch.terms)
+        sq = zip(*(q[0].tolist() for q in batch.sq))
+        operands = tuple((tuple(zip(*c)), *q) for *c, q in zip(a, ah, al, sq))
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_operands", operands)
 
     @property
     def dim(self) -> int:
@@ -348,7 +425,7 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
         bb = h - s
         l = (s - (h - bb)) + (e - bb)
     svh, svl = h, l
-    svhh, svhl = _split(svh)
+    svhh, svhl = split(svh)
 
     sqrt = math.sqrt
     for zt, szh, szl, szhh, szhl in wset._operands:
@@ -420,15 +497,16 @@ def witness_max_prefix(
 
 
 # Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, best of 7; standard-basis witnesses): one broadcast
-# two_norm_batch call costs about 31-40 us on cross2, 170-200 us on gram:3,
-# 215-255 us on gram:4 and 385-490 us on gram:8 for 1 to 32 vectors (90, 340,
-# 450 and 965 us for 300), while witness_norms costs about 4, 7, 9.5 and 25 us
-# per vector. The batch therefore wins from about 10 (cross2), 19 (gram:8),
-# 27 (gram:4) and 30 (gram:3) vectors; it takes over at 24, where it is at
-# worst about 40 us behind (gram:3), and long traces gain most. Slices of at
-# most 4096 vectors bound its (k, m) temporaries: an unsliced 10,000-iteration
-# gram:8 trace would give 240,000 pairs, 1.9 MB per temporary.
+# 3.11, numpy 2.4, best of 7 in each of 4 runs; standard-basis witnesses,
+# whose operand the set holds): one broadcast two_norm_batch call costs about
+# 35-60 us on cross2, 115-220 us on gram:3, 140-290 us on gram:4 and
+# 220-430 us on gram:8 for 1 to 32 vectors (95-130, 285-445, 405-580 and
+# 1030-1170 us for 300), while witness_norms costs about 7-8.5, 9-14, 15-20
+# and 40-48 us per vector. The batch therefore wins from about 6 (cross2),
+# 8 (gram:8), 11 (gram:4) and 16 (gram:3) vectors; it takes over at 24, where
+# it is ahead on every space, and long traces gain most. Slices of at most
+# 4096 vectors bound its temporaries: the stacked coordinate products of a
+# gram:8 slice against 8 witnesses are (8, 4096, 8) arrays, 2 MB each.
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
 
@@ -444,9 +522,10 @@ def witness_norm_rows(
     vectors go through :func:`witness_norms` one at a time (array rows as
     elements of Python floats); more, and any array with an inf or NaN, which
     no element can hold, go through one :func:`two_norm_batch` call per slice,
-    on the slice's ``(k, 1, n)`` rows against the ``(1, m, n)`` witnesses.
-    That runs the same operation sequence as the scalar kernel and forms each
-    ``|v|^2`` and ``|z|^2`` once. A vector that overflows the kernel (``|v|``
+    on the slice's ``(k, 1, n)`` rows against the set's ``(1, m, n)``
+    witness operand, built with the set. That runs the same operation
+    sequence as the scalar kernel, forms each ``|v|^2`` once per call and
+    each ``|z|^2`` once per set. A vector that overflows the kernel (``|v|``
     past about 1.2e150 on ``gram``, coordinates past about 1.3e300 on
     ``cross2``) gets NaN on both paths, and numpy's overflow warnings are
     silenced, as Python float arithmetic gives none.
@@ -459,13 +538,12 @@ def witness_norm_rows(
             return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
-    W = np.array([z.coords for z in wset.witnesses], dtype=float)[None, :, :]
     rows: list[tuple[float, ...]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
             V = chunk if is_array else np.array([v.coords for v in chunk], dtype=float)
-            rows.extend(map(tuple, two_norm_batch(space, V[:, None, :], W).tolist()))
+            rows.extend(map(tuple, two_norm_batch(space, V[:, None, :], wset._batch).tolist()))
     return rows
 
 

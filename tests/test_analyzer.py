@@ -18,9 +18,11 @@ from enrichedfp.analyzer import (
     theta_scalar_affine,
 )
 from enrichedfp.mapping import (
+    PiecewiseTwoSet,
     Reflection,
     ScalarAffine,
     SelfMap,
+    SupNormRegion,
     averaged,
     default_piecewise,
     iterated,
@@ -28,6 +30,7 @@ from enrichedfp.mapping import (
 from enrichedfp.space import (
     Box,
     SpaceElement,
+    WitnessSet,
     cross2_space,
     gram_space,
     standard_basis,
@@ -357,3 +360,56 @@ def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)
     assert cert == certify_sampled(b, est)
 
+
+
+# optimize_b pinned bit for bit on discontinuous two-region maps: u is small,
+# so d_hat(b) has its minimum inside a grid bracket and the golden-section
+# search runs on every map. (space, witnesses, b, theta, d as float.hex, then
+# the counts of the estimate at b: accepted, skipped_dependent, skipped_noisy,
+# unbounded_flag.)
+_PINNED_B_SEARCH = [
+    ("cross2:2", False, "0x1.804f66869491ap+2", "0x1.a1a7d797e6820p+2",
+     "0x1.dcfd9116fe9bbp-1", (1943, 0, 57, False)),
+    ("cross2:2", True, "0x1.804f66869491ap+2", "0x1.a1a7d797e6820p+2",
+     "0x1.dcfd9116fe9bbp-1", (1943, 0, 57, False)),
+    ("gram:3", False, "0x1.06012abf78741p-3", "0x1.7c349c7b461bep-2",
+     "0x1.5114fc105ce40p-2", (2000, 0, 0, False)),
+    ("gram:3", True, "0x1.06012abf78741p-3", "0x1.7c349c7b461bep-2",
+     "0x1.5114fc105ce40p-2", (2000, 0, 0, False)),
+    ("gram:5", False, "0x1.2dbdb66cea187p-7", "0x1.4e10e8ab051acp-2",
+     "0x1.4b049547727e8p-2", (2000, 0, 0, False)),
+    ("gram:5", True, "0x1.2dbdb66cea187p-7", "0x1.4e10e8ab051acp-2",
+     "0x1.4b049547727e8p-2", (2000, 0, 0, False)),
+]
+
+
+def _skewed_witnesses(n):
+    rows = [tuple(float(i == j) + 0.5 * (j == (i + 1) % n) for j in range(n)) for i in range(n)]
+    return WitnessSet(tuple(SpaceElement(r) for r in rows + [tuple(([1.0, -1.0] * n)[:n])]))
+
+
+@pytest.mark.parametrize("name, with_witnesses, b_hex, theta_hex, d_hex, counts",
+                         _PINNED_B_SEARCH)
+def test_optimize_b_is_pinned_on_piecewise_maps(name, with_witnesses, b_hex, theta_hex,
+                                                d_hex, counts):
+    n = int(name.split(":")[1])
+    space = cross2_space() if name.startswith("cross2") else gram_space(n)
+    u = SpaceElement(tuple(0.05 * (1.0 + 0.25 * i) * (-1) ** i for i in range(n)))
+    T = PiecewiseTwoSet(SupNormRegion(3.5), u)
+    box, wit = Box.symmetric(n, 4.0), _skewed_witnesses(n) if with_witnesses else None
+    b, cert = optimize_b(T, space, box, wit, count=2000, seed=5)
+    assert (b.hex(), cert.theta.hex(), cert.d.hex()) == (b_hex, theta_hex, d_hex)
+    assert cert.provenance == Provenance.sampled(2000, 5)
+    est = estimate_theta(T, b, space, box, wit, 2000, 5)
+    assert (est.accepted, est.skipped_dependent, est.skipped_noisy, est.unbounded_flag) == counts
+    assert cert == certify_sampled(b, est)
+
+
+def test_a_box_too_wide_to_sample_is_not_certifiable():
+    # hi - lo overflows to inf: numpy cannot draw from the box, so no
+    # estimate exists, at a fixed b or in the b search.
+    box = Box.symmetric(2, 1e308)
+    with pytest.raises(NotCertifiableError, match="sampling box width hi - lo = inf"):
+        estimate_theta(_reflection_at_0_6(2), 0.5, SP, box, WIT, 100, 1)
+    with pytest.raises(NotCertifiableError, match="sampling box width"):
+        optimize_b(_reflection_at_0_6(2), SP, box, WIT, count=100, seed=1)

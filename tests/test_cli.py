@@ -791,3 +791,48 @@ def test_artifacts_match_pinned_bytes(tmp_path):
                  "--report", str(tmp_path / "iter.report.txt")]) == EXIT_CONVERGED
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_SHA256}
     assert got == PINNED_SHA256
+
+
+# A gram:3 two-region map solved through T^2 with a sampled theta, as the
+# b search sees it, over a sampling box near the float range.
+_WIDE_BOX = """\
+schema=1
+space.kind=gram
+space.dimension=3
+mode=asymptotic
+n=2
+map.kind=piecewise_two_set
+map.u=1,1,1
+map.region.kind=sup_norm_gt
+map.region.threshold=2
+b={b}
+theta=estimate
+x0=1,2,3
+sampling.count=500
+sampling.lo={lo}
+sampling.hi={hi}
+"""
+
+
+@pytest.mark.parametrize("b", ["auto", "0.5"])
+def test_a_box_too_wide_to_sample_reports_not_certifiable(b, tmp_path, capsys):
+    # hi - lo overflows: this once ended in numpy's OverflowError, exit 1.
+    path = _write(tmp_path, "s", _WIDE_BOX.format(b=b, lo="-1e308", hi="1e308"))
+    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("status=PreconditionFailed\n")
+    assert "sampling box width hi - lo = inf is not finite" in out
+    assert err == ""
+    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith("status=NotCertifiable\nreason=sampling box width") and err == ""
+
+
+def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):
+    # Draws near 1e200 overflow the norm kernels; the b search rejects every
+    # candidate. Under the suite's error::RuntimeWarning filter a leaked
+    # numpy warning would raise instead.
+    path = _write(tmp_path, "s", _WIDE_BOX.format(b="auto", lo="-1e200", hi="1e200"))
+    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith("status=PreconditionFailed\n") and err == ""

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enrichedfp.space as space_module
+from enrichedfp._dd import dot_dd, split
 from enrichedfp.solver import TwoNormBall
 from enrichedfp.space import (
     EPS,
     Box,
     NonFiniteError,
+    NormOperand,
     SpaceElement,
     WitnessSet,
     check_axioms,
@@ -21,6 +23,7 @@ from enrichedfp.space import (
     cross2_space,
     gram_norm,
     gram_space,
+    norm_operand,
     seminorm,
     standard_basis,
     two_norm,
@@ -570,6 +573,89 @@ def test_two_norm_batch_broadcast_table_matches_scalar_bitwise(space):
 def test_two_norm_batch_rejects_bad_shapes(xs_shape, ys_shape):
     with pytest.raises(ValueError, match=r"expected \(\.\.\., 3\) arrays of equal ndim"):
         two_norm_batch(gram_space(3), np.ones(xs_shape), np.ones(ys_shape))
+
+
+_OPERAND_SPACES = [cross2_space()] + [gram_space(n) for n in range(2, 9)]
+
+
+@st.composite
+def _operand_case(draw):
+    space = draw(st.sampled_from(_OPERAND_SPACES))
+    row = st.lists(st.floats(-1e3, 1e3), min_size=space.dimension,
+                   max_size=space.dimension)
+    return (space, draw(st.lists(row, min_size=1, max_size=5)),
+            draw(st.lists(row, min_size=1, max_size=5)))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.asarray(values).ravel()]
+
+
+@given(case=_operand_case())
+@example(case=(gram_space(3), [[-0.0, 0.0, -0.0], [1.0, -0.0, 2.0]],
+               [[0.0, -0.0, 0.0], [-0.0, 3.0, -0.0]]))
+@example(case=(cross2_space(), [[-0.0, 0.0], [-1.5, -0.0]], [[0.0, -0.0], [-0.0, 2.0]]))
+@example(case=(gram_space(3), [[3.0, 1.0, 4.0], [1.0, 1.0, 1.0]],
+               [[6.0, 2.0, 8.000000000000002], [1.0, 1.0, 1.0000000000000002]]))
+@example(case=(cross2_space(), [[0.1, 0.3]], [[0.30000000000000004, 0.9]]))
+@example(case=(gram_space(2), [[2e150, 5e149], [1.0, 2.0]], [[1.0, 0.0], [2e150, 5e149]]))
+@example(case=(gram_space(4), [[2e150, 5e149, 0.0, 1.0]], [[1.0, 0.0, -0.0, 1.0]]))
+@settings(max_examples=150, deadline=None)
+def test_operand_sides_match_the_array_call_and_scalar_bitwise(case):
+    # An operand on either side or both, paired (p, n) and broadcast
+    # (k, 1, n) x (1, m, n): every entry equals the array call and two_norm
+    # by float.hex, NaN included.
+    space, xs, ys = case
+    X, Y = np.array(xs), np.array(ys)
+    p = min(len(X), len(Y))
+    scalar_pairs = [two_norm(space, SpaceElement(x), SpaceElement(y))
+                    for x, y in zip(xs[:p], ys[:p])]
+    scalar_table = [two_norm(space, SpaceElement(x), SpaceElement(y)) for x in xs for y in ys]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (A, B), want in (((X[:p], Y[:p]), scalar_pairs),
+                             ((X[:, None], Y[None]), scalar_table)):
+            array_call = two_norm_batch(space, A, B)
+            assert _hexes(array_call) == _hexes(want)
+            for a, b in ((norm_operand(space, A), B), (A, norm_operand(space, B)),
+                         (norm_operand(space, A), norm_operand(space, B))):
+                got = two_norm_batch(space, a, b)
+                assert got.shape == array_call.shape
+                assert _hexes(got) == _hexes(array_call)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (norm_operand(gram_space(2), np.ones((2, 2))), np.ones((2, 3))),   # wrong dimension
+    (np.ones((2, 3)), norm_operand(gram_space(2), np.ones((2, 2)))),
+    (norm_operand(gram_space(3), np.ones((2, 1, 3))), np.ones((2, 3))),  # unequal ndim
+    (norm_operand(gram_space(3), np.ones((2, 3))),                     # no broadcast
+     norm_operand(gram_space(3), np.ones((3, 3)))),
+])
+def test_two_norm_batch_rejects_operands_of_the_wrong_dimension_or_shape(xs, ys):
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 3\) arrays of equal ndim"):
+        two_norm_batch(gram_space(3), xs, ys)
+
+
+def test_norm_operand_checks_its_array_and_gram_needs_squares():
+    for bad in (np.ones(3), np.ones((2, 2))):
+        with pytest.raises(ValueError, match=r"expected an \(\.\.\., 3\) array"):
+            norm_operand(gram_space(3), bad)
+    # A cross2 operand carries splits only; a gram pair step needs |a|^2.
+    bare = norm_operand(cross2_space(), np.ones((2, 2)))
+    assert bare.sq is None
+    with pytest.raises(ValueError, match="squared norms"):
+        two_norm_batch(gram_space(2), bare, np.ones((2, 2)))
+
+
+def test_witness_set_scalar_operands_are_the_scalar_arithmetic():
+    # The per-witness floats, read off the set's (1, m, n) batch operand, are
+    # what dot_dd and the Dekker split give on the witness's coordinates.
+    wset = WitnessSet((el(1.0, 0.5, -0.0), el(0.0, 1.0, 0.5), el(0.1, -3.0, 2e-300)))
+    assert isinstance(wset._batch, NormOperand) and wset._batch.shape == (1, 3, 3)
+    for z, got in zip(wset.witnesses, wset._operands):
+        h, l = dot_dd(z.coords, z.coords)
+        want = (tuple((a, *split(a)) for a in z.coords), h, l, *split(h))
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for v in got[1:])
 
 
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
