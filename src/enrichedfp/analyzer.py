@@ -84,41 +84,48 @@ class Provenance:
 class EnrichedCertificate:
     """The tuple (b, theta, lambda, d) certifying enriched contractivity.
 
-    lambda = 1/(b+1) and d = theta * lambda exactly as computed, so d < 1 is
-    equivalent to theta < b + 1.
+    Only b and theta are stored; lambda = 1/(b+1) and d = theta * lambda are
+    computed from them in doubles. Rounding can make d = 1 although theta <
+    b + 1 (b = 2.9028432123001946, theta = 3.902843212300194), so a
+    certificate needs both theta < b + 1 and d < 1 as computed.
     """
 
     b: float
     theta: float
-    lam: float
-    d: float
     provenance: Provenance
 
     def __post_init__(self):
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise ValueError(f"b must be finite and nonnegative, got {self.b}")
-        if not (math.isfinite(self.theta) and self.theta >= 0.0):
-            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
-        if self.theta >= self.b + 1.0:
+        if not self.theta >= 0.0:
+            raise ValueError(f"theta must be nonnegative, got {self.theta}")
+        if not self.theta < self.b + 1.0:
             raise NotCertifiableError(
                 f"theta={self.theta} is not below b+1={self.b + 1.0}"
             )
-        if self.lam != 1.0 / (self.b + 1.0):
-            raise ValueError("lambda must equal 1/(b+1) exactly as computed")
-        if self.d != self.theta * self.lam:
-            raise ValueError("d must equal theta*lambda exactly as computed")
+        if not self.d < 1.0:
+            raise NotCertifiableError(
+                f"d=theta*lambda={self.d} is not below 1 as computed"
+            )
+
+    @property
+    def lam(self) -> float:
+        return 1.0 / (self.b + 1.0)
+
+    @property
+    def d(self) -> float:
+        return self.theta * self.lam
 
 
 def certify(b: float, theta: float, provenance: Provenance) -> EnrichedCertificate:
     """Build the certificate for a (b, theta) pair, or refuse it.
 
-    Raises :class:`NotCertifiableError` when theta >= b + 1, the boundary
-    excluded by the enrichment definition.
+    Raises :class:`NotCertifiableError` unless theta < b + 1 (the boundary is
+    excluded by the enrichment definition) and d < 1 as computed; an infinite
+    theta is refused too. A negative or NaN b or theta, or an infinite b, is a
+    ``ValueError``.
     """
-    b = float(b)
-    theta = float(theta)
-    lam = 1.0 / (b + 1.0)
-    return EnrichedCertificate(b=b, theta=theta, lam=lam, d=theta * lam, provenance=provenance)
+    return EnrichedCertificate(b=float(b), theta=float(theta), provenance=provenance)
 
 
 def theta_scalar_affine(c: float, b: float) -> float:
@@ -338,7 +345,6 @@ def optimize_b(
     count: int = 100_000,
     seed: int = 0,
     eps_dep: float = 1e-8,
-    allow_closed_form: bool = True,
 ) -> tuple[float, EnrichedCertificate]:
     """Search for the b minimising the averaged contraction factor d(b).
 
@@ -364,7 +370,7 @@ def optimize_b(
     b, so the set of accepted samples can change with b.
     """
     grid = DEFAULT_B_GRID  # ascending, so ties below keep the smaller b
-    closed = affine_reduction(T) if allow_closed_form else None
+    closed = affine_reduction(T)
     sample: Optional[_ThetaSample] = None
     cache: dict[float, ThetaEstimate] = {}
 

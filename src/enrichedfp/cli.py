@@ -15,8 +15,10 @@ emitted artifacts are rendered with 17 significant digits so reruns are
 byte-identical and every value round-trips.
 
 Exit codes: 0 converged, 1 scenario or usage error (a message on stderr;
-this covers coordinate lists whose length is not the space dimension and
-``check-norm --samples`` below 1), 2 not certifiable / precondition failed, 3
+this covers coordinate lists whose length is not the space dimension, a
+negative seed, a gram dimension below 2, a file that is not UTF-8, a map
+tree nested more than 400 averaged/iterated levels deep and ``check-norm
+--samples`` below 1), 2 not certifiable / precondition failed, 3
 oscillation detected, 4 iteration budget exceeded, 5 left the domain, 6
 diverged (an iterate overflowed).
 """
@@ -214,7 +216,14 @@ def _kv_lines(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_map(kv: dict[str, str], prefix: str, dimension: int) -> SelfMap:
+# Deepest map tree a scenario may describe, in averaged/iterated nodes above
+# the leaf: parsing and evaluating the tree take one stack frame per level.
+_MAP_NESTING_LIMIT = 400
+
+
+def _parse_map(kv: dict[str, str], prefix: str, dimension: int, depth: int = 0) -> SelfMap:
+    if depth > _MAP_NESTING_LIMIT:
+        raise ScenarioError(f"map: nested deeper than {_MAP_NESTING_LIMIT} levels")
     kind_key = f"{prefix}.kind"
     kind = kv.pop(kind_key, None)
     if kind is None:
@@ -249,7 +258,7 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int) -> SelfMap:
         lam = kv.pop(f"{prefix}.lambda", None)
         if lam is None:
             raise ScenarioError(f"{prefix}.lambda: missing for averaged")
-        inner = _parse_map(kv, f"{prefix}.inner", dimension)
+        inner = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
         lam_value = _parse_float(lam, f"{prefix}.lambda")
         try:
             return Averaged(inner, lam_value)
@@ -259,7 +268,7 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int) -> SelfMap:
         times = kv.pop(f"{prefix}.times", None)
         if times is None:
             raise ScenarioError(f"{prefix}.times: missing for iterated")
-        inner = _parse_map(kv, f"{prefix}.inner", dimension)
+        inner = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
         times_value = _parse_int(times, f"{prefix}.times")
         try:
             return Iterated(inner, times_value)
@@ -313,7 +322,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         raw_dim = kv.pop("space.dimension", None)
         if raw_dim is None:
             raise ScenarioError("space.dimension: required for gram spaces")
-        space = gram_space(_parse_int(raw_dim, "space.dimension"))
+        dimension = _parse_int(raw_dim, "space.dimension")
+        try:
+            space = gram_space(dimension)
+        except ValueError as exc:
+            raise ScenarioError(f"space.dimension: {exc}") from None
     dim = space.dimension
 
     mode = kv.pop("mode", "krasnoselskij")
@@ -369,6 +382,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     if max_iter < 1:
         raise ScenarioError("max_iter: must be at least 1")
     seed = _parse_int(kv.pop("seed", "0"), "seed")
+    if seed < 0:
+        raise ScenarioError("seed: must be nonnegative")
 
     domain: Optional[Domain] = None
     domain_kind = kv.pop("domain.kind", None)
@@ -474,7 +489,12 @@ def parse_scenario(path: Union[str, Path]) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    return parse_scenario_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {p}: {exc.reason} "
+                            f"at byte {exc.start}") from None
+    return parse_scenario_text(text)
 
 
 def write_scenario(cfg: ScenarioConfig) -> str:
@@ -724,14 +744,20 @@ def report_text(report: SolveReport) -> str:
     return "\n".join(lines + human) + "\n"
 
 
-def emit_report(report: SolveReport, dest: Union[str, Path, TextIO, None] = None) -> None:
+def emit_report(report: SolveReport, *dests: Union[str, Path, TextIO, None]) -> None:
+    """Render the report once and write it to each destination in turn.
+
+    A destination is a file path, an open text stream, or None for stdout;
+    with no destination the report goes to stdout.
+    """
     text = report_text(report)
-    if dest is None:
-        sys.stdout.write(text)
-    elif isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        dest.write(text)
+    for dest in dests or (None,):
+        if dest is None:
+            sys.stdout.write(text)
+        elif isinstance(dest, (str, Path)):
+            Path(dest).write_text(text, encoding="utf-8", newline="\n")
+        else:
+            dest.write(text)
 
 
 # --- shipped demo scenarios ----------------------------------------------------
@@ -837,9 +863,8 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
     report, code = run_scenario(cfg)
     if trace and report.trace.rows:
         emit_trace_csv(report.trace, cfg.witnesses, trace)
-    if report_path:
-        emit_report(report, report_path)
-    emit_report(report, sys.stdout)
+    dests = [report_path] if report_path else []
+    emit_report(report, *dests, sys.stdout)
     return code
 
 

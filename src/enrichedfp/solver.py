@@ -159,9 +159,8 @@ def apriori_bound(cert: EnrichedCertificate, n: int, base: float) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if base < 0:
         raise ValueError(f"base must be nonnegative, got {base}")
-    if cert.d >= 1.0:
-        raise ValueError("certificate factor d must be below 1")
-    return cert.d**n * base / (1.0 - cert.d)
+    d = cert.d  # below 1: no certificate holds a larger d
+    return d**n * base / (1.0 - d)
 
 
 def aposteriori_step_threshold(cert: EnrichedCertificate, tol: float) -> float:
@@ -175,11 +174,10 @@ def aposteriori_step_threshold(cert: EnrichedCertificate, tol: float) -> float:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if cert.d >= 1.0:
-        raise ValueError("certificate factor d must be below 1")
-    if cert.d <= 1e-300:
+    d = cert.d
+    if d <= 1e-300:
         return tol
-    return tol * (1.0 - cert.d) / cert.d
+    return tol * (1.0 - d) / d
 
 
 # Longest period the Picard loop looks for.
@@ -228,11 +226,15 @@ def _solve_core(
     x0: SpaceElement,
     cfg: SolveConfig,
     space: TwoNormSpace,
-    ball: Optional[TwoNormBall] = None,
+    local: Optional[tuple[SpaceElement, float]] = None,
 ) -> SolveReport:
     """The one solve loop; without a certificate it is Picard with cycle tests.
 
-    Every iterate must lie in ``cfg.domain`` and, when given, in ``ball``.
+    Every iterate must lie in ``cfg.domain``. With ``local=(u, r)`` (and a
+    certificate) the loop first tests the displacement precondition
+    ``||x0 - T x0, u|| < (b + 1 - theta) r`` on its own ``T x0``: a failure
+    ends the run PreconditionFailed, before the x0 domain test, and a pass
+    confines every iterate to the closed ball of radius epsilon around x0 too.
     """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
@@ -241,10 +243,12 @@ def _solve_core(
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
     domain = cfg.domain
-    regions = [r for r in (domain, ball) if r is not None]
+    regions: list[Union[Domain, TwoNormBall]] = [domain] if domain is not None else []
 
     warnings: list[str] = []
     period: Optional[int] = None
+    epsilon: Optional[float] = None
+    precondition: Optional[tuple[float, float]] = None
     # Row n of the trace is x_n with v_n = x_n - x_{n-1} and d_n = T x_n - x_n
     # (row 0 has no v_0 or d_0); the loop tests only the stopping rule and,
     # for Picard, cycles, and every column is evaluated after it in one
@@ -267,9 +271,23 @@ def _solve_core(
                 f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
                 f"exceeds beta = {domain.bound_beta!r}"
             )
+        if local is not None:
+            u, r = local
+            lhs = two_norm(space, x0 - t_n, u)
+            margin = cert.b + 1.0 - cert.theta
+            rhs = margin * r
+            precondition = (lhs, rhs)
+            if lhs < rhs:
+                # The midpoint of the admissible radii (lhs / margin, r), or r
+                # when it underflows to 0 (r = 5e-324): lhs < rhs keeps the
+                # closed ball of radius r invariant under T_lam too.
+                epsilon = 0.5 * (lhs / margin + r) or r
+                regions.append(TwoNormBall(u=u, center=x0, radius=epsilon, closed=True))
         xs.append(x0)
 
-        if not all(r.contains(space, x0) for r in regions):
+        if precondition is not None and epsilon is None:  # the test failed
+            status = SolveStatus.PRECONDITION_FAILED
+        elif not all(r.contains(space, x0) for r in regions):
             status = SolveStatus.LEFT_DOMAIN
         elif f0 <= cfg.tol and f0_lam <= cfg.tol:
             status = SolveStatus.CONVERGED
@@ -364,6 +382,8 @@ def _solve_core(
         trace=IterationTrace(rows),
         bound_violations=bound_violations,
         period=period,
+        epsilon=epsilon,
+        precondition=precondition,
         warnings=tuple(warnings),
     )
 
@@ -418,38 +438,15 @@ def local_ball_solve(
     Requires ``||x0 - T x0, u|| < (b + 1 - theta) r``: the start must not be
     displaced too far relative to the ball. The solve is then confined to the
     closed ball of radius eps around x0, where eps is the midpoint of the
-    admissible interval ``(||x0 - T x0, u|| / (b+1-theta), r)``; every iterate
-    is checked for membership in that ball and in ``cfg.domain``, and an exit
-    from either is reported as LeftDomain.
+    admissible interval ``(||x0 - T x0, u|| / (b+1-theta), r)`` (r itself
+    when that midpoint underflows to 0); every iterate is checked for
+    membership in that ball and in ``cfg.domain``, and an exit from either is
+    reported as LeftDomain. The precondition is tested inside the one solve
+    loop, on the ``T x0`` it evaluates anyway.
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    try:
-        tx0 = T.apply(x0)
-        lhs = two_norm(space, x0 - tx0, u)
-    except NonFiniteError:
-        return SolveReport(status=SolveStatus.DIVERGED, x_star=None, iterations=0,
-                           certificate=cert, trace=IterationTrace(()), bound_violations=0)
-    margin = cert.b + 1.0 - cert.theta
-    rhs = margin * r
-    if not lhs < rhs:
-        wset = _witnesses_for(space, cfg)
-        f0 = witness_residual(space, wset, tx0, x0)
-        row0 = TraceRow(0, x0, 0.0, f0, apriori_bound(cert, 0, 0.0),
-                        tuple(0.0 for _ in wset.witnesses))
-        return SolveReport(
-            status=SolveStatus.PRECONDITION_FAILED,
-            x_star=None,
-            iterations=0,
-            certificate=cert,
-            trace=IterationTrace((row0,)),
-            bound_violations=0,
-            precondition=(lhs, rhs),
-        )
-    eps_ball = 0.5 * (lhs / margin + r)
-    ball = TwoNormBall(u=u, center=x0, radius=eps_ball, closed=True)
-    report = _solve_core(T, cert, x0, cfg, space, ball)
-    return replace(report, epsilon=eps_ball, precondition=(lhs, rhs))
+    return _solve_core(T, cert, x0, cfg, space, local=(u, r))
 
 
 def asymptotic_solve(

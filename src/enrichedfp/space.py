@@ -569,7 +569,10 @@ class AxiomReport:
     samples_tested: int
     violations: tuple[AxiomViolation, ...]
     violation_count: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.violation_count == 0
 
 
 _SAMPLING_BOX = 10.0  # axioms are homogeneous, so the box scale is immaterial
@@ -695,5 +698,4 @@ def check_axioms(
         samples_tested=sample_count,
         violations=recorded,
         violation_count=total,
-        passed=total == 0,
     )

@@ -1,5 +1,6 @@
 """Tests for the enrichment analyzer: estimates, certificates, b search."""
 
+import dataclasses
 import math
 import random
 
@@ -78,6 +79,32 @@ def test_certify_rejects_boundary():
         certify(-0.5, 0.1, Provenance.asserted())
     with pytest.raises(ValueError):
         certify(1.0, -0.1, Provenance.asserted())
+
+
+def test_certify_refuses_a_d_that_rounds_to_one_and_an_infinite_theta():
+    # theta < b + 1, yet d = theta * (1 / (b + 1)) rounds to exactly 1.0.
+    b, theta = 2.9028432123001946, 3.902843212300194
+    assert theta < b + 1.0 and theta * (1.0 / (b + 1.0)) == 1.0
+    with pytest.raises(NotCertifiableError, match=r"^d=theta\*lambda=1\.0 is not below 1"):
+        certify(b, theta, Provenance.asserted())
+    # The closed form |b + c| overflows.
+    theta = theta_scalar_affine(1.7e308, 1.7e308)
+    assert theta == math.inf
+    with pytest.raises(NotCertifiableError, match=r"^theta=inf is not below b\+1"):
+        certify(1.7e308, theta, Provenance.closed_form())
+
+
+@pytest.mark.parametrize("b, theta", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                      (-1.0, 0.5), (0.5, -1.0)])
+def test_certify_rejects_a_negative_or_nan_pair_as_a_value_error(b, theta):
+    with pytest.raises(ValueError):
+        certify(b, theta, Provenance.asserted())
+
+
+def test_certificate_stores_b_and_theta_and_computes_lambda_and_d():
+    cert = certify(0.5, 0.5, Provenance.closed_form())
+    assert [f.name for f in dataclasses.fields(cert)] == ["b", "theta", "provenance"]
+    assert (cert.lam, cert.d) == (1.0 / 1.5, 0.5 * (1.0 / 1.5))
 
 
 def test_certificate_arithmetic_on_random_pairs():
@@ -273,8 +300,8 @@ def test_optimize_b_not_certifiable_for_identity():
 
 
 def test_optimize_b_sampled_route_matches_closed_form():
-    b, cert = optimize_b(Reflection(el(2, 0)), SP, BOX, WIT,
-                         count=20_000, allow_closed_form=False)
+    # The wrapper hides the map tree from the closed form.
+    b, cert = optimize_b(CountingMap(Reflection(el(2, 0))), SP, BOX, WIT, count=20_000)
     assert b == 1.0
     assert cert.provenance.kind == "sampled"
     assert cert.d <= 1e-9

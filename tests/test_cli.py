@@ -4,7 +4,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from enrichedfp.cli import (
@@ -836,3 +836,116 @@ def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):
     assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
     out, err = capsys.readouterr()
     assert out.startswith("status=PreconditionFailed\n") and err == ""
+
+
+# --- every schema-valid scenario ends in a documented exit code -------------------------
+
+# theta < b + 1, but d = theta / (b + 1) rounds to exactly 1.0.
+_D_ROUNDS_TO_ONE = """\
+schema=1
+space.kind=cross2
+mode=krasnoselskij
+map.kind=scalar_affine
+map.scale=0.5
+map.shift=1,0
+b=2.9028432123001946
+theta=3.902843212300194
+x0=0,0
+"""
+# The closed form |b + c| overflows to inf.
+_CLOSED_FORM_OVERFLOWS = """\
+schema=1
+space.kind=cross2
+mode=krasnoselskij
+map.kind=scalar_affine
+map.scale=1.7e308
+map.shift=1,0
+b=1.7e308
+theta=estimate
+x0=0,0
+"""
+
+_CAPS = {"max_iter": 200, "sampling.count": 500}
+
+
+def _capped(text):
+    """The scenario with max_iter and sampling.count cut to ``_CAPS``."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        if key in _CAPS:
+            line = f"{key}={min(int(value), _CAPS[key])}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_scenario_texts())
+@example(text=_D_ROUNDS_TO_ONE)
+@example(text=_CLOSED_FORM_OVERFLOWS)
+def test_no_schema_valid_scenario_exits_one_or_raises(text, tmp_path, capsys):
+    path = _write(tmp_path, "s", _capped(text))
+    solve = main(["solve", "--scenario", path, "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+    assert capsys.readouterr().err == ""
+    assert solve in {0, 2, 3, 4, 5, 6}
+    analyze = main(["analyze", "--scenario", path])
+    assert capsys.readouterr().err == ""
+    assert analyze in {0, 2}
+
+
+@pytest.mark.parametrize("text, reason", [
+    (_D_ROUNDS_TO_ONE, "d=theta*lambda=1.0 is not below 1"),
+    (_CLOSED_FORM_OVERFLOWS, "theta=inf is not below b+1"),
+])
+def test_a_certificate_that_certifies_nothing_is_refused(text, reason, tmp_path, capsys):
+    # Both once printed status=Certified or crashed with a ValueError, exit 1.
+    path = _write(tmp_path, "s", text)
+    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith(f"status=NotCertifiable\nreason={reason}") and err == ""
+    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith("status=PreconditionFailed\n") and reason in out and err == ""
+
+
+def _nested(levels):
+    lines = ["schema=1", "space.kind=cross2", "b=0", "theta=estimate", "x0=0,0"]
+    prefix = "map"
+    for _ in range(levels):
+        lines += [f"{prefix}.kind=iterated", f"{prefix}.times=1"]
+        prefix += ".inner"
+    lines += [f"{prefix}.kind=scalar_affine", f"{prefix}.scale=0.5", f"{prefix}.shift=1,0"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (REFLECTION_SCENARIO.replace("seed=0", "seed=-1").replace("b=0.5", "b=auto"), "seed"),
+    (REFLECTION_SCENARIO.replace("space.kind=cross2\nspace.dimension=2",
+                                 "space.kind=gram\nspace.dimension=1"), "space.dimension"),
+    (REFLECTION_SCENARIO.replace("space.kind=cross2\nspace.dimension=2",
+                                 "space.kind=gram\nspace.dimension=-3"), "space.dimension"),
+    (_nested(2000), "map"),
+    (_nested(401), "map"),
+], ids=["negative-seed", "gram-1", "gram-minus-3", "nested-2000", "nested-401"])
+def test_inputs_that_once_raised_are_scenario_errors(text, key, tmp_path, capsys):
+    path = _write(tmp_path, "s", text)
+    for command in ("solve", "analyze"):
+        assert main([command, "--scenario", path]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"scenario error: {key}: ")
+
+
+def test_a_scenario_nested_at_the_limit_still_runs(tmp_path, capsys):
+    path = _write(tmp_path, "s", _nested(400))
+    assert main(["solve", "--scenario", path]) == EXIT_CONVERGED
+    assert capsys.readouterr().err == ""
+
+
+def test_a_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "s.scenario"
+    path.write_bytes(REFLECTION_SCENARIO.encode("utf-8") + b"# caf\xe9\n")
+    assert main(["solve", "--scenario", str(path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: scenario file is not UTF-8: ")

@@ -2,7 +2,9 @@
 
 Every module must use each name it imports (the package ``__init__`` imports
 to re-export, so it is exempt), and every ``__all__`` entry must be a name
-the module defines or imports.
+the module defines or imports. Every private module-level helper (a function,
+class or constant whose name starts with ``_``), and every function of
+``_dd``, must be used somewhere in the package outside its own definition.
 """
 
 import ast
@@ -73,3 +75,53 @@ def test_the_checks_see_every_module():
     assert {p.name for p in MODULES} >= {
         "__init__.py", "_dd.py", "analyzer.py", "cli.py", "mapping.py", "solver.py", "space.py"
     }
+
+
+def _helpers(path, tree):
+    """Module-level private definitions, and every function of ``_dd``, as
+    (name, first line, last line)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            private = name.startswith("_") and not name.startswith("__")
+            if private or (path.name == "_dd.py" and isinstance(node, ast.FunctionDef)):
+                found.append((name, node.lineno, node.end_lineno))
+    return found
+
+
+def _uses():
+    """Each (module, name, line) where the package reads a name or attribute."""
+    uses = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path.name, node.attr, node.lineno))
+    return uses
+
+
+def test_every_private_helper_is_used():
+    uses = _uses()
+    unused = []
+    for path in MODULES:
+        for name, first, last in _helpers(path, _tree(path)):
+            if not any(used == name and not (module == path.name and first <= line <= last)
+                       for module, used, line in uses):
+                unused.append(f"{path.name}:{first} {name}")
+    assert unused == []
+
+
+def test_the_helper_check_sees_private_names_and_dd_functions():
+    found = {p.name: {name for name, _, _ in _helpers(p, _tree(p))} for p in MODULES}
+    assert {"_solve_core", "_CYCLE_WINDOW", "_witnesses_for"} <= found["solver.py"]
+    assert {"_ThetaSample", "_INFLATION"} <= found["analyzer.py"]
+    assert {"split", "dd_add"} <= found["_dd.py"]
+    assert "__all__" not in found["cli.py"]

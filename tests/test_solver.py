@@ -497,6 +497,43 @@ def test_solve_evaluates_the_map_once_per_iteration():
     assert rep.iterations == 1 and T.calls == 2
 
 
+def test_local_solve_evaluates_the_map_once_per_iteration():
+    # The precondition reads the loop's own T x0, so a local solve costs what
+    # a bare solve does: n + 1 leaf calls.
+    T = CountingMap(ScalarAffine(0.5, el(1.0, 0.0)))
+    cert = certify(0.0, 0.5, Provenance.closed_form())
+    rep = local_ball_solve(T, cert, el(3, 3), el(0, 1), 10.0, SolveConfig(tol=1e-10), SP)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations > 20
+    assert T.calls == rep.iterations + 1
+
+
+def test_local_precondition_failure_keeps_row_zero_and_the_beta_warning():
+    # ||x0 - T x0, u|| = 2 is not below (b+1-theta) r = 1: the failure
+    # decides before the x0 domain test, and the beta check still runs.
+    cert = certify(1.0, 0.0, Provenance.asserted())
+    T = CountingMap(Reflection(el(2, 0)))
+    outside = Domain(Box((5.0, 5.0), (6.0, 6.0)), bound_beta=0.5)
+    rep = local_ball_solve(T, cert, el(0, 0), el(0, 1), 0.5,
+                           SolveConfig(domain=outside), SP)
+    assert rep.status == SolveStatus.PRECONDITION_FAILED
+    assert rep.precondition == (2.0, 1.0) and rep.epsilon is None
+    assert T.calls == 1 and rep.iterations == 0 and rep.bound_violations == 0
+    (row0,) = rep.trace.rows
+    assert (row0.n, row0.x, row0.step_residual, row0.fixed_residual) == (0, el(0, 0), 0.0, 2.0)
+    assert row0.witness_steps == (0.0, 0.0) and row0.apriori_bound == 0.0
+    assert len(rep.warnings) == 1 and "bound_beta" in rep.warnings[0]
+
+
+def test_local_ball_radius_that_underflows_falls_back_to_r():
+    # The midpoint of (0, 5e-324) rounds to 0, which is no ball radius; the
+    # start is fixed, so the solve converges at once inside the ball of radius r.
+    cert = certify(1.0, 0.0, Provenance.asserted())
+    rep = local_ball_solve(Reflection(el(0, 0)), cert, el(0, 0), el(0, 1), 5e-324,
+                           SolveConfig(), SP)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations == 0
+    assert rep.precondition == (0.0, 1e-323) and rep.epsilon == 5e-324
+
+
 def test_asymptotic_solve_halves_leaf_evaluations():
     # Through T^2 every T^2 evaluation is two leaf calls, plus one final check
     # of the limit against T itself.
