@@ -54,7 +54,6 @@ from .analyzer import (
 )
 from .solver import (
     Domain,
-    IterationTrace,
     SolveConfig,
     SolveReport,
     SolveStatus,

@@ -17,10 +17,13 @@ byte-identical and every value round-trips.
 Exit codes: 0 converged, 1 scenario or usage error (a message on stderr;
 this covers coordinate lists whose length is not the space dimension, a
 negative seed, a gram dimension below 2, a file that is not UTF-8, a map
-tree nested more than 400 averaged/iterated levels deep and ``check-norm
---samples`` below 1), 2 not certifiable / precondition failed, 3
-oscillation detected, 4 iteration budget exceeded, 5 left the domain, 6
-diverged (an iterate overflowed).
+tree nested more than 400 averaged/iterated levels deep, ``check-norm
+--samples`` below 1, a negative ``--seed`` and a ``--tol`` that is not
+finite and nonnegative, and a path that cannot be written, such as a
+``--trace`` or ``--report`` file in a missing directory: one ``error:``
+line names it), 2 not certifiable / precondition failed, 3 oscillation
+detected, 4 iteration budget exceeded, 5 left the domain, 6 diverged (an
+iterate overflowed).
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from .mapping import (
 )
 from .solver import (
     Domain,
-    IterationTrace,
     SolveConfig,
     SolveReport,
     SolveStatus,
+    TraceRow,
     TwoNormBall,
     asymptotic_solve,
     krasnoselskij_solve,
@@ -605,7 +608,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
             x_star=None,
             iterations=0,
             certificate=None,
-            trace=IterationTrace(()),
+            trace=(),
             bound_violations=0,
             warnings=(f"certification failed: {exc}",),
         )
@@ -625,21 +628,20 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
 
 # --- artifact emission --------------------------------------------------------
 
-def emit_trace_csv(
-    trace: IterationTrace, witnesses: WitnessSet, path: Union[str, Path]
-) -> None:
-    """Write the trace as CSV: one row per iterate, 17-digit floats, LF ends.
+def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
+    """Write the trace rows as CSV: one row per iterate, 17-digit floats, LF ends.
 
     Columns: n, the coordinates, step and fixed-point residuals, the a priori
-    bound, then one step-residual column per witness (zero on row 0). Each
-    row is filled by one ``str.format`` call on a format string built once
-    per trace, with :func:`fmt_float`'s spec in every float cell, so the
-    bytes are those of a per-cell ``fmt_float`` join.
+    bound, then one step-residual column per witness (zero on row 0); the
+    witness count is that of the first row's ``witness_steps``. Each row is
+    filled by one ``str.format`` call on a format string built once per
+    trace, with :func:`fmt_float`'s spec in every float cell, so the bytes
+    are those of a per-cell ``fmt_float`` join.
     """
-    if not trace.rows:
+    if not trace:
         raise ValueError("refusing to emit an empty trace")
-    dim = trace.rows[0].x.dim
-    k = len(witnesses.witnesses)
+    dim = trace[0].x.dim
+    k = len(trace[0].witness_steps)
     header = (
         ["n"]
         + [f"x_{i}" for i in range(dim)]
@@ -648,16 +650,15 @@ def emit_trace_csv(
     )
     lines = [",".join(header)]
     row_fmt = ",".join(["{}"] + ["{:.16e}"] * (dim + 3 + k))
-    for row in trace.rows:
+    for row in trace:
         lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
                                     row.fixed_residual, row.apriori_bound,
                                     *row.witness_steps))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _worst_step_ratio(trace: IterationTrace) -> float:
+def _worst_step_ratio(rows: Sequence[TraceRow]) -> float:
     worst = math.nan
-    rows = trace.rows
     for prev, cur in zip(rows[1:], rows[2:]):
         if prev.step_residual > 0.0:
             r = cur.step_residual / prev.step_residual
@@ -744,17 +745,15 @@ def report_text(report: SolveReport) -> str:
     return "\n".join(lines + human) + "\n"
 
 
-def emit_report(report: SolveReport, *dests: Union[str, Path, TextIO, None]) -> None:
+def emit_report(report: SolveReport, *dests: Union[str, Path, TextIO]) -> None:
     """Render the report once and write it to each destination in turn.
 
-    A destination is a file path, an open text stream, or None for stdout;
-    with no destination the report goes to stdout.
+    A destination is a file path or an open text stream; with no
+    destination the report goes to stdout.
     """
     text = report_text(report)
-    for dest in dests or (None,):
-        if dest is None:
-            sys.stdout.write(text)
-        elif isinstance(dest, (str, Path)):
+    for dest in dests or (sys.stdout,):
+        if isinstance(dest, (str, Path)):
             Path(dest).write_text(text, encoding="utf-8", newline="\n")
         else:
             dest.write(text)
@@ -833,6 +832,12 @@ def _cmd_check_norm(args: argparse.Namespace) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return EXIT_INTERNAL
+    if args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return EXIT_INTERNAL
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be finite and nonnegative, got {args.tol}", file=sys.stderr)
+        return EXIT_INTERNAL
     report = check_axioms(space, args.samples, args.seed, args.tol)
     print(
         f"space={label} samples={report.samples_tested} seed={args.seed} "
@@ -861,8 +866,8 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
     """Run one scenario file and emit its artifacts; returns the exit code."""
     cfg = parse_scenario(scenario)
     report, code = run_scenario(cfg)
-    if trace and report.trace.rows:
-        emit_trace_csv(report.trace, cfg.witnesses, trace)
+    if trace and report.trace:
+        emit_trace_csv(report.trace, trace)
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code
@@ -923,6 +928,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OSError as exc:  # an unreadable or unwritable path; the message names it
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "Domain",
     "SolveConfig",
     "TraceRow",
-    "IterationTrace",
     "SolveStatus",
     "SolveReport",
     "apriori_bound",
@@ -125,11 +124,6 @@ class TraceRow:
     witness_steps: tuple[float, ...]  # per-witness ||x_n - x_{n-1}, z_j||
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    rows: tuple[TraceRow, ...]
-
-
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     OSCILLATION = "OscillationDetected"
@@ -145,7 +139,7 @@ class SolveReport:
     x_star: Optional[SpaceElement]
     iterations: int
     certificate: Optional[EnrichedCertificate]
-    trace: IterationTrace
+    trace: tuple[TraceRow, ...]
     bound_violations: int
     period: Optional[int] = None
     epsilon: Optional[float] = None
@@ -379,7 +373,7 @@ def _solve_core(
         x_star=x_star,
         iterations=iterations,
         certificate=cert,
-        trace=IterationTrace(rows),
+        trace=rows,
         bound_violations=bound_violations,
         period=period,
         epsilon=epsilon,

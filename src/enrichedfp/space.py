@@ -37,7 +37,7 @@ performs the same IEEE operations in the same order as the scalar
 bit. :func:`witness_norms` collects every
 value; :func:`witness_max_prefix` stops as soon as the running max passes a
 limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
-many vectors and, from 24 on, evaluates them with one broadcasting
+the rows of an array and, from 24 on, evaluates them with one broadcasting
 :func:`two_norm_batch` call against every witness, bit for bit the same. The
 scalar kernel stays the reference, and serves the ball tests.
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -512,38 +512,31 @@ _ROWS_BATCH_SLICE = 4096
 
 
 def witness_norm_rows(
-    space: TwoNormSpace,
-    wset: WitnessSet,
-    vectors: Union[Sequence[SpaceElement], np.ndarray],
+    space: TwoNormSpace, wset: WitnessSet, vectors: np.ndarray
 ) -> list[tuple[float, ...]]:
-    """``witness_norms(space, wset, v)`` for every v, equal to it bit for bit.
+    """``witness_norms(space, wset, v)`` for every row v, equal to it bit for bit.
 
-    ``vectors`` is a sequence of elements or an ``(N, n)`` float array. Few
-    vectors go through :func:`witness_norms` one at a time (array rows as
-    elements of Python floats); more, and any array with an inf or NaN, which
-    no element can hold, go through one :func:`two_norm_batch` call per slice,
-    on the slice's ``(k, 1, n)`` rows against the set's ``(1, m, n)``
-    witness operand, built with the set. That runs the same operation
-    sequence as the scalar kernel, forms each ``|v|^2`` once per call and
-    each ``|z|^2`` once per set. A vector that overflows the kernel (``|v|``
-    past about 1.2e150 on ``gram``, coordinates past about 1.3e300 on
-    ``cross2``) gets NaN on both paths, and numpy's overflow warnings are
-    silenced, as Python float arithmetic gives none.
+    ``vectors`` is an ``(N, n)`` float array. Few rows go through
+    :func:`witness_norms` one at a time, as elements of Python floats; more,
+    and any array with an inf or NaN, which no element can hold, go through
+    one :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
+    rows against the set's ``(1, m, n)`` witness operand, built with the
+    set. That runs the same operation sequence as the scalar kernel, forms
+    each ``|v|^2`` once per call and each ``|z|^2`` once per set. A vector
+    that overflows the kernel (``|v|`` past about 1.2e150 on ``gram``,
+    coordinates past about 1.3e300 on ``cross2``) gets NaN on both paths,
+    and numpy's overflow warnings are silenced, as Python float arithmetic
+    gives none.
     """
-    is_array = isinstance(vectors, np.ndarray)
-    if len(vectors) < _ROWS_BATCH_MIN:
-        if not is_array:
-            return [witness_norms(space, wset, v) for v in vectors]
-        if np.isfinite(vectors).all():
-            return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
+    if len(vectors) < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
+        return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
     rows: list[tuple[float, ...]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
-            V = chunk if is_array else np.array([v.coords for v in chunk], dtype=float)
-            rows.extend(map(tuple, two_norm_batch(space, V[:, None, :], wset._batch).tolist()))
+            rows.extend(map(tuple, two_norm_batch(space, chunk[:, None, :], wset._batch).tolist()))
     return rows
 
 
@@ -559,8 +552,7 @@ def witness_residual(
 @dataclass(frozen=True)
 class AxiomViolation:
     axiom: str           # one of N1..N4
-    sample_index: int
-    witness: tuple       # offending vectors (and scalar where relevant)
+    sample_index: int    # row of the seeded draw that holds the offending vectors
     deviation: float     # violation magnitude, normalised by the axiom scale
 
 
@@ -589,23 +581,29 @@ def check_axioms(
     """Probe the four 2-norm axioms on seeded random triples.
 
     Draws ``sample_count`` triples (x, y, z) and scalars alpha uniformly from
-    ``[-10, 10]^n`` and checks, each within ``tolerance`` relative slack:
+    ``[-10, 10]^n`` and runs five checks, in this order:
 
-    * N1: nonnegativity, plus ``||x, alpha*x|| = 0`` on constructed
-      dependent pairs;
+    * N1: nonnegativity, ``||x, y|| >= 0`` with no slack;
+    * N1: ``||x, alpha*x|| = 0`` on constructed dependent pairs;
     * N2: symmetry;
     * N3: absolute homogeneity ``||alpha*x, y|| = |alpha| ||x, y||``;
     * N4: the triangle inequality ``||x+y, z|| <= ||x, z|| + ||y, z||``.
 
-    Slack is measured relative to the Cauchy-Schwarz area ceiling of the
-    vectors involved (|x||y| and friends), the natural homogeneous scale.
-    Violations are reported, never raised; the run is deterministic given the
-    seed. ``norm_fn`` substitutes a custom batch evaluator ``(X, Y) -> values``
-    for the space's own norm, which is how deliberately broken evaluators are
-    put under test.
+    A sample violates a check where its excess passes ``tolerance`` (zero
+    for nonnegativity) times the Cauchy-Schwarz area ceiling of the vectors
+    involved (|x||y| and friends), the natural homogeneous scale; its
+    deviation is the excess over that scale. Violations are reported, never
+    raised: ``violation_count`` counts them all, and the report keeps the
+    first 32 by sample index, each naming the row of the draw that holds
+    its vectors. The run is deterministic given the seed. ``norm_fn``
+    substitutes a custom batch evaluator ``(X, Y) -> values`` for the
+    space's own norm, which is how deliberately broken evaluators are put
+    under test. A negative, infinite or NaN tolerance is a ``ValueError``.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     n = space.dimension
     rng = np.random.default_rng(seed)
     draw = rng.uniform(-_SAMPLING_BOX, _SAMPLING_BOX, size=(sample_count, 3 * n + 1))
@@ -628,74 +626,26 @@ def check_axioms(
     n_xz = norm(X, Z)
     n_yz = norm(Y, Z)
 
-    found: list[tuple[int, str, int, float]] = []
-    witness_makers: list = []
-    total = 0
-
-    def collect(axiom, mask, deviation, witness_of):
-        nonlocal total
-        idx = np.nonzero(mask)[0]
-        total += len(idx)
-        tag = len(witness_makers)
-        witness_makers.append(witness_of)
-        for i in idx:
-            found.append((int(i), axiom, tag, float(deviation[i])))
-
-    def vec(row):
-        return tuple(float(v) for v in row)
-
-    # N1: nonnegativity and the dependent-pair zero.
-    scale_xy0 = mag_x * mag_y
-    scale_dep = np.abs(alpha) * mag_x * mag_x
-    collect(
-        "N1",
-        n_xy < 0.0,
-        np.divide(-n_xy, scale_xy0, out=np.zeros_like(n_xy), where=scale_xy0 > 0),
-        lambda i: (vec(X[i]), vec(Y[i])),
-    )
-    collect(
-        "N1",
-        n_dep > tolerance * scale_dep,
-        np.divide(n_dep, scale_dep, out=np.zeros_like(n_dep), where=scale_dep > 0),
-        lambda i: (vec(X[i]), float(alpha[i])),
-    )
-
-    # N2: symmetry (exact for both built-in kernels).
+    # (axiom, excess, scale, slack), in the order above. The scales are
+    # finite, so -n_xy > 0.0 * scale decides as n_xy < 0.0 does, NaN and
+    # -0.0 included.
     scale_xy = mag_x * mag_y
-    collect(
-        "N2",
-        np.abs(n_xy - n_yx) > tolerance * scale_xy,
-        np.divide(np.abs(n_xy - n_yx), scale_xy, out=np.zeros_like(n_xy), where=scale_xy > 0),
-        lambda i: (vec(X[i]), vec(Y[i])),
+    checks = (
+        ("N1", -n_xy, scale_xy, 0.0),
+        ("N1", n_dep, np.abs(alpha) * mag_x * mag_x, tolerance),
+        ("N2", np.abs(n_xy - n_yx), scale_xy, tolerance),
+        ("N3", np.abs(n_ax_y - np.abs(alpha) * n_xy), np.abs(alpha) * scale_xy, tolerance),
+        ("N4", n_sum - (n_xz + n_yz), (mag_x + mag_y) * mag_z, tolerance),
     )
-
-    # N3: absolute homogeneity.
-    scale_hom = np.abs(alpha) * scale_xy
-    dev_hom = np.abs(n_ax_y - np.abs(alpha) * n_xy)
-    collect(
-        "N3",
-        dev_hom > tolerance * scale_hom,
-        np.divide(dev_hom, scale_hom, out=np.zeros_like(dev_hom), where=scale_hom > 0),
-        lambda i: (vec(X[i]), vec(Y[i]), float(alpha[i])),
-    )
-
-    # N4: triangle inequality in the first slot.
-    scale_tri = (mag_x + mag_y) * mag_z
-    dev_tri = n_sum - (n_xz + n_yz)
-    collect(
-        "N4",
-        dev_tri > tolerance * scale_tri,
-        np.divide(dev_tri, scale_tri, out=np.zeros_like(dev_tri), where=scale_tri > 0),
-        lambda i: (vec(X[i]), vec(Y[i]), vec(Z[i])),
-    )
-
-    found.sort(key=lambda v: (v[0], v[1], v[2]))
-    recorded = tuple(
-        AxiomViolation(axiom, i, witness_makers[tag](i), dev)
-        for i, axiom, tag, dev in found[:_RECORD_LIMIT]
-    )
+    found: list[tuple[int, str, int, float]] = []
+    for tag, (axiom, excess, scale, slack) in enumerate(checks):
+        dev = np.divide(excess, scale, out=np.zeros_like(excess), where=scale > 0)
+        found += [(int(i), axiom, tag, float(dev[i]))
+                  for i in np.nonzero(excess > slack * scale)[0]]
+    found.sort()
     return AxiomReport(
         samples_tested=sample_count,
-        violations=recorded,
-        violation_count=total,
+        violations=tuple(AxiomViolation(axiom, i, dev)
+                         for i, axiom, _, dev in found[:_RECORD_LIMIT]),
+        violation_count=len(found),
     )

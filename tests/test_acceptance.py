@@ -51,7 +51,7 @@ def _passed(n: int, text: str) -> None:
 
 def _assert_trace_bounds(report, space, witnesses):
     """Tail-bound dominance of inequality d^n/(1-d)*base along a trace."""
-    rows = report.trace.rows
+    rows = report.trace
     base = rows[1].step_residual if len(rows) > 1 else 0.0
     slack = 1e-12 * max(1.0, base)
     cert = report.certificate
@@ -110,7 +110,7 @@ def test_criterion_02_reflection_convergence():
     assert report.status == SolveStatus.CONVERGED
     assert report.iterations <= 25
     assert witness_residual(SP, WIT, report.x_star, el(1, 0)) <= 1e-10
-    rows = report.trace.rows
+    rows = report.trace
     base = rows[1].step_residual
     # per-step contraction at factor d, with 1e-12 slack at the trace scale
     # (the pure ratio form is unattainable in doubles near the tolerance)
@@ -186,7 +186,7 @@ def test_criterion_07_local_solver():
     assert ok.status == SolveStatus.CONVERGED
     assert ok.precondition == (2.0, 4.0)
     assert witness_residual(SP, WIT, ok.x_star, el(1, 0)) <= 1e-10
-    for row in ok.trace.rows:
+    for row in ok.trace:
         assert TwoNormBall(el(0, 1), el(0, 0), ok.epsilon).contains(SP, row.x)
 
     bad = local_ball_solve(Reflection(el(2, 0)), cert, el(0, 0), el(0, 1), 0.5, cfg, SP)

@@ -27,8 +27,8 @@ from enrichedfp.cli import (
     write_scenario,
 )
 from enrichedfp.mapping import Reflection, default_piecewise
-from enrichedfp.solver import IterationTrace, SolveReport, SolveStatus, TraceRow
-from enrichedfp.space import SpaceElement, WitnessSet, cross2_space, standard_basis
+from enrichedfp.solver import SolveReport, SolveStatus, TraceRow
+from enrichedfp.space import SpaceElement, cross2_space, standard_basis
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
 
@@ -382,14 +382,13 @@ def test_run_local_mode_checks_the_domain_beta():
 def test_emit_trace_csv_serialises_manual_trace(tmp_path):
     # a one-iterate trace of a constant map applied at its own value:
     # the second row's step residual is exactly zero
-    wit = standard_basis(2)
     x = el(0.3, 0.7)
     rows = (
         TraceRow(0, x, 0.0, 0.0, 0.0, (0.0, 0.0)),
         TraceRow(1, x, 0.0, 0.0, 0.0, (0.0, 0.0)),
     )
     path = tmp_path / "t.csv"
-    emit_trace_csv(IterationTrace(rows), wit, path)
+    emit_trace_csv(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1"
     assert len(lines) == 3
@@ -398,7 +397,6 @@ def test_emit_trace_csv_serialises_manual_trace(tmp_path):
 
 def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
-    wit = WitnessSet((el(1, 0), el(0, 1), el(1, -1)))
     rows = tuple(
         TraceRow(n, el(specials[3 + n % 3], specials[3 + (n + 1) % 3]),
                  specials[n % 6], specials[(n + 1) % 6], specials[(n + 2) % 6],
@@ -406,7 +404,7 @@ def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
         for n in range(7)
     )
     path = tmp_path / "t.csv"
-    emit_trace_csv(IterationTrace(rows), wit, path)
+    emit_trace_csv(rows, path)
     want = ["n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1,res_w2"]
     for r in rows:
         cells = [r.x.coords[0], r.x.coords[1], r.step_residual, r.fixed_residual,
@@ -417,14 +415,14 @@ def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
 
 def test_emit_trace_csv_refuses_empty(tmp_path):
     with pytest.raises(ValueError):
-        emit_trace_csv(IterationTrace(()), standard_basis(2), tmp_path / "x.csv")
+        emit_trace_csv((), tmp_path / "x.csv")
 
 
 def test_trace_csv_bound_column_recomputable(tmp_path):
     cfg = parse_scenario_text(REFLECTION_SCENARIO)
     report, _ = run_scenario(cfg)
     path = tmp_path / "reflection.csv"
-    emit_trace_csv(report.trace, cfg.witnesses, path)
+    emit_trace_csv(report.trace, path)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     i_step = header.index("step_residual")
@@ -440,7 +438,7 @@ def test_trace_csv_row0_witness_columns_zero(tmp_path):
     cfg = parse_scenario_text(REFLECTION_SCENARIO)
     report, _ = run_scenario(cfg)
     path = tmp_path / "r.csv"
-    emit_trace_csv(report.trace, cfg.witnesses, path)
+    emit_trace_csv(report.trace, path)
     row0 = path.read_text().splitlines()[1].split(",")
     assert row0[-1] == fmt_float(0.0) and row0[-2] == fmt_float(0.0)
 
@@ -449,7 +447,7 @@ def test_trace_csv_deterministic(tmp_path):
     cfg = parse_scenario_text(REFLECTION_SCENARIO)
     for name in ("a.csv", "b.csv"):
         report, _ = run_scenario(cfg)
-        emit_trace_csv(report.trace, cfg.witnesses, tmp_path / name)
+        emit_trace_csv(report.trace, tmp_path / name)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -472,7 +470,7 @@ def test_report_status_line_is_the_status_value():
     ]
     for status in SolveStatus:
         report = SolveReport(status=status, x_star=None, iterations=0, certificate=None,
-                             trace=IterationTrace(()), bound_violations=0)
+                             trace=(), bound_violations=0)
         assert report_text(report).startswith(f"status={status.value}\niterations=0\n")
 
 
@@ -518,6 +516,18 @@ def test_main_check_norm_passes():
                  "--seed", "42", "--tol", "1e-9"]) == 0
     assert main(["check-norm", "--space", "gram:3", "--samples", "2000",
                  "--seed", "7", "--tol", "1e-9"]) == 0
+
+
+@pytest.mark.parametrize("label, digest", [
+    ("gram:3", "aa808001f56514d2e0f5212c73e2dfc986a1cf0be5d983ad64a5cba219a22e78"),
+    ("cross2", "66a0fcaa2560d0a71fd5079ed3e977ec6b84bbf564f7d2f7f8df4baec3de9678"),
+])
+def test_main_check_norm_output_is_pinned(label, digest, capsys):
+    # At tol 0 rounding alone fails some samples: the first ten are printed.
+    assert main(["check-norm", "--space", label, "--samples", "2000",
+                 "--seed", "3", "--tol", "0"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_main_solve_writes_artifacts(tmp_path):
@@ -668,6 +678,36 @@ def test_main_check_norm_rejects_too_few_samples(samples, capsys):
     assert main(["check-norm", "--space", "cross2", "--samples", samples]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be nonnegative, got -1"),
+    ("--tol", "nan", "--tol must be finite and nonnegative, got nan"),
+    ("--tol", "inf", "--tol must be finite and nonnegative, got inf"),
+    ("--tol", "-1", "--tol must be finite and nonnegative, got -1.0"),
+])
+def test_main_check_norm_rejects_bad_seed_and_tolerance(flag, value, message, capsys):
+    # A negative seed was a numpy traceback, a NaN or infinite tolerance
+    # passed every sample, and a negative one failed exact results.
+    assert main(["check-norm", "--space", "cross2", "--samples", "10",
+                 flag, value]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["solve", "--scenario", str(d / "r.scenario"),
+               "--trace", str(d / "missing" / "x.csv")],
+    lambda d: ["solve", "--scenario", str(d / "r.scenario"),
+               "--report", str(d / "missing" / "x.txt")],
+    lambda d: ["demo", "reflection", "--outdir", str(d / "r.scenario" / "sub")],
+], ids=["trace", "report", "demo-outdir"])
+def test_main_unwritable_output_path_is_exit_one(argv, tmp_path, capsys):
+    (tmp_path / "r.scenario").write_text(REFLECTION_SCENARIO)
+    assert main(argv(tmp_path)) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err and "Traceback" not in err
 
 
 # --- coordinate lists against the space dimension -------------------------------------

@@ -5,6 +5,8 @@ to re-export, so it is exempt), and every ``__all__`` entry must be a name
 the module defines or imports. Every private module-level helper (a function,
 class or constant whose name starts with ``_``), and every function of
 ``_dd``, must be used somewhere in the package outside its own definition.
+Every annotated field of a dataclass must be read as an attribute somewhere
+in the package or in the tests, or it is state that nothing uses.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "enrichedfp"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def _tree(path):
@@ -125,3 +128,34 @@ def test_the_helper_check_sees_private_names_and_dd_functions():
     assert {"_ThetaSample", "_INFLATION"} <= found["analyzer.py"]
     assert {"split", "dd_add"} <= found["_dd.py"]
     assert "__all__" not in found["cli.py"]
+
+
+def _dataclass_fields(path, tree):
+    """Each annotated field of a ``@dataclass`` class as (class, field, line)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.append((node.name, item.target.id, item.lineno))
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    read = {node.attr for path in MODULES + TESTS for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {cls}.{name}"
+              for path in MODULES for cls, name, line in _dataclass_fields(path, _tree(path))
+              if name not in read]
+    assert unread == []
+
+
+def test_the_field_check_sees_dataclass_fields():
+    found = {(p.name, cls, name) for p in MODULES for cls, name, _ in _dataclass_fields(p, _tree(p))}
+    assert {("space.py", "AxiomViolation", "deviation"), ("space.py", "WitnessSet", "_batch"),
+            ("solver.py", "TraceRow", "witness_steps"), ("cli.py", "SamplingSettings", "box"),
+            ("analyzer.py", "EnrichedCertificate", "provenance")} <= found

@@ -145,7 +145,7 @@ def test_krasnoselskij_requires_certificate():
 def test_rate_bound_along_trace():
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(tol=1e-10), SP)
-    rows = rep.trace.rows
+    rows = rep.trace
     base = rows[1].step_residual
     d = rep.certificate.d
     for prev, cur in zip(rows[1:], rows[2:]):
@@ -155,9 +155,9 @@ def test_rate_bound_along_trace():
 def test_apriori_dominance_along_trace():
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(tol=1e-10), SP)
-    base = rep.trace.rows[1].step_residual
+    base = rep.trace[1].step_residual
     slack = 1e-12 * max(1.0, base)
-    for row in rep.trace.rows:
+    for row in rep.trace:
         assert witness_residual(SP, WIT, row.x, rep.x_star) <= row.apriori_bound + slack
     assert rep.bound_violations == 0
 
@@ -165,7 +165,7 @@ def test_apriori_dominance_along_trace():
 def test_trace_row_structure():
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(tol=1e-10), SP)
-    rows = rep.trace.rows
+    rows = rep.trace
     assert [r.n for r in rows] == list(range(len(rows)))
     assert rows[0].step_residual == 0.0
     assert rows[0].witness_steps == (0.0, 0.0)
@@ -243,7 +243,7 @@ def test_picard_reflection_oscillates_with_period_two():
     assert rep.period == 2
     assert rep.iterations <= 4
     assert rep.certificate is None
-    assert all(math.isnan(r.apriori_bound) for r in rep.trace.rows)
+    assert all(math.isnan(r.apriori_bound) for r in rep.trace)
 
 
 def test_picard_contraction_converges():
@@ -365,7 +365,7 @@ def test_local_ball_accepts_and_stays_inside():
     # displacement oracle: ||x0 - Tx0, u|| = ||(-2, 0), (0, 1)|| = 2 < 2*2
     assert rep.precondition == (2.0, 4.0)
     assert rep.epsilon == pytest.approx(1.5)
-    for row in rep.trace.rows:
+    for row in rep.trace:
         assert TwoNormBall(el(0, 1), el(0, 0), rep.epsilon).contains(SP, row.x)
 
 
@@ -411,7 +411,7 @@ def test_asymptotic_n_one_equals_krasnoselskij():
     b = krasnoselskij_solve(iterated(Reflection(el(2, 0)), 1), cert, el(0, 0), cfg, SP)
     assert a.status == b.status == SolveStatus.CONVERGED
     assert a.x_star == b.x_star
-    assert [r.x for r in a.trace.rows] == [r.x for r in b.trace.rows]
+    assert [r.x for r in a.trace] == [r.x for r in b.trace]
 
 
 def test_asymptotic_constant_map_single_step():
@@ -518,7 +518,7 @@ def test_local_precondition_failure_keeps_row_zero_and_the_beta_warning():
     assert rep.status == SolveStatus.PRECONDITION_FAILED
     assert rep.precondition == (2.0, 1.0) and rep.epsilon is None
     assert T.calls == 1 and rep.iterations == 0 and rep.bound_violations == 0
-    (row0,) = rep.trace.rows
+    (row0,) = rep.trace
     assert (row0.n, row0.x, row0.step_residual, row0.fixed_residual) == (0, el(0, 0), 0.0, 2.0)
     assert row0.witness_steps == (0.0, 0.0) and row0.apriori_bound == 0.0
     assert len(rep.warnings) == 1 and "bound_beta" in rep.warnings[0]
@@ -552,7 +552,7 @@ def test_solve_reports_divergence_when_iterates_overflow():
     assert rep.status == SolveStatus.DIVERGED
     assert rep.x_star is None and rep.bound_violations == 0
     assert rep.iterations == 0
-    assert [r.x for r in rep.trace.rows] == [el(1.0, 1.0)]
+    assert [r.x for r in rep.trace] == [el(1.0, 1.0)]
 
 
 def test_divergent_solves_stop_with_a_status():
@@ -563,8 +563,8 @@ def test_divergent_solves_stop_with_a_status():
     rep = krasnoselskij_solve(ScalarAffine(1.5, el(1, 0)), cert, el(0.5, 0.25),
                               SolveConfig(), SP)
     assert rep.status == SolveStatus.DIVERGED
-    assert len(rep.trace.rows) == rep.iterations + 1
-    assert all(math.isfinite(c) for r in rep.trace.rows for c in r.x.coords)
+    assert len(rep.trace) == rep.iterations + 1
+    assert all(math.isfinite(c) for r in rep.trace for c in r.x.coords)
 
 
 def test_divergence_on_the_first_map_evaluation():
@@ -573,10 +573,10 @@ def test_divergence_on_the_first_map_evaluation():
     x0 = el(1e308, 0)
     rep = picard_solve(T, x0, SolveConfig(), SP)
     assert rep.status == SolveStatus.DIVERGED
-    assert rep.iterations == 0 and rep.trace.rows == ()
+    assert rep.iterations == 0 and rep.trace == ()
     rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.asserted()), x0, el(0, 1),
                            1.0, SolveConfig(), SP)
-    assert rep.status == SolveStatus.DIVERGED and rep.trace.rows == ()
+    assert rep.status == SolveStatus.DIVERGED and rep.trace == ()
 
 
 # --- trace columns against a scalar recomputation ------------------------------------
@@ -588,7 +588,7 @@ def _scalar_norms(space, wset, v):
 def assert_trace_matches_scalar_kernel(T, rep, wset, space):
     """Every trace column and the bound-violation count, recomputed with the
     scalar kernel per witness and compared by float.hex."""
-    rows = rep.trace.rows
+    rows = rep.trace
     for i, row in enumerate(rows):
         steps = (_scalar_norms(space, wset, row.x - rows[i - 1].x) if i
                  else tuple(0.0 for _ in wset.witnesses))
@@ -638,7 +638,7 @@ def test_divergent_solve_columns_match_the_scalar_kernel():
     T = ScalarAffine(3.0, el(1, 0))
     rep = picard_solve(T, el(0.5, 0.25), SolveConfig(), SP)
     assert rep.status == SolveStatus.DIVERGED and rep.iterations == 645
-    nan_rows = [r.n for r in rep.trace.rows
+    nan_rows = [r.n for r in rep.trace
                 if math.isnan(r.step_residual) or math.isnan(r.fixed_residual)]
     assert nan_rows == list(range(629, 646))
     assert_trace_matches_scalar_kernel(T, rep, WIT, SP)

@@ -1,5 +1,6 @@
 """Tests for the 2-normed space layer: norms, witnesses, balls, axiom checks."""
 
+import hashlib
 import math
 import random
 
@@ -382,9 +383,40 @@ def test_check_axioms_flags_broken_evaluator():
     assert len(report.violations) <= 32
 
 
+def _poisoned_cross2(X, Y):
+    # The true norm with every 7th value NaN and every 11th negated.
+    r = two_norm_batch(cross2_space(), X, Y)
+    r[::7] = np.nan
+    r[::11] *= -1
+    return r
+
+
+@pytest.mark.parametrize("norm_fn, count, digest", [
+    (lambda X, Y: X[:, 0] * Y[:, 1] + X[:, 1] * Y[:, 0], 15113,
+     "06d762ca19313b3bb1fb0cdd1b9440807c7ac83fd869153873dceb27ae7d23c7"),
+    (_poisoned_cross2, 1165,
+     "46f5ff4bd5b4c27a7a406497808471042dfbbb694e9b347ca3c4492a202b87a1"),
+], ids=["bilinear", "nan-and-sign-flips"])
+def test_check_axioms_report_is_pinned(norm_fn, count, digest):
+    # The count and each recorded (axiom, sample_index, deviation), bit for
+    # bit, as the checker reported them when it still stored witness vectors.
+    report = check_axioms(cross2_space(), 10_000, seed=1, tolerance=1e-9, norm_fn=norm_fn)
+    assert report.violation_count == count
+    assert len(report.violations) == 32
+    text = "".join(f"{v.axiom} {v.sample_index} {v.deviation.hex()}\n"
+                   for v in report.violations)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_check_axioms_rejects_bad_count():
     with pytest.raises(ValueError):
         check_axioms(cross2_space(), 0, seed=0, tolerance=1e-9)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+def test_check_axioms_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        check_axioms(cross2_space(), 10, seed=0, tolerance=tolerance)
 
 
 # --- the witness kernel ----------------------------------------------------------
@@ -447,7 +479,7 @@ def test_witness_norms_checks_dimensions():
         witness_max_prefix(gram_space(3), standard_basis(3), el(1, 2), 1.0)
     for count in (1, 24):
         with pytest.raises(ValueError):
-            witness_norm_rows(gram_space(3), standard_basis(2), [el(1, 2)] * count)
+            witness_norm_rows(gram_space(3), standard_basis(2), np.array([[1.0, 2.0]] * count))
 
 
 @st.composite
@@ -530,7 +562,7 @@ def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls
         return batch(space, xs, ys)
 
     monkeypatch.setattr(space_module, "two_norm_batch", counting_batch)
-    rows = witness_norm_rows(space, wset, vectors)
+    rows = witness_norm_rows(space, wset, np.array([v.coords for v in vectors]))
     # Below 24 vectors the scalar path runs; from 24 on one batch call per
     # slice of at most 4096 vectors.
     assert len(calls) == batch_calls
