@@ -17,13 +17,15 @@ byte-identical and every value round-trips.
 Exit codes: 0 converged, 1 scenario or usage error (a message on stderr;
 this covers coordinate lists whose length is not the space dimension, a
 negative seed, a gram dimension below 2, a file that is not UTF-8, a map
-tree nested more than 400 averaged/iterated levels deep, ``check-norm
+tree nested more than 400 averaged/iterated levels deep or making more than
+10000 leaf map evaluations per evaluation of the solved map, ``check-norm
 --samples`` below 1, a negative ``--seed`` and a ``--tol`` that is not
 finite and nonnegative, and a path that cannot be written, such as a
 ``--trace`` or ``--report`` file in a missing directory: one ``error:``
 line names it), 2 not certifiable / precondition failed, 3 oscillation
 detected, 4 iteration budget exceeded, 5 left the domain, 6 diverged (an
-iterate overflowed).
+iterate overflowed), 7 certificate violated (the run met tol, but some trace
+row broke the certificate's a priori bound).
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ EXIT_OSCILLATION = 3
 EXIT_MAX_ITER = 4
 EXIT_LEFT_DOMAIN = 5
 EXIT_DIVERGED = 6
+EXIT_CERTIFICATE_VIOLATED = 7
 
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_CONVERGED,
@@ -110,6 +113,7 @@ _STATUS_EXIT = {
     SolveStatus.MAX_ITER: EXIT_MAX_ITER,
     SolveStatus.LEFT_DOMAIN: EXIT_LEFT_DOMAIN,
     SolveStatus.DIVERGED: EXIT_DIVERGED,
+    SolveStatus.CERTIFICATE_VIOLATED: EXIT_CERTIFICATE_VIOLATED,
 }
 
 MODES = ("krasnoselskij", "picard", "local", "asymptotic")
@@ -222,9 +226,15 @@ def _kv_lines(text: str) -> dict[str, str]:
 # Deepest map tree a scenario may describe, in averaged/iterated nodes above
 # the leaf: parsing and evaluating the tree take one stack frame per level.
 _MAP_NESTING_LIMIT = 400
+# Most leaf map evaluations one evaluation of the solved map may make (T, or
+# T^n in asymptotic mode): iterated nodes multiply them, so a few nested
+# levels would otherwise make one evaluation run for hours.
+_MAP_WORK_LIMIT = 10_000
 
 
-def _parse_map(kv: dict[str, str], prefix: str, dimension: int, depth: int = 0) -> SelfMap:
+def _parse_map(kv: dict[str, str], prefix: str, dimension: int,
+               depth: int = 0) -> tuple[SelfMap, int]:
+    """The map tree under ``prefix``, and the leaf evaluations one evaluation makes."""
     if depth > _MAP_NESTING_LIMIT:
         raise ScenarioError(f"map: nested deeper than {_MAP_NESTING_LIMIT} levels")
     kind_key = f"{prefix}.kind"
@@ -235,7 +245,7 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int, depth: int = 0) 
         w = kv.pop(f"{prefix}.w", None)
         if w is None:
             raise ScenarioError(f"{prefix}.w: missing for reflection")
-        return Reflection(SpaceElement(_parse_coords(w, f"{prefix}.w")))
+        return Reflection(SpaceElement(_parse_coords(w, f"{prefix}.w"))), 1
     if kind == "scalar_affine":
         scale = kv.pop(f"{prefix}.scale", None)
         shift = kv.pop(f"{prefix}.shift", None)
@@ -244,7 +254,7 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int, depth: int = 0) 
         return ScalarAffine(
             _parse_float(scale, f"{prefix}.scale"),
             SpaceElement(_parse_coords(shift, f"{prefix}.shift")),
-        )
+        ), 1
     if kind == "piecewise_two_set":
         u = kv.pop(f"{prefix}.u", None)
         region_kind = kv.pop(f"{prefix}.region.kind", "sup_norm_gt")
@@ -256,28 +266,36 @@ def _parse_map(kv: dict[str, str], prefix: str, dimension: int, depth: int = 0) 
         return PiecewiseTwoSet(
             SupNormRegion(_parse_float(threshold, f"{prefix}.region.threshold")),
             SpaceElement(_parse_coords(u, f"{prefix}.u")),
-        )
+        ), 1
     if kind == "averaged":
         lam = kv.pop(f"{prefix}.lambda", None)
         if lam is None:
             raise ScenarioError(f"{prefix}.lambda: missing for averaged")
-        inner = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
+        inner, work = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
         lam_value = _parse_float(lam, f"{prefix}.lambda")
         try:
-            return Averaged(inner, lam_value)
+            return Averaged(inner, lam_value), work
         except ValueError as exc:
             raise ScenarioError(f"{prefix}.lambda: {exc}") from None
     if kind == "iterated":
         times = kv.pop(f"{prefix}.times", None)
         if times is None:
             raise ScenarioError(f"{prefix}.times: missing for iterated")
-        inner = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
+        inner, work = _parse_map(kv, f"{prefix}.inner", dimension, depth + 1)
         times_value = _parse_int(times, f"{prefix}.times")
         try:
-            return Iterated(inner, times_value)
+            node = Iterated(inner, times_value)
         except ValueError as exc:
             raise ScenarioError(f"{prefix}.times: {exc}") from None
+        return node, _bounded_work(work * times_value, f"{prefix}.times")
     raise ScenarioError(f"{kind_key}: unknown map kind {kind!r}")
+
+
+def _bounded_work(work: int, key: str) -> int:
+    if work > _MAP_WORK_LIMIT:
+        raise ScenarioError(f"{key}: one evaluation of the map would make {work} leaf "
+                            f"map evaluations, above the limit of {_MAP_WORK_LIMIT}")
+    return work
 
 
 def _write_map(lines: list[str], prefix: str, T: SelfMap) -> None:
@@ -336,7 +354,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     if mode not in MODES:
         raise ScenarioError(f"mode: expected one of {MODES}, got {mode!r}")
 
-    the_map = _parse_map(kv, "map", dim)
+    the_map, work = _parse_map(kv, "map", dim)
     if the_map.dimension != dim:
         raise ScenarioError(
             f"map: dimension {the_map.dimension} does not match space dimension {dim}"
@@ -358,6 +376,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     n = _parse_int(kv.pop("n", "1"), "n")
     if n < 1:
         raise ScenarioError("n: must be at least 1")
+    if mode == "asymptotic":  # the solver evaluates T^n
+        _bounded_work(n * work, "n")
 
     raw_x0 = kv.pop("x0", None)
     if raw_x0 is None:
@@ -549,7 +569,7 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
 
     Numeric (b, theta) certify as asserted; theta=estimate takes the closed
     form |b + c| when the map tree is affine-reducible and a sampled estimate
-    otherwise; b=auto searches the grid for the d-minimising b.
+    otherwise; b=auto takes the d-minimising b in closed form.
     """
     target = cfg.map if cfg.mode != "asymptotic" else iterated(cfg.map, cfg.n)
     if cfg.b == "auto":
@@ -557,7 +577,6 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
             target,
             cfg.space,
             cfg.sampling.box,
-            cfg.witnesses,
             count=cfg.sampling.count,
             seed=cfg.seed,
             eps_dep=cfg.sampling.eps_dep,
@@ -574,7 +593,7 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
         b,
         cfg.space,
         cfg.sampling.box,
-        cfg.witnesses,
+        None,  # witnesses: z = x - y decides every ratio
         cfg.sampling.count,
         cfg.seed,
         cfg.sampling.eps_dep,
@@ -642,18 +661,22 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
         raise ValueError("refusing to emit an empty trace")
     dim = trace[0].x.dim
     k = len(trace[0].witness_steps)
-    header = (
-        ["n"]
-        + [f"x_{i}" for i in range(dim)]
-        + ["step_residual", "fixed_residual", "apriori_bound"]
-        + [f"res_w{j}" for j in range(k)]
-    )
-    lines = [",".join(header)]
+    lines = [_trace_header(dim, k)]
     row_fmt = ",".join(["{}"] + ["{:.16e}"] * (dim + 3 + k))
     for row in trace:
         lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
                                     row.fixed_residual, row.apriori_bound,
                                     *row.witness_steps))
+    _write_lines(path, lines)
+
+
+def _trace_header(dim: int, witness_count: int) -> str:
+    return ",".join(["n"] + [f"x_{i}" for i in range(dim)]
+                    + ["step_residual", "fixed_residual", "apriori_bound"]
+                    + [f"res_w{j}" for j in range(witness_count)])
+
+
+def _write_lines(path: Union[str, Path], lines: Sequence[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -725,6 +748,11 @@ def report_text(report: SolveReport) -> str:
         human.append(
             f"Diverged: the iteration overflowed after {report.iterations} iteration(s)."
         )
+    elif report.status == SolveStatus.CERTIFICATE_VIOLATED:
+        human.append(
+            f"Met tol after {report.iterations} iteration(s), but the trace broke the "
+            "certificate's a priori bound, so the certificate does not hold for this run."
+        )
     else:
         human.append(f"Stopped after {report.iterations} iteration(s) without meeting tol.")
     if cert is not None:
@@ -740,7 +768,7 @@ def report_text(report: SolveReport) -> str:
             )
         else:
             human.append(f"Local ball radius eps={fmt_float(report.epsilon)}.")
-    if report.status == SolveStatus.CONVERGED:
+    if report.status in (SolveStatus.CONVERGED, SolveStatus.CERTIFICATE_VIOLATED):
         human.append(f"A priori bound violations along the trace: {report.bound_violations}.")
     return "\n".join(lines + human) + "\n"
 
@@ -863,11 +891,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
                     report_path: Union[str, Path, None]) -> int:
-    """Run one scenario file and emit its artifacts; returns the exit code."""
+    """Run one scenario file and emit its artifacts; returns the exit code.
+
+    A run without iterates (certification failed) writes a header-only trace
+    CSV, so no earlier run's trace survives at the path.
+    """
     cfg = parse_scenario(scenario)
     report, code = run_scenario(cfg)
     if trace and report.trace:
         emit_trace_csv(report.trace, trace)
+    elif trace:
+        _write_lines(trace, [_trace_header(cfg.space.dimension, len(cfg.witnesses.witnesses))])
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code

@@ -15,7 +15,9 @@ of that proof into machinery:
 * a local variant confined to a closed two-norm ball (and to the configured
   domain, if any) and an asymptotic variant that iterates T^N and hands the
   fixed point back to T;
-* a Diverged status, with the trace so far, once a point overflows.
+* a Diverged status, with the trace so far, once a point overflows;
+* a CertificateViolated status for a run that met tol but broke the a priori
+  bound of its own certificate on some row.
 
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
 the loop only the stopping and cycle tests evaluate them, and each stops at
@@ -131,6 +133,7 @@ class SolveStatus(Enum):
     LEFT_DOMAIN = "LeftDomain"
     PRECONDITION_FAILED = "PreconditionFailed"
     DIVERGED = "Diverged"
+    CERTIFICATE_VIOLATED = "CertificateViolated"
 
 
 @dataclass(frozen=True)
@@ -367,6 +370,10 @@ def _solve_core(
             limit = row.apriori_bound + slack
             if not all(g <= limit for g in gap):
                 bound_violations += 1
+        if bound_violations:
+            # The run met tol, but not the tail bound its certificate promised,
+            # so the certificate is wrong for this run: never report Converged.
+            status = SolveStatus.CERTIFICATE_VIOLATED
 
     return SolveReport(
         status=status,

@@ -24,8 +24,8 @@ The batch kernel :func:`two_norm_batch` works in two parts. A
 :class:`NormOperand` holds the terms of one side alone: the columns of an
 ``(..., n)`` array, their Dekker splits and, for ``gram``, the double-double
 ``|a|^2``. A pair step then runs the rest of the scalar kernel's operations,
-in their order, on two operands. A side that meets many others, such as the
-b search's ``z`` sample or a witness set, is made an operand once.
+in their order, on two operands. A side that meets many others, such as a
+witness set, is made an operand once.
 
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
 for the witnesses in order. A :class:`WitnessSet` builds, once, the operand
@@ -316,8 +316,8 @@ def two_norm_batch(space: TwoNormSpace, xs: Union[np.ndarray, NormOperand],
     pair. An array side is made an operand first; then one pair step runs
     the rest of the scalar kernel's compensated operation sequence, in its
     order, so every entry matches the scalar result bit for bit. An operand
-    passed in is reused as is, so a side that meets many others (the b
-    search's ``z``, a witness set) pays for its splits and ``|z|^2`` once,
+    passed in is reused as is, so a side that meets many others (a witness
+    set) pays for its splits and ``|z|^2`` once,
     and each further pair costs one operand for the other side plus one pair
     step.
     """

@@ -73,7 +73,7 @@ def _random_affine_runs(count, seed):
         shift = el(*(rng.uniform(-2, 2) for _ in range(dim)))
         T = ScalarAffine(c, shift)
         box = Box.symmetric(dim)
-        _, cert = optimize_b(T, space, box, wit, refine_steps=64)
+        _, cert = optimize_b(T, space, box)
         x0 = el(*(rng.uniform(-5, 5) for _ in range(dim)))
         report = krasnoselskij_solve(T, cert, x0, SolveConfig(tol=1e-10), space)
         runs.append((space, wit, T, cert, report))

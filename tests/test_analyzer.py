@@ -1,15 +1,15 @@
-"""Tests for the enrichment analyzer: estimates, certificates, b search."""
+"""Tests for the enrichment analyzer: estimates, certificates, refutation, best b."""
 
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from enrichedfp import analyzer
 from enrichedfp.analyzer import (
-    DEFAULT_B_GRID,
     NotCertifiableError,
     Provenance,
     certify,
@@ -125,7 +125,7 @@ def test_certificate_arithmetic_on_random_pairs():
 def test_estimate_theta_reflection_reaches_abs_b_minus_one():
     est = estimate_theta(Reflection(el(2, 0)), 0.5, SP, BOX, WIT, 20_000, seed=1)
     assert 0.49 <= est.theta_hat <= 0.5 + 1e-12
-    assert est.argmax_triple is not None
+    assert est.argmax_pair is not None
     assert est.accepted > 0
 
 
@@ -229,21 +229,39 @@ def test_iterated_piecewise_square_is_constant_hence_theta_is_b():
     T2 = iterated(default_piecewise(2), 2)
     est = estimate_theta(T2, 1.0, SP, BOX, WIT, 50_000, seed=4)
     assert est.theta_hat == 1.0
-    assert not est.unbounded_flag
     cert = certify_sampled(1.0, est)
     assert cert.theta == pytest.approx(1.01)
     # and the optimal averaging needs no averaging at all: b* = 0, d = 0
-    b, cert0 = optimize_b(T2, SP, BOX, WIT, count=30_000)
+    b, cert0 = optimize_b(T2, SP, BOX, count=30_000)
     assert b == 0.0
     assert cert0.d == 0.0
 
 
-def test_piecewise_unbounded_flag_with_low_cap():
+def _refuting_index(exc_info, T, space, box, count, seed):
+    """The sample index the refusal names, checked against the draw itself.
+
+    The named pair is not parallel: ``||Tx - Ty, x - y||`` is far above
+    rounding. Every pair before it is parallel to the last bit.
+    """
+    m = re.search(r"not parallel to x - y at sample (\d+): \|\|Tx - Ty, x - y\|\| = (\S+) "
+                  r"exceeds its rounding bound (\S+), so no \(b, theta\)", str(exc_info.value))
+    assert m is not None, str(exc_info.value)
+    i, area, bound = int(m.group(1)), float(m.group(2)), float(m.group(3))
+    X, Y = analyzer._draw_pairs(box, count, seed)
+    pairs = [(el(*x), el(*y)) for x, y in zip(X[: i + 1], Y[: i + 1])]
+    areas = [two_norm(space, T.apply(x) - T.apply(y), x - y) for x, y in pairs]
+    assert areas[i] == area and area > 1e6 * bound
+    assert all(a == 0.0 for a in areas[:i])
+    return i
+
+
+def test_default_piecewise_map_is_refuted():
+    # u on {sup > 2}, -u/3 elsewhere: a pair across the boundary has
+    # Tx - Ty = 4u/3, which no x - y off the diagonal is parallel to.
     T = default_piecewise(2)
-    est = estimate_theta(T, 0.0, SP, BOX, WIT, 100_000, seed=5, ratio_cap=100.0)
-    assert est.unbounded_flag
-    est_default = estimate_theta(T, 0.0, SP, BOX, WIT, 10_000, seed=5)
-    assert not est_default.unbounded_flag  # 1e6 needs astronomically small areas
+    with pytest.raises(NotCertifiableError) as exc_info:
+        estimate_theta(T, 0.0, SP, BOX, WIT, 100_000, seed=5)
+    assert _refuting_index(exc_info, T, SP, BOX, 100_000, 5) == 8
 
 
 def test_certify_sampled_inflates_and_guards():
@@ -253,32 +271,37 @@ def test_certify_sampled_inflates_and_guards():
     assert cert.theta >= est.theta_hat
     assert cert.theta <= 1.01 * est.theta_hat + 1e-15
     assert cert.provenance.kind == "sampled"
-    flagged = estimate_theta(default_piecewise(2), 0.0, SP, BOX, WIT, 100_000,
-                             seed=5, ratio_cap=100.0)
-    with pytest.raises(NotCertifiableError):
-        certify_sampled(0.0, flagged)
+    # The default piecewise map is refuted before any estimate exists.
+    with pytest.raises(NotCertifiableError, match="not parallel"):
+        estimate_theta(default_piecewise(2), 0.0, SP, BOX, WIT, 100_000, seed=5)
+    # No mu is trusted to 1e-16, below the rounding of any slope: empty.
+    empty = estimate_theta(T, 0.5, SP, BOX, WIT, 2_000, 1, 1e-8, 1e-16)
+    assert (empty.accepted, empty.theta_hat, empty.argmax_pair) == (0, 0.0, None)
+    with pytest.raises(NotCertifiableError, match="no trustworthy samples"):
+        certify_sampled(0.5, empty)
 
 
 # --- b optimisation ----------------------------------------------------------------
 
 def test_optimize_b_reflection_hits_one_exactly():
-    b, cert = optimize_b(Reflection(el(2, 0)), SP, BOX, WIT)
-    assert b == 1.0            # on the default grid, and d(1) = 0 beats any refinement
+    b, cert = optimize_b(Reflection(el(2, 0)), SP, BOX)
+    assert b == 1.0            # max(0, -c) with c = -1
     assert cert.theta == 0.0
     assert cert.d == 0.0
     assert cert.provenance.kind == "closed_form"
 
 
 def test_optimize_b_small_positive_slope_prefers_zero():
-    b, cert = optimize_b(ScalarAffine(0.3, el(1, 0)), SP, BOX, WIT)
+    b, cert = optimize_b(ScalarAffine(0.3, el(1, 0)), SP, BOX)
     assert b == 0.0
     assert cert.d == pytest.approx(0.3, abs=1e-12)
 
 
 def test_optimize_b_strongly_negative_slope():
-    b, cert = optimize_b(ScalarAffine(-3.0, el(1, 0)), SP, BOX, WIT, refine_steps=64)
+    b, cert = optimize_b(ScalarAffine(-3.0, el(1, 0)), SP, BOX)
     assert abs(b - 3.0) <= 1e-4
     assert cert.d <= 1e-9
+    assert (b, cert.d) == (3.0, 0.0)  # max(0, -c) is exact
 
 
 def test_optimize_b_dominates_grid():
@@ -286,8 +309,8 @@ def test_optimize_b_dominates_grid():
     for _ in range(5):
         c = rng.uniform(-3.0, 0.99)
         T = ScalarAffine(c, el(1, 1))
-        b_star, cert = optimize_b(T, SP, BOX, WIT, refine_steps=64)
-        for g in DEFAULT_B_GRID:
+        b_star, cert = optimize_b(T, SP, BOX)
+        for g in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
             d_g = theta_scalar_affine(c, g) / (g + 1.0)
             assert cert.d <= d_g + 1e-12
         if c <= 0:
@@ -296,18 +319,18 @@ def test_optimize_b_dominates_grid():
 
 def test_optimize_b_not_certifiable_for_identity():
     with pytest.raises(NotCertifiableError):
-        optimize_b(ScalarAffine(1.0, el(0, 0)), SP, BOX, WIT)
+        optimize_b(ScalarAffine(1.0, el(0, 0)), SP, BOX)
 
 
 def test_optimize_b_sampled_route_matches_closed_form():
     # The wrapper hides the map tree from the closed form.
-    b, cert = optimize_b(CountingMap(Reflection(el(2, 0))), SP, BOX, WIT, count=20_000)
-    assert b == 1.0
+    b, cert = optimize_b(CountingMap(Reflection(el(2, 0))), SP, BOX, count=20_000)
+    assert abs(b - 1.0) <= 1e-12  # -(M + m)/2 with M and m within rounding of -1
     assert cert.provenance.kind == "sampled"
     assert cert.d <= 1e-9
 
 
-# --- one sample shared by every candidate b -------------------------------------------
+# --- one sample, reduced to its slopes ------------------------------------------------
 
 class CountingMap(SelfMap):
     """Delegates to an inner map and records the arrays ``apply_batch`` gets."""
@@ -328,38 +351,72 @@ class CountingMap(SelfMap):
         return self.inner.apply_batch(xs)
 
 
-# A sampled optimum inside a grid bracket: the averaged reflection is
+# A sampled optimum at an interior b: the averaged reflection is
 # x -> -0.6 x + 0.8 w, so d(b) = |b - 0.6|/(b + 1) is least at b = 0.6. The
 # wrapper hides the map tree from the closed form.
 def _reflection_at_0_6(dim):
     return CountingMap(averaged(Reflection(el(*([2.0] + [0.0] * (dim - 1)))), 0.8))
 
 
+def _slopes(T, box, count, seed):
+    """Each pair's |x - y| and mu = <Tx - Ty, x - y>/<x - y, x - y>, pair by pair.
+
+    The dot products sum the coordinates in order, as the batch does below
+    eight coordinates.
+    """
+    X, Y = analyzer._draw_pairs(box, count, seed)
+    out = []
+    for x, y in zip(X, Y):
+        d = x - y
+        e = T.apply_batch(x[None])[0] - T.apply_batch(y[None])[0]
+        dd = sum(float(a) * float(a) for a in d)
+        ed = sum(float(a) * float(b) for a, b in zip(e, d))
+        out.append((math.sqrt(dd), ed / dd))
+    return X, Y, out
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_per_b_evaluation_equals_estimate_theta(dim):
+    # One sample answers every b with estimate_theta's estimate, and that
+    # estimate is max(b + M, -(b + m)): the largest sampled |b + mu|.
     space = cross2_space() if dim == 2 else gram_space(3)
-    box, wit = Box.symmetric(dim, 4.0), standard_basis(dim)
+    box = Box.symmetric(dim, 4.0)
     rng = random.Random(dim)
-    bs = list(DEFAULT_B_GRID) + [0.6, 1e-12, 3.3] + [rng.uniform(0.0, 10.0) for _ in range(8)]
-    maps = (default_piecewise(dim), iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim))
+    bs = [0.0, 0.25, 0.6, 1.0, 8.0, 1e-12, 3.3] + [rng.uniform(0.0, 10.0) for _ in range(8)]
+    maps = (iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim),
+            CountingMap(ScalarAffine(-2.5, el(*([1.0] * dim)))))
     seen = []
-    # (eps_dep, ratio_noise_tol, ratio_cap): the defaults, then guards tight
-    # enough that dependent, noisy, empty and unbounded estimates all occur.
-    for eps_dep, tol, cap in ((1e-8, 1e-12, 1e6), (0.5, 1e-14, 2.0)):
+    # (eps_dep, ratio_noise_tol): the defaults, then guards tight enough that
+    # dependent and noisy pairs and empty estimates occur.
+    for eps_dep, tol in ((1e-8, 1e-12), (0.25, 4e-15)):
         for T in maps:
-            sample = analyzer._ThetaSample(T, space, box, wit, 3_000, 7, eps_dep)
+            sample = analyzer._ThetaSample(T, space, box, 3_000, 7, eps_dep, tol)
+            X, Y, slopes = _slopes(T, box, 3_000, 7)
+            live = [i for i, (dmag, _) in enumerate(slopes) if dmag > eps_dep * box.scale]
             for b in bs:
-                got = sample.estimate(b, tol, cap)
-                want = estimate_theta(T, b, space, box, wit, 3_000, 7, eps_dep, tol, cap)
-                assert got.theta_hat.hex() == want.theta_hat.hex()
-                assert got.argmax_triple == want.argmax_triple
-                assert (got.skipped_dependent, got.skipped_noisy, got.accepted) == (
-                    want.skipped_dependent, want.skipped_noisy, want.accepted)
-                assert got.unbounded_flag == want.unbounded_flag
-                assert got == want
-                seen.append(want)
+                got = sample.estimate(b)
+                assert got == estimate_theta(T, b, space, box, WIT, 3_000, 7, eps_dep, tol)
+                assert got.skipped_dependent == 3_000 - len(live)
+                assert got.skipped_noisy + got.accepted == len(live)
+                # theta_hat is the |b + mu| of its argmax pair. With no noisy
+                # pair it is the largest over the live pairs, and the argmax
+                # is the lowest-index pair with the largest or the smallest
+                # mu, whichever gives it.
+                seen.append(got)
+                if got.accepted == 0:
+                    assert (got.theta_hat, got.argmax_pair) == (0.0, None)
+                    continue
+                ratios = {i: abs(b + slopes[i][1]) for i in live}
+                i = next(i for i in live if (el(*X[i]), el(*Y[i])) == got.argmax_pair)
+                assert ratios[i] == got.theta_hat <= max(ratios.values())
+                if got.skipped_noisy == 0:
+                    assert got.theta_hat == max(ratios.values())
+                    mus = [slopes[j][1] for j in live]
+                    M, m = max(mus), min(mus)
+                    extreme = M if b + M >= -(b + m) else m
+                    assert i == min(j for j in live if slopes[j][1] == extreme)
     assert any(e.skipped_dependent for e in seen) and any(e.skipped_noisy for e in seen)
-    assert any(e.accepted == 0 for e in seen) and any(e.unbounded_flag for e in seen)
+    assert any(e.accepted == 0 for e in seen)
 
 
 def test_optimize_b_maps_its_sample_once(monkeypatch):
@@ -367,76 +424,99 @@ def test_optimize_b_maps_its_sample_once(monkeypatch):
     norms = []
     real = analyzer.two_norm_batch
     monkeypatch.setattr(analyzer, "two_norm_batch",
-                        lambda sp, v, z: norms.append(v) or real(sp, v, z))
-    b, cert = optimize_b(T, SP, BOX, WIT, count=5_000, seed=2)
-    X, Y, _ = analyzer._draw_triples(BOX, WIT, 5_000, 2)
+                        lambda sp, v, z: norms.append((v, z)) or real(sp, v, z))
+    b, cert = optimize_b(T, SP, BOX, count=5_000, seed=2)
+    X, Y = analyzer._draw_pairs(BOX, 5_000, 2)
     assert len(T.batches) == 2
     assert np.array_equal(T.batches[0], X) and np.array_equal(T.batches[1], Y)
-    # One denominator, then one numerator per distinct candidate b: the grid
-    # and the golden-section points.
-    assert len(norms) > 1 + len(DEFAULT_B_GRID) + 30
-    assert abs(b - 0.6) < 1e-3 and cert.d < 1e-3
+    # One norm call: ||Tx - Ty, x - y|| on every pair.
+    assert len(norms) == 1
+    assert np.array_equal(norms[0][1], X - Y)
+    assert abs(b - 0.6) < 1e-12 and cert.d < 1e-12
 
 
 @pytest.mark.parametrize("space,dim", [(cross2_space(), 2), (gram_space(3), 3)])
 def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     T = _reflection_at_0_6(dim)
     box, wit = Box.symmetric(dim), standard_basis(dim)
-    b, cert = optimize_b(T, space, box, wit, count=4_000, seed=11, eps_dep=1e-7)
+    b, cert = optimize_b(T, space, box, count=4_000, seed=11, eps_dep=1e-7)
     assert cert.provenance == Provenance.sampled(4_000, 11)
     est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)
     assert cert == certify_sampled(b, est)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_optimize_b_is_the_closed_form_in_the_sampled_slopes(dim):
+    # x -> c x + t behind a map tree with a piecewise node: a two-region map
+    # whose region {sup > -1} covers the box is the constant u there, and
+    # averaging it gives c = 1 - lam in [0, 1). Negative slopes come from a
+    # plain affine map that the wrapper hides from the closed form.
+    space = cross2_space() if dim == 2 else gram_space(dim)
+    box = Box.symmetric(dim, 3.0)
+    rng = random.Random(100 + dim)
+    exact = 0
+    for k in range(8):
+        shift = el(*(rng.uniform(-2.0, 2.0) for _ in range(dim)))
+        if k % 2:
+            lam = rng.uniform(0.05, 1.0)
+            T = averaged(PiecewiseTwoSet(SupNormRegion(-1.0), shift), lam)
+            c = 1.0 - lam
+        else:
+            c = rng.uniform(-3.0, 0.0)
+            T = CountingMap(ScalarAffine(c, shift))
+        assert analyzer.affine_reduction(T) is None
+        seed = rng.randrange(1 << 20)
+        b, cert = optimize_b(T, space, box, count=2_000, seed=seed)
+        est = estimate_theta(T, b, space, box, None, 2_000, seed)
+        assert cert == certify_sampled(b, est)
+        # The slopes are c up to rounding, so b and d are those of the closed form.
+        assert abs(b - max(0.0, -c)) <= 1e-12 and cert.d <= abs(c) * 1.01 + 1e-12
+        if est.skipped_noisy or est.skipped_dependent:
+            continue  # M and m below are over every pair, not the accepted ones
+        exact += 1
+        _, _, slopes = _slopes(T, box, 2_000, seed)
+        M, m = max(mu for _, mu in slopes), min(mu for _, mu in slopes)
+        assert b == max(0.0, -(M + m) / 2.0)
+        theta_hat = max(b + M, -(b + m))
+        assert cert.theta == min(1.01 * theta_hat, 0.5 * (theta_hat + b + 1.0))
+        if b > 0.0:
+            assert theta_hat / (b + 1.0) == pytest.approx((M - m) / (2.0 - M - m),
+                                                          rel=1e-9, abs=1e-15)
+    assert exact >= 6
 
-# optimize_b pinned bit for bit on discontinuous two-region maps: u is small,
-# so d_hat(b) has its minimum inside a grid bracket and the golden-section
-# search runs on every map. (space, witnesses, b, theta, d as float.hex, then
-# the counts of the estimate at b: accepted, skipped_dependent, skipped_noisy,
-# unbounded_flag.)
-_PINNED_B_SEARCH = [
-    ("cross2:2", False, "0x1.804f66869491ap+2", "0x1.a1a7d797e6820p+2",
-     "0x1.dcfd9116fe9bbp-1", (1943, 0, 57, False)),
-    ("cross2:2", True, "0x1.804f66869491ap+2", "0x1.a1a7d797e6820p+2",
-     "0x1.dcfd9116fe9bbp-1", (1943, 0, 57, False)),
-    ("gram:3", False, "0x1.06012abf78741p-3", "0x1.7c349c7b461bep-2",
-     "0x1.5114fc105ce40p-2", (2000, 0, 0, False)),
-    ("gram:3", True, "0x1.06012abf78741p-3", "0x1.7c349c7b461bep-2",
-     "0x1.5114fc105ce40p-2", (2000, 0, 0, False)),
-    ("gram:5", False, "0x1.2dbdb66cea187p-7", "0x1.4e10e8ab051acp-2",
-     "0x1.4b049547727e8p-2", (2000, 0, 0, False)),
-    ("gram:5", True, "0x1.2dbdb66cea187p-7", "0x1.4e10e8ab051acp-2",
-     "0x1.4b049547727e8p-2", (2000, 0, 0, False)),
+
+# The two-region maps whose sampled certificates were once pinned bit for
+# bit (cross2 d = 0.93, gram:3 d = 0.33, gram:5 d = 0.32): u is small, so
+# pairs straddle the region boundary with Tx - Ty = 4u/3. Each is refuted,
+# by the b search and by an estimate at its formerly certified b, and the
+# refusal names the first pair that is not parallel.
+_ONCE_PINNED = [
+    ("cross2:2", "auto", 2), ("cross2:2", "0x1.804f66869491ap+2", 2),
+    ("gram:3", "auto", 0), ("gram:3", "0x1.06012abf78741p-3", 0),
+    ("gram:5", "auto", 2), ("gram:5", "0x1.2dbdb66cea187p-7", 2),
 ]
 
 
-def _skewed_witnesses(n):
-    rows = [tuple(float(i == j) + 0.5 * (j == (i + 1) % n) for j in range(n)) for i in range(n)]
-    return WitnessSet(tuple(SpaceElement(r) for r in rows + [tuple(([1.0, -1.0] * n)[:n])]))
-
-
-@pytest.mark.parametrize("name, with_witnesses, b_hex, theta_hex, d_hex, counts",
-                         _PINNED_B_SEARCH)
-def test_optimize_b_is_pinned_on_piecewise_maps(name, with_witnesses, b_hex, theta_hex,
-                                                d_hex, counts):
+@pytest.mark.parametrize("name, b, index", _ONCE_PINNED)
+def test_once_pinned_piecewise_maps_are_refuted(name, b, index):
     n = int(name.split(":")[1])
     space = cross2_space() if name.startswith("cross2") else gram_space(n)
     u = SpaceElement(tuple(0.05 * (1.0 + 0.25 * i) * (-1) ** i for i in range(n)))
     T = PiecewiseTwoSet(SupNormRegion(3.5), u)
-    box, wit = Box.symmetric(n, 4.0), _skewed_witnesses(n) if with_witnesses else None
-    b, cert = optimize_b(T, space, box, wit, count=2000, seed=5)
-    assert (b.hex(), cert.theta.hex(), cert.d.hex()) == (b_hex, theta_hex, d_hex)
-    assert cert.provenance == Provenance.sampled(2000, 5)
-    est = estimate_theta(T, b, space, box, wit, 2000, 5)
-    assert (est.accepted, est.skipped_dependent, est.skipped_noisy, est.unbounded_flag) == counts
-    assert cert == certify_sampled(b, est)
+    box = Box.symmetric(n, 4.0)
+    with pytest.raises(NotCertifiableError) as exc_info:
+        if b == "auto":
+            optimize_b(T, space, box, count=2000, seed=5)
+        else:
+            estimate_theta(T, float.fromhex(b), space, box, None, 2000, 5)
+    assert _refuting_index(exc_info, T, space, box, 2000, 5) == index
 
 
 def test_a_box_too_wide_to_sample_is_not_certifiable():
     # hi - lo overflows to inf: numpy cannot draw from the box, so no
-    # estimate exists, at a fixed b or in the b search.
+    # estimate exists, at a fixed b or for b=auto.
     box = Box.symmetric(2, 1e308)
     with pytest.raises(NotCertifiableError, match="sampling box width hi - lo = inf"):
         estimate_theta(_reflection_at_0_6(2), 0.5, SP, box, WIT, 100, 1)
     with pytest.raises(NotCertifiableError, match="sampling box width"):
-        optimize_b(_reflection_at_0_6(2), SP, box, WIT, count=100, seed=1)
+        optimize_b(_reflection_at_0_6(2), SP, box, count=100, seed=1)

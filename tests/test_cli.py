@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
+    EXIT_CERTIFICATE_VIOLATED,
     EXIT_CONVERGED,
     EXIT_DIVERGED,
     EXIT_INTERNAL,
@@ -308,9 +309,16 @@ def test_run_asymptotic_with_auto_b():
 
 
 def test_run_accepts_valid_asserted_theta_and_rejects_invalid():
-    ok = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=0.5")
-    _, code = run_scenario(parse_scenario_text(ok))  # 0.5 < 1.1: certifiable
+    ok = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=0.95")
+    _, code = run_scenario(parse_scenario_text(ok))  # |0.1 - 1| <= 0.95 < 1.1
     assert code == EXIT_CONVERGED
+
+    # 0.5 < 1.1 certifies, but the true theta is |0.1 - 1| = 0.9: the run
+    # meets tol and breaks the a priori bound of the asserted certificate.
+    wrong = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=0.5")
+    report, code = run_scenario(parse_scenario_text(wrong))
+    assert code == EXIT_CERTIFICATE_VIOLATED == 7
+    assert report.status == SolveStatus.CERTIFICATE_VIOLATED and report.bound_violations > 0
 
     bad = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=1.2")
     report, code = run_scenario(parse_scenario_text(bad))
@@ -466,7 +474,7 @@ def test_report_contains_certificate_lines():
 def test_report_status_line_is_the_status_value():
     assert [s.value for s in SolveStatus] == [
         "Converged", "OscillationDetected", "MaxIterExceeded", "LeftDomain",
-        "PreconditionFailed", "Diverged",
+        "PreconditionFailed", "Diverged", "CertificateViolated",
     ]
     for status in SolveStatus:
         report = SolveReport(status=status, x_star=None, iterations=0, certificate=None,
@@ -642,11 +650,13 @@ def test_main_overflowing_bound_check_counts_violations(scale, shift, iterations
         f"map.kind=scalar_affine\nmap.scale={scale}\nmap.shift={shift},0\n"
         "b=0\ntheta=estimate\nx0=1e308,0\ntol=1e300\n"
     )
-    main(["solve", "--scenario", str(scenario)])
+    # Such a run once read Converged and exited 0.
+    assert main(["solve", "--scenario", str(scenario)]) == EXIT_CERTIFICATE_VIOLATED
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.startswith(f"status=Converged\niterations={iterations}\n")
+    assert out.startswith(f"status=CertificateViolated\niterations={iterations}\n")
     assert int(out.split("bound_violations=")[1].split("\n")[0]) > 0
+    assert "the trace broke the certificate's a priori bound" in out
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -834,7 +844,7 @@ def test_artifacts_match_pinned_bytes(tmp_path):
 
 
 # A gram:3 two-region map solved through T^2 with a sampled theta, as the
-# b search sees it, over a sampling box near the float range.
+# b=auto sampling sees it, over a sampling box near the float range.
 _WIDE_BOX = """\
 schema=1
 space.kind=gram
@@ -868,9 +878,57 @@ def test_a_box_too_wide_to_sample_reports_not_certifiable(b, tmp_path, capsys):
     assert out.startswith("status=NotCertifiable\nreason=sampling box width") and err == ""
 
 
+# A two-region map with small u: pairs across the boundary |x|_sup = 3.5
+# have Tx - Ty = 4u/3, not parallel to x - y. A grid and golden-section
+# search over b once certified it with d = 0.93.
+_NOT_PARALLEL = """\
+schema=1
+space.kind=cross2
+map.kind=piecewise_two_set
+map.u=0.05,-0.0625
+map.region.threshold=3.5
+b=auto
+theta=estimate
+x0=0,0
+seed=5
+sampling.count=2000
+sampling.lo=-4,-4
+sampling.hi=4,4
+"""
+
+
+def test_a_map_with_a_pair_that_is_not_parallel_is_not_certifiable(tmp_path, capsys):
+    path = _write(tmp_path, "s", _NOT_PARALLEL)
+    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("status=NotCertifiable\nreason=Tx - Ty is not parallel to "
+                          "x - y at sample 2: ||Tx - Ty, x - y|| = 0.0054142199035")
+    assert "so no (b, theta) makes the map enriched\n" in out and err == ""
+    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith("status=PreconditionFailed\n") and "at sample 2:" in out
+
+
+def test_a_run_without_iterates_replaces_an_earlier_trace(tmp_path, capsys):
+    trace, report = tmp_path / "t.csv", tmp_path / "r.txt"
+    argv = ["solve", "--trace", str(trace), "--report", str(report), "--scenario"]
+    assert main(argv + [_write(tmp_path, "ok", REFLECTION_SCENARIO)]) == EXIT_CONVERGED
+    assert len(trace.read_text().splitlines()) > 2
+    refused = REFLECTION_SCENARIO.replace("b=0.5", "b=0").replace("theta=estimate", "theta=5")
+    assert main(argv + [_write(tmp_path, "bad", refused)]) == EXIT_NOT_CERTIFIABLE
+    assert report.read_text().startswith("status=PreconditionFailed\n")
+    assert trace.read_text() == (
+        "n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1\n")
+    # The header has one column per witness of the scenario.
+    three = refused.replace("witnesses=basis", "witnesses=1,0;0,1;1,1")
+    assert main(argv + [_write(tmp_path, "three", three)]) == EXIT_NOT_CERTIFIABLE
+    assert trace.read_text().rstrip("\n").endswith(",res_w0,res_w1,res_w2")
+    capsys.readouterr()
+
+
 def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):
-    # Draws near 1e200 overflow the norm kernels; the b search rejects every
-    # candidate. Under the suite's error::RuntimeWarning filter a leaked
+    # Draws near 1e200 overflow the norm kernels; the guards reject every
+    # pair. Under the suite's error::RuntimeWarning filter a leaked
     # numpy warning would raise instead.
     path = _write(tmp_path, "s", _WIDE_BOX.format(b="auto", lo="-1e200", hi="1e200"))
     assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
@@ -905,6 +963,21 @@ theta=estimate
 x0=0,0
 """
 
+# The slope of T = (x -> -1e200 x + t)^3 overflows to -inf, and b=auto's
+# b* = max(0, -c) would be inf, which no certificate takes.
+_SLOPE_OVERFLOWS = """\
+schema=1
+space.kind=cross2
+map.kind=iterated
+map.times=3
+map.inner.kind=scalar_affine
+map.inner.scale=-1e200
+map.inner.shift=1,0
+b=auto
+theta=estimate
+x0=0,0
+"""
+
 _CAPS = {"max_iter": 200, "sampling.count": 500}
 
 
@@ -924,12 +997,13 @@ def _capped(text):
 @given(text=_scenario_texts())
 @example(text=_D_ROUNDS_TO_ONE)
 @example(text=_CLOSED_FORM_OVERFLOWS)
+@example(text=_SLOPE_OVERFLOWS)
 def test_no_schema_valid_scenario_exits_one_or_raises(text, tmp_path, capsys):
     path = _write(tmp_path, "s", _capped(text))
     solve = main(["solve", "--scenario", path, "--trace", str(tmp_path / "t.csv"),
                   "--report", str(tmp_path / "r.txt")])
     assert capsys.readouterr().err == ""
-    assert solve in {0, 2, 3, 4, 5, 6}
+    assert solve in {0, 2, 3, 4, 5, 6, 7}
     analyze = main(["analyze", "--scenario", path])
     assert capsys.readouterr().err == ""
     assert analyze in {0, 2}
@@ -938,9 +1012,11 @@ def test_no_schema_valid_scenario_exits_one_or_raises(text, tmp_path, capsys):
 @pytest.mark.parametrize("text, reason", [
     (_D_ROUNDS_TO_ONE, "d=theta*lambda=1.0 is not below 1"),
     (_CLOSED_FORM_OVERFLOWS, "theta=inf is not below b+1"),
+    (_SLOPE_OVERFLOWS, "the map's slope c=-inf is not finite"),
 ])
 def test_a_certificate_that_certifies_nothing_is_refused(text, reason, tmp_path, capsys):
-    # Both once printed status=Certified or crashed with a ValueError, exit 1.
+    # The first two once printed status=Certified or crashed with a
+    # ValueError, exit 1.
     path = _write(tmp_path, "s", text)
     assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
     out, err = capsys.readouterr()
@@ -981,6 +1057,36 @@ def test_a_scenario_nested_at_the_limit_still_runs(tmp_path, capsys):
     path = _write(tmp_path, "s", _nested(400))
     assert main(["solve", "--scenario", path]) == EXIT_CONVERGED
     assert capsys.readouterr().err == ""
+
+
+def _nested_times(levels, times, extra=""):
+    text = _nested(levels).replace(".times=1", f".times={times}")
+    return text + extra
+
+
+@pytest.mark.parametrize("text, key", [
+    # 5^12 = 244 million leaf calls per T: this once ran past a 10 s timeout.
+    (_nested_times(12, 5), "map" + ".inner" * 6 + ".times: one evaluation of the map "
+                           "would make 15625 leaf map evaluations, above the limit of 10000"),
+    (_nested_times(1, 10001), "map.times: one evaluation of the map would make 10001 leaf"),
+    (_nested_times(2, 100, "mode=asymptotic\nn=2\n"),
+     "n: one evaluation of the map would make 20000 leaf map evaluations"),
+], ids=["twelve-levels-of-5", "times-10001", "asymptotic-n-2"])
+def test_a_map_that_evaluates_too_many_leaves_is_a_scenario_error(text, key, tmp_path,
+                                                                   capsys):
+    path = _write(tmp_path, "s", text)
+    for command in ("solve", "analyze"):
+        assert main([command, "--scenario", path]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"scenario error: {key}")
+
+
+def test_a_map_at_the_leaf_limit_still_parses():
+    # 100 * 100 = 10000 leaf calls per T, and in asymptotic mode 5000 * 2.
+    assert parse_scenario_text(_nested_times(2, 100)).map.times == 100
+    cfg = parse_scenario_text(_nested_times(2, 50, "mode=asymptotic\nn=4\n")
+                              .replace("map.inner.times=50", "map.inner.times=25"))
+    assert cfg.n == 4
 
 
 def test_a_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
