@@ -53,7 +53,6 @@ from .analyzer import (
     theta_scalar_affine,
 )
 from .solver import (
-    Domain,
     SolveConfig,
     SolveReport,
     SolveStatus,

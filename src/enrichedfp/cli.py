@@ -59,7 +59,6 @@ from .mapping import (
     iterated,
 )
 from .solver import (
-    Domain,
     SolveConfig,
     SolveReport,
     SolveStatus,
@@ -150,11 +149,8 @@ class ScenarioConfig:
     theta: Union[float, str]      # a number or "estimate"
     n: int
     x0: SpaceElement
-    witnesses: WitnessSet
-    tol: float
-    max_iter: int
+    solve: SolveConfig            # its witnesses are always set
     seed: int
-    domain: Optional[Domain]
     local_u: Optional[SpaceElement]
     local_r: Optional[float]
     sampling: SamplingSettings
@@ -408,7 +404,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     if seed < 0:
         raise ScenarioError("seed: must be nonnegative")
 
-    domain: Optional[Domain] = None
+    domain: Union[Box, TwoNormBall, None] = None
+    beta: Optional[float] = None
     domain_kind = kv.pop("domain.kind", None)
     if domain_kind is not None:
         beta_raw = kv.pop("domain.beta", None)
@@ -419,10 +416,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                 hi = kv.pop("domain.hi", None)
                 if lo is None or hi is None:
                     raise ScenarioError("domain: box needs domain.lo and domain.hi")
-                domain = Domain(
-                    Box(_parse_point(lo, "domain.lo", dim), _parse_point(hi, "domain.hi", dim)),
-                    beta,
-                )
+                domain = Box(_parse_point(lo, "domain.lo", dim),
+                             _parse_point(hi, "domain.hi", dim))
             elif domain_kind == "ball":
                 u = kv.pop("domain.u", None)
                 center = kv.pop("domain.center", None)
@@ -432,14 +427,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                     raise ScenarioError(
                         "domain: ball needs domain.u, domain.center, domain.radius"
                     )
-                domain = Domain(
-                    TwoNormBall(
-                        SpaceElement(_parse_point(u, "domain.u", dim)),
-                        SpaceElement(_parse_point(center, "domain.center", dim)),
-                        _parse_float(radius, "domain.radius"),
-                        closed,
-                    ),
-                    beta,
+                domain = TwoNormBall(
+                    SpaceElement(_parse_point(u, "domain.u", dim)),
+                    SpaceElement(_parse_point(center, "domain.center", dim)),
+                    _parse_float(radius, "domain.radius"),
+                    closed,
                 )
             else:
                 raise ScenarioError(f"domain.kind: expected box or ball, got {domain_kind!r}")
@@ -463,18 +455,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     eps_dep = _parse_float(kv.pop("sampling.eps_dep", "1e-8"), "sampling.eps_dep")
     if count < 1 or eps_dep <= 0:
         raise ScenarioError("sampling: count must be >= 1 and eps_dep positive")
-    lo_raw = kv.pop("sampling.lo", None)
-    hi_raw = kv.pop("sampling.hi", None)
-    lo = (
-        tuple(-10.0 for _ in range(dim))
-        if lo_raw is None
-        else _parse_coords(lo_raw, "sampling.lo")
-    )
-    hi = (
-        tuple(10.0 for _ in range(dim))
-        if hi_raw is None
-        else _parse_coords(hi_raw, "sampling.hi")
-    )
+    lo = _parse_coords(kv.pop("sampling.lo", "-10"), "sampling.lo")
+    hi = _parse_coords(kv.pop("sampling.hi", "10"), "sampling.hi")
     if len(lo) == 1:
         lo = tuple(lo[0] for _ in range(dim))
     if len(hi) == 1:
@@ -497,11 +479,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         theta=theta,
         n=n,
         x0=x0,
-        witnesses=witnesses,
-        tol=tol,
-        max_iter=max_iter,
+        solve=SolveConfig(tol=tol, max_iter=max_iter, witnesses=witnesses,
+                          domain=domain, bound_beta=beta),
         seed=seed,
-        domain=domain,
         local_u=local_u,
         local_r=local_r,
         sampling=sampling,
@@ -531,14 +511,15 @@ def write_scenario(cfg: ScenarioConfig) -> str:
     lines.append(f"theta={'estimate' if cfg.theta == 'estimate' else fmt_float(cfg.theta)}")
     lines.append(f"n={cfg.n}")
     lines.append(f"x0={_fmt_coords(cfg.x0.coords)}")
+    solve = cfg.solve
     lines.append(
-        "witnesses=" + ";".join(_fmt_coords(w.coords) for w in cfg.witnesses.witnesses)
+        "witnesses=" + ";".join(_fmt_coords(w.coords) for w in solve.witnesses.witnesses)
     )
-    lines.append(f"tol={fmt_float(cfg.tol)}")
-    lines.append(f"max_iter={cfg.max_iter}")
+    lines.append(f"tol={fmt_float(solve.tol)}")
+    lines.append(f"max_iter={solve.max_iter}")
     lines.append(f"seed={cfg.seed}")
-    if cfg.domain is not None:
-        region = cfg.domain.region
+    region = solve.domain
+    if region is not None:
         if isinstance(region, Box):
             lines.append("domain.kind=box")
             lines.append(f"domain.lo={_fmt_coords(region.lo)}")
@@ -549,8 +530,8 @@ def write_scenario(cfg: ScenarioConfig) -> str:
             lines.append(f"domain.center={_fmt_coords(region.center.coords)}")
             lines.append(f"domain.radius={fmt_float(region.radius)}")
             lines.append(f"domain.closed={'true' if region.closed else 'false'}")
-        if cfg.domain.bound_beta is not None:
-            lines.append(f"domain.beta={fmt_float(cfg.domain.bound_beta)}")
+        if solve.bound_beta is not None:
+            lines.append(f"domain.beta={fmt_float(solve.bound_beta)}")
     if cfg.local_u is not None:
         lines.append(f"local.u={_fmt_coords(cfg.local_u.coords)}")
     if cfg.local_r is not None:
@@ -585,9 +566,9 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
     b = float(cfg.b)
     if cfg.theta != "estimate":
         return certify(b, float(cfg.theta), Provenance.asserted())
-    closed = affine_reduction(target)
-    if closed is not None:
-        return certify(b, theta_scalar_affine(closed[0], b), Provenance.closed_form())
+    c = affine_reduction(target)
+    if c is not None:
+        return certify(b, theta_scalar_affine(c, b), Provenance.closed_form())
     est = estimate_theta(
         target,
         b,
@@ -609,14 +590,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
     runs this mode exists to demonstrate. Failed certification elsewhere is
     reported as a PreconditionFailed report carrying the reason.
     """
-    solve_cfg = SolveConfig(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        witnesses=cfg.witnesses,
-        domain=cfg.domain,
-    )
     if cfg.mode == "picard":
-        report = picard_solve(cfg.map, cfg.x0, solve_cfg, cfg.space)
+        report = picard_solve(cfg.map, cfg.x0, cfg.solve, cfg.space)
         return report, _STATUS_EXIT[report.status]
 
     try:
@@ -634,14 +609,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
         return report, EXIT_NOT_CERTIFIABLE
 
     if cfg.mode == "krasnoselskij":
-        report = krasnoselskij_solve(cfg.map, cert, cfg.x0, solve_cfg, cfg.space)
+        report = krasnoselskij_solve(cfg.map, cert, cfg.x0, cfg.solve, cfg.space)
     elif cfg.mode == "local":
         assert cfg.local_u is not None and cfg.local_r is not None
         report = local_ball_solve(
-            cfg.map, cert, cfg.x0, cfg.local_u, cfg.local_r, solve_cfg, cfg.space
+            cfg.map, cert, cfg.x0, cfg.local_u, cfg.local_r, cfg.solve, cfg.space
         )
     else:
-        report = asymptotic_solve(cfg.map, cfg.n, cert, cfg.x0, solve_cfg, cfg.space)
+        report = asymptotic_solve(cfg.map, cfg.n, cert, cfg.x0, cfg.solve, cfg.space)
     return report, _STATUS_EXIT[report.status]
 
 
@@ -901,7 +876,8 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
     if trace and report.trace:
         emit_trace_csv(report.trace, trace)
     elif trace:
-        _write_lines(trace, [_trace_header(cfg.space.dimension, len(cfg.witnesses.witnesses))])
+        _write_lines(trace, [_trace_header(cfg.space.dimension,
+                                           len(cfg.solve.witnesses.witnesses))])
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code

@@ -219,35 +219,33 @@ def iterated(T: SelfMap, n: int) -> SelfMap:
     return Iterated(T, int(n))
 
 
-def affine_reduction(T: SelfMap) -> Optional[tuple[float, tuple[float, ...]]]:
-    """Collapse a map tree to ``x -> c*x + t`` where possible.
+def affine_reduction(T: SelfMap) -> Optional[float]:
+    """The slope c of a map tree that collapses to ``x -> c*x + t``.
 
-    Returns ``(c, t)`` for reflection / scalar-affine trees and their averaged
-    or iterated wrappers, ``None`` for anything with a piecewise node. The
+    Returns c for reflection / scalar-affine trees and their averaged or
+    iterated wrappers, ``None`` for anything with a piecewise node. The shift
+    t is not formed: theta and b depend on c alone (``theta = |b + c|``). The
     reduction is exact algebra; the reduced map may differ from the tree by
     rounding when evaluated, so it feeds closed-form analysis, not iteration.
     """
     if isinstance(T, Reflection):
-        return -1.0, T.w.coords
+        return -1.0
     if isinstance(T, ScalarAffine):
-        return T.scale, T.shift.coords
+        return T.scale
     if isinstance(T, Averaged):
-        inner = affine_reduction(T.inner)
-        if inner is None:
+        c = affine_reduction(T.inner)
+        if c is None:
             return None
-        c, t = inner
         lam = T.lam
-        return (1.0 - lam) + lam * c, tuple(lam * ti for ti in t)
+        return (1.0 - lam) + lam * c
     if isinstance(T, Iterated):
-        inner = affine_reduction(T.inner)
-        if inner is None:
+        c = affine_reduction(T.inner)
+        if c is None:
             return None
-        c, t = inner
-        ck, tk = 1.0, tuple(0.0 for _ in t)
+        ck = 1.0
         for _ in range(T.times):
-            tk = tuple(c * a + b for a, b in zip(tk, t))
             ck = c * ck
-        return ck, tk
+        return ck
     return None
 
 

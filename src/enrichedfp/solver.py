@@ -19,6 +19,10 @@ of that proof into machinery:
 * a CertificateViolated status for a run that met tol but broke the a priori
   bound of its own certificate on some row.
 
+One :class:`SolveConfig` holds every setting of a solve: tol, the iteration
+budget, the witness set, and the domain region itself (a ``Box`` or a
+``TwoNormBall``) with its boundedness constant beta.
+
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
 the loop only the stopping and cycle tests evaluate them, and each stops at
 the first witness that settles the answer (``space.witness_max_prefix``);
@@ -54,7 +58,6 @@ from .space import (
 
 __all__ = [
     "TwoNormBall",
-    "Domain",
     "SolveConfig",
     "TraceRow",
     "SolveStatus",
@@ -88,32 +91,28 @@ class TwoNormBall:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Where the iteration is allowed to live, with an optional bound constant.
+class SolveConfig:
+    """The settings of one solve.
 
-    ``bound_beta`` is the user-supplied boundedness constant of the domain; it
-    is consistency-checked against ``||x0 - T_lam x0||`` and never computed.
+    ``domain`` is the region every iterate must lie in, if any, and
+    ``bound_beta`` its user-supplied boundedness constant: it is
+    consistency-checked against ``||x0 - T_lam x0||`` and never computed, so
+    it needs a domain.
     """
 
-    region: Union[Box, TwoNormBall]
-    bound_beta: Optional[float] = None
-
-    def contains(self, space: TwoNormSpace, x: SpaceElement) -> bool:
-        return self.region.contains(space, x)
-
-
-@dataclass(frozen=True)
-class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 10_000
     witnesses: Optional[WitnessSet] = None  # None picks the standard basis
-    domain: Optional[Domain] = None
+    domain: Union[Box, TwoNormBall, None] = None
+    bound_beta: Optional[float] = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.bound_beta is not None and self.domain is None:
+            raise ValueError("bound_beta needs a domain")
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,7 @@ def _solve_core(
     lam = cert.lam if cert is not None else 1.0
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
-    domain = cfg.domain
-    regions: list[Union[Domain, TwoNormBall]] = [domain] if domain is not None else []
+    regions: list[Union[Box, TwoNormBall]] = [cfg.domain] if cfg.domain is not None else []
 
     warnings: list[str] = []
     period: Optional[int] = None
@@ -263,10 +261,10 @@ def _solve_core(
         t_n = T.apply(x0)
         f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
         f0 = witness_residual(space, wset, t_n, x0)
-        if domain is not None and domain.bound_beta is not None and f0_lam > domain.bound_beta:
+        if cfg.bound_beta is not None and f0_lam > cfg.bound_beta:
             warnings.append(
                 f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
-                f"exceeds beta = {domain.bound_beta!r}"
+                f"exceeds beta = {cfg.bound_beta!r}"
             )
         if local is not None:
             u, r = local

@@ -24,8 +24,9 @@ The batch kernel :func:`two_norm_batch` works in two parts. A
 :class:`NormOperand` holds the terms of one side alone: the columns of an
 ``(..., n)`` array, their Dekker splits and, for ``gram``, the double-double
 ``|a|^2``. A pair step then runs the rest of the scalar kernel's operations,
-in their order, on two operands. A side that meets many others, such as a
-witness set, is made an operand once.
+in their order, on two operands. The first side is always an array, made an
+operand per call; the second may come as an operand already, which is how a
+witness set, built once, meets every batch of vectors.
 
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
 for the witnesses in order. A :class:`WitnessSet` builds, once, the operand
@@ -74,7 +75,6 @@ __all__ = [
     "gram_norm",
     "two_norm",
     "NormOperand",
-    "norm_operand",
     "two_norm_batch",
     "seminorm",
     "standard_basis",
@@ -253,8 +253,7 @@ class NormOperand:
     stacked along a new first axis so that ``a[i]`` is coordinate ``i``,
     contiguous, and their Dekker splits. With ``squares``, ``sq`` is
     ``(h, l, hh, hl)``: the double-double ``|a|^2`` and the split of its
-    high part; ``cross2`` needs only the splits. :func:`norm_operand` builds
-    the operand that a space needs.
+    high part; ``cross2`` needs only the splits, ``gram`` needs both.
     """
 
     __slots__ = ("shape", "terms", "sq")
@@ -268,14 +267,6 @@ class NormOperand:
         if squares:
             h, l = _dd_sum(two_prod_split(*self.terms, *self.terms))
             self.sq = (h, l, *split(h))
-
-
-def norm_operand(space: TwoNormSpace, xs: np.ndarray) -> NormOperand:
-    """The :class:`NormOperand` of an ``(..., space.dimension)`` array for ``space``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim < 2 or xs.shape[-1] != space.dimension:
-        raise ValueError(f"expected an (..., {space.dimension}) array, got {xs.shape}")
-    return NormOperand(xs, space.kind is SpaceKind.GRAM)
 
 
 def _dd_sum(products: tuple) -> tuple:
@@ -305,24 +296,23 @@ def _gram_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, rh))
 
 
-def two_norm_batch(space: TwoNormSpace, xs: Union[np.ndarray, NormOperand],
+def two_norm_batch(space: TwoNormSpace, xs: np.ndarray,
                    ys: Union[np.ndarray, NormOperand]) -> np.ndarray:
     """Vectorised :func:`two_norm` over the last axis of two broadcast operands.
 
-    ``xs`` and ``ys`` are float arrays or :class:`NormOperand` s of them, of
-    equal ``ndim >= 2``, last axis ``space.dimension`` and broadcastable
-    leading shapes, so two ``(m, n)`` arrays give the ``m`` paired norms and
-    ``xs[:, None]`` against ``ys[None]`` gives the ``(k, m)`` table of every
-    pair. An array side is made an operand first; then one pair step runs
-    the rest of the scalar kernel's compensated operation sequence, in its
-    order, so every entry matches the scalar result bit for bit. An operand
-    passed in is reused as is, so a side that meets many others (a witness
-    set) pays for its splits and ``|z|^2`` once,
-    and each further pair costs one operand for the other side plus one pair
-    step.
+    ``xs`` is a float array and ``ys`` a float array or a
+    :class:`NormOperand` of one, of equal ``ndim >= 2``, last axis
+    ``space.dimension`` and broadcastable leading shapes, so two ``(m, n)``
+    arrays give the ``m`` paired norms and ``xs[:, None]`` against
+    ``ys[None]`` gives the ``(k, m)`` table of every pair. An array side is
+    made an operand first; then one pair step runs the rest of the scalar
+    kernel's compensated operation sequence, in its order, so every entry
+    matches the scalar result bit for bit. A ``ys`` operand is reused as is,
+    so a side that meets many others (a witness set) pays for its splits and
+    ``|z|^2`` once, and each further call costs one operand for ``xs`` plus
+    one pair step.
     """
-    if not isinstance(xs, NormOperand):
-        xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     if not isinstance(ys, NormOperand):
         ys = np.asarray(ys, dtype=float)
     n = space.dimension
@@ -332,10 +322,11 @@ def two_norm_batch(space: TwoNormSpace, xs: Union[np.ndarray, NormOperand],
         raise ValueError(f"expected (..., {n}) arrays of equal ndim with broadcastable "
                          f"leading shapes, got {xs.shape} and {ys.shape}")
     gram = space.kind is SpaceKind.GRAM
-    x, y = (v if isinstance(v, NormOperand) else NormOperand(v, gram) for v in (xs, ys))
+    x = NormOperand(xs, gram)
+    y = ys if isinstance(ys, NormOperand) else NormOperand(ys, gram)
     if not gram:
         return _cross2_pair(x, y)
-    if x.sq is None or y.sq is None:
+    if y.sq is None:
         raise ValueError("a gram norm needs operands built with their squared norms")
     return _gram_pair(x, y)
 

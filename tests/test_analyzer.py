@@ -520,3 +520,16 @@ def test_a_box_too_wide_to_sample_is_not_certifiable():
         estimate_theta(_reflection_at_0_6(2), 0.5, SP, box, WIT, 100, 1)
     with pytest.raises(NotCertifiableError, match="sampling box width"):
         optimize_b(_reflection_at_0_6(2), SP, box, count=100, seed=1)
+
+
+def test_a_sample_too_large_to_draw_is_not_certifiable():
+    # One coordinate past the limit is refused before anything is drawn, at
+    # a fixed b or for b=auto; the default count fits on gram:8.
+    space, box, T = gram_space(8), Box.symmetric(8, 4.0), default_piecewise(8)
+    assert 100_000 * 8 <= analyzer._DRAW_LIMIT
+    count = analyzer._DRAW_LIMIT // 8 + 1
+    with pytest.raises(NotCertifiableError,
+                       match=f"sampling count {count} in dimension 8 draws {8 * count} "):
+        estimate_theta(T, 0.5, space, box, None, count, 1)
+    with pytest.raises(NotCertifiableError, match="sampling count 10{20} in dimension 8"):
+        optimize_b(T, space, box, count=10**20, seed=1)

@@ -48,9 +48,9 @@ def test_parse_reflection_defaults():
     assert cfg.b == 0.5
     assert cfg.theta == "estimate"
     assert cfg.x0 == el(0, 0)
-    assert cfg.witnesses == standard_basis(2)
-    assert cfg.tol == 1e-10
-    assert cfg.max_iter == 10_000
+    assert cfg.solve.witnesses == standard_basis(2)
+    assert cfg.solve.tol == 1e-10
+    assert cfg.solve.max_iter == 10_000
     assert cfg.seed == 0
     assert cfg.n == 1
     assert cfg.sampling.count == 100_000
@@ -876,6 +876,24 @@ def test_a_box_too_wide_to_sample_reports_not_certifiable(b, tmp_path, capsys):
     assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
     out, err = capsys.readouterr()
     assert out.startswith("status=NotCertifiable\nreason=sampling box width") and err == ""
+
+
+@pytest.mark.parametrize("b", ["1", "auto"])
+def test_a_sample_too_large_to_draw_reports_not_certifiable(b, tmp_path, capsys):
+    # The asymptotic-piecewise demo with a sampled theta and 10^20 samples:
+    # numpy once refused the draw's shape with a traceback, exit 1.
+    text = (DEMO_SCENARIOS["asymptotic-piecewise"]
+            .replace("b=1\ntheta=1\n", f"b={b}\ntheta=estimate\n")
+            + "sampling.count=100000000000000000000\n")
+    path = _write(tmp_path, "s", text)
+    reason = ("sampling count 100000000000000000000 in dimension 2 draws "
+              "200000000000000000000 coordinates, above the limit of 4000000")
+    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    out, err = capsys.readouterr()
+    assert out.startswith("status=PreconditionFailed\n")
+    assert f"warning=certification failed: {reason}\n" in out and err == ""
+    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    assert capsys.readouterr() == (f"status=NotCertifiable\nreason={reason}\n", "")
 
 
 # A two-region map with small u: pairs across the boundary |x|_sup = 3.5

@@ -4,9 +4,11 @@ Every module must use each name it imports (the package ``__init__`` imports
 to re-export, so it is exempt), and every ``__all__`` entry must be a name
 the module defines or imports. Every private module-level helper (a function,
 class or constant whose name starts with ``_``), and every function of
-``_dd``, must be used somewhere in the package outside its own definition.
-Every annotated field of a dataclass must be read as an attribute somewhere
-in the package or in the tests, or it is state that nothing uses.
+``_dd``, must be used somewhere in the package outside its own definition,
+and so must every ``__all__`` name, save a few kept for users (the imports
+of ``__init__`` do not count as uses). Every annotated field of a dataclass
+must be read as an attribute somewhere in the package or in the tests, or it
+is state that nothing uses.
 """
 
 import ast
@@ -47,14 +49,7 @@ def _all(tree):
 
 def _defined(tree):
     """Names bound at module level: definitions, assignments and imports."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names | set(_imports(tree))
+    return {name for name, _ in _definitions(tree)} | set(_imports(tree))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -80,23 +75,22 @@ def test_the_checks_see_every_module():
     }
 
 
+def _definitions(tree):
+    """Each name bound at module level by a definition or assignment, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
 def _helpers(path, tree):
     """Module-level private definitions, and every function of ``_dd``, as
     (name, first line, last line)."""
-    found = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            private = name.startswith("_") and not name.startswith("__")
-            if private or (path.name == "_dd.py" and isinstance(node, ast.FunctionDef)):
-                found.append((name, node.lineno, node.end_lineno))
-    return found
+    return [(name, node.lineno, node.end_lineno) for name, node in _definitions(tree)
+            if (name.startswith("_") and not name.startswith("__"))
+            or (path.name == "_dd.py" and isinstance(node, ast.FunctionDef))]
 
 
 def _uses():
@@ -111,14 +105,17 @@ def _uses():
     return uses
 
 
+def _used_outside(name, path, first, last, uses):
+    """Whether the package reads ``name`` anywhere but lines first..last of path."""
+    return any(used == name and not (module == path.name and first <= line <= last)
+               for module, used, line in uses)
+
+
 def test_every_private_helper_is_used():
     uses = _uses()
-    unused = []
-    for path in MODULES:
-        for name, first, last in _helpers(path, _tree(path)):
-            if not any(used == name and not (module == path.name and first <= line <= last)
-                       for module, used, line in uses):
-                unused.append(f"{path.name}:{first} {name}")
+    unused = [f"{path.name}:{first} {name}"
+              for path in MODULES for name, first, last in _helpers(path, _tree(path))
+              if not _used_outside(name, path, first, last, uses)]
     assert unused == []
 
 
@@ -128,6 +125,24 @@ def test_the_helper_check_sees_private_names_and_dd_functions():
     assert {"_ThetaSample", "_INFLATION"} <= found["analyzer.py"]
     assert {"split", "dd_add"} <= found["_dd.py"]
     assert "__all__" not in found["cli.py"]
+
+
+# Public names kept for users of the package although no module reads them:
+# the console-script entry, the scenario writer, the shipped example map and
+# the seminorm view of the 2-norm.
+_USER_FACING = {"main_entry", "write_scenario", "default_piecewise", "seminorm"}
+
+
+def test_every_public_name_is_used():
+    # The package __init__ only re-exports, so its imports read nothing.
+    uses = [u for u in _uses() if u[0] != "__init__.py"]
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        spans = {name: (node.lineno, node.end_lineno) for name, node in _definitions(tree)}
+        unused += [f"{path.name} {name}" for name in _all(tree) if name not in _USER_FACING
+                   and not _used_outside(name, path, *spans.get(name, (0, -1)), uses)]
+    assert unused == []
 
 
 def _dataclass_fields(path, tree):

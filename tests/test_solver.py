@@ -17,7 +17,6 @@ from enrichedfp.mapping import (
     iterated,
 )
 from enrichedfp.solver import (
-    Domain,
     SolveConfig,
     SolveStatus,
     TwoNormBall,
@@ -199,7 +198,7 @@ def test_determinism_identical_traces():
 
 
 def test_left_domain_box():
-    domain = Domain(Box((-0.5, -0.5), (0.5, 0.5)))
+    domain = Box((-0.5, -0.5), (0.5, 0.5))
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(domain=domain), SP)
     assert rep.status == SolveStatus.LEFT_DOMAIN
@@ -207,7 +206,7 @@ def test_left_domain_box():
 
 
 def test_left_domain_when_start_outside():
-    domain = Domain(Box((-0.5, -0.5), (0.5, 0.5)))
+    domain = Box((-0.5, -0.5), (0.5, 0.5))
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(5, 5),
                               SolveConfig(domain=domain), SP)
     assert rep.status == SolveStatus.LEFT_DOMAIN
@@ -215,13 +214,12 @@ def test_left_domain_when_start_outside():
 
 
 def test_bound_beta_consistency_warning():
-    inside = Domain(Box((-10, -10), (10, 10)), bound_beta=0.1)
+    box = Box((-10, -10), (10, 10))
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
-                              SolveConfig(domain=inside), SP)
+                              SolveConfig(domain=box, bound_beta=0.1), SP)
     assert any("bound_beta" in w for w in rep.warnings)
-    roomy = Domain(Box((-10, -10), (10, 10)), bound_beta=10.0)
     rep2 = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
-                               SolveConfig(domain=roomy), SP)
+                               SolveConfig(domain=box, bound_beta=10.0), SP)
     assert rep2.warnings == ()
     assert rep2.status == SolveStatus.CONVERGED
 
@@ -446,10 +444,13 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
+    # beta bounds a domain: without one it has nothing to bound.
+    with pytest.raises(ValueError, match="bound_beta needs a domain"):
+        SolveConfig(bound_beta=1.0)
 
 
 def test_two_norm_ball_domain():
-    ball = Domain(TwoNormBall(el(0, 1), el(0, 0), 5.0, closed=True))
+    ball = TwoNormBall(el(0, 1), el(0, 0), 5.0, closed=True)
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(domain=ball), SP)
     assert rep.status == SolveStatus.CONVERGED
@@ -512,9 +513,9 @@ def test_local_precondition_failure_keeps_row_zero_and_the_beta_warning():
     # decides before the x0 domain test, and the beta check still runs.
     cert = certify(1.0, 0.0, Provenance.asserted())
     T = CountingMap(Reflection(el(2, 0)))
-    outside = Domain(Box((5.0, 5.0), (6.0, 6.0)), bound_beta=0.5)
+    outside = Box((5.0, 5.0), (6.0, 6.0))
     rep = local_ball_solve(T, cert, el(0, 0), el(0, 1), 0.5,
-                           SolveConfig(domain=outside), SP)
+                           SolveConfig(domain=outside, bound_beta=0.5), SP)
     assert rep.status == SolveStatus.PRECONDITION_FAILED
     assert rep.precondition == (2.0, 1.0) and rep.epsilon is None
     assert T.calls == 1 and rep.iterations == 0 and rep.bound_violations == 0

@@ -18,13 +18,13 @@ from enrichedfp.space import (
     NonFiniteError,
     NormOperand,
     SpaceElement,
+    SpaceKind,
     WitnessSet,
     check_axioms,
     cross2_norm,
     cross2_space,
     gram_norm,
     gram_space,
-    norm_operand,
     seminorm,
     standard_basis,
     two_norm,
@@ -634,9 +634,9 @@ def _hexes(values):
 @example(case=(gram_space(4), [[2e150, 5e149, 0.0, 1.0]], [[1.0, 0.0, -0.0, 1.0]]))
 @settings(max_examples=150, deadline=None)
 def test_operand_sides_match_the_array_call_and_scalar_bitwise(case):
-    # An operand on either side or both, paired (p, n) and broadcast
-    # (k, 1, n) x (1, m, n): every entry equals the array call and two_norm
-    # by float.hex, NaN included.
+    # An operand on the y side, paired (p, n) and broadcast (k, 1, n) x
+    # (1, m, n): every entry equals the array call and two_norm by float.hex,
+    # NaN included.
     space, xs, ys = case
     X, Y = np.array(xs), np.array(ys)
     p = min(len(X), len(Y))
@@ -648,34 +648,27 @@ def test_operand_sides_match_the_array_call_and_scalar_bitwise(case):
                              ((X[:, None], Y[None]), scalar_table)):
             array_call = two_norm_batch(space, A, B)
             assert _hexes(array_call) == _hexes(want)
-            for a, b in ((norm_operand(space, A), B), (A, norm_operand(space, B)),
-                         (norm_operand(space, A), norm_operand(space, B))):
-                got = two_norm_batch(space, a, b)
-                assert got.shape == array_call.shape
-                assert _hexes(got) == _hexes(array_call)
+            got = two_norm_batch(space, A, NormOperand(B, space.kind is SpaceKind.GRAM))
+            assert got.shape == array_call.shape
+            assert _hexes(got) == _hexes(array_call)
 
 
 @pytest.mark.parametrize("xs, ys", [
-    (norm_operand(gram_space(2), np.ones((2, 2))), np.ones((2, 3))),   # wrong dimension
-    (np.ones((2, 3)), norm_operand(gram_space(2), np.ones((2, 2)))),
-    (norm_operand(gram_space(3), np.ones((2, 1, 3))), np.ones((2, 3))),  # unequal ndim
-    (norm_operand(gram_space(3), np.ones((2, 3))),                     # no broadcast
-     norm_operand(gram_space(3), np.ones((3, 3)))),
+    (np.ones((2, 3)), NormOperand(np.ones((2, 2)), True)),      # wrong dimension
+    (np.ones((2, 1, 3)), NormOperand(np.ones((2, 3)), True)),   # unequal ndim
+    (np.ones((2, 3)), NormOperand(np.ones((3, 3)), True)),      # no broadcast
 ])
 def test_two_norm_batch_rejects_operands_of_the_wrong_dimension_or_shape(xs, ys):
     with pytest.raises(ValueError, match=r"expected \(\.\.\., 3\) arrays of equal ndim"):
         two_norm_batch(gram_space(3), xs, ys)
 
 
-def test_norm_operand_checks_its_array_and_gram_needs_squares():
-    for bad in (np.ones(3), np.ones((2, 2))):
-        with pytest.raises(ValueError, match=r"expected an \(\.\.\., 3\) array"):
-            norm_operand(gram_space(3), bad)
+def test_gram_pair_needs_an_operand_with_squares():
     # A cross2 operand carries splits only; a gram pair step needs |a|^2.
-    bare = norm_operand(cross2_space(), np.ones((2, 2)))
+    bare = NormOperand(np.ones((2, 2)), False)
     assert bare.sq is None
     with pytest.raises(ValueError, match="squared norms"):
-        two_norm_batch(gram_space(2), bare, np.ones((2, 2)))
+        two_norm_batch(gram_space(2), np.ones((2, 2)), bare)
 
 
 def test_witness_set_scalar_operands_are_the_scalar_arithmetic():
