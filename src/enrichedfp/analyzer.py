@@ -197,10 +197,15 @@ _REFUTE_MARGIN = 4.0
 class _ThetaSample:
     """One draw of pairs, mapped once and reduced to their slopes mu.
 
-    Builds ``D = X - Y`` and ``E = TX - TY`` and makes one batch norm call,
-    ``||E, D||``, to refute the map. The dependence and noise filters depend
-    on neither b nor theta, so the accepted pairs, ``M = max mu`` and
-    ``m = min mu`` are computed here once, and :meth:`estimate` at any b is
+    Builds ``D = X - Y`` and ``E = TX - TY`` and refutes the map by the
+    batch norm ``||E, D||``, which runs only on live pairs with a nonzero
+    ``E``: by N3 ``||0, D|| = 0``, and the kernel's arithmetic on a zero row
+    gives exactly 0, or NaN where D overflows, so such a pair can refute
+    nothing and skipping it changes no decision, index or message. On T^2 of
+    a two-region map, which is constant, no pair reaches the kernel. The
+    dependence and noise filters depend on neither b nor theta, so the
+    accepted pairs, ``M = max mu`` and ``m = min mu`` are computed here
+    once, and :meth:`estimate` at any b is
     ``theta_hat(b) = max(b + M, -(b + m))``.
 
     Overflowing draws (a box near the float range) yield inf and NaN norms,
@@ -229,15 +234,24 @@ class _ThetaSample:
             noise = _NOISE * EPS * np.linalg.norm(
                 np.abs(self.X) + np.abs(self.Y) + np.abs(TX) + np.abs(TY), axis=1)
 
-            area = two_norm_batch(space, E, D)
-            refuting = np.flatnonzero(live & (area > _REFUTE_MARGIN * noise * dmag))
-            if refuting.size:
-                i = int(refuting[0])
-                raise NotCertifiableError(
-                    f"Tx - Ty is not parallel to x - y at sample {i}: "
-                    f"||Tx - Ty, x - y|| = {float(area[i])!r} exceeds its rounding "
-                    f"bound {float(_REFUTE_MARGIN * noise[i] * dmag[i])!r}, so no "
-                    "(b, theta) makes the map enriched")
+            # The rows where E is nonzero, NaN and inf included (both are
+            # != 0), found column by column: an axis=1 reduction over a few
+            # columns is numpy's slow path.
+            moved = E[:, 0] != 0.0
+            for j in range(1, space.dimension):
+                moved |= E[:, j] != 0.0
+            cand = np.flatnonzero(live & moved)
+            if cand.size:
+                area = two_norm_batch(space, E[cand], D[cand])
+                limit = _REFUTE_MARGIN * noise[cand] * dmag[cand]
+                refuting = np.flatnonzero(area > limit)
+                if refuting.size:
+                    k = int(refuting[0])
+                    raise NotCertifiableError(
+                        f"Tx - Ty is not parallel to x - y at sample {int(cand[k])}: "
+                        f"||Tx - Ty, x - y|| = {float(area[k])!r} exceeds its rounding "
+                        f"bound {float(limit[k])!r}, so no (b, theta) makes the map "
+                        "enriched")
 
             mu = np.add.reduce(E * D, axis=1) / dd
             err = noise / dmag + 2.0 * space.dimension * EPS * np.abs(mu)

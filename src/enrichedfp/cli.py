@@ -9,6 +9,9 @@ Subcommands:
 * ``demo``       -- run one of the shipped scenarios (reflection,
   picard-oscillation, asymptotic-piecewise).
 
+The ``enrichedfp`` console script, ``python -m enrichedfp`` and ``python -m
+enrichedfp.cli`` all run :func:`main_entry`.
+
 Scenario files are plain ``key=value`` text with dotted keys for nested
 blocks (map/domain/local/sampling) and a ``schema=1`` header. All floats in
 emitted artifacts are rendered with 17 significant digits so reruns are
@@ -149,7 +152,7 @@ class ScenarioConfig:
     theta: Union[float, str]      # a number or "estimate"
     n: int
     x0: SpaceElement
-    solve: SolveConfig            # its witnesses are always set
+    solve: SolveConfig            # witnesses None is the standard basis
     seed: int
     local_u: Optional[SpaceElement]
     local_r: Optional[float]
@@ -500,8 +503,18 @@ def parse_scenario(path: Union[str, Path]) -> ScenarioConfig:
     return parse_scenario_text(text)
 
 
+def _witnesses(cfg: ScenarioConfig) -> WitnessSet:
+    # The solver reads witnesses None as the standard basis; so does the CLI.
+    w = cfg.solve.witnesses
+    return w if w is not None else standard_basis(cfg.space.dimension)
+
+
 def write_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical text form of a config; parse(write(cfg)) == cfg."""
+    """Canonical text form of a config; parse(write(cfg)) == cfg.
+
+    Witnesses None are written, and parsed back, as the standard basis they
+    stand for.
+    """
     lines = ["schema=1"]
     lines.append(f"space.kind={cfg.space.kind.value}")
     lines.append(f"space.dimension={cfg.space.dimension}")
@@ -512,9 +525,8 @@ def write_scenario(cfg: ScenarioConfig) -> str:
     lines.append(f"n={cfg.n}")
     lines.append(f"x0={_fmt_coords(cfg.x0.coords)}")
     solve = cfg.solve
-    lines.append(
-        "witnesses=" + ";".join(_fmt_coords(w.coords) for w in solve.witnesses.witnesses)
-    )
+    lines.append("witnesses=" + ";".join(_fmt_coords(w.coords)
+                                         for w in _witnesses(cfg).witnesses))
     lines.append(f"tol={fmt_float(solve.tol)}")
     lines.append(f"max_iter={solve.max_iter}")
     lines.append(f"seed={cfg.seed}")
@@ -877,7 +889,7 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
         emit_trace_csv(report.trace, trace)
     elif trace:
         _write_lines(trace, [_trace_header(cfg.space.dimension,
-                                           len(cfg.solve.witnesses.witnesses))])
+                                           len(_witnesses(cfg).witnesses))])
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code
@@ -946,3 +958,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_entry() -> None:  # console-script shim
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichedfp import analyzer
 from enrichedfp.analyzer import (
@@ -36,6 +38,7 @@ from enrichedfp.space import (
     gram_space,
     standard_basis,
     two_norm,
+    two_norm_batch,
 )
 
 SP = cross2_space()
@@ -533,3 +536,91 @@ def test_a_sample_too_large_to_draw_is_not_certifiable():
         estimate_theta(T, 0.5, space, box, None, count, 1)
     with pytest.raises(NotCertifiableError, match="sampling count 10{20} in dimension 8"):
         optimize_b(T, space, box, count=10**20, seed=1)
+
+
+# --- the kernel runs only where Tx - Ty is nonzero ----------------------------------
+
+def _reference_sample(T, space, box, count, seed, eps_dep=1e-8, ratio_noise_tol=1e-12):
+    """The sample as built with the kernel on every live pair.
+
+    Returns the refusal message, or ``(accepted, n_dep, n_noisy, M, m,
+    i_max, i_min)`` with None for the last four when nothing is accepted.
+    """
+    X, Y = analyzer._draw_pairs(box, count, seed)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        TX, TY = T.apply_batch(X), T.apply_batch(Y)
+        D, E = X - Y, TX - TY
+        dd = np.add.reduce(D * D, axis=1)
+        dmag = np.sqrt(dd)
+        live = dmag > eps_dep * box.scale
+        noise = analyzer._NOISE * analyzer.EPS * np.linalg.norm(
+            np.abs(X) + np.abs(Y) + np.abs(TX) + np.abs(TY), axis=1)
+        area = two_norm_batch(space, E, D)
+        bound = analyzer._REFUTE_MARGIN * noise * dmag
+        refuting = np.flatnonzero(live & (area > bound))
+        if refuting.size:
+            i = int(refuting[0])
+            return (f"Tx - Ty is not parallel to x - y at sample {i}: "
+                    f"||Tx - Ty, x - y|| = {float(area[i])!r} exceeds its rounding "
+                    f"bound {float(bound[i])!r}, so no (b, theta) makes the map enriched")
+        mu = np.add.reduce(E * D, axis=1) / dd
+        err = noise / dmag + 2.0 * space.dimension * analyzer.EPS * np.abs(mu)
+    accepted = live & (err <= ratio_noise_tol)
+    n_dep = count - int(np.count_nonzero(live))
+    n_noisy = int(np.count_nonzero(live & ~accepted))
+    if not accepted.any():
+        return (0, n_dep, n_noisy, None, None, None, None)
+    i_max = int(np.argmax(np.where(accepted, mu, -np.inf)))
+    i_min = int(np.argmin(np.where(accepted, mu, np.inf)))
+    return (int(np.count_nonzero(accepted)), n_dep, n_noisy,
+            float(mu[i_max]), float(mu[i_min]), i_max, i_min)
+
+
+def _space(name):
+    return cross2_space() if name == "cross2" else gram_space(int(name.split(":")[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["cross2", "gram:3", "gram:4", "gram:5", "gram:6"]),
+       kind=st.sampled_from(["piecewise", "square", "affine"]),
+       threshold=st.sampled_from([0.5, 2.0, 3.5]),
+       scale=st.sampled_from([0.0, -0.6, 0.5, 1.0, 3.0, -7.0]),
+       half=st.sampled_from([0.5, 2.5, 4.0, 10.0, 1e306, 4e307]),
+       count=st.integers(1, 300), seed=st.integers(0, 2**20))
+def test_screened_sample_equals_the_kernel_on_every_pair(name, kind, threshold, scale,
+                                                         half, count, seed):
+    # Two-region maps mix pairs with Tx - Ty = 0 and 4u/3; their square is
+    # constant; an affine map is parallel everywhere, zero at scale 0, and
+    # overflows to inf and NaN in a box near the float range.
+    space = _space(name)
+    n = space.dimension
+    box = Box.symmetric(n, half)
+    if kind == "affine":
+        T = ScalarAffine(scale, el(*(0.25 * (i + 1) for i in range(n))))
+    else:
+        T = default_piecewise(n, threshold)
+        if kind == "square":
+            T = iterated(T, 2)
+    expected = _reference_sample(T, space, box, count, seed)
+    try:
+        s = analyzer._ThetaSample(T, space, box, count, seed, 1e-8)
+    except NotCertifiableError as exc:
+        assert str(exc) == expected
+        return
+    got = (s.accepted, s.n_dep, s.n_noisy) + (
+        (s.M, s.m, s.i_max, s.i_min) if s.accepted else (None,) * 4)
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", ["cross2", "gram:3", "gram:4", "gram:5", "gram:6"])
+def test_a_constant_square_sends_no_pair_to_the_kernel(name, monkeypatch):
+    space = _space(name)
+    n = space.dimension
+    rows = []
+    real = analyzer.two_norm_batch
+    monkeypatch.setattr(analyzer, "two_norm_batch",
+                        lambda sp, v, z: rows.append(len(v)) or real(sp, v, z))
+    T2 = iterated(default_piecewise(n), 2)
+    est = estimate_theta(T2, 0.5, space, Box.symmetric(n, 4.0), None, 2000, 1)
+    assert est.accepted == 2000 and est.theta_hat == 0.5
+    assert sum(rows) == 0

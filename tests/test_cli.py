@@ -1,12 +1,18 @@
 """Tests for scenario parsing, the run orchestration and artifact emission."""
 
+import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from enrichedfp import cli
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
     EXIT_CERTIFICATE_VIOLATED,
@@ -28,7 +34,7 @@ from enrichedfp.cli import (
     write_scenario,
 )
 from enrichedfp.mapping import Reflection, default_piecewise
-from enrichedfp.solver import SolveReport, SolveStatus, TraceRow
+from enrichedfp.solver import SolveConfig, SolveReport, SolveStatus, TraceRow
 from enrichedfp.space import SpaceElement, cross2_space, standard_basis
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
@@ -942,6 +948,48 @@ def test_a_run_without_iterates_replaces_an_earlier_trace(tmp_path, capsys):
     assert main(argv + [_write(tmp_path, "three", three)]) == EXIT_NOT_CERTIFIABLE
     assert trace.read_text().rstrip("\n").endswith(",res_w0,res_w1,res_w2")
     capsys.readouterr()
+
+
+def _basis_free(text):
+    """The scenario with a hand-built ``SolveConfig()``: witnesses None, default tol."""
+    return dataclasses.replace(parse_scenario_text(text), solve=SolveConfig())
+
+
+def test_a_config_without_witnesses_writes_the_standard_basis():
+    cfg = _basis_free(REFLECTION_SCENARIO)
+    written = write_scenario(cfg)
+    assert "\nwitnesses=" + ";".join(
+        ",".join(fmt_float(c) for c in w.coords) for w in standard_basis(2).witnesses
+    ) + "\n" in written
+    back = parse_scenario_text(written)
+    assert back == dataclasses.replace(cfg, solve=SolveConfig(witnesses=standard_basis(2)))
+    assert write_scenario(back) == written
+
+
+def test_a_failed_run_without_witnesses_writes_one_column_per_basis_vector(
+        tmp_path, capsys, monkeypatch):
+    refused = REFLECTION_SCENARIO.replace("b=0.5", "b=0").replace("theta=estimate", "theta=5")
+    monkeypatch.setattr(cli, "parse_scenario", lambda path: _basis_free(refused))
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "--scenario", "unused", "--trace", str(trace)]) == EXIT_NOT_CERTIFIABLE
+    assert trace.read_text() == (
+        "n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1\n")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["enrichedfp", "enrichedfp.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    missing = tmp_path / "missing.scenario"
+    proc = subprocess.run([sys.executable, "-m", module, "solve", "--scenario", str(missing)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_INTERNAL and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"scenario error: scenario file not found: {missing}"]
+    if module == "enrichedfp":
+        assert proc.stderr.splitlines() == errors
 
 
 def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):

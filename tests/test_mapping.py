@@ -163,6 +163,22 @@ def test_sup_norm_region_batch_matches_scalar():
         assert region.contains(SpaceElement(tuple(row))) == bool(m)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("t", [0.0, 2.0, 1e308])
+def test_sup_norm_region_batch_is_the_row_max_test(n, t):
+    # NaN in a row makes it not contained, as np.max propagates NaN; -0.0,
+    # the threshold itself and its negative are not above it.
+    rng = np.random.default_rng(100 * n + int(t > 1))
+    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, t, -t, np.nextafter(t, np.inf),
+                     np.nextafter(t, -np.inf), 1.5, -2.5])
+    xs = rng.uniform(-4.0, 4.0, size=(400, n))
+    special = rng.random((400, n)) < 0.3
+    xs[special] = rng.choice(pool, size=int(special.sum()))
+    xs[:len(pool)] = pool[:, None]  # rows of one value each
+    expected = np.max(np.abs(xs), axis=1) > t
+    assert np.array_equal(SupNormRegion(t).contains_batch(xs), expected)
+
+
 # --- fixed point transfer -------------------------------------------------------
 
 def test_fixed_points_transfer_to_averaged_map():
