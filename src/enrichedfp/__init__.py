@@ -66,15 +66,5 @@ from .solver import (
     local_ball_solve,
     picard_solve,
 )
-from .cli import (
-    ScenarioConfig,
-    ScenarioError,
-    emit_report,
-    emit_trace_csv,
-    parse_scenario,
-    parse_scenario_text,
-    run_scenario,
-    write_scenario,
-)
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ and every ratio of the inequality is ``|b + mu|`` whatever z is.
 
 * A pair whose ``||E, D||`` exceeds its rounding bound by ``_REFUTE_MARGIN``
   refutes the map: :class:`NotCertifiableError` names it.
-* Near-dependent pairs, where ``|D|`` is at most ``eps_dep * region scale``,
-  are skipped: the quantifier constrains nothing there.
+* Near-dependent pairs, where ``|D|`` is at most ``_EPS_DEP = 1e-8`` times
+  the box scale ``max(1, |lo_i|, |hi_i|)``, are skipped: the quantifier
+  constrains nothing there.
 * Numerically untrusted pairs are skipped, where a forward error bound on
   mu exceeds ``ratio_noise_tol``. Evaluating T in doubles perturbs E by a few
   ulps of the coordinate magnitudes, and dividing by a small ``|D|``
@@ -184,6 +185,12 @@ def _draw_pairs(region: Box, count: int, seed: int) -> tuple[np.ndarray, np.ndar
     return pts[:, 0, :], pts[:, 1, :]
 
 
+# The box scale max(1, |lo_i|, |hi_i|) never drops below 1, so a box inside
+# [-1, 1]^n whose diagonal is at most _EPS_DEP has no live pair: at a scale
+# near 1e-150 the kernel's products |E|^2 |D|^2 underflow, and ||E, D|| would
+# read 0 on pairs that are not parallel.
+_EPS_DEP = 1e-8
+
 # Rounding of T, of E = Tx - Ty and of D = x - y moves each coordinate of E
 # by at most about _NOISE * EPS times the magnitudes |x| + |y| + |Tx| + |Ty|
 # that entered it, so ||E, D|| by at most that times |D| (||e, D|| <= |e| |D|)
@@ -198,14 +205,14 @@ class _ThetaSample:
     """One draw of pairs, mapped once and reduced to their slopes mu.
 
     Builds ``D = X - Y`` and ``E = TX - TY`` and refutes the map by the
-    batch norm ``||E, D||``, which runs only on live pairs with a nonzero
-    ``E``: by N3 ``||0, D|| = 0``, and the kernel's arithmetic on a zero row
-    gives exactly 0, or NaN where D overflows, so such a pair can refute
-    nothing and skipping it changes no decision, index or message. On T^2 of
-    a two-region map, which is constant, no pair reaches the kernel. The
-    dependence and noise filters depend on neither b nor theta, so the
-    accepted pairs, ``M = max mu`` and ``m = min mu`` are computed here
-    once, and :meth:`estimate` at any b is
+    batch norm ``||E, D||``, which runs only on live pairs (not near-dependent
+    by ``_EPS_DEP``) with a nonzero ``E``: by N3 ``||0, D|| = 0``, and the
+    kernel's arithmetic on a zero row gives exactly 0, or NaN where D
+    overflows, so such a pair can refute nothing and skipping it changes no
+    decision, index or message. On T^2 of a two-region map, which is
+    constant, no pair reaches the kernel. The dependence and noise filters
+    depend on neither b nor theta, so the accepted pairs, ``M = max mu`` and
+    ``m = min mu`` are computed here once, and :meth:`estimate` at any b is
     ``theta_hat(b) = max(b + M, -(b + m))``.
 
     Overflowing draws (a box near the float range) yield inf and NaN norms,
@@ -214,11 +221,10 @@ class _ThetaSample:
     """
 
     def __init__(self, T: SelfMap, space: TwoNormSpace, region: Box, count: int,
-                 seed: int, eps_dep: float, ratio_noise_tol: float = 1e-12):
+                 seed: int, ratio_noise_tol: float = 1e-12):
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        if eps_dep <= 0:
-            raise ValueError(f"eps_dep must be positive, got {eps_dep}")
+        scale = max(1.0, *map(abs, region.lo), *map(abs, region.hi))
         self.count = count
         self.seed = seed
         self.X, self.Y = _draw_pairs(region, count, seed)
@@ -229,7 +235,7 @@ class _ThetaSample:
             E = TX - TY
             dd = np.add.reduce(D * D, axis=1)
             dmag = np.sqrt(dd)
-            live = dmag > eps_dep * region.scale
+            live = dmag > _EPS_DEP * scale
             self.n_dep = count - int(np.count_nonzero(live))
             noise = _NOISE * EPS * np.linalg.norm(
                 np.abs(self.X) + np.abs(self.Y) + np.abs(TX) + np.abs(TY), axis=1)
@@ -293,7 +299,6 @@ def estimate_theta(
     witnesses: Optional[WitnessSet],
     count: int,
     seed: int,
-    eps_dep: float = 1e-8,
     ratio_noise_tol: float = 1e-12,
 ) -> ThetaEstimate:
     """Sampled supremum of ||b(x-y) + Tx - Ty, z|| / ||x-y, z|| over the box.
@@ -309,19 +314,20 @@ def estimate_theta(
     """
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    return _ThetaSample(T, space, region, count, seed, eps_dep, ratio_noise_tol).estimate(b)
+    return _ThetaSample(T, space, region, count, seed, ratio_noise_tol).estimate(b)
 
 
 _INFLATION = 1.01
 
 
-def certify_sampled(b: float, estimate: ThetaEstimate) -> EnrichedCertificate:
-    """Certify from a sampled estimate, inflating theta_hat for margin.
+def certify_sampled(estimate: ThetaEstimate) -> EnrichedCertificate:
+    """Certify at the estimate's b, inflating theta_hat for margin.
 
     Sampling estimates the supremum from below, so theta_hat is inflated by
     ``_INFLATION`` (capped midway below b+1) before certification; empty
-    estimates are refused outright.
+    estimates are refused outright. The certificate's b is the estimate's.
     """
+    b = estimate.b
     if estimate.accepted == 0:
         raise NotCertifiableError(f"no trustworthy samples at b={b}")
     if estimate.theta_hat >= b + 1.0:
@@ -338,7 +344,6 @@ def optimize_b(
     region: Box,
     count: int = 100_000,
     seed: int = 0,
-    eps_dep: float = 1e-8,
 ) -> tuple[float, EnrichedCertificate]:
     """The b minimising the averaged contraction factor d(b) = theta(b)/(b+1).
 
@@ -350,7 +355,7 @@ def optimize_b(
     when M < 1, so it is least at ``b* = max(0, -(M + m)/2)``, where
     ``d_hat = (M - m)/(2 - M - m)`` when that b is positive; with M >= 1,
     ``d_hat(b) >= 1`` for every b. The returned certificate is exactly
-    ``certify_sampled(b*, estimate_theta(T, b*, ..., count, seed, eps_dep))``.
+    ``certify_sampled(estimate_theta(T, b*, ..., count, seed))``.
     """
     c = affine_reduction(T)
     if c is not None:
@@ -358,11 +363,11 @@ def optimize_b(
             raise NotCertifiableError(f"the map's slope c={c} is not finite")
         b = max(0.0, -c)
         return b, certify(b, theta_scalar_affine(c, b), Provenance.closed_form())
-    sample = _ThetaSample(T, space, region, count, seed, eps_dep)
+    sample = _ThetaSample(T, space, region, count, seed)
     if sample.accepted == 0:
         raise NotCertifiableError("no trustworthy samples for any b")
     if not sample.M < 1.0:
         raise NotCertifiableError(
             f"sampled slope M={sample.M!r} is not below 1, so d(b) >= 1 for every b")
     b = max(0.0, -(sample.M + sample.m) / 2.0)
-    return b, certify_sampled(b, sample.estimate(b))
+    return b, certify_sampled(sample.estimate(b))

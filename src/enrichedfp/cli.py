@@ -137,7 +137,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class SamplingSettings:
     count: int
-    eps_dep: float
+    seed: int
     box: Box
 
 
@@ -153,7 +153,6 @@ class ScenarioConfig:
     n: int
     x0: SpaceElement
     solve: SolveConfig            # witnesses None is the standard basis
-    seed: int
     local_u: Optional[SpaceElement]
     local_r: Optional[float]
     sampling: SamplingSettings
@@ -455,9 +454,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         raise ScenarioError("local.r: must be positive")
 
     count = _parse_int(kv.pop("sampling.count", "100000"), "sampling.count")
-    eps_dep = _parse_float(kv.pop("sampling.eps_dep", "1e-8"), "sampling.eps_dep")
-    if count < 1 or eps_dep <= 0:
-        raise ScenarioError("sampling: count must be >= 1 and eps_dep positive")
+    if count < 1:
+        raise ScenarioError("sampling.count: must be at least 1")
     lo = _parse_coords(kv.pop("sampling.lo", "-10"), "sampling.lo")
     hi = _parse_coords(kv.pop("sampling.hi", "10"), "sampling.hi")
     if len(lo) == 1:
@@ -467,7 +465,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     _require_dim(lo, "sampling.lo", dim)
     _require_dim(hi, "sampling.hi", dim)
     try:
-        sampling = SamplingSettings(count=count, eps_dep=eps_dep, box=Box(lo, hi))
+        sampling = SamplingSettings(count=count, seed=seed, box=Box(lo, hi))
     except ValueError as exc:
         raise ScenarioError(f"sampling: {exc}") from None
 
@@ -484,7 +482,6 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         x0=x0,
         solve=SolveConfig(tol=tol, max_iter=max_iter, witnesses=witnesses,
                           domain=domain, bound_beta=beta),
-        seed=seed,
         local_u=local_u,
         local_r=local_r,
         sampling=sampling,
@@ -529,7 +526,7 @@ def write_scenario(cfg: ScenarioConfig) -> str:
                                          for w in _witnesses(cfg).witnesses))
     lines.append(f"tol={fmt_float(solve.tol)}")
     lines.append(f"max_iter={solve.max_iter}")
-    lines.append(f"seed={cfg.seed}")
+    lines.append(f"seed={cfg.sampling.seed}")
     region = solve.domain
     if region is not None:
         if isinstance(region, Box):
@@ -549,7 +546,6 @@ def write_scenario(cfg: ScenarioConfig) -> str:
     if cfg.local_r is not None:
         lines.append(f"local.r={fmt_float(cfg.local_r)}")
     lines.append(f"sampling.count={cfg.sampling.count}")
-    lines.append(f"sampling.eps_dep={fmt_float(cfg.sampling.eps_dep)}")
     lines.append(f"sampling.lo={_fmt_coords(cfg.sampling.box.lo)}")
     lines.append(f"sampling.hi={_fmt_coords(cfg.sampling.box.hi)}")
     return "\n".join(lines) + "\n"
@@ -571,8 +567,7 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
             cfg.space,
             cfg.sampling.box,
             count=cfg.sampling.count,
-            seed=cfg.seed,
-            eps_dep=cfg.sampling.eps_dep,
+            seed=cfg.sampling.seed,
         )
         return cert
     b = float(cfg.b)
@@ -588,10 +583,9 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
         cfg.sampling.box,
         None,  # witnesses: z = x - y decides every ratio
         cfg.sampling.count,
-        cfg.seed,
-        cfg.sampling.eps_dep,
+        cfg.sampling.seed,
     )
-    return certify_sampled(b, est)
+    return certify_sampled(est)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:

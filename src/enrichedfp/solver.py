@@ -462,7 +462,7 @@ def asymptotic_solve(
     by T (applying T to it yields another fixed point of T^N, which must be
     the same point), and the final T-residual is verified against tol. A
     failed verification downgrades the report to MaxIterExceeded with a
-    diagnostic.
+    diagnostic and no x_star.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
@@ -475,6 +475,7 @@ def asymptotic_solve(
             report = replace(
                 report,
                 status=SolveStatus.MAX_ITER,
+                x_star=None,
                 warnings=report.warnings
                 + (
                     f"fixed point of the {N}-th iterate is not fixed by the map "

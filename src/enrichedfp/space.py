@@ -154,10 +154,6 @@ class Box:
     def dimension(self) -> int:
         return len(self.lo)
 
-    @property
-    def scale(self) -> float:
-        return max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi), 1.0)
-
     def contains(self, space: "TwoNormSpace", x: SpaceElement) -> bool:
         return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi, strict=True))
 

@@ -151,8 +151,6 @@ def test_estimate_theta_validates_inputs():
         estimate_theta(T, -1.0, SP, BOX, WIT, 100, seed=0)
     with pytest.raises(ValueError):
         estimate_theta(T, 0.0, SP, BOX, WIT, 0, seed=0)
-    with pytest.raises(ValueError):
-        estimate_theta(T, 0.0, SP, BOX, WIT, 100, seed=0, eps_dep=0.0)
 
 
 def test_estimate_theta_deterministic():
@@ -232,7 +230,7 @@ def test_iterated_piecewise_square_is_constant_hence_theta_is_b():
     T2 = iterated(default_piecewise(2), 2)
     est = estimate_theta(T2, 1.0, SP, BOX, WIT, 50_000, seed=4)
     assert est.theta_hat == 1.0
-    cert = certify_sampled(1.0, est)
+    cert = certify_sampled(est)
     assert cert.theta == pytest.approx(1.01)
     # and the optimal averaging needs no averaging at all: b* = 0, d = 0
     b, cert0 = optimize_b(T2, SP, BOX, count=30_000)
@@ -270,7 +268,7 @@ def test_default_piecewise_map_is_refuted():
 def test_certify_sampled_inflates_and_guards():
     T = Reflection(el(2, 0))
     est = estimate_theta(T, 0.5, SP, BOX, WIT, 20_000, seed=1)
-    cert = certify_sampled(0.5, est)
+    cert = certify_sampled(est)
     assert cert.theta >= est.theta_hat
     assert cert.theta <= 1.01 * est.theta_hat + 1e-15
     assert cert.provenance.kind == "sampled"
@@ -278,10 +276,10 @@ def test_certify_sampled_inflates_and_guards():
     with pytest.raises(NotCertifiableError, match="not parallel"):
         estimate_theta(default_piecewise(2), 0.0, SP, BOX, WIT, 100_000, seed=5)
     # No mu is trusted to 1e-16, below the rounding of any slope: empty.
-    empty = estimate_theta(T, 0.5, SP, BOX, WIT, 2_000, 1, 1e-8, 1e-16)
+    empty = estimate_theta(T, 0.5, SP, BOX, WIT, 2_000, 1, ratio_noise_tol=1e-16)
     assert (empty.accepted, empty.theta_hat, empty.argmax_pair) == (0, 0.0, None)
     with pytest.raises(NotCertifiableError, match="no trustworthy samples"):
-        certify_sampled(0.5, empty)
+        certify_sampled(empty)
 
 
 # --- b optimisation ----------------------------------------------------------------
@@ -379,7 +377,7 @@ def _slopes(T, box, count, seed):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_per_b_evaluation_equals_estimate_theta(dim):
+def test_per_b_evaluation_equals_estimate_theta(dim, monkeypatch):
     # One sample answers every b with estimate_theta's estimate, and that
     # estimate is max(b + M, -(b + m)): the largest sampled |b + mu|.
     space = cross2_space() if dim == 2 else gram_space(3)
@@ -389,16 +387,18 @@ def test_per_b_evaluation_equals_estimate_theta(dim):
     maps = (iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim),
             CountingMap(ScalarAffine(-2.5, el(*([1.0] * dim)))))
     seen = []
-    # (eps_dep, ratio_noise_tol): the defaults, then guards tight enough that
-    # dependent and noisy pairs and empty estimates occur.
-    for eps_dep, tol in ((1e-8, 1e-12), (0.25, 4e-15)):
+    # (dependence floor, ratio_noise_tol): the defaults, then guards tight
+    # enough that dependent and noisy pairs and empty estimates occur. The
+    # box scale is 4.
+    for floor, tol in ((1e-8, 1e-12), (0.25, 4e-15)):
+        monkeypatch.setattr(analyzer, "_EPS_DEP", floor)
         for T in maps:
-            sample = analyzer._ThetaSample(T, space, box, 3_000, 7, eps_dep, tol)
+            sample = analyzer._ThetaSample(T, space, box, 3_000, 7, tol)
             X, Y, slopes = _slopes(T, box, 3_000, 7)
-            live = [i for i, (dmag, _) in enumerate(slopes) if dmag > eps_dep * box.scale]
+            live = [i for i, (dmag, _) in enumerate(slopes) if dmag > floor * 4.0]
             for b in bs:
                 got = sample.estimate(b)
-                assert got == estimate_theta(T, b, space, box, WIT, 3_000, 7, eps_dep, tol)
+                assert got == estimate_theta(T, b, space, box, WIT, 3_000, 7, tol)
                 assert got.skipped_dependent == 3_000 - len(live)
                 assert got.skipped_noisy + got.accepted == len(live)
                 # theta_hat is the |b + mu| of its argmax pair. With no noisy
@@ -442,10 +442,10 @@ def test_optimize_b_maps_its_sample_once(monkeypatch):
 def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     T = _reflection_at_0_6(dim)
     box, wit = Box.symmetric(dim), standard_basis(dim)
-    b, cert = optimize_b(T, space, box, count=4_000, seed=11, eps_dep=1e-7)
+    b, cert = optimize_b(T, space, box, count=4_000, seed=11)
     assert cert.provenance == Provenance.sampled(4_000, 11)
-    est = estimate_theta(T, b, space, box, wit, 4_000, 11, 1e-7)
-    assert cert == certify_sampled(b, est)
+    est = estimate_theta(T, b, space, box, wit, 4_000, 11)
+    assert cert == certify_sampled(est)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -471,7 +471,7 @@ def test_optimize_b_is_the_closed_form_in_the_sampled_slopes(dim):
         seed = rng.randrange(1 << 20)
         b, cert = optimize_b(T, space, box, count=2_000, seed=seed)
         est = estimate_theta(T, b, space, box, None, 2_000, seed)
-        assert cert == certify_sampled(b, est)
+        assert cert == certify_sampled(est)
         # The slopes are c up to rounding, so b and d are those of the closed form.
         assert abs(b - max(0.0, -c)) <= 1e-12 and cert.d <= abs(c) * 1.01 + 1e-12
         if est.skipped_noisy or est.skipped_dependent:
@@ -538,9 +538,41 @@ def test_a_sample_too_large_to_draw_is_not_certifiable():
         optimize_b(T, space, box, count=10**20, seed=1)
 
 
+def test_the_dependence_floor_scales_with_the_box_and_never_drops_below_one():
+    # A pair is dependent when |x - y| <= 1e-8 * max(1, |lo_i|, |hi_i|).
+    T = CountingMap(ScalarAffine(0.5, el(1, 0)))
+    near_1e9 = Box((1e9, 1e9), (1e9 + 100, 1e9 + 100))
+    X, Y = analyzer._draw_pairs(near_1e9, 1_000, 1)
+    dependent = int(np.count_nonzero(np.linalg.norm(X - Y, axis=1) <= 1e-8 * (1e9 + 100)))
+    assert 0 < dependent < 1_000
+    assert estimate_theta(T, 0.0, SP, near_1e9, WIT, 1_000, 1).skipped_dependent == dependent
+    # Width 1 near 1e9: every |x - y| is below 10. In [-1e-9, 1e-9]^2 the
+    # floor of 1 applies, so every |x - y| is below 1e-8: the kernel's
+    # products underflow at tiny scales, and such a box certifies nothing.
+    for box in (Box((1e9, 1e9), (1e9 + 1, 1e9 + 1)), Box.symmetric(2, 1e-9)):
+        est = estimate_theta(T, 0.0, SP, box, WIT, 1_000, 1)
+        assert (est.skipped_dependent, est.accepted) == (1_000, 0)
+        with pytest.raises(NotCertifiableError, match="no trustworthy samples at b=0.0"):
+            certify_sampled(est)
+
+
+def test_a_sampled_slope_of_one_or_more_is_refused():
+    # x -> 1.5 x + t behind a wrapper that hides it from the closed form:
+    # d(b) = (b + 1.5)/(b + 1) >= 1 for every b, and theta_hat >= b + 1 at b = 0.
+    T = CountingMap(ScalarAffine(1.5, el(1, 0)))
+    with pytest.raises(NotCertifiableError,
+                       match=r"^sampled slope M=1\.5\d* is not below 1, so d\(b\) >= 1"):
+        optimize_b(T, SP, BOX, count=2_000, seed=1)
+    est = estimate_theta(T, 0.0, SP, BOX, WIT, 2_000, 1)
+    assert est.b == 0.0 and abs(est.theta_hat - 1.5) < 1e-12
+    with pytest.raises(NotCertifiableError,
+                       match=r"^sampled theta_hat=1\.5\d* is not below b\+1=1\.0$"):
+        certify_sampled(est)
+
+
 # --- the kernel runs only where Tx - Ty is nonzero ----------------------------------
 
-def _reference_sample(T, space, box, count, seed, eps_dep=1e-8, ratio_noise_tol=1e-12):
+def _reference_sample(T, space, box, count, seed, ratio_noise_tol=1e-12):
     """The sample as built with the kernel on every live pair.
 
     Returns the refusal message, or ``(accepted, n_dep, n_noisy, M, m,
@@ -552,7 +584,7 @@ def _reference_sample(T, space, box, count, seed, eps_dep=1e-8, ratio_noise_tol=
         D, E = X - Y, TX - TY
         dd = np.add.reduce(D * D, axis=1)
         dmag = np.sqrt(dd)
-        live = dmag > eps_dep * box.scale
+        live = dmag > 1e-8 * max(1.0, *map(abs, box.lo), *map(abs, box.hi))
         noise = analyzer._NOISE * analyzer.EPS * np.linalg.norm(
             np.abs(X) + np.abs(Y) + np.abs(TX) + np.abs(TY), axis=1)
         area = two_norm_batch(space, E, D)
@@ -603,7 +635,7 @@ def test_screened_sample_equals_the_kernel_on_every_pair(name, kind, threshold, 
             T = iterated(T, 2)
     expected = _reference_sample(T, space, box, count, seed)
     try:
-        s = analyzer._ThetaSample(T, space, box, count, seed, 1e-8)
+        s = analyzer._ThetaSample(T, space, box, count, seed)
     except NotCertifiableError as exc:
         assert str(exc) == expected
         return

@@ -20,6 +20,7 @@ from enrichedfp.cli import (
     EXIT_DIVERGED,
     EXIT_INTERNAL,
     EXIT_LEFT_DOMAIN,
+    EXIT_MAX_ITER,
     EXIT_NOT_CERTIFIABLE,
     EXIT_OSCILLATION,
     ScenarioError,
@@ -57,10 +58,9 @@ def test_parse_reflection_defaults():
     assert cfg.solve.witnesses == standard_basis(2)
     assert cfg.solve.tol == 1e-10
     assert cfg.solve.max_iter == 10_000
-    assert cfg.seed == 0
     assert cfg.n == 1
     assert cfg.sampling.count == 100_000
-    assert cfg.sampling.eps_dep == 1e-8
+    assert cfg.sampling.seed == 0
     assert cfg.sampling.box.lo == (-10.0, -10.0)
 
 
@@ -121,7 +121,6 @@ domain.lo=-50,-50,-50
 domain.hi=50,50,50
 domain.beta=100
 sampling.count=5000
-sampling.eps_dep=1e-7
 sampling.lo=-5,-5,-5
 sampling.hi=5,5,5
 """
@@ -228,8 +227,7 @@ def _scenario_texts(draw):
         lines.append(f"domain.beta={draw(_num)!r}")
     if mode == "local" or draw(st.booleans()):
         lines += [f"local.u={draw(_vec(dim))}", f"local.r={draw(_positive)!r}"]
-    lines += [f"sampling.count={draw(st.integers(1, 10**6))}",
-              f"sampling.eps_dep={draw(_positive)!r}"]
+    lines.append(f"sampling.count={draw(st.integers(1, 10**6))}")
     sampling = draw(st.sampled_from([None, "broadcast", "full"]))
     if sampling == "broadcast":
         lo, hi = draw(_bounds(1))
@@ -986,10 +984,8 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     proc = subprocess.run([sys.executable, "-m", module, "solve", "--scenario", str(missing)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_INTERNAL and proc.stdout == ""
-    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert errors == [f"scenario error: scenario file not found: {missing}"]
-    if module == "enrichedfp":
-        assert proc.stderr.splitlines() == errors
+    # One line, and no runpy warning before it for the enrichedfp.cli form.
+    assert proc.stderr.splitlines() == [f"scenario error: scenario file not found: {missing}"]
 
 
 def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):
@@ -1161,3 +1157,110 @@ def test_a_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
     assert main(["solve", "--scenario", str(path)]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("scenario error: scenario file is not UTF-8: ")
+
+
+# --- every parser error branch ---------------------------------------------------------
+
+_BASE = """\
+schema=1
+space.kind=cross2
+map.kind=reflection
+map.w=2,0
+b=0.5
+theta=estimate
+x0=0,0
+"""
+
+
+def _with(changes):
+    """``_BASE`` with each key set to its value, or removed where it is None;
+    a string is a line appended as it is."""
+    if isinstance(changes, str):
+        return _BASE + changes + "\n"
+    kv = dict(line.split("=", 1) for line in _BASE.splitlines())
+    kv.update(changes)
+    return "".join(f"{k}={v}\n" for k, v in kv.items() if v is not None)
+
+
+_NO_W = {"map.w": None}
+_BALL = {"domain.kind": "ball", "domain.u": "0,1", "domain.center": "0,0"}
+
+_PARSE_ERRORS = {
+    "no-equals": ("oops", "line 8: expected key=value, got 'oops'"),
+    "non-finite": ({"tol": "inf"}, "tol: must be finite, got 'inf'"),
+    "non-integer": ({"max_iter": "1.5"}, "max_iter: not an integer: '1.5'"),
+    "empty-coordinates": ({"x0": ","}, "x0: empty coordinate list"),
+    "bad-boolean": ({**_BALL, "domain.radius": "1", "domain.closed": "maybe"},
+                    "domain.closed: expected true or false, got 'maybe'"),
+    "no-map-kind": ({"map.kind": None, **_NO_W}, "map.kind: missing"),
+    "reflection-without-w": (_NO_W, "map.w: missing for reflection"),
+    "affine-without-shift": ({"map.kind": "scalar_affine", **_NO_W, "map.scale": "0.5"},
+                             "map: scalar_affine needs scale and shift"),
+    "piecewise-without-u": ({"map.kind": "piecewise_two_set", **_NO_W},
+                            "map.u: missing for piecewise_two_set"),
+    "unknown-region": ({"map.kind": "piecewise_two_set", **_NO_W, "map.u": "1,1",
+                        "map.region.kind": "ball"}, "map.region.kind: unknown region 'ball'"),
+    "averaged-without-lambda": ({"map.kind": "averaged", **_NO_W,
+                                 "map.inner.kind": "reflection", "map.inner.w": "2,0"},
+                                "map.lambda: missing for averaged"),
+    "iterated-without-times": ({"map.kind": "iterated", **_NO_W,
+                                "map.inner.kind": "reflection", "map.inner.w": "2,0"},
+                               "map.times: missing for iterated"),
+    "unknown-map": ({"map.kind": "rotation"}, "map.kind: unknown map kind 'rotation'"),
+    "map-of-another-dimension": ({"map.w": "2,0,0"},
+                                 "map: dimension 3 does not match space dimension 2"),
+    "unknown-mode": ({"mode": "newton"}, "mode: expected one of ('krasnoselskij', 'picard', "
+                                         "'local', 'asymptotic'), got 'newton'"),
+    "cross2-dimension-3": ({"space.dimension": "3"},
+                           "space.dimension: cross2 requires dimension 2"),
+    "gram-without-dimension": ({"space.kind": "gram"},
+                               "space.dimension: required for gram spaces"),
+    "negative-b": ({"b": "-1"}, "b: must be nonnegative"),
+    "negative-theta": ({"theta": "-0.5"}, "theta: must be nonnegative"),
+    "n-zero": ({"n": "0"}, "n: must be at least 1"),
+    "no-x0": ({"x0": None}, "x0: missing"),
+    "witnesses-not-spanning": ({"witnesses": "1,0;2,0"},
+                               "witnesses: witness set does not span the space"),
+    "witnesses-of-another-dimension": ({"witnesses": "1,0,0;0,1,0;0,0,1"},
+                                       "witnesses: dimension does not match the space"),
+    "tol-zero": ({"tol": "0"}, "tol: must be positive"),
+    "max-iter-zero": ({"max_iter": "0"}, "max_iter: must be at least 1"),
+    "box-without-hi": ({"domain.kind": "box", "domain.lo": "-1,-1"},
+                       "domain: box needs domain.lo and domain.hi"),
+    "ball-without-radius": (_BALL, "domain: ball needs domain.u, domain.center, domain.radius"),
+    "unknown-domain": ({"domain.kind": "disc"}, "domain.kind: expected box or ball, got 'disc'"),
+    "local-r-zero": ({"local.u": "0,1", "local.r": "0"}, "local.r: must be positive"),
+    "sampling-count-zero": ({"sampling.count": "0"}, "sampling.count: must be at least 1"),
+    "removed-eps-dep": ({"sampling.eps_dep": "1e-7"}, "unknown keys: sampling.eps_dep"),
+}
+
+
+@pytest.mark.parametrize("changes, message", _PARSE_ERRORS.values(), ids=_PARSE_ERRORS.keys())
+def test_each_parse_error_is_one_line_naming_the_key(changes, message, tmp_path, capsys):
+    path = _write(tmp_path, "s", _with(changes))
+    assert main(["solve", "--scenario", path]) == EXIT_INTERNAL
+    assert capsys.readouterr() == ("", f"scenario error: {message}\n")
+
+
+def test_blank_and_comment_lines_parse_like_the_text_without_them():
+    lines = _BASE.splitlines()
+    padded = "\n".join(["# a comment", ""] + lines[:3] + ["   ", "  # indented"] + lines[3:])
+    assert parse_scenario_text(padded + "\n\n") == parse_scenario_text(_BASE)
+
+
+def test_a_sampled_analyze_prints_its_provenance(tmp_path, capsys):
+    text = (DEMO_SCENARIOS["asymptotic-piecewise"].replace("theta=1", "theta=estimate")
+            .replace("seed=0", "seed=3") + "sampling.count=2000\n")
+    assert main(["analyze", "--scenario", _write(tmp_path, "s", text)]) == EXIT_CONVERGED
+    out, err = capsys.readouterr()
+    assert out.endswith("\nprovenance=sampled(count=2000,seed=3)\n") and err == ""
+
+
+def test_an_asymptotic_fixed_point_that_the_map_moves_reports_no_x_star(tmp_path, capsys):
+    # T^2 is the identity, so x0 is the fixed point of T^2, but T moves it by 2.
+    text = _with({"mode": "asymptotic", "b": "0", "theta": "0.5", "n": "2"})
+    assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_MAX_ITER
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status=MaxIterExceeded" and "x_star=none" in lines
+    assert ("warning=fixed point of the 2-th iterate is not fixed by the map itself: "
+            "residual 2.0 exceeds tol 1e-10") in lines
