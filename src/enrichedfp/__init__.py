@@ -36,7 +36,6 @@ from .mapping import (
     ScalarAffine,
     SelfMap,
     SupNormRegion,
-    affine_reduction,
     averaged,
     default_piecewise,
     iterated,
@@ -47,8 +46,8 @@ from .analyzer import (
     Provenance,
     ThetaEstimate,
     certify,
-    certify_sampled,
     estimate_theta,
+    map_slope,
     optimize_b,
     theta_scalar_affine,
 )

@@ -1,4 +1,4 @@
-"""Enrichment analysis: estimate theta for a given b and certify contractivity.
+"""Enrichment analysis: the exact slope of a map tree, certificates and the best b.
 
 A map T is (b, theta)-enriched when ``||b(x-y) + Tx - Ty, z|| <= theta
 ||x-y, z||`` for all x, y, z, with b >= 0 and theta in [0, b+1). Averaging T
@@ -9,26 +9,47 @@ The quantifier includes z = x - y, where the right side is 0 (N1). Write
 ``D = x - y`` and ``E = Tx - Ty``: absolute homogeneity (N3) and the triangle
 inequality (N4) give ``||b D + E, D|| = ||E, D||``, so an enriched map has
 ``||E, D|| = 0``, that is ``Tx - Ty`` parallel to ``x - y``, on every pair,
-whatever b and theta are. One pair that is not parallel therefore refutes
-every (b, theta). On a parallel pair ``E = mu D`` with ``mu = <E, D>/<D, D>``,
-and every ratio of the inequality is ``|b + mu|`` whatever z is.
+whatever b and theta are. On a region that does not lie on a line this makes
+T the map ``x -> c x + t`` with one slope c, and every ratio of the
+inequality is then ``|b + c|`` (:func:`theta_scalar_affine`).
 
-``estimate_theta`` samples pairs (x, y) from a box and applies T to them once.
+Every map the package builds is a tree of reflection, scalar-affine,
+two-region, averaged and iterated nodes, and the analysis turns such a tree
+into the pieces ``x -> c_k x + t_k`` it takes over a box, each with an
+enclosure of its image (interval abstract interpretation, Cousot & Cousot,
+POPL 1977):
 
-* A pair whose ``||E, D||`` exceeds its rounding bound by ``_REFUTE_MARGIN``
-  refutes the map: :class:`NotCertifiableError` names it.
-* Near-dependent pairs, where ``|D|`` is at most ``_EPS_DEP = 1e-8`` times
-  the box scale ``max(1, |lo_i|, |hi_i|)``, are skipped: the quantifier
-  constrains nothing there.
-* Numerically untrusted pairs are skipped, where a forward error bound on
-  mu exceeds ``ratio_noise_tol``. Evaluating T in doubles perturbs E by a few
-  ulps of the coordinate magnitudes, and dividing by a small ``|D|``
-  amplifies that; such pairs say nothing about theta.
+* a reflection or scalar-affine leaf maps each piece and its image box;
+* a two-region node gives the constant u when the image box lies wholly
+  inside ``{sup > threshold}``, the constant -u/3 when it lies wholly outside,
+  and both when it straddles the boundary;
+* an averaged node mixes each piece of its inner node with the identity;
+* an iterated node folds its inner node over the pieces so far.
 
-Over the accepted pairs, with ``M = max mu`` and ``m = min mu``, the largest
-sampled ratio is ``theta_hat(b) = max(b + M, -(b + m))``. Every accepted mu
-is within ``ratio_noise_tol`` of the true slope of the implemented map, so
-``theta_hat`` estimates the supremum from below up to that tolerance.
+Pieces with the same (c, t) merge. One remaining piece certifies
+``theta = |b + c|`` at every b, least in d at ``b* = max(0, -c)``; two
+pieces mean that no (b, theta) holds, and the refusal names both. A node's
+slope is composed from its inner node's in a fixed order, ``(1 - lam) + lam *
+c`` for an averaged node and ``c * c_k`` for each step of an iterated one,
+which keeps the slope of every affine tree, and so its artifacts, bit-stable.
+
+Image boxes are rounded outward. Each bound is computed with the float
+operations that ``apply`` performs on a point, then moved one ulp outward.
+Each of those operations is monotone in each operand and rounding to nearest
+is monotone, so the value ``apply`` computes at any point of the box lies
+between the unwidened bounds; the widening by one ulp per operation makes the
+box hold the exact real values too. A two-region node that finds its image
+box wholly on one side therefore decides that side for every float
+evaluation, and the branch ``apply`` takes at any point of the box is one of
+the analysed pieces. The constants u and -u/3 are exact and are not widened.
+Bounds may be infinite: the whole space is ``[-inf, inf]^n``, a zero factor
+gives 0 rather than ``0 * inf = nan``, and a nan bound widens to the
+infinite one.
+
+A certificate whose map is one piece over the whole space holds everywhere.
+Otherwise, when the map is one piece over the analysis box, the certificate
+carries that box (``Provenance.box``) and the solver keeps every iterate in
+it.
 """
 
 from __future__ import annotations
@@ -37,10 +58,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .mapping import SelfMap, affine_reduction
-from .space import EPS, Box, SpaceElement, TwoNormSpace, WitnessSet, two_norm_batch
+from .mapping import Averaged, Iterated, PiecewiseTwoSet, Reflection, ScalarAffine, SelfMap
+from .space import Box, TwoNormSpace, WitnessSet
 
 __all__ = [
     "NotCertifiableError",
@@ -49,7 +68,7 @@ __all__ = [
     "ThetaEstimate",
     "theta_scalar_affine",
     "certify",
-    "certify_sampled",
+    "map_slope",
     "estimate_theta",
     "optimize_b",
 ]
@@ -61,28 +80,27 @@ class NotCertifiableError(Exception):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a certificate's theta came from."""
+    """Where a certificate's theta came from, and the box it holds on.
 
-    kind: str  # closed_form | sampled | asserted
-    sample_count: Optional[int] = None
-    seed: Optional[int] = None
+    ``box`` is None when the certificate holds on the whole space.
+    """
 
-    @classmethod
-    def closed_form(cls) -> "Provenance":
-        return cls("closed_form")
+    kind: str  # closed_form | asserted
+    box: Optional[Box] = None
 
     @classmethod
-    def sampled(cls, sample_count: int, seed: int) -> "Provenance":
-        return cls("sampled", sample_count, seed)
+    def closed_form(cls, box: Optional[Box] = None) -> "Provenance":
+        return cls("closed_form", box)
 
     @classmethod
     def asserted(cls) -> "Provenance":
         return cls("asserted")
 
     def __str__(self) -> str:
-        if self.kind == "sampled":
-            return f"sampled(count={self.sample_count},seed={self.seed})"
-        return self.kind
+        if self.box is None:
+            return self.kind
+        lo, hi = (",".join(map(repr, v)) for v in (self.box.lo, self.box.hi))
+        return f"{self.kind}(lo={lo};hi={hi})"
 
 
 @dataclass(frozen=True)
@@ -146,149 +164,145 @@ def theta_scalar_affine(c: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    """Sampled lower estimate of the enrichment coefficient at a given b."""
+    """The least theta of a map at a given b: ``|b + c|`` for its one slope c."""
 
     b: float
     theta_hat: float
-    argmax_pair: Optional[tuple[SpaceElement, SpaceElement]]
-    skipped_dependent: int
-    skipped_noisy: int
-    accepted: int
-    sample_count: int
-    seed: int
 
 
-# Most sample coordinates (count times dimension) one sample may draw. A
-# sample's arrays grow linearly with them: analyze on a gram:8 piecewise map
-# (Python 3.11, numpy 2.4) peaked at 141 MiB with 100,000 samples and at
-# 245 MiB with 200,000, about 136 bytes per coordinate over a 38 MiB base, so
-# the limit allows a peak of about 0.6 GB. It admits the default 100,000
-# samples up to gram:40.
-_DRAW_LIMIT = 4_000_000
+# --- the analysis -----------------------------------------------------------------
+
+# A piece (c, t, lo, hi): the node maps its input x to c x + t on part of the
+# box, with every image in [lo, hi].
+_Vec = tuple[float, ...]
+_Piece = tuple[float, _Vec, _Vec, _Vec]
+
+# Most pieces one node may give before the analysis gives up: each two-region
+# node can double them, and an iterated averaged two-region map would
+# otherwise grow them as 2**times.
+_PIECE_LIMIT = 64
 
 
-def _draw_pairs(region: Box, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # numpy draws uniformly only from ranges whose width hi - lo is finite.
-    width = max(h - l for l, h in zip(region.lo, region.hi))
-    if not math.isfinite(width):
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf) if v == v else -math.inf
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf) if v == v else math.inf
+
+
+def _scaled(s: float, lo: _Vec, hi: _Vec) -> tuple[_Vec, _Vec]:
+    """Outward bounds of ``s * x`` for x in [lo, hi]."""
+    if s == 0.0:  # 0 * x is 0 for every finite x; 0 * inf would be nan
+        zero = tuple(0.0 for _ in lo)
+        return zero, zero
+    if s < 0.0:
+        lo, hi = hi, lo
+    return tuple(_down(s * v) for v in lo), tuple(_up(s * v) for v in hi)
+
+
+def _shifted(lo: _Vec, hi: _Vec, a: _Vec, b: _Vec) -> tuple[_Vec, _Vec]:
+    """Outward bounds of ``x + y`` for x in [lo, hi] and y in [a, b]."""
+    return (tuple(_down(x + y) for x, y in zip(lo, a)),
+            tuple(_up(x + y) for x, y in zip(hi, b)))
+
+
+def _region_pieces(T: PiecewiseTwoSet, lo: _Vec, hi: _Vec) -> list[_Piece]:
+    thr = T.region.threshold
+    # The least sup-norm over the box is the largest least |x_i|; the
+    # greatest is the largest max(|lo_i|, |hi_i|).
+    inside = any((l if l > 0.0 else -h if h < 0.0 else 0.0) > thr for l, h in zip(lo, hi))
+    outside = all(max(-l, h) <= thr for l, h in zip(lo, hi))
+    pieces = []
+    if not outside:
+        u = T.u.coords
+        pieces.append((0.0, u, u, u))
+    if not inside:
+        f = T.fallback()
+        pieces.append((0.0, f, f, f))
+    return pieces
+
+
+def _compose(q: _Piece, p: _Piece) -> _Piece:
+    """Piece q of a node applied after piece p of its input."""
+    cq, tq, lo, hi = q
+    # After a constant node the shift is its own, even where p's overflowed.
+    return (cq * p[0], tq if cq == 0.0 else tuple(cq * a + b for a, b in zip(p[1], tq)),
+            lo, hi)
+
+
+def _merged(pieces: list[_Piece]) -> list[_Piece]:
+    """One piece per (c, t), its image box the hull of theirs."""
+    out: dict[tuple[float, _Vec], tuple[_Vec, _Vec]] = {}
+    for c, t, lo, hi in pieces:
+        have = out.get((c, t))
+        if have is not None:
+            lo = tuple(map(min, lo, have[0]))
+            hi = tuple(map(max, hi, have[1]))
+        out[(c, t)] = (lo, hi)
+    if len(out) > _PIECE_LIMIT:
         raise NotCertifiableError(
-            f"sampling box width hi - lo = {width} is not finite, so no sample can be drawn")
-    if count * region.dimension > _DRAW_LIMIT:
-        raise NotCertifiableError(
-            f"sampling count {count} in dimension {region.dimension} draws "
-            f"{count * region.dimension} coordinates, above the limit of {_DRAW_LIMIT}")
-    # One block of draws per sample keeps the stream prefix-stable in count,
-    # which makes theta_hat monotone under sample-count extension.
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(np.array(region.lo), np.array(region.hi),
-                      size=(count, 2, region.dimension))
-    return pts[:, 0, :], pts[:, 1, :]
+            f"the map takes more than {_PIECE_LIMIT} affine pieces")
+    return [(c, t, lo, hi) for (c, t), (lo, hi) in out.items()]
 
 
-# The box scale max(1, |lo_i|, |hi_i|) never drops below 1, so a box inside
-# [-1, 1]^n whose diagonal is at most _EPS_DEP has no live pair: at a scale
-# near 1e-150 the kernel's products |E|^2 |D|^2 underflow, and ||E, D|| would
-# read 0 on pairs that are not parallel.
-_EPS_DEP = 1e-8
+def _pieces(T: SelfMap, lo: _Vec, hi: _Vec) -> list[_Piece]:
+    """The pieces of T as a map of its input x in [lo, hi]."""
+    if isinstance(T, Reflection):  # w - x, falling in x
+        w = T.w.coords
+        return [(-1.0, w, tuple(_down(a - b) for a, b in zip(w, hi)),
+                 tuple(_up(a - b) for a, b in zip(w, lo)))]
+    if isinstance(T, ScalarAffine):  # scale * x + shift
+        t = T.shift.coords
+        return [(T.scale, t, *_shifted(*_scaled(T.scale, lo, hi), t, t))]
+    if isinstance(T, PiecewiseTwoSet):
+        return _region_pieces(T, lo, hi)
+    if isinstance(T, Averaged):  # (1 - lam) x + lam inner(x)
+        lam = T.lam
+        a = 1.0 - lam
+        x_lo, x_hi = _scaled(a, lo, hi)
+        return _merged([(a + lam * c, tuple(lam * v for v in t),
+                         *_shifted(x_lo, x_hi, *_scaled(lam, q_lo, q_hi)))
+                        for c, t, q_lo, q_hi in _pieces(T.inner, lo, hi)])
+    if isinstance(T, Iterated):
+        pieces: list[_Piece] = [(1.0, tuple(0.0 for _ in lo), lo, hi)]
+        for _ in range(T.times):
+            pieces = _merged([_compose(q, p) for p in pieces
+                              for q in _pieces(T.inner, p[2], p[3])])
+        return pieces
+    raise NotCertifiableError(
+        f"{type(T).__name__} is not a reflection, scalar-affine, two-region, averaged "
+        "or iterated node, so it cannot be analysed")
 
-# Rounding of T, of E = Tx - Ty and of D = x - y moves each coordinate of E
-# by at most about _NOISE * EPS times the magnitudes |x| + |y| + |Tx| + |Ty|
-# that entered it, so ||E, D|| by at most that times |D| (||e, D|| <= |e| |D|)
-# and mu by at most that over |D|, plus 2 n EPS |mu| for the rounding of its
-# two n-term dot products. A pair refutes the map only beyond _REFUTE_MARGIN
-# times its bound.
-_NOISE = 8.0
-_REFUTE_MARGIN = 4.0
 
+def map_slope(T: SelfMap, box: Optional[Box] = None) -> tuple[float, Optional[Box]]:
+    """The one slope c of T, and the box the slope needs, or None.
 
-class _ThetaSample:
-    """One draw of pairs, mapped once and reduced to their slopes mu.
-
-    Builds ``D = X - Y`` and ``E = TX - TY`` and refutes the map by the
-    batch norm ``||E, D||``, which runs only on live pairs (not near-dependent
-    by ``_EPS_DEP``) with a nonzero ``E``: by N3 ``||0, D|| = 0``, and the
-    kernel's arithmetic on a zero row gives exactly 0, or NaN where D
-    overflows, so such a pair can refute nothing and skipping it changes no
-    decision, index or message. On T^2 of a two-region map, which is
-    constant, no pair reaches the kernel. The dependence and noise filters
-    depend on neither b nor theta, so the accepted pairs, ``M = max mu`` and
-    ``m = min mu`` are computed here once, and :meth:`estimate` at any b is
-    ``theta_hat(b) = max(b + M, -(b + m))``.
-
-    Overflowing draws (a box near the float range) yield inf and NaN norms,
-    which refute nothing and which the guards reject; numpy's warnings about
-    them are silenced, as in :func:`~enrichedfp.space.witness_norm_rows`.
+    T is analysed over the whole space first: one piece there gives
+    ``(c, None)``. Otherwise, over ``box``: one piece there gives ``(c,
+    box)``, and the slope holds only on that box. Two pieces where the
+    analysis ends raise :class:`NotCertifiableError` naming both, as do more
+    pieces than the analysis keeps and a map that is not a tree of the five
+    node kinds.
     """
-
-    def __init__(self, T: SelfMap, space: TwoNormSpace, region: Box, count: int,
-                 seed: int, ratio_noise_tol: float = 1e-12):
-        if count < 1:
-            raise ValueError(f"count must be at least 1, got {count}")
-        scale = max(1.0, *map(abs, region.lo), *map(abs, region.hi))
-        self.count = count
-        self.seed = seed
-        self.X, self.Y = _draw_pairs(region, count, seed)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            TX = T.apply_batch(self.X)
-            TY = T.apply_batch(self.Y)
-            D = self.X - self.Y
-            E = TX - TY
-            dd = np.add.reduce(D * D, axis=1)
-            dmag = np.sqrt(dd)
-            live = dmag > _EPS_DEP * scale
-            self.n_dep = count - int(np.count_nonzero(live))
-            noise = _NOISE * EPS * np.linalg.norm(
-                np.abs(self.X) + np.abs(self.Y) + np.abs(TX) + np.abs(TY), axis=1)
-
-            # The rows where E is nonzero, NaN and inf included (both are
-            # != 0), found column by column: an axis=1 reduction over a few
-            # columns is numpy's slow path.
-            moved = E[:, 0] != 0.0
-            for j in range(1, space.dimension):
-                moved |= E[:, j] != 0.0
-            cand = np.flatnonzero(live & moved)
-            if cand.size:
-                area = two_norm_batch(space, E[cand], D[cand])
-                limit = _REFUTE_MARGIN * noise[cand] * dmag[cand]
-                refuting = np.flatnonzero(area > limit)
-                if refuting.size:
-                    k = int(refuting[0])
-                    raise NotCertifiableError(
-                        f"Tx - Ty is not parallel to x - y at sample {int(cand[k])}: "
-                        f"||Tx - Ty, x - y|| = {float(area[k])!r} exceeds its rounding "
-                        f"bound {float(limit[k])!r}, so no (b, theta) makes the map "
-                        "enriched")
-
-            mu = np.add.reduce(E * D, axis=1) / dd
-            err = noise / dmag + 2.0 * space.dimension * EPS * np.abs(mu)
-        accepted = live & (err <= ratio_noise_tol)
-        self.n_noisy = int(np.count_nonzero(live & ~accepted))
-        self.accepted = int(np.count_nonzero(accepted))
-        if self.accepted:
-            # argmax and argmin return the lowest index among ties.
-            self.i_max = int(np.argmax(np.where(accepted, mu, -np.inf)))
-            self.i_min = int(np.argmin(np.where(accepted, mu, np.inf)))
-            self.M = float(mu[self.i_max])
-            self.m = float(mu[self.i_min])
-
-    def estimate(self, b: float) -> ThetaEstimate:
-        """The theta estimate at b over this sample."""
-        theta_hat, pair = 0.0, None
-        if self.accepted:
-            up, down = b + self.M, -(b + self.m)
-            theta_hat = max(up, down)
-            i = self.i_max if up >= down else self.i_min
-            pair = (SpaceElement(tuple(self.X[i])), SpaceElement(tuple(self.Y[i])))
-        return ThetaEstimate(
-            b=float(b),
-            theta_hat=theta_hat,
-            argmax_pair=pair,
-            skipped_dependent=self.n_dep,
-            skipped_noisy=self.n_noisy,
-            accepted=self.accepted,
-            sample_count=self.count,
-            seed=self.seed,
-        )
+    n = T.dimension
+    try:
+        pieces = _pieces(T, (-math.inf,) * n, (math.inf,) * n)
+    except NotCertifiableError:  # too many pieces, perhaps not on the box
+        if box is None:
+            raise
+        pieces = []
+    where = None
+    if len(pieces) != 1 and box is not None:
+        pieces, where = _pieces(T, box.lo, box.hi), box
+    if len(pieces) > 1:
+        (c1, t1, _, _), (c2, t2, _, _) = pieces[:2]
+        on = "the whole space" if where is None else f"the box lo={where.lo} hi={where.hi}"
+        raise NotCertifiableError(
+            f"the map is not one affine piece on {on}: it takes both "
+            f"x -> {c1!r} x + {t1} and x -> {c2!r} x + {t2}, so no (b, theta) "
+            "makes it enriched")
+    return pieces[0][0], where
 
 
 def estimate_theta(
@@ -299,75 +313,34 @@ def estimate_theta(
     witnesses: Optional[WitnessSet],
     count: int,
     seed: int,
-    ratio_noise_tol: float = 1e-12,
 ) -> ThetaEstimate:
-    """Sampled supremum of ||b(x-y) + Tx - Ty, z|| / ||x-y, z|| over the box.
+    """The least theta of T at b over the box: exactly ``|b + c|``.
 
-    Deterministic given the seed; the maximum ``max(b + M, -(b + m))`` is
-    taken over the pairs that pass the dependence and noise guards described
-    in the module docstring, and the maximising pair is the lowest-index one
-    with mu = M, or with mu = m when ``-(b + m)`` is the larger.
-    ``witnesses`` is not read, since z = x - y decides every ratio. A pair
-    whose ``Tx - Ty`` is not parallel to ``x - y``, a box too wide to sample,
-    where ``hi - lo`` overflows, or a draw of more than ``_DRAW_LIMIT``
-    coordinates (count times dimension) raises :class:`NotCertifiableError`.
+    c is :func:`map_slope` of T over ``region``. The ratio is the same in
+    every 2-norm and for every z, so ``space`` and ``witnesses`` are not
+    read, and nothing is sampled, so neither are ``count`` and ``seed``.
     """
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    return _ThetaSample(T, space, region, count, seed, ratio_noise_tol).estimate(b)
-
-
-_INFLATION = 1.01
-
-
-def certify_sampled(estimate: ThetaEstimate) -> EnrichedCertificate:
-    """Certify at the estimate's b, inflating theta_hat for margin.
-
-    Sampling estimates the supremum from below, so theta_hat is inflated by
-    ``_INFLATION`` (capped midway below b+1) before certification; empty
-    estimates are refused outright. The certificate's b is the estimate's.
-    """
-    b = estimate.b
-    if estimate.accepted == 0:
-        raise NotCertifiableError(f"no trustworthy samples at b={b}")
-    if estimate.theta_hat >= b + 1.0:
-        raise NotCertifiableError(
-            f"sampled theta_hat={estimate.theta_hat} is not below b+1={b + 1.0}"
-        )
-    theta = min(_INFLATION * estimate.theta_hat, 0.5 * (estimate.theta_hat + b + 1.0))
-    return certify(b, theta, Provenance.sampled(estimate.sample_count, estimate.seed))
+    c, _ = map_slope(T, region)
+    return ThetaEstimate(b=float(b), theta_hat=theta_scalar_affine(c, b))
 
 
 def optimize_b(
     T: SelfMap,
     space: TwoNormSpace,
     region: Box,
-    count: int = 100_000,
-    seed: int = 0,
 ) -> tuple[float, EnrichedCertificate]:
     """The b minimising the averaged contraction factor d(b) = theta(b)/(b+1).
 
-    A map tree that reduces to x -> c*x + t has theta(b) = |b + c|, least in
-    d at ``b = max(0, -c)``. Any other map is sampled once, as in
-    :func:`estimate_theta`: a pair that is not parallel refutes it, and the
-    accepted slopes mu give ``theta_hat(b) = max(b + M, -(b + m))``. Then
-    ``d_hat(b)`` falls on ``b < -(M + m)/2`` when m < 1 and rises beyond it
-    when M < 1, so it is least at ``b* = max(0, -(M + m)/2)``, where
-    ``d_hat = (M - m)/(2 - M - m)`` when that b is positive; with M >= 1,
-    ``d_hat(b) >= 1`` for every b. The returned certificate is exactly
-    ``certify_sampled(estimate_theta(T, b*, ..., count, seed))``.
+    With c the :func:`map_slope` of T over ``region``, theta(b) = |b + c| is
+    least in d at ``b = max(0, -c)``, where d = max(c, 0); a slope of 1 or
+    more gives d >= 1 at every b and is refused. The certificate carries the
+    box when the slope holds only there. The slope is the same in every
+    2-norm, so ``space`` is not read.
     """
-    c = affine_reduction(T)
-    if c is not None:
-        if not math.isfinite(c):  # an iterated slope can overflow
-            raise NotCertifiableError(f"the map's slope c={c} is not finite")
-        b = max(0.0, -c)
-        return b, certify(b, theta_scalar_affine(c, b), Provenance.closed_form())
-    sample = _ThetaSample(T, space, region, count, seed)
-    if sample.accepted == 0:
-        raise NotCertifiableError("no trustworthy samples for any b")
-    if not sample.M < 1.0:
-        raise NotCertifiableError(
-            f"sampled slope M={sample.M!r} is not below 1, so d(b) >= 1 for every b")
-    b = max(0.0, -(sample.M + sample.m) / 2.0)
-    return b, certify_sampled(sample.estimate(b))
+    c, box = map_slope(T, region)
+    if not math.isfinite(c):  # an iterated slope can overflow
+        raise NotCertifiableError(f"the map's slope c={c} is not finite")
+    b = max(0.0, -c)
+    return b, certify(b, theta_scalar_affine(c, b), Provenance.closed_form(box))

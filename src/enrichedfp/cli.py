@@ -45,8 +45,7 @@ from .analyzer import (
     NotCertifiableError,
     Provenance,
     certify,
-    certify_sampled,
-    estimate_theta,
+    map_slope,
     optimize_b,
     theta_scalar_affine,
 )
@@ -58,7 +57,6 @@ from .mapping import (
     ScalarAffine,
     SelfMap,
     SupNormRegion,
-    affine_reduction,
     iterated,
 )
 from .solver import (
@@ -136,6 +134,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingSettings:
+    """The ``sampling.*`` and ``seed`` keys.
+
+    ``box`` is the analysis box. ``count`` and ``seed`` are still parsed,
+    checked and written back, so older scenario files run and round-trip
+    unchanged, but nothing samples any more and nothing reads them.
+    """
+
     count: int
     seed: int
     box: Box
@@ -556,36 +561,30 @@ def write_scenario(cfg: ScenarioConfig) -> str:
 def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
     """Resolve (b, theta) for the map actually iterated: T, or T^N when asymptotic.
 
-    Numeric (b, theta) certify as asserted; theta=estimate takes the closed
-    form |b + c| when the map tree is affine-reducible and a sampled estimate
-    otherwise; b=auto takes the d-minimising b in closed form.
+    Every route starts from the map's one slope c (:func:`map_slope`).
+    theta=estimate takes theta = |b + c|, and b=auto the d-minimising b =
+    max(0, -c); the slope is analysed over the whole space, or over the
+    sampling box when only the box leaves one piece, and then the certificate
+    carries that box. A numeric theta is asserted: it is checked on the whole
+    space, or on ``domain`` when that is a box, and refused when the map is
+    not one piece there or when theta is below |b + c|.
     """
     target = cfg.map if cfg.mode != "asymptotic" else iterated(cfg.map, cfg.n)
     if cfg.b == "auto":
-        _, cert = optimize_b(
-            target,
-            cfg.space,
-            cfg.sampling.box,
-            count=cfg.sampling.count,
-            seed=cfg.sampling.seed,
-        )
+        _, cert = optimize_b(target, cfg.space, cfg.sampling.box)
         return cert
     b = float(cfg.b)
-    if cfg.theta != "estimate":
-        return certify(b, float(cfg.theta), Provenance.asserted())
-    c = affine_reduction(target)
-    if c is not None:
-        return certify(b, theta_scalar_affine(c, b), Provenance.closed_form())
-    est = estimate_theta(
-        target,
-        b,
-        cfg.space,
-        cfg.sampling.box,
-        None,  # witnesses: z = x - y decides every ratio
-        cfg.sampling.count,
-        cfg.sampling.seed,
-    )
-    return certify_sampled(est)
+    if cfg.theta == "estimate":
+        c, box = map_slope(target, cfg.sampling.box)
+        return certify(b, theta_scalar_affine(c, b), Provenance.closed_form(box))
+    domain = cfg.solve.domain
+    c, _ = map_slope(target, domain if isinstance(domain, Box) else None)
+    theta, least = float(cfg.theta), theta_scalar_affine(c, b)
+    if theta < least:
+        raise NotCertifiableError(
+            f"asserted theta={theta!r} is below |b + c| = {least!r} for the map's "
+            f"slope c={c!r}")
+    return certify(b, theta, Provenance.asserted())
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:

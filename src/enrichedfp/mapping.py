@@ -1,21 +1,15 @@
 """Self-maps of the space, the averaging transform and N-fold composition.
 
 Maps are kept as small expression trees rather than opaque callables: the
-analyzer exploits closed forms for trees that reduce to ``x -> c*x + t``, and
-scenario files can describe any tree as plain data.
-
-Every map offers two evaluation paths with identical per-point arithmetic:
-``apply`` on a single :class:`SpaceElement` (used by the solvers) and
-``apply_batch`` on an ``(m, n)`` float array (used by the sampling analyzers).
+analyzer reads a tree node by node and turns it into the affine pieces
+``x -> c*x + t`` it takes over a box, and scenario files can describe any
+tree as plain data. ``apply`` evaluates a map at one :class:`SpaceElement`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .space import SpaceElement
 
@@ -29,7 +23,6 @@ __all__ = [
     "Iterated",
     "averaged",
     "iterated",
-    "affine_reduction",
     "default_piecewise",
 ]
 
@@ -44,18 +37,9 @@ class SelfMap(ABC):
     @abstractmethod
     def apply(self, x: SpaceElement) -> SpaceElement: ...
 
-    @abstractmethod
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray: ...
-
     def _check_point(self, x: SpaceElement) -> None:
         if x.dim != self.dimension:
             raise ValueError(f"dimension mismatch: point {x.dim}, map {self.dimension}")
-
-    def _check_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dimension:
-            raise ValueError(f"expected (m, {self.dimension}) array, got {xs.shape}")
-        return xs
 
 
 @dataclass(frozen=True)
@@ -71,10 +55,6 @@ class Reflection(SelfMap):
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
         return SpaceElement([wi - xi for wi, xi in zip(self.w.coords, x.coords)])
-
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_batch(xs)
-        return self.w.as_array() - xs
 
 
 @dataclass(frozen=True)
@@ -93,10 +73,6 @@ class ScalarAffine(SelfMap):
         c = self.scale
         return SpaceElement([c * xi + ti for xi, ti in zip(x.coords, self.shift.coords)])
 
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_batch(xs)
-        return self.scale * xs + self.shift.as_array()
-
 
 @dataclass(frozen=True)
 class SupNormRegion:
@@ -106,16 +82,6 @@ class SupNormRegion:
 
     def contains(self, x: SpaceElement) -> bool:
         return max(abs(c) for c in x.coords) > self.threshold
-
-    def contains_batch(self, xs: np.ndarray) -> np.ndarray:
-        # np.max(a, axis=1) over a few columns runs numpy's slow short-axis
-        # reduction; np.maximum down the columns gives the same array, NaN
-        # included (np.fmax would drop NaN), about five times faster.
-        a = np.abs(xs)
-        m = a[:, 0].copy()
-        for j in range(1, a.shape[1]):
-            np.maximum(m, a[:, j], out=m)
-        return m > self.threshold
 
 
 @dataclass(frozen=True)
@@ -134,19 +100,15 @@ class PiecewiseTwoSet(SelfMap):
     def dimension(self) -> int:
         return self.u.dim
 
-    def _fallback(self) -> tuple[float, ...]:
+    def fallback(self) -> tuple[float, ...]:
+        """The value -u/3 off the region."""
         return tuple(-c / 3.0 for c in self.u.coords)
 
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
         if self.region.contains(x):
             return self.u
-        return SpaceElement(self._fallback())
-
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_batch(xs)
-        mask = self.region.contains_batch(xs)
-        return np.where(mask[:, None], self.u.as_array(), np.array(self._fallback()))
+        return SpaceElement(self.fallback())
 
 
 @dataclass(frozen=True)
@@ -183,10 +145,6 @@ class Averaged(SelfMap):
         lam = self.lam
         return SpaceElement([a * xi + lam * ti for xi, ti in zip(x.coords, t.coords)])
 
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_batch(xs)
-        return (1.0 - self.lam) * xs + self.lam * self.inner.apply_batch(xs)
-
 
 @dataclass(frozen=True)
 class Iterated(SelfMap):
@@ -209,12 +167,6 @@ class Iterated(SelfMap):
             x = self.inner.apply(x)
         return x
 
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_batch(xs)
-        for _ in range(self.times):
-            xs = self.inner.apply_batch(xs)
-        return xs
-
 
 def averaged(T: SelfMap, lam: float) -> Averaged:
     """Wrap T in the averaging transform with parameter ``lam`` in (0, 1]."""
@@ -224,36 +176,6 @@ def averaged(T: SelfMap, lam: float) -> Averaged:
 def iterated(T: SelfMap, n: int) -> SelfMap:
     """The n-th iterate of T (n >= 1)."""
     return Iterated(T, int(n))
-
-
-def affine_reduction(T: SelfMap) -> Optional[float]:
-    """The slope c of a map tree that collapses to ``x -> c*x + t``.
-
-    Returns c for reflection / scalar-affine trees and their averaged or
-    iterated wrappers, ``None`` for anything with a piecewise node. The shift
-    t is not formed: theta and b depend on c alone (``theta = |b + c|``). The
-    reduction is exact algebra; the reduced map may differ from the tree by
-    rounding when evaluated, so it feeds closed-form analysis, not iteration.
-    """
-    if isinstance(T, Reflection):
-        return -1.0
-    if isinstance(T, ScalarAffine):
-        return T.scale
-    if isinstance(T, Averaged):
-        c = affine_reduction(T.inner)
-        if c is None:
-            return None
-        lam = T.lam
-        return (1.0 - lam) + lam * c
-    if isinstance(T, Iterated):
-        c = affine_reduction(T.inner)
-        if c is None:
-            return None
-        ck = 1.0
-        for _ in range(T.times):
-            ck = c * ck
-        return ck
-    return None
 
 
 def default_piecewise(dimension: int, threshold: float = 2.0) -> PiecewiseTwoSet:

@@ -15,6 +15,7 @@ of that proof into machinery:
 * a local variant confined to a closed two-norm ball (and to the configured
   domain, if any) and an asymptotic variant that iterates T^N and hands the
   fixed point back to T;
+* confinement to the box of a certificate that holds only on a box;
 * a Diverged status, with the trace so far, once a point overflows;
 * a CertificateViolated status for a run that met tol but broke the a priori
   bound of its own certificate on some row.
@@ -226,8 +227,10 @@ def _solve_core(
 ) -> SolveReport:
     """The one solve loop; without a certificate it is Picard with cycle tests.
 
-    Every iterate must lie in ``cfg.domain``. With ``local=(u, r)`` (and a
-    certificate) the loop first tests the displacement precondition
+    Every iterate must lie in ``cfg.domain``, and in the box of a certificate
+    that holds only on a box (``cert.provenance.box``); leaving that box adds a
+    warning naming it. With ``local=(u, r)`` (and a certificate) the loop
+    first tests the displacement precondition
     ``||x0 - T x0, u|| < (b + 1 - theta) r`` on its own ``T x0``: a failure
     ends the run PreconditionFailed, before the x0 domain test, and a pass
     confines every iterate to the closed ball of radius epsilon around x0 too.
@@ -239,6 +242,10 @@ def _solve_core(
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
     regions: list[Union[Box, TwoNormBall]] = [cfg.domain] if cfg.domain is not None else []
+    # A certificate that holds only on a box confines the run to that box.
+    cert_box = cert.provenance.box if cert is not None else None
+    if cert_box is not None:
+        regions.append(cert_box)
 
     warnings: list[str] = []
     period: Optional[int] = None
@@ -329,6 +336,12 @@ def _solve_core(
         # A point overflowed: the iteration diverges, whatever the certificate
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
+    if (status == SolveStatus.LEFT_DOMAIN and cert_box is not None
+            and not cert_box.contains(space, xs[-1])):
+        warnings.append(
+            f"iterate {len(xs) - 1} left the box lo={cert_box.lo} hi={cert_box.hi}, "
+            "the only region where the certificate holds"
+        )
 
     # One pass over the trace: the step rows, the fixed-point rows and, for a
     # certified fixed point, each row's distance to it for the bound check.

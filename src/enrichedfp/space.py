@@ -49,6 +49,7 @@ construction and is documented rather than checked at runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,9 +113,6 @@ class SpaceElement:
     def dim(self) -> int:
         return len(self.coords)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
     def __add__(self, other: "SpaceElement") -> "SpaceElement":
         _same_dim(self, other)
         return SpaceElement([a + b for a, b in zip(self.coords, other.coords)])
@@ -130,7 +128,7 @@ class SpaceElement:
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned box: a sampling region or a solver domain."""
+    """An axis-aligned box: an analysis box or a solver domain."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -372,7 +370,13 @@ class WitnessSet:
         return self.witnesses[0].dim
 
 
+@functools.cache
 def standard_basis(dimension: int) -> WitnessSet:
+    """The unit vectors of the space, one set per dimension.
+
+    The set is frozen, so every caller shares it; building it runs an SVD
+    for the spanning check and precomputes the witness operands.
+    """
     rows = np.eye(dimension)
     return WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
 

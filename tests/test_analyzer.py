@@ -1,26 +1,26 @@
-"""Tests for the enrichment analyzer: estimates, certificates, refutation, best b."""
+"""Tests for the enrichment analyzer: map-tree analysis, certificates, refutation, best b."""
 
 import dataclasses
 import math
 import random
-import re
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from enrichedfp import analyzer
+from enrichedfp import analyzer, space
 from enrichedfp.analyzer import (
     NotCertifiableError,
     Provenance,
     certify,
-    certify_sampled,
     estimate_theta,
+    map_slope,
     optimize_b,
     theta_scalar_affine,
 )
 from enrichedfp.mapping import (
+    Averaged,
+    Iterated,
     PiecewiseTwoSet,
     Reflection,
     ScalarAffine,
@@ -31,14 +31,14 @@ from enrichedfp.mapping import (
     iterated,
 )
 from enrichedfp.space import (
+    EPS,
     Box,
+    NonFiniteError,
     SpaceElement,
-    WitnessSet,
     cross2_space,
     gram_space,
     standard_basis,
     two_norm,
-    two_norm_batch,
 )
 
 SP = cross2_space()
@@ -123,13 +123,11 @@ def test_certificate_arithmetic_on_random_pairs():
                 certify(b, theta, Provenance.asserted())
 
 
-# --- sampled estimates ------------------------------------------------------------
+# --- estimates ------------------------------------------------------------------
 
 def test_estimate_theta_reflection_reaches_abs_b_minus_one():
     est = estimate_theta(Reflection(el(2, 0)), 0.5, SP, BOX, WIT, 20_000, seed=1)
-    assert 0.49 <= est.theta_hat <= 0.5 + 1e-12
-    assert est.argmax_pair is not None
-    assert est.accepted > 0
+    assert (est.b, est.theta_hat) == (0.5, 0.5)
 
 
 def test_estimate_theta_constant_map_is_exactly_b():
@@ -149,8 +147,8 @@ def test_estimate_theta_validates_inputs():
     T = Reflection(el(2, 0))
     with pytest.raises(ValueError):
         estimate_theta(T, -1.0, SP, BOX, WIT, 100, seed=0)
-    with pytest.raises(ValueError):
-        estimate_theta(T, 0.0, SP, BOX, WIT, 0, seed=0)
+    # Nothing is sampled: the count and the seed are not read.
+    assert estimate_theta(T, 0.0, SP, BOX, WIT, 0, seed=-1).theta_hat == 1.0
 
 
 def test_estimate_theta_deterministic():
@@ -210,8 +208,6 @@ def test_estimate_theta_ratio_is_scale_invariant_pointwise():
 
 
 def test_estimate_theta_band_holds_on_gram_space():
-    from enrichedfp.space import gram_space
-
     sp3 = gram_space(3)
     box3 = Box.symmetric(3)
     wit3 = standard_basis(3)
@@ -223,63 +219,46 @@ def test_estimate_theta_band_holds_on_gram_space():
 
 
 def test_iterated_piecewise_square_is_constant_hence_theta_is_b():
-    from enrichedfp.mapping import iterated
-
     # the square of the two-region map is constant, so the enriched ratio
     # degenerates to exactly b for every admissible triple
     T2 = iterated(default_piecewise(2), 2)
     est = estimate_theta(T2, 1.0, SP, BOX, WIT, 50_000, seed=4)
     assert est.theta_hat == 1.0
-    cert = certify_sampled(est)
-    assert cert.theta == pytest.approx(1.01)
-    # and the optimal averaging needs no averaging at all: b* = 0, d = 0
-    b, cert0 = optimize_b(T2, SP, BOX, count=30_000)
+    # and the optimal averaging needs no averaging at all: b* = 0, d = 0,
+    # on the whole space
+    b, cert0 = optimize_b(T2, SP, BOX)
     assert b == 0.0
     assert cert0.d == 0.0
+    assert cert0.provenance == Provenance.closed_form()
 
 
-def _refuting_index(exc_info, T, space, box, count, seed):
-    """The sample index the refusal names, checked against the draw itself.
-
-    The named pair is not parallel: ``||Tx - Ty, x - y||`` is far above
-    rounding. Every pair before it is parallel to the last bit.
-    """
-    m = re.search(r"not parallel to x - y at sample (\d+): \|\|Tx - Ty, x - y\|\| = (\S+) "
-                  r"exceeds its rounding bound (\S+), so no \(b, theta\)", str(exc_info.value))
-    assert m is not None, str(exc_info.value)
-    i, area, bound = int(m.group(1)), float(m.group(2)), float(m.group(3))
-    X, Y = analyzer._draw_pairs(box, count, seed)
-    pairs = [(el(*x), el(*y)) for x, y in zip(X[: i + 1], Y[: i + 1])]
-    areas = [two_norm(space, T.apply(x) - T.apply(y), x - y) for x, y in pairs]
-    assert areas[i] == area and area > 1e6 * bound
-    assert all(a == 0.0 for a in areas[:i])
-    return i
+def test_the_square_is_constant_on_a_box_near_the_float_range():
+    box = Box.symmetric(2, 1e300)
+    assert map_slope(iterated(default_piecewise(2), 2), box) == (0.0, None)
+    assert analyzer._pieces(iterated(default_piecewise(2), 2), box.lo, box.hi) == [
+        (0.0, (-1.0 / 3.0, -1.0 / 3.0), (-1.0 / 3.0, -1.0 / 3.0), (-1.0 / 3.0, -1.0 / 3.0))]
 
 
 def test_default_piecewise_map_is_refuted():
-    # u on {sup > 2}, -u/3 elsewhere: a pair across the boundary has
-    # Tx - Ty = 4u/3, which no x - y off the diagonal is parallel to.
+    # u on {sup > 2}, -u/3 elsewhere: the box [-10, 10]^2 straddles the
+    # boundary, so the map takes two constants and no x - y off the
+    # diagonal is parallel to their difference 4u/3.
     T = default_piecewise(2)
+    message = ("the map is not one affine piece on {}: it takes both x -> 0.0 x + (1.0, 1.0) "
+               "and x -> 0.0 x + (-0.3333333333333333, -0.3333333333333333), so no "
+               "(b, theta) makes it enriched")
+    box_text = "the box lo=(-10.0, -10.0) hi=(10.0, 10.0)"
     with pytest.raises(NotCertifiableError) as exc_info:
         estimate_theta(T, 0.0, SP, BOX, WIT, 100_000, seed=5)
-    assert _refuting_index(exc_info, T, SP, BOX, 100_000, 5) == 8
-
-
-def test_certify_sampled_inflates_and_guards():
-    T = Reflection(el(2, 0))
-    est = estimate_theta(T, 0.5, SP, BOX, WIT, 20_000, seed=1)
-    cert = certify_sampled(est)
-    assert cert.theta >= est.theta_hat
-    assert cert.theta <= 1.01 * est.theta_hat + 1e-15
-    assert cert.provenance.kind == "sampled"
-    # The default piecewise map is refuted before any estimate exists.
-    with pytest.raises(NotCertifiableError, match="not parallel"):
-        estimate_theta(default_piecewise(2), 0.0, SP, BOX, WIT, 100_000, seed=5)
-    # No mu is trusted to 1e-16, below the rounding of any slope: empty.
-    empty = estimate_theta(T, 0.5, SP, BOX, WIT, 2_000, 1, ratio_noise_tol=1e-16)
-    assert (empty.accepted, empty.theta_hat, empty.argmax_pair) == (0, 0.0, None)
-    with pytest.raises(NotCertifiableError, match="no trustworthy samples"):
-        certify_sampled(empty)
+    assert str(exc_info.value) == message.format(box_text)
+    with pytest.raises(NotCertifiableError) as exc_info:
+        optimize_b(T, SP, BOX)
+    assert str(exc_info.value) == message.format(box_text)
+    with pytest.raises(NotCertifiableError) as exc_info:
+        map_slope(T)
+    assert str(exc_info.value) == message.format("the whole space")
+    # Inside {sup <= 2} it is the constant -u/3, and that holds on the box only.
+    assert map_slope(T, Box.symmetric(2, 2.0)) == (0.0, Box.symmetric(2, 2.0))
 
 
 # --- b optimisation ----------------------------------------------------------------
@@ -323,22 +302,11 @@ def test_optimize_b_not_certifiable_for_identity():
         optimize_b(ScalarAffine(1.0, el(0, 0)), SP, BOX)
 
 
-def test_optimize_b_sampled_route_matches_closed_form():
-    # The wrapper hides the map tree from the closed form.
-    b, cert = optimize_b(CountingMap(Reflection(el(2, 0))), SP, BOX, count=20_000)
-    assert abs(b - 1.0) <= 1e-12  # -(M + m)/2 with M and m within rounding of -1
-    assert cert.provenance.kind == "sampled"
-    assert cert.d <= 1e-9
-
-
-# --- one sample, reduced to its slopes ------------------------------------------------
-
 class CountingMap(SelfMap):
-    """Delegates to an inner map and records the arrays ``apply_batch`` gets."""
+    """Delegates to an inner map: a map outside the tree vocabulary."""
 
     def __init__(self, inner: SelfMap):
         self.inner = inner
-        self.batches = []
 
     @property
     def dimension(self) -> int:
@@ -347,161 +315,103 @@ class CountingMap(SelfMap):
     def apply(self, x):
         return self.inner.apply(x)
 
-    def apply_batch(self, xs):
-        self.batches.append(xs.copy())
-        return self.inner.apply_batch(xs)
+
+def test_a_map_outside_the_tree_vocabulary_is_not_certifiable():
+    # The analysis reads the tree node by node; it cannot see through a map
+    # it does not know, so theta=estimate and b=auto both refuse it.
+    T = CountingMap(Reflection(el(2, 0)))
+    message = ("CountingMap is not a reflection, scalar-affine, two-region, averaged or "
+               "iterated node, so it cannot be analysed")
+    with pytest.raises(NotCertifiableError, match=f"^{message}$"):
+        optimize_b(T, SP, BOX)
+    with pytest.raises(NotCertifiableError, match=f"^{message}$"):
+        estimate_theta(T, 0.5, SP, BOX, WIT, 100, 1)
+    with pytest.raises(NotCertifiableError, match=f"^{message}$"):
+        map_slope(averaged(T, 0.5))
 
 
-# A sampled optimum at an interior b: the averaged reflection is
-# x -> -0.6 x + 0.8 w, so d(b) = |b - 0.6|/(b + 1) is least at b = 0.6. The
-# wrapper hides the map tree from the closed form.
+# The averaged reflection is x -> -0.6 x + 0.8 w, so d(b) = |b - 0.6|/(b + 1)
+# is least at b = 0.6.
 def _reflection_at_0_6(dim):
-    return CountingMap(averaged(Reflection(el(*([2.0] + [0.0] * (dim - 1)))), 0.8))
-
-
-def _slopes(T, box, count, seed):
-    """Each pair's |x - y| and mu = <Tx - Ty, x - y>/<x - y, x - y>, pair by pair.
-
-    The dot products sum the coordinates in order, as the batch does below
-    eight coordinates.
-    """
-    X, Y = analyzer._draw_pairs(box, count, seed)
-    out = []
-    for x, y in zip(X, Y):
-        d = x - y
-        e = T.apply_batch(x[None])[0] - T.apply_batch(y[None])[0]
-        dd = sum(float(a) * float(a) for a in d)
-        ed = sum(float(a) * float(b) for a, b in zip(e, d))
-        out.append((math.sqrt(dd), ed / dd))
-    return X, Y, out
+    return averaged(Reflection(el(*([2.0] + [0.0] * (dim - 1)))), 0.8)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_per_b_evaluation_equals_estimate_theta(dim, monkeypatch):
-    # One sample answers every b with estimate_theta's estimate, and that
-    # estimate is max(b + M, -(b + m)): the largest sampled |b + mu|.
+def test_per_b_evaluation_equals_estimate_theta(dim):
+    # One slope answers every b: estimate_theta is |b + c| with c from the
+    # analysis, for a constant square, an averaged reflection and a plain
+    # affine map.
     space = cross2_space() if dim == 2 else gram_space(3)
     box = Box.symmetric(dim, 4.0)
     rng = random.Random(dim)
     bs = [0.0, 0.25, 0.6, 1.0, 8.0, 1e-12, 3.3] + [rng.uniform(0.0, 10.0) for _ in range(8)]
-    maps = (iterated(default_piecewise(dim), 2), _reflection_at_0_6(dim),
-            CountingMap(ScalarAffine(-2.5, el(*([1.0] * dim)))))
-    seen = []
-    # (dependence floor, ratio_noise_tol): the defaults, then guards tight
-    # enough that dependent and noisy pairs and empty estimates occur. The
-    # box scale is 4.
-    for floor, tol in ((1e-8, 1e-12), (0.25, 4e-15)):
-        monkeypatch.setattr(analyzer, "_EPS_DEP", floor)
-        for T in maps:
-            sample = analyzer._ThetaSample(T, space, box, 3_000, 7, tol)
-            X, Y, slopes = _slopes(T, box, 3_000, 7)
-            live = [i for i, (dmag, _) in enumerate(slopes) if dmag > floor * 4.0]
-            for b in bs:
-                got = sample.estimate(b)
-                assert got == estimate_theta(T, b, space, box, WIT, 3_000, 7, tol)
-                assert got.skipped_dependent == 3_000 - len(live)
-                assert got.skipped_noisy + got.accepted == len(live)
-                # theta_hat is the |b + mu| of its argmax pair. With no noisy
-                # pair it is the largest over the live pairs, and the argmax
-                # is the lowest-index pair with the largest or the smallest
-                # mu, whichever gives it.
-                seen.append(got)
-                if got.accepted == 0:
-                    assert (got.theta_hat, got.argmax_pair) == (0.0, None)
-                    continue
-                ratios = {i: abs(b + slopes[i][1]) for i in live}
-                i = next(i for i in live if (el(*X[i]), el(*Y[i])) == got.argmax_pair)
-                assert ratios[i] == got.theta_hat <= max(ratios.values())
-                if got.skipped_noisy == 0:
-                    assert got.theta_hat == max(ratios.values())
-                    mus = [slopes[j][1] for j in live]
-                    M, m = max(mus), min(mus)
-                    extreme = M if b + M >= -(b + m) else m
-                    assert i == min(j for j in live if slopes[j][1] == extreme)
-    assert any(e.skipped_dependent for e in seen) and any(e.skipped_noisy for e in seen)
-    assert any(e.accepted == 0 for e in seen)
-
-
-def test_optimize_b_maps_its_sample_once(monkeypatch):
-    T = _reflection_at_0_6(2)
-    norms = []
-    real = analyzer.two_norm_batch
-    monkeypatch.setattr(analyzer, "two_norm_batch",
-                        lambda sp, v, z: norms.append((v, z)) or real(sp, v, z))
-    b, cert = optimize_b(T, SP, BOX, count=5_000, seed=2)
-    X, Y = analyzer._draw_pairs(BOX, 5_000, 2)
-    assert len(T.batches) == 2
-    assert np.array_equal(T.batches[0], X) and np.array_equal(T.batches[1], Y)
-    # One norm call: ||Tx - Ty, x - y|| on every pair.
-    assert len(norms) == 1
-    assert np.array_equal(norms[0][1], X - Y)
-    assert abs(b - 0.6) < 1e-12 and cert.d < 1e-12
+    maps = ((iterated(default_piecewise(dim), 2), 0.0),
+            (_reflection_at_0_6(dim), (1.0 - 0.8) + 0.8 * -1.0),
+            (ScalarAffine(-2.5, el(*([1.0] * dim))), -2.5))
+    for T, c in maps:
+        assert map_slope(T, box) == (c, None)
+        for b in bs:
+            assert estimate_theta(T, b, space, box, None, 3_000, 7) == \
+                analyzer.ThetaEstimate(b, abs(b + c))
 
 
 @pytest.mark.parametrize("space,dim", [(cross2_space(), 2), (gram_space(3), 3)])
 def test_optimize_b_certificate_is_the_estimate_at_its_b(space, dim):
     T = _reflection_at_0_6(dim)
     box, wit = Box.symmetric(dim), standard_basis(dim)
-    b, cert = optimize_b(T, space, box, count=4_000, seed=11)
-    assert cert.provenance == Provenance.sampled(4_000, 11)
+    b, cert = optimize_b(T, space, box)
+    assert cert.provenance == Provenance.closed_form()
     est = estimate_theta(T, b, space, box, wit, 4_000, 11)
-    assert cert == certify_sampled(est)
+    assert cert == certify(b, est.theta_hat, Provenance.closed_form())
+    assert abs(b - 0.6) < 1e-12 and cert.d < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_optimize_b_is_the_closed_form_in_the_sampled_slopes(dim):
     # x -> c x + t behind a map tree with a piecewise node: a two-region map
-    # whose region {sup > -1} covers the box is the constant u there, and
+    # whose region {sup > -1} covers the space is the constant u, and
     # averaging it gives c = 1 - lam in [0, 1). Negative slopes come from a
-    # plain affine map that the wrapper hides from the closed form.
+    # plain affine map.
     space = cross2_space() if dim == 2 else gram_space(dim)
     box = Box.symmetric(dim, 3.0)
     rng = random.Random(100 + dim)
-    exact = 0
     for k in range(8):
         shift = el(*(rng.uniform(-2.0, 2.0) for _ in range(dim)))
         if k % 2:
             lam = rng.uniform(0.05, 1.0)
             T = averaged(PiecewiseTwoSet(SupNormRegion(-1.0), shift), lam)
-            c = 1.0 - lam
+            c = (1.0 - lam) + lam * 0.0
         else:
             c = rng.uniform(-3.0, 0.0)
-            T = CountingMap(ScalarAffine(c, shift))
-        assert analyzer.affine_reduction(T) is None
-        seed = rng.randrange(1 << 20)
-        b, cert = optimize_b(T, space, box, count=2_000, seed=seed)
-        est = estimate_theta(T, b, space, box, None, 2_000, seed)
-        assert cert == certify_sampled(est)
-        # The slopes are c up to rounding, so b and d are those of the closed form.
-        assert abs(b - max(0.0, -c)) <= 1e-12 and cert.d <= abs(c) * 1.01 + 1e-12
-        if est.skipped_noisy or est.skipped_dependent:
-            continue  # M and m below are over every pair, not the accepted ones
-        exact += 1
-        _, _, slopes = _slopes(T, box, 2_000, seed)
-        M, m = max(mu for _, mu in slopes), min(mu for _, mu in slopes)
-        assert b == max(0.0, -(M + m) / 2.0)
-        theta_hat = max(b + M, -(b + m))
-        assert cert.theta == min(1.01 * theta_hat, 0.5 * (theta_hat + b + 1.0))
-        if b > 0.0:
-            assert theta_hat / (b + 1.0) == pytest.approx((M - m) / (2.0 - M - m),
-                                                          rel=1e-9, abs=1e-15)
-    assert exact >= 6
+            T = ScalarAffine(c, shift)
+        b, cert = optimize_b(T, space, box)
+        assert b == max(0.0, -c)
+        assert cert == certify(b, abs(b + c), Provenance.closed_form())
+        assert cert == certify(b, estimate_theta(T, b, space, box, None, 2_000, k).theta_hat,
+                               Provenance.closed_form())
+        assert cert.d == (max(c, 0.0) if b == 0.0 else 0.0)
+
+
+def test_the_averaged_covering_two_region_map_has_slope_0_7():
+    T = averaged(PiecewiseTwoSet(SupNormRegion(-1.0), el(0.5, -1.5)), 0.3)
+    assert map_slope(T, BOX) == (1.0 - 0.3, None)
+    assert map_slope(T, BOX)[0] == pytest.approx(0.7, abs=1e-16)
 
 
 # The two-region maps whose sampled certificates were once pinned bit for
 # bit (cross2 d = 0.93, gram:3 d = 0.33, gram:5 d = 0.32): u is small, so
-# pairs straddle the region boundary with Tx - Ty = 4u/3. Each is refuted,
-# by the b search and by an estimate at its formerly certified b, and the
-# refusal names the first pair that is not parallel.
+# the box straddles the region boundary and the map takes both u and -u/3.
+# Each is refused, by the b search and by an estimate at its formerly
+# certified b, naming both pieces.
 _ONCE_PINNED = [
-    ("cross2:2", "auto", 2), ("cross2:2", "0x1.804f66869491ap+2", 2),
-    ("gram:3", "auto", 0), ("gram:3", "0x1.06012abf78741p-3", 0),
-    ("gram:5", "auto", 2), ("gram:5", "0x1.2dbdb66cea187p-7", 2),
+    ("cross2:2", "auto"), ("cross2:2", "0x1.804f66869491ap+2"),
+    ("gram:3", "auto"), ("gram:3", "0x1.06012abf78741p-3"),
+    ("gram:5", "auto"), ("gram:5", "0x1.2dbdb66cea187p-7"),
 ]
 
 
-@pytest.mark.parametrize("name, b, index", _ONCE_PINNED)
-def test_once_pinned_piecewise_maps_are_refuted(name, b, index):
+@pytest.mark.parametrize("name, b", _ONCE_PINNED)
+def test_once_pinned_piecewise_maps_are_refused_with_both_pieces(name, b):
     n = int(name.split(":")[1])
     space = cross2_space() if name.startswith("cross2") else gram_space(n)
     u = SpaceElement(tuple(0.05 * (1.0 + 0.25 * i) * (-1) ** i for i in range(n)))
@@ -509,150 +419,155 @@ def test_once_pinned_piecewise_maps_are_refuted(name, b, index):
     box = Box.symmetric(n, 4.0)
     with pytest.raises(NotCertifiableError) as exc_info:
         if b == "auto":
-            optimize_b(T, space, box, count=2000, seed=5)
+            optimize_b(T, space, box)
         else:
             estimate_theta(T, float.fromhex(b), space, box, None, 2000, 5)
-    assert _refuting_index(exc_info, T, space, box, 2000, 5) == index
+    assert str(exc_info.value) == (
+        f"the map is not one affine piece on the box lo={box.lo} hi={box.hi}: it takes "
+        f"both x -> 0.0 x + {u.coords} and x -> 0.0 x + {T.fallback()}, so no (b, theta) "
+        "makes it enriched")
 
 
-def test_a_box_too_wide_to_sample_is_not_certifiable():
-    # hi - lo overflows to inf: numpy cannot draw from the box, so no
-    # estimate exists, at a fixed b or for b=auto.
-    box = Box.symmetric(2, 1e308)
-    with pytest.raises(NotCertifiableError, match="sampling box width hi - lo = inf"):
-        estimate_theta(_reflection_at_0_6(2), 0.5, SP, box, WIT, 100, 1)
-    with pytest.raises(NotCertifiableError, match="sampling box width"):
-        optimize_b(_reflection_at_0_6(2), SP, box, count=100, seed=1)
-
-
-def test_a_sample_too_large_to_draw_is_not_certifiable():
-    # One coordinate past the limit is refused before anything is drawn, at
-    # a fixed b or for b=auto; the default count fits on gram:8.
-    space, box, T = gram_space(8), Box.symmetric(8, 4.0), default_piecewise(8)
-    assert 100_000 * 8 <= analyzer._DRAW_LIMIT
-    count = analyzer._DRAW_LIMIT // 8 + 1
-    with pytest.raises(NotCertifiableError,
-                       match=f"sampling count {count} in dimension 8 draws {8 * count} "):
-        estimate_theta(T, 0.5, space, box, None, count, 1)
-    with pytest.raises(NotCertifiableError, match="sampling count 10{20} in dimension 8"):
-        optimize_b(T, space, box, count=10**20, seed=1)
-
-
-def test_the_dependence_floor_scales_with_the_box_and_never_drops_below_one():
-    # A pair is dependent when |x - y| <= 1e-8 * max(1, |lo_i|, |hi_i|).
-    T = CountingMap(ScalarAffine(0.5, el(1, 0)))
-    near_1e9 = Box((1e9, 1e9), (1e9 + 100, 1e9 + 100))
-    X, Y = analyzer._draw_pairs(near_1e9, 1_000, 1)
-    dependent = int(np.count_nonzero(np.linalg.norm(X - Y, axis=1) <= 1e-8 * (1e9 + 100)))
-    assert 0 < dependent < 1_000
-    assert estimate_theta(T, 0.0, SP, near_1e9, WIT, 1_000, 1).skipped_dependent == dependent
-    # Width 1 near 1e9: every |x - y| is below 10. In [-1e-9, 1e-9]^2 the
-    # floor of 1 applies, so every |x - y| is below 1e-8: the kernel's
-    # products underflow at tiny scales, and such a box certifies nothing.
-    for box in (Box((1e9, 1e9), (1e9 + 1, 1e9 + 1)), Box.symmetric(2, 1e-9)):
-        est = estimate_theta(T, 0.0, SP, box, WIT, 1_000, 1)
-        assert (est.skipped_dependent, est.accepted) == (1_000, 0)
-        with pytest.raises(NotCertifiableError, match="no trustworthy samples at b=0.0"):
-            certify_sampled(est)
-
-
-def test_a_sampled_slope_of_one_or_more_is_refused():
-    # x -> 1.5 x + t behind a wrapper that hides it from the closed form:
-    # d(b) = (b + 1.5)/(b + 1) >= 1 for every b, and theta_hat >= b + 1 at b = 0.
-    T = CountingMap(ScalarAffine(1.5, el(1, 0)))
-    with pytest.raises(NotCertifiableError,
-                       match=r"^sampled slope M=1\.5\d* is not below 1, so d\(b\) >= 1"):
-        optimize_b(T, SP, BOX, count=2_000, seed=1)
+def test_a_slope_of_one_or_more_is_refused():
+    # x -> 1.5 x + t: d(b) = (b + 1.5)/(b + 1) >= 1 for every b, and
+    # theta = 1.5 >= b + 1 at b = 0.
+    T = ScalarAffine(1.5, el(1, 0))
+    with pytest.raises(NotCertifiableError, match=r"^theta=1\.5 is not below b\+1=1\.0$"):
+        optimize_b(T, SP, BOX)
     est = estimate_theta(T, 0.0, SP, BOX, WIT, 2_000, 1)
-    assert est.b == 0.0 and abs(est.theta_hat - 1.5) < 1e-12
-    with pytest.raises(NotCertifiableError,
-                       match=r"^sampled theta_hat=1\.5\d* is not below b\+1=1\.0$"):
-        certify_sampled(est)
+    assert (est.b, est.theta_hat) == (0.0, 1.5)
 
 
-# --- the kernel runs only where Tx - Ty is nonzero ----------------------------------
+def test_an_overflowing_slope_is_refused():
+    # (-1e200)^3 overflows to -inf: b* = max(0, -c) would be inf, and at a
+    # fixed b theta = |b + c| is inf.
+    T = iterated(ScalarAffine(-1e200, el(1, 0)), 3)
+    assert map_slope(T) == (-math.inf, None)
+    with pytest.raises(NotCertifiableError, match=r"^the map's slope c=-inf is not finite$"):
+        optimize_b(T, SP, BOX)
+    theta = estimate_theta(T, 0.5, SP, BOX, WIT, 100, 1).theta_hat
+    assert theta == math.inf
+    with pytest.raises(NotCertifiableError, match=r"^theta=inf is not below b\+1=1\.5$"):
+        certify(0.5, theta, Provenance.closed_form())
 
-def _reference_sample(T, space, box, count, seed, ratio_noise_tol=1e-12):
-    """The sample as built with the kernel on every live pair.
 
-    Returns the refusal message, or ``(accepted, n_dep, n_noisy, M, m,
-    i_max, i_min)`` with None for the last four when nothing is accepted.
-    """
-    X, Y = analyzer._draw_pairs(box, count, seed)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        TX, TY = T.apply_batch(X), T.apply_batch(Y)
-        D, E = X - Y, TX - TY
-        dd = np.add.reduce(D * D, axis=1)
-        dmag = np.sqrt(dd)
-        live = dmag > 1e-8 * max(1.0, *map(abs, box.lo), *map(abs, box.hi))
-        noise = analyzer._NOISE * analyzer.EPS * np.linalg.norm(
-            np.abs(X) + np.abs(Y) + np.abs(TX) + np.abs(TY), axis=1)
-        area = two_norm_batch(space, E, D)
-        bound = analyzer._REFUTE_MARGIN * noise * dmag
-        refuting = np.flatnonzero(live & (area > bound))
-        if refuting.size:
-            i = int(refuting[0])
-            return (f"Tx - Ty is not parallel to x - y at sample {i}: "
-                    f"||Tx - Ty, x - y|| = {float(area[i])!r} exceeds its rounding "
-                    f"bound {float(bound[i])!r}, so no (b, theta) makes the map enriched")
-        mu = np.add.reduce(E * D, axis=1) / dd
-        err = noise / dmag + 2.0 * space.dimension * analyzer.EPS * np.abs(mu)
-    accepted = live & (err <= ratio_noise_tol)
-    n_dep = count - int(np.count_nonzero(live))
-    n_noisy = int(np.count_nonzero(live & ~accepted))
-    if not accepted.any():
-        return (0, n_dep, n_noisy, None, None, None, None)
-    i_max = int(np.argmax(np.where(accepted, mu, -np.inf)))
-    i_min = int(np.argmin(np.where(accepted, mu, np.inf)))
-    return (int(np.count_nonzero(accepted)), n_dep, n_noisy,
-            float(mu[i_max]), float(mu[i_min]), i_max, i_min)
+def test_the_piece_count_is_bounded():
+    # Each step of the averaged two-region map can split every piece in two,
+    # with distinct shifts that never merge.
+    T = iterated(averaged(default_piecewise(2, threshold=0.5), 0.5), 8)
+    with pytest.raises(NotCertifiableError, match="^the map takes more than 64 affine pieces$"):
+        map_slope(T)
+    # Inside {sup <= 0.5} every step takes the fallback branch, so the box
+    # that the whole space overflows still gives one piece.
+    box = Box.symmetric(2, 0.1)
+    assert map_slope(T, box) == (0.5 ** 8, box)
 
+
+# --- the analysis never calls a norm kernel ------------------------------------------
 
 def _space(name):
     return cross2_space() if name == "cross2" else gram_space(int(name.split(":")[1]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(["cross2", "gram:3", "gram:4", "gram:5", "gram:6"]),
-       kind=st.sampled_from(["piecewise", "square", "affine"]),
-       threshold=st.sampled_from([0.5, 2.0, 3.5]),
-       scale=st.sampled_from([0.0, -0.6, 0.5, 1.0, 3.0, -7.0]),
-       half=st.sampled_from([0.5, 2.5, 4.0, 10.0, 1e306, 4e307]),
-       count=st.integers(1, 300), seed=st.integers(0, 2**20))
-def test_screened_sample_equals_the_kernel_on_every_pair(name, kind, threshold, scale,
-                                                         half, count, seed):
-    # Two-region maps mix pairs with Tx - Ty = 0 and 4u/3; their square is
-    # constant; an affine map is parallel everywhere, zero at scale 0, and
-    # overflows to inf and NaN in a box near the float range.
-    space = _space(name)
-    n = space.dimension
-    box = Box.symmetric(n, half)
-    if kind == "affine":
-        T = ScalarAffine(scale, el(*(0.25 * (i + 1) for i in range(n))))
-    else:
-        T = default_piecewise(n, threshold)
-        if kind == "square":
-            T = iterated(T, 2)
-    expected = _reference_sample(T, space, box, count, seed)
-    try:
-        s = analyzer._ThetaSample(T, space, box, count, seed)
-    except NotCertifiableError as exc:
-        assert str(exc) == expected
-        return
-    got = (s.accepted, s.n_dep, s.n_noisy) + (
-        (s.M, s.m, s.i_max, s.i_min) if s.accepted else (None,) * 4)
-    assert got == expected
-
-
 @pytest.mark.parametrize("name", ["cross2", "gram:3", "gram:4", "gram:5", "gram:6"])
 def test_a_constant_square_sends_no_pair_to_the_kernel(name, monkeypatch):
-    space = _space(name)
-    n = space.dimension
-    rows = []
-    real = analyzer.two_norm_batch
-    monkeypatch.setattr(analyzer, "two_norm_batch",
-                        lambda sp, v, z: rows.append(len(v)) or real(sp, v, z))
+    spc = _space(name)
+    n = spc.dimension
+    calls = []
+    for kernel in ("two_norm", "two_norm_batch"):
+        real = getattr(space, kernel)
+        monkeypatch.setattr(space, kernel,
+                            lambda *args, real=real: calls.append(args) or real(*args))
     T2 = iterated(default_piecewise(n), 2)
-    est = estimate_theta(T2, 0.5, space, Box.symmetric(n, 4.0), None, 2000, 1)
-    assert est.accepted == 2000 and est.theta_hat == 0.5
-    assert sum(rows) == 0
+    est = estimate_theta(T2, 0.5, spc, Box.symmetric(n, 4.0), None, 2000, 1)
+    assert est.theta_hat == 0.5
+    assert calls == []
+
+
+# --- properties of the analysis -----------------------------------------------------
+
+def affine_reduction(T):
+    """The slope c of an affine map tree, as the package once reduced it.
+
+    The reference for the analysis's one-piece slope: a node's slope is
+    composed from its inner slope, ``(1 - lam) + lam * c`` for an averaged
+    node and ``c * c_k`` per step of an iterated one.
+    """
+    if isinstance(T, Reflection):
+        return -1.0
+    if isinstance(T, ScalarAffine):
+        return T.scale
+    if isinstance(T, Averaged):
+        lam = T.lam
+        return (1.0 - lam) + lam * affine_reduction(T.inner)
+    assert isinstance(T, Iterated)
+    c = affine_reduction(T.inner)
+    ck = 1.0
+    for _ in range(T.times):
+        ck = c * ck
+    return ck
+
+
+_DIMS = st.sampled_from([2, 3, 5])
+_COORD = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+def _trees(leaves):
+    """Map trees over the given leaf strategy, with averaged and iterated nodes."""
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Averaged, inner, st.floats(0.05, 1.0)),
+            st.builds(Iterated, inner, st.integers(1, 3)),
+        ),
+        max_leaves=3,
+    )
+
+
+def _affine_leaves(dim):
+    point = st.tuples(*[_COORD] * dim).map(SpaceElement)
+    return st.one_of(st.builds(Reflection, point),
+                     st.builds(ScalarAffine, st.floats(-2.0, 2.0), point))
+
+
+def _all_leaves(dim):
+    point = st.tuples(*[_COORD] * dim).map(SpaceElement)
+    region = st.builds(SupNormRegion, st.sampled_from([-1.0, 0.5, 2.0, 3.5]))
+    return st.one_of(_affine_leaves(dim), st.builds(PiecewiseTwoSet, region, point))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=_DIMS)
+def test_one_piece_slope_is_the_affine_reduction_bit_for_bit(data, dim):
+    T = data.draw(_trees(_affine_leaves(dim)))
+    c, box = map_slope(T, Box.symmetric(dim))
+    assert box is None
+    assert c.hex() == float(affine_reduction(T)).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=_DIMS, half=st.sampled_from([0.5, 3.0, 10.0]))
+def test_every_evaluation_lies_on_an_analysed_piece(data, dim, half):
+    # The float value of T at a point of the box lies in the image box of
+    # some analysed piece, and within rounding of that piece's c x + t.
+    T = data.draw(_trees(_all_leaves(dim)))
+    lo, hi = (-half,) * dim, (half,) * dim
+    try:
+        pieces = analyzer._pieces(T, lo, hi)
+    except NotCertifiableError:  # more pieces than the analysis keeps
+        assume(False)
+    points = data.draw(st.lists(st.tuples(*[st.floats(-half, half)] * dim), min_size=1,
+                                max_size=8))
+    for x in points:
+        try:
+            y = T.apply(SpaceElement(x)).coords
+        except NonFiniteError:
+            continue
+
+        def on(piece):
+            c, t, p_lo, p_hi = piece
+            return all(l <= v <= h and abs(v - (c * xi + ti))
+                       <= 64 * EPS * (1.0 + abs(c * xi) + abs(ti) + abs(v))
+                       for v, xi, ti, l, h in zip(y, x, t, p_lo, p_hi))
+
+        assert any(on(p) for p in pieces), (x, y, pieces)

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import cli
+from enrichedfp.analyzer import Provenance
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
     EXIT_CERTIFICATE_VIOLATED,
@@ -36,7 +38,7 @@ from enrichedfp.cli import (
 )
 from enrichedfp.mapping import Reflection, default_piecewise
 from enrichedfp.solver import SolveConfig, SolveReport, SolveStatus, TraceRow
-from enrichedfp.space import SpaceElement, cross2_space, standard_basis
+from enrichedfp.space import SpaceElement, WitnessSet, cross2_space, standard_basis
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
 
@@ -62,6 +64,21 @@ def test_parse_reflection_defaults():
     assert cfg.sampling.count == 100_000
     assert cfg.sampling.seed == 0
     assert cfg.sampling.box.lo == (-10.0, -10.0)
+
+
+@pytest.mark.parametrize("space", ["space.kind=cross2", "space.kind=gram\nspace.dimension=4"])
+def test_parses_share_one_standard_basis(space):
+    # The basis is built once per dimension: its spanning check runs an SVD.
+    text = REFLECTION_SCENARIO.replace("space.kind=cross2\nspace.dimension=2", space)
+    if "gram" in space:
+        text = text.replace("map.w=2,0", "map.w=2,0,0,0").replace("x0=0,0", "x0=0,0,0,0")
+    first, second = parse_scenario_text(text), parse_scenario_text(text)
+    shared = first.solve.witnesses
+    assert second.solve.witnesses is shared is standard_basis(shared.dim)
+    fresh = WitnessSet(tuple(el(*row) for row in np.eye(shared.dim)))
+    assert shared.witnesses == fresh.witnesses
+    assert shared._operands == fresh._operands
+    assert all(np.array_equal(a, b) for a, b in zip(shared._batch.terms, fresh._batch.terms))
 
 
 def test_parse_rejects_local_mode_without_block():
@@ -289,11 +306,13 @@ def test_run_asymptotic_piecewise():
 
 
 def test_run_asymptotic_with_sampled_theta():
-    # theta=estimate on the piecewise square goes through the sampled path
+    # theta=estimate on the piecewise square: T^2 is the constant -u/3 on the
+    # whole space, so its theta is |b + 0| = b and holds everywhere.
     text = DEMO_SCENARIOS["asymptotic-piecewise"].replace("theta=1", "theta=estimate")
     report, code = run_scenario(parse_scenario_text(text))
     assert code == EXIT_CONVERGED
-    assert report.certificate.provenance.kind == "sampled"
+    assert report.certificate.provenance == Provenance.closed_form()
+    assert report.certificate.theta == 1.0
     x = report.x_star.coords
     assert abs(x[0] + 1.0 / 3.0) <= 1e-10 and abs(x[1] + 1.0 / 3.0) <= 1e-10
 
@@ -317,12 +336,14 @@ def test_run_accepts_valid_asserted_theta_and_rejects_invalid():
     _, code = run_scenario(parse_scenario_text(ok))  # |0.1 - 1| <= 0.95 < 1.1
     assert code == EXIT_CONVERGED
 
-    # 0.5 < 1.1 certifies, but the true theta is |0.1 - 1| = 0.9: the run
-    # meets tol and breaks the a priori bound of the asserted certificate.
+    # 0.5 < 1.1 would certify, but the true theta is |0.1 - 1| = 0.9: the
+    # asserted theta is checked against the map's slope and refused. Such a
+    # run once met tol and broke the a priori bound (exit 7).
     wrong = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=0.5")
     report, code = run_scenario(parse_scenario_text(wrong))
-    assert code == EXIT_CERTIFICATE_VIOLATED == 7
-    assert report.status == SolveStatus.CERTIFICATE_VIOLATED and report.bound_violations > 0
+    assert code == EXIT_NOT_CERTIFIABLE
+    assert report.warnings == ("certification failed: asserted theta=0.5 is below "
+                               "|b + c| = 0.9 for the map's slope c=-1.0",)
 
     bad = REFLECTION_SCENARIO.replace("b=0.5", "b=0.1").replace("theta=estimate", "theta=1.2")
     report, code = run_scenario(parse_scenario_text(bad))
@@ -586,8 +607,8 @@ def test_main_demo_byte_identical_reruns(tmp_path):
 
 
 def test_parse_wraps_constructor_errors_with_field_paths():
-    non_spanning = REFLECTION_SCENARIO + "witnesses=1,0;2,0\n"
-    with pytest.raises(ScenarioError, match="witnesses"):
+    non_spanning = REFLECTION_SCENARIO.replace("witnesses=basis", "witnesses=1,0;2,0")
+    with pytest.raises(ScenarioError, match="witnesses: witness set does not span"):
         parse_scenario_text(non_spanning)
     bad_box = REFLECTION_SCENARIO + "domain.kind=box\ndomain.lo=5,5\ndomain.hi=1,1\n"
     with pytest.raises(ScenarioError, match="domain"):
@@ -622,7 +643,8 @@ _DIVERGENT = "schema=1\nspace.kind=cross2\nspace.dimension=2\nx0=0.5,0.25\n"
 
 @pytest.mark.parametrize("body", [
     "mode=picard\nmap.kind=scalar_affine\nmap.scale=3\nmap.shift=1,0\n",
-    "mode=krasnoselskij\nmap.kind=scalar_affine\nmap.scale=1.5\nmap.shift=1,0\n"
+    # A true certificate, but the fixed point 2e308 lies beyond the doubles.
+    "mode=krasnoselskij\nmap.kind=scalar_affine\nmap.scale=0.5\nmap.shift=1e308,0\n"
     "b=0\ntheta=0.5\n",
 ])
 def test_main_divergent_solve_exits_six(body, tmp_path, capsys):
@@ -664,7 +686,7 @@ def test_main_overflowing_bound_check_counts_violations(scale, shift, iterations
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("certificate", ["mode=picard\n", "b=0\ntheta=0.5\n"])
+@pytest.mark.parametrize("certificate", ["mode=picard\n"])
 def test_main_divergent_gram_solve_exits_six(dim, certificate, tmp_path, capsys):
     # Past |x| ~ 1.2e150 the gram norm is NaN; a step that read 0 there would
     # stop the run as Converged at an overflowing point.
@@ -847,8 +869,8 @@ def test_artifacts_match_pinned_bytes(tmp_path):
     assert got == PINNED_SHA256
 
 
-# A gram:3 two-region map solved through T^2 with a sampled theta, as the
-# b=auto sampling sees it, over a sampling box near the float range.
+# A gram:3 two-region map solved through T^2 with theta=estimate, over a
+# sampling box near the float range.
 _WIDE_BOX = """\
 schema=1
 space.kind=gram
@@ -869,35 +891,87 @@ sampling.hi={hi}
 
 
 @pytest.mark.parametrize("b", ["auto", "0.5"])
-def test_a_box_too_wide_to_sample_reports_not_certifiable(b, tmp_path, capsys):
-    # hi - lo overflows: this once ended in numpy's OverflowError, exit 1.
+def test_a_box_near_the_float_range_is_analysed(b, tmp_path, capsys):
+    # hi - lo overflows, which once left nothing to sample (exit 2). T^2 is
+    # the constant -u/3 on the whole space, so the box is never needed.
     path = _write(tmp_path, "s", _WIDE_BOX.format(b=b, lo="-1e308", hi="1e308"))
-    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE == 2
+    assert main(["analyze", "--scenario", path]) == EXIT_CONVERGED
     out, err = capsys.readouterr()
-    assert out.startswith("status=PreconditionFailed\n")
-    assert "sampling box width hi - lo = inf is not finite" in out
-    assert err == ""
-    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
-    out, err = capsys.readouterr()
-    assert out.startswith("status=NotCertifiable\nreason=sampling box width") and err == ""
+    assert out.endswith("\nprovenance=closed_form\n") and err == ""
+    assert main(["solve", "--scenario", path]) == EXIT_CONVERGED
+    assert capsys.readouterr().out.startswith("status=Converged\n")
 
 
 @pytest.mark.parametrize("b", ["1", "auto"])
-def test_a_sample_too_large_to_draw_reports_not_certifiable(b, tmp_path, capsys):
-    # The asymptotic-piecewise demo with a sampled theta and 10^20 samples:
-    # numpy once refused the draw's shape with a traceback, exit 1.
-    text = (DEMO_SCENARIOS["asymptotic-piecewise"]
-            .replace("b=1\ntheta=1\n", f"b={b}\ntheta=estimate\n")
-            + "sampling.count=100000000000000000000\n")
-    path = _write(tmp_path, "s", text)
-    reason = ("sampling count 100000000000000000000 in dimension 2 draws "
-              "200000000000000000000 coordinates, above the limit of 4000000")
-    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
-    out, err = capsys.readouterr()
-    assert out.startswith("status=PreconditionFailed\n")
-    assert f"warning=certification failed: {reason}\n" in out and err == ""
-    assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
-    assert capsys.readouterr() == (f"status=NotCertifiable\nreason={reason}\n", "")
+def test_sampling_count_and_seed_are_accepted_but_not_read(b, tmp_path, capsys):
+    # A count of 10^20 was once refused as too large to draw; now neither key
+    # changes a byte of the report.
+    base = DEMO_SCENARIOS["asymptotic-piecewise"].replace("b=1\ntheta=1\n",
+                                                          f"b={b}\ntheta=estimate\n")
+    reports = []
+    for extra in ("", "sampling.count=100000000000000000000\n", "sampling.count=1\n"):
+        text = base.replace("seed=0", "seed=7") + extra if extra else base
+        assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_CONVERGED
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1] == reports[2]
+
+
+# The two-region map u = (3, 3) on {sup > 2} is the constant (-1, -1) on the
+# sampling box [-1.5, 1.5]^2 but takes both values on the plane: (-1, -1) and
+# (3, 3) are both fixed.
+_BOX_ONLY = """\
+schema=1
+space.kind=cross2
+map.kind=piecewise_two_set
+map.u=3,3
+map.region.threshold=2
+sampling.lo=-1.5
+sampling.hi=1.5
+b=auto
+theta=estimate
+x0={x0}
+"""
+
+
+def test_a_certificate_of_the_sampling_box_keeps_the_run_in_it(tmp_path, capsys):
+    # From x0 = (5, 5) the run once printed Converged at (3, 3), exit 0, on a
+    # certificate drawn from a box it never entered.
+    assert main(["solve", "--scenario", _write(tmp_path, "s", _BOX_ONLY.format(x0="5,5"))]) \
+        == EXIT_LEFT_DOMAIN
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["status=LeftDomain", "iterations=0", "x_star=none"]
+    assert "provenance=closed_form(lo=-1.5,-1.5;hi=1.5,1.5)" in lines
+    assert ("warning=iterate 0 left the box lo=(-1.5, -1.5) hi=(1.5, 1.5), the only region "
+            "where the certificate holds") in lines
+    assert main(["solve", "--scenario", _write(tmp_path, "s", _BOX_ONLY.format(x0="0,0"))]) \
+        == EXIT_CONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "x_star=-1.0000000000000000e+00,-1.0000000000000000e+00"
+    assert not any(line.startswith("warning=") for line in lines)
+
+
+def test_an_asserted_theta_is_checked_against_the_map(tmp_path, capsys):
+    # T takes u = (1, 1) and -u/3 on the plane, so no (b, theta) holds: the
+    # asserted (1, 1.5) once ran to Converged after 39 iterations, with step
+    # ratios of 1.17 against d = 0.75.
+    text = (DEMO_SCENARIOS["asymptotic-piecewise"].replace("mode=asymptotic", "mode=krasnoselskij")
+            .replace("theta=1\n", "theta=1.5\n"))
+    assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_NOT_CERTIFIABLE
+    out = capsys.readouterr().out
+    assert ("warning=certification failed: the map is not one affine piece on the whole "
+            "space: it takes both x -> 0.0 x + (1.0, 1.0) and x -> 0.0 x + "
+            "(-0.3333333333333333, -0.3333333333333333), so no (b, theta) makes it "
+            "enriched\n") in out
+    # On a domain box inside {sup <= 2} the map is the constant -u/3, and a
+    # theta at least |b + 0| holds.
+    boxed = text + "domain.kind=box\ndomain.lo=-2,-2\ndomain.hi=2,2\n"
+    assert main(["analyze", "--scenario", _write(tmp_path, "s", boxed)]) == EXIT_CONVERGED
+    assert capsys.readouterr().out.endswith("\nprovenance=asserted\n")
+    low = boxed.replace("theta=1.5", "theta=0.5")
+    assert main(["analyze", "--scenario", _write(tmp_path, "s", low)]) == EXIT_NOT_CERTIFIABLE
+    assert capsys.readouterr().out == (
+        "status=NotCertifiable\nreason=asserted theta=0.5 is below |b + c| = 1.0 for the "
+        "map's slope c=0.0\n")
 
 
 # A two-region map with small u: pairs across the boundary |x|_sup = 3.5
@@ -923,12 +997,15 @@ def test_a_map_with_a_pair_that_is_not_parallel_is_not_certifiable(tmp_path, cap
     path = _write(tmp_path, "s", _NOT_PARALLEL)
     assert main(["analyze", "--scenario", path]) == EXIT_NOT_CERTIFIABLE == 2
     out, err = capsys.readouterr()
-    assert out.startswith("status=NotCertifiable\nreason=Tx - Ty is not parallel to "
-                          "x - y at sample 2: ||Tx - Ty, x - y|| = 0.0054142199035")
-    assert "so no (b, theta) makes the map enriched\n" in out and err == ""
+    reason = ("the map is not one affine piece on the box lo=(-4.0, -4.0) hi=(4.0, 4.0): "
+              "it takes both x -> 0.0 x + (0.05, -0.0625) and x -> 0.0 x + "
+              "(-0.016666666666666666, 0.020833333333333332), so no (b, theta) makes it "
+              "enriched")
+    assert (out, err) == (f"status=NotCertifiable\nreason={reason}\n", "")
     assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
     out, err = capsys.readouterr()
-    assert out.startswith("status=PreconditionFailed\n") and "at sample 2:" in out
+    assert out.startswith("status=PreconditionFailed\n")
+    assert f"warning=certification failed: {reason}\n" in out
 
 
 def test_a_run_without_iterates_replaces_an_earlier_trace(tmp_path, capsys):
@@ -989,13 +1066,12 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
 
 
 def test_an_overflowing_sample_leaks_no_numpy_warning(tmp_path, capsys):
-    # Draws near 1e200 overflow the norm kernels; the guards reject every
-    # pair. Under the suite's error::RuntimeWarning filter a leaked
-    # numpy warning would raise instead.
+    # A box near 1e200 once overflowed the sampler's norm kernels. Under the
+    # suite's error::RuntimeWarning filter a leaked numpy warning would raise.
     path = _write(tmp_path, "s", _WIDE_BOX.format(b="auto", lo="-1e200", hi="1e200"))
-    assert main(["solve", "--scenario", path]) == EXIT_NOT_CERTIFIABLE
+    assert main(["solve", "--scenario", path]) == EXIT_CONVERGED
     out, err = capsys.readouterr()
-    assert out.startswith("status=PreconditionFailed\n") and err == ""
+    assert out.startswith("status=Converged\n") and err == ""
 
 
 # --- every schema-valid scenario ends in a documented exit code -------------------------
@@ -1253,14 +1329,18 @@ def test_a_sampled_analyze_prints_its_provenance(tmp_path, capsys):
             .replace("seed=0", "seed=3") + "sampling.count=2000\n")
     assert main(["analyze", "--scenario", _write(tmp_path, "s", text)]) == EXIT_CONVERGED
     out, err = capsys.readouterr()
-    assert out.endswith("\nprovenance=sampled(count=2000,seed=3)\n") and err == ""
+    # sampling.count and seed are accepted, but nothing samples any more.
+    assert out.endswith("\nprovenance=closed_form\n") and err == ""
 
 
 def test_an_asymptotic_fixed_point_that_the_map_moves_reports_no_x_star(tmp_path, capsys):
-    # T^2 is the identity, so x0 is the fixed point of T^2, but T moves it by 2.
-    text = _with({"mode": "asymptotic", "b": "0", "theta": "0.5", "n": "2"})
+    # T = -0.99 x: x0 = (37, 0) meets tol = 1 for T^2, which moves it by
+    # 0.0199 * 37, but T moves it by 1.99 * 37.
+    text = _with({"mode": "asymptotic", "map.kind": "scalar_affine", "map.w": None,
+                  "map.scale": "-0.99", "map.shift": "0,0", "b": "0", "theta": "0.99",
+                  "n": "2", "tol": "1", "x0": "37,0"})
     assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_MAX_ITER
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "status=MaxIterExceeded" and "x_star=none" in lines
     assert ("warning=fixed point of the 2-th iterate is not fixed by the map itself: "
-            "residual 2.0 exceeds tol 1e-10") in lines
+            "residual 73.63 exceeds tol 1.0") in lines

@@ -122,15 +122,16 @@ def test_every_private_helper_is_used():
 def test_the_helper_check_sees_private_names_and_dd_functions():
     found = {p.name: {name for name, _, _ in _helpers(p, _tree(p))} for p in MODULES}
     assert {"_solve_core", "_CYCLE_WINDOW", "_witnesses_for"} <= found["solver.py"]
-    assert {"_ThetaSample", "_INFLATION"} <= found["analyzer.py"]
+    assert {"_pieces", "_PIECE_LIMIT"} <= found["analyzer.py"]
     assert {"split", "dd_add"} <= found["_dd.py"]
     assert "__all__" not in found["cli.py"]
 
 
 # Public names kept for users of the package although no module reads them:
-# the console-script entry, the scenario writer, the shipped example map and
-# the seminorm view of the 2-norm.
-_USER_FACING = {"main_entry", "write_scenario", "default_piecewise", "seminorm"}
+# the console-script entry, the scenario writer, the shipped example map, the
+# seminorm view of the 2-norm and the theta of a map at a given b.
+_USER_FACING = {"main_entry", "write_scenario", "default_piecewise", "seminorm",
+                "estimate_theta"}
 
 
 def test_every_public_name_is_used():

@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from enrichedfp import analyzer
+from enrichedfp.analyzer import NotCertifiableError, map_slope
 from enrichedfp.mapping import (
     Averaged,
+    PiecewiseTwoSet,
     Reflection,
     ScalarAffine,
     SupNormRegion,
-    affine_reduction,
     averaged,
     default_piecewise,
     iterated,
@@ -155,19 +157,35 @@ def test_piecewise_regions_and_square():
         assert T2.apply(x) == fallback     # the square is constant
 
 
+def _branches(region, lo, hi=None):
+    """The values the analysis of a two-region node keeps on the box [lo, hi],
+    by default the point box of the row lo."""
+    T = PiecewiseTwoSet(region, el(*([1.0] * len(lo))))
+    lo = tuple(float(v) for v in lo)
+    hi = lo if hi is None else tuple(float(v) for v in hi)
+    return {t for _, t, _, _ in analyzer._pieces(T, lo, hi)}, T
+
+
 def test_sup_norm_region_batch_matches_scalar():
+    # On a point box the analysis takes the branch that apply takes.
     region = SupNormRegion(2.0)
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.1, 0.0], [-3.0, 1.0]])
-    mask = region.contains_batch(pts)
-    for row, m in zip(pts, mask):
-        assert region.contains(SpaceElement(tuple(row))) == bool(m)
+    for row in pts:
+        got, T = _branches(region, row)
+        x = SpaceElement(tuple(row))
+        assert got == {T.apply(x).coords}
+        assert (got == {T.u.coords}) == region.contains(x)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("t", [0.0, 2.0, 1e308])
 def test_sup_norm_region_batch_is_the_row_max_test(n, t):
-    # NaN in a row makes it not contained, as np.max propagates NaN; -0.0,
-    # the threshold itself and its negative are not above it.
+    # The analysis of a two-region node on the point box of each row keeps
+    # only the branch of the row max test: -0.0, the threshold itself and its
+    # negative are not above it, and an infinite coordinate is. The analysis
+    # widens a nan bound to [-inf, inf], so a row with NaN is the box with
+    # those coordinates unbounded: it is inside when another coordinate is
+    # above the threshold, and keeps both branches otherwise.
     rng = np.random.default_rng(100 * n + int(t > 1))
     pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, t, -t, np.nextafter(t, np.inf),
                      np.nextafter(t, -np.inf), 1.5, -2.5])
@@ -176,7 +194,16 @@ def test_sup_norm_region_batch_is_the_row_max_test(n, t):
     xs[special] = rng.choice(pool, size=int(special.sum()))
     xs[:len(pool)] = pool[:, None]  # rows of one value each
     expected = np.max(np.abs(xs), axis=1) > t
-    assert np.array_equal(SupNormRegion(t).contains_batch(xs), expected)
+    for row, inside in zip(xs, expected):
+        nan = np.isnan(row)
+        got, T = _branches(SupNormRegion(t), np.where(nan, -np.inf, row),
+                           np.where(nan, np.inf, row))
+        if not nan.any():
+            assert got == {T.u.coords if inside else T.fallback()}
+        elif np.max(np.abs(row[~nan]), initial=0.0) > t:
+            assert got == {T.u.coords}
+        else:
+            assert got == {T.u.coords, T.fallback()}
 
 
 # --- fixed point transfer -------------------------------------------------------
@@ -202,9 +229,11 @@ def test_fixed_points_transfer_to_averaged_map():
 
 
 # --- affine reduction -----------------------------------------------------------
+# The analyzer reduces a map tree to its affine pieces; an affine tree is one
+# piece x -> c x + t on the whole space.
 
 def test_affine_reduction_reflection():
-    assert affine_reduction(Reflection(el(2, -3))) == -1.0
+    assert map_slope(Reflection(el(2, -3))) == (-1.0, None)
 
 
 def test_affine_reduction_matches_pointwise_apply():
@@ -216,8 +245,8 @@ def test_affine_reduction_matches_pointwise_apply():
         iterated(averaged(Reflection(el(4, 2)), 0.5), 2),
     ]
     for T in trees:
-        c = affine_reduction(T)
-        assert c is not None
+        c, box = map_slope(T)
+        assert box is None
         t = T.apply(el(0, 0)).coords
         for x in rand_points(2, 50, seed=10):
             got = T.apply(x)
@@ -227,28 +256,11 @@ def test_affine_reduction_matches_pointwise_apply():
 
 
 def test_affine_reduction_refuses_piecewise():
-    assert affine_reduction(default_piecewise(2)) is None
-    assert affine_reduction(averaged(default_piecewise(2), 0.5)) is None
-    assert affine_reduction(iterated(default_piecewise(2), 2)) is None
-
-
-# --- batch evaluation ------------------------------------------------------------
-
-def test_apply_batch_matches_apply_bitwise():
-    maps = [
-        Reflection(el(2, 0)),
-        ScalarAffine(0.3, el(1, -1)),
-        default_piecewise(2),
-        averaged(Reflection(el(2, 0)), 2.0 / 3.0),
-        iterated(default_piecewise(2), 2),
-    ]
-    rng = np.random.default_rng(12)
-    X = rng.uniform(-10, 10, size=(300, 2))
-    for T in maps:
-        batch = T.apply_batch(X)
-        for i in range(X.shape[0]):
-            single = T.apply(SpaceElement(tuple(X[i])))
-            assert tuple(batch[i]) == single.coords
+    for T in (default_piecewise(2), averaged(default_piecewise(2), 0.5)):
+        with pytest.raises(NotCertifiableError, match="not one affine piece"):
+            map_slope(T)
+    # The square is no longer piecewise: it is the constant -u/3.
+    assert map_slope(iterated(default_piecewise(2), 2)) == (0.0, None)
 
 
 # --- coordinate types and overflow ----------------------------------------------

@@ -473,9 +473,6 @@ class CountingMap(SelfMap):
         self.calls += 1
         return self.inner.apply(x)
 
-    def apply_batch(self, xs):
-        return self.inner.apply_batch(xs)
-
 
 def test_solve_evaluates_the_map_once_per_iteration():
     # T x0 once, then T x_n once per iteration; x_1, each next iterate and the
