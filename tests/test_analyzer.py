@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -398,20 +399,53 @@ def test_the_averaged_covering_two_region_map_has_slope_0_7():
     assert map_slope(T, BOX)[0] == pytest.approx(0.7, abs=1e-16)
 
 
+# --- a seeded sample of pairs, as a witness to the analysis ---------------------------
+
+def _draw_pairs(box, count, seed):
+    """``count`` pairs drawn uniformly from ``box``, one block of draws per pair."""
+    pts = np.random.default_rng(seed).uniform(np.array(box.lo), np.array(box.hi),
+                                              size=(count, 2, box.dimension))
+    return [(el(*x), el(*y)) for x, y in zip(pts[:, 0, :], pts[:, 1, :])]
+
+
+def _sampled_slopes(T, box, count, seed):
+    """Each drawn pair's mu = <Tx - Ty, x - y>/<x - y, x - y>, evaluated with ``apply``."""
+    out = []
+    for x, y in _draw_pairs(box, count, seed):
+        d, e = x - y, T.apply(x) - T.apply(y)
+        out.append(sum(a * b for a, b in zip(e.coords, d.coords))
+                   / sum(a * a for a in d.coords))
+    return out
+
+
+def test_optimize_b_sampled_route_matches_closed_form():
+    # The slopes of sampled pairs all lie within rounding of the analysed
+    # c = -1, so the sampled b = -(M + m)/2 agrees with the exact b* = 1.
+    T = Reflection(el(2, 0))
+    b, cert = optimize_b(T, SP, BOX)
+    slopes = _sampled_slopes(T, BOX, 2_000, 3)
+    M, m = max(slopes), min(slopes)
+    assert abs(-(M + m) / 2.0 - b) <= 1e-12
+    assert (b, cert.d) == (1.0, 0.0)
+    assert cert.provenance.kind == "closed_form"
+
+
 # The two-region maps whose sampled certificates were once pinned bit for
 # bit (cross2 d = 0.93, gram:3 d = 0.33, gram:5 d = 0.32): u is small, so
 # the box straddles the region boundary and the map takes both u and -u/3.
 # Each is refused, by the b search and by an estimate at its formerly
-# certified b, naming both pieces.
+# certified b, naming both pieces. The refusal is witnessed by evaluation:
+# in a seeded draw of 2000 pairs, pair ``index`` is the first whose points
+# take different pieces, so that Tx - Ty = +-4u/3 is not parallel to x - y.
 _ONCE_PINNED = [
-    ("cross2:2", "auto"), ("cross2:2", "0x1.804f66869491ap+2"),
-    ("gram:3", "auto"), ("gram:3", "0x1.06012abf78741p-3"),
-    ("gram:5", "auto"), ("gram:5", "0x1.2dbdb66cea187p-7"),
+    ("cross2:2", "auto", 2), ("cross2:2", "0x1.804f66869491ap+2", 2),
+    ("gram:3", "auto", 0), ("gram:3", "0x1.06012abf78741p-3", 0),
+    ("gram:5", "auto", 2), ("gram:5", "0x1.2dbdb66cea187p-7", 2),
 ]
 
 
-@pytest.mark.parametrize("name, b", _ONCE_PINNED)
-def test_once_pinned_piecewise_maps_are_refused_with_both_pieces(name, b):
+@pytest.mark.parametrize("name, b, index", _ONCE_PINNED)
+def test_once_pinned_piecewise_maps_are_refuted(name, b, index):
     n = int(name.split(":")[1])
     space = cross2_space() if name.startswith("cross2") else gram_space(n)
     u = SpaceElement(tuple(0.05 * (1.0 + 0.25 * i) * (-1) ** i for i in range(n)))
@@ -426,12 +460,19 @@ def test_once_pinned_piecewise_maps_are_refused_with_both_pieces(name, b):
         f"the map is not one affine piece on the box lo={box.lo} hi={box.hi}: it takes "
         f"both x -> 0.0 x + {u.coords} and x -> 0.0 x + {T.fallback()}, so no (b, theta) "
         "makes it enriched")
+    pairs = _draw_pairs(box, 2000, 5)[: index + 1]
+    areas = [two_norm(space, T.apply(x) - T.apply(y), x - y) for x, y in pairs]
+    assert all(a == 0.0 for a in areas[:index]) and areas[index] > 0.0
+    x, y = pairs[index]
+    assert {T.apply(x).coords, T.apply(y).coords} == {u.coords, T.fallback()}
 
 
-def test_a_slope_of_one_or_more_is_refused():
-    # x -> 1.5 x + t: d(b) = (b + 1.5)/(b + 1) >= 1 for every b, and
+def test_a_sampled_slope_of_one_or_more_is_refused():
+    # x -> 1.5 x + t: every sampled slope is 1.5 up to rounding, and so is
+    # the analysed c, so d(b) = (b + 1.5)/(b + 1) >= 1 for every b and
     # theta = 1.5 >= b + 1 at b = 0.
     T = ScalarAffine(1.5, el(1, 0))
+    assert all(abs(mu - 1.5) <= 1e-12 for mu in _sampled_slopes(T, BOX, 2_000, 1))
     with pytest.raises(NotCertifiableError, match=r"^theta=1\.5 is not below b\+1=1\.0$"):
         optimize_b(T, SP, BOX)
     est = estimate_theta(T, 0.0, SP, BOX, WIT, 2_000, 1)

@@ -686,19 +686,25 @@ def test_main_overflowing_bound_check_counts_violations(scale, shift, iterations
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("certificate", ["mode=picard\n"])
+@pytest.mark.parametrize("certificate", ["mode=picard\n", "b=0\ntheta=0.5\n"])
 def test_main_divergent_gram_solve_exits_six(dim, certificate, tmp_path, capsys):
     # Past |x| ~ 1.2e150 the gram norm is NaN; a step that read 0 there would
-    # stop the run as Converged at an overflowing point.
+    # stop the run as Converged at an overflowing point. Picard runs the
+    # expanding x -> 3x + t until a point overflows. The asserted theta = 0.5
+    # holds for x -> 0.5 x + t (an expanding map with it is refused before
+    # the run), but with t = 1e308 the fixed point 2t lies past the float
+    # range, so the second iterate overflows.
+    scale, shift, iterations = ("3", "1", 645) if "picard" in certificate else ("0.5", "1e308", 2)
     pad = ",0" * (dim - 2)
     scenario = tmp_path / "s.scenario"
     scenario.write_text(
         f"schema=1\nspace.kind=gram\nspace.dimension={dim}\n{certificate}"
-        f"map.kind=scalar_affine\nmap.scale=3\nmap.shift=1,0{pad}\nx0=0.5,0.25{pad}\n"
+        f"map.kind=scalar_affine\nmap.scale={scale}\nmap.shift={shift},0{pad}\n"
+        f"x0=0.5,0.25{pad}\n"
     )
     assert main(["solve", "--scenario", str(scenario)]) == EXIT_DIVERGED
     out, err = capsys.readouterr()
-    assert out.startswith("status=Diverged\niterations=645\n")
+    assert out.startswith(f"status=Diverged\niterations={iterations}\n")
     assert err == ""
 
 
