@@ -722,6 +722,8 @@ def report_text(report: SolveReport) -> str:
             )
         else:
             human.append("Rejected before iterating; see warnings.")
+    elif report.left_certificate_box:
+        human.append(f"Iterate {report.iterations} left the box where the certificate holds.")
     elif report.status == SolveStatus.LEFT_DOMAIN:
         human.append(f"Iterate {report.iterations} left the configured domain.")
     elif report.status == SolveStatus.DIVERGED:

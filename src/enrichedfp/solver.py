@@ -148,6 +148,9 @@ class SolveReport:
     epsilon: Optional[float] = None
     precondition: Optional[tuple[float, float]] = None  # (lhs, rhs) of the ball test
     warnings: tuple[str, ...] = ()
+    # LeftDomain only: the last iterate left the certificate's box and no
+    # other region (no configured domain, no local ball).
+    left_certificate_box: bool = False
 
 
 def apriori_bound(cert: EnrichedCertificate, n: int, base: float) -> float:
@@ -336,12 +339,15 @@ def _solve_core(
         # A point overflowed: the iteration diverges, whatever the certificate
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
+    left_certificate_box = False
     if (status == SolveStatus.LEFT_DOMAIN and cert_box is not None
             and not cert_box.contains(space, xs[-1])):
         warnings.append(
             f"iterate {len(xs) - 1} left the box lo={cert_box.lo} hi={cert_box.hi}, "
             "the only region where the certificate holds"
         )
+        left_certificate_box = all(r.contains(space, xs[-1])
+                                   for r in regions if r is not cert_box)
 
     # One pass over the trace: the step rows, the fixed-point rows and, for a
     # certified fixed point, each row's distance to it for the bound check.
@@ -397,6 +403,7 @@ def _solve_core(
         epsilon=epsilon,
         precondition=precondition,
         warnings=tuple(warnings),
+        left_certificate_box=left_certificate_box,
     )
 
 

@@ -42,6 +42,17 @@ the rows of an array and, from 24 on, evaluates them with one broadcasting
 :func:`two_norm_batch` call against every witness, bit for bit the same. The
 scalar kernel stays the reference, and serves the ball tests.
 
+On ``gram``, a set whose witnesses are the rows of the identity, in order
+(the standard basis, however it was written), takes a closed form in both
+the scalar and the batch witness kernel. With ``z = e_j`` the general
+kernel's ``<v, z>`` is exactly ``(v_j, 0)``, its ``<v,z>^2`` is the
+``two_prod(v_j, v_j)`` that ``|v|^2`` sums anyway, and ``|v|^2 |z|^2`` is
+one value per vector. The closed form forms those terms with the same
+formulas, drops only operations on exact zeros (which change no nonzero
+value, and the radicand never comes out ``-0.0``), and ends in the same
+``dd_add`` and square root, so it is bit for bit the general kernel, NaN
+included. Every other set, and all of ``cross2``, runs the general kernel.
+
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
 construction and is documented rather than checked at runtime.
@@ -57,7 +68,17 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._dd import _SPLIT, dd_add, dd_mul, dd_mul_split, det2_dd, dot_dd, split, two_prod_split
+from ._dd import (
+    _SPLIT,
+    dd_add,
+    dd_mul,
+    dd_mul_split,
+    det2_dd,
+    dot_dd,
+    split,
+    two_prod_split,
+    two_sum,
+)
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -245,21 +266,24 @@ class NormOperand:
     Built from an ``(..., n)`` float array, it holds the terms of one operand
     alone in the scalar kernels. ``terms`` is ``(a, ah, al)``: the columns,
     stacked along a new first axis so that ``a[i]`` is coordinate ``i``,
-    contiguous, and their Dekker splits. With ``squares``, ``sq`` is
-    ``(h, l, hh, hl)``: the double-double ``|a|^2`` and the split of its
-    high part; ``cross2`` needs only the splits, ``gram`` needs both.
+    contiguous, and their Dekker splits. With ``squares``, ``coord_sq`` is
+    ``(p, e)``, the stacked ``two_prod(a_i, a_i)`` of every coordinate, and
+    ``sq`` is ``(h, l, hh, hl)``: their double-double sum ``|a|^2`` and the
+    split of its high part; ``cross2`` needs only the splits, ``gram`` needs
+    ``sq`` and, against the standard basis, ``coord_sq``.
     """
 
-    __slots__ = ("shape", "terms", "sq")
+    __slots__ = ("shape", "terms", "coord_sq", "sq")
 
     def __init__(self, xs: np.ndarray, squares: bool):
         xs = np.asarray(xs, dtype=float)
         self.shape = xs.shape
         a = np.moveaxis(xs, -1, 0).copy()
         self.terms = (a, *split(a))
-        self.sq = None
+        self.coord_sq = self.sq = None
         if squares:
-            h, l = _dd_sum(two_prod_split(*self.terms, *self.terms))
+            self.coord_sq = two_prod_split(*self.terms, *self.terms)
+            h, l = _dd_sum(self.coord_sq)
             self.sq = (h, l, *split(h))
 
 
@@ -286,6 +310,19 @@ def _gram_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
     p1h, p1l = dd_mul_split(*x.sq, *y.sq)
     shh, shl = split(sh)
     p2h, p2l = dd_mul_split(sh, sl, shh, shl, sh, sl, shh, shl)
+    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
+    return np.sqrt(np.maximum(0.0, rh))
+
+
+def _gram_basis_pair(x: NormOperand, unit: tuple) -> np.ndarray:
+    # _gram_pair of every row of x against every e_j, as an (n, ...) table:
+    # with z = e_j, <x, z> = (x_j, 0) exactly, so p2 is x_j's own two_prod,
+    # normalised, and p1 = dd_mul(|x|^2, |e_j|^2) is one value per row.
+    # ``unit`` is (h, l, hh, hl) of |e_j|^2 = (1, 0), as the witness operand
+    # holds it.
+    p1h, p1l = dd_mul_split(*x.sq, *unit)
+    p, e = x.coord_sq
+    p2h, p2l = two_sum(p, e + 0.0)
     rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
     return np.sqrt(np.maximum(0.0, rh))
 
@@ -339,13 +376,16 @@ class WitnessSet:
     Spanning guarantees that a vanishing max-residual pins the point down,
     i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds, built
     once, the ``(1, m, n)`` :class:`NormOperand` of its witnesses (with
-    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, and the
-    same terms as Python floats per witness for :func:`witness_norms`.
+    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, the same
+    terms as Python floats per witness for :func:`witness_norms`, and
+    whether the witnesses are the standard basis, which on ``gram`` selects
+    the closed form of both.
     """
 
     witnesses: tuple[SpaceElement, ...]
     _batch: NormOperand = field(init=False, repr=False, compare=False)
     _operands: tuple = field(init=False, repr=False, compare=False)
+    _basis: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.witnesses:
@@ -364,6 +404,9 @@ class WitnessSet:
         operands = tuple((tuple(zip(*c)), *q) for *c, q in zip(a, ah, al, sq))
         object.__setattr__(self, "_batch", batch)
         object.__setattr__(self, "_operands", operands)
+        # The rows of the identity, in order and bit for bit (no -0.0): the
+        # witnesses on which gram norms have a closed form.
+        object.__setattr__(self, "_basis", mat.tobytes() == np.eye(n).tobytes())
 
     @property
     def dim(self) -> int:
@@ -388,8 +431,10 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
     and ``dd_mul`` written out inline: ``v``'s splits and ``|v|^2`` are formed
     once per call and each witness's operands come precomputed from the set,
     while every remaining operation runs in the order of the scalar kernel.
-    ``cross2`` has no squared norms to share, so it evaluates the scalar
-    kernel per witness.
+    Against the standard basis it runs the closed form (see the module
+    notes): ``dd_mul(|v|^2, |e_j|^2)`` once, then per witness ``v_j``'s
+    ``two_prod`` normalised and the final ``dd_add``. ``cross2`` has no
+    squared norms to share, so it evaluates the scalar kernel per witness.
     """
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
@@ -399,8 +444,9 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
             yield two_norm(space, v, z)
         return
 
-    # v's splits, and |v|^2 = dot_dd(v, v)
+    # v's splits, each coordinate's two_prod(a, a), and |v|^2 = dot_dd(v, v)
     vt = []
+    squares = []
     h = l = 0.0
     for a in v.coords:
         ah = _SPLIT * a
@@ -409,6 +455,7 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
         vt.append((a, ah, al))
         p = a * a
         e = ((ah * ah - p) + ah * al + al * ah) + al * al
+        squares.append((p, e))
         s = h + p
         bb = s - h
         e = (h - (s - bb)) + (p - bb) + (l + e)
@@ -419,6 +466,31 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
     svhh, svhl = split(svh)
 
     sqrt = math.sqrt
+    if wset._basis:
+        # z = e_j: |z|^2 = (1, 0) and <v, z> = (v_j, 0) exactly, so p1 is one
+        # value per vector and p2 = dd_mul(<v,z>, <v,z>) is v_j's own two_prod,
+        # normalised; the general body's remaining terms are all zeros.
+        _, szh, szl, szhh, szhl = wset._operands[0]
+        p = svh * szh
+        e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
+        e = e + (svh * szl + svl * szh)
+        p1h = p + e
+        bb = p1h - p
+        p1l = (p - (p1h - bb)) + (e - bb)
+        for p, e in squares:
+            e = e + 0.0
+            p2h = p + e
+            bb = p2h - p
+            p2l = (p - (p2h - bb)) + (e - bb)
+            q = -p2h
+            s = p1h + q
+            bb = s - p1h
+            e = (p1h - (s - bb)) + (q - bb)
+            e = e + (p1l + -p2l)
+            r = s + e
+            yield sqrt(r if r > 0.0 or r != r else 0.0)
+        return
+
     for zt, szh, szl, szhh, szhl in wset._operands:
         # <v, z> = dot_dd(v, z)
         h = l = 0.0
@@ -488,16 +560,21 @@ def witness_max_prefix(
 
 
 # Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, best of 7 in each of 4 runs; standard-basis witnesses,
-# whose operand the set holds): one broadcast two_norm_batch call costs about
-# 35-60 us on cross2, 115-220 us on gram:3, 140-290 us on gram:4 and
-# 220-430 us on gram:8 for 1 to 32 vectors (95-130, 285-445, 405-580 and
-# 1030-1170 us for 300), while witness_norms costs about 7-8.5, 9-14, 15-20
-# and 40-48 us per vector. The batch therefore wins from about 6 (cross2),
-# 8 (gram:8), 11 (gram:4) and 16 (gram:3) vectors; it takes over at 24, where
-# it is ahead on every space, and long traces gain most. Slices of at most
-# 4096 vectors bound its temporaries: the stacked coordinate products of a
-# gram:8 slice against 8 witnesses are (8, 4096, 8) arrays, 2 MB each.
+# 3.11, numpy 2.4, best of 7 in each of 4 runs, n witnesses on n
+# coordinates). General kernel (a reversed basis; cross2 with the standard
+# basis): one broadcast two_norm_batch call costs about 45-60 us on cross2,
+# 95-120 us on gram:3, 110-135 us on gram:4 and 160-215 us on gram:8 for 1
+# to 32 vectors (100, 260, 345 and 845 us for 300), while witness_norms costs
+# about 8-9, 9-13, 12 and 30 us per vector. Closed form on the gram standard
+# basis: the batch costs about 65-70, 70-75 and 90-105 us on gram:3, 4 and 8
+# for 1 to 32 vectors (125, 135 and 215 us for 300), against 3.7, 4.3 and
+# 7.1 us per vector for witness_norms. The batch therefore wins from about
+# 6 (cross2), 6 to 10 (general gram) and 14 to 18 (closed form) vectors; it
+# takes over at 24, where it is ahead on every space and either kernel, and
+# long traces gain most. Slices of at most 4096 vectors bound its
+# temporaries: the stacked coordinate products of a general gram:8 slice
+# against 8 witnesses are (8, 4096, 8) arrays, 2 MB each, and the closed
+# form's are (8, 4096).
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
 
@@ -513,7 +590,10 @@ def witness_norm_rows(
     one :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
     rows against the set's ``(1, m, n)`` witness operand, built with the
     set. That runs the same operation sequence as the scalar kernel, forms
-    each ``|v|^2`` once per call and each ``|z|^2`` once per set. A vector
+    each ``|v|^2`` once per call and each ``|z|^2`` once per set. On
+    ``gram`` against the standard basis each slice runs the closed form
+    instead, on the slice's operand alone: its coordinate squares and
+    ``|v|^2``, with no pair step. A vector
     that overflows the kernel (``|v|`` past about 1.2e150 on ``gram``,
     coordinates past about 1.3e300 on ``cross2``) gets NaN on both paths,
     and numpy's overflow warnings are silenced, as Python float arithmetic
@@ -523,11 +603,19 @@ def witness_norm_rows(
         return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
+    basis = wset._basis and space.kind is SpaceKind.GRAM
+    if basis and vectors.shape[1:] != (space.dimension,):
+        raise ValueError(f"expected ({space.dimension},) rows, got {vectors.shape}")
     rows: list[tuple[float, ...]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
-            rows.extend(map(tuple, two_norm_batch(space, chunk[:, None, :], wset._batch).tolist()))
+            if basis:
+                table = _gram_basis_pair(NormOperand(chunk, squares=True),
+                                         wset._operands[0][1:]).T
+            else:
+                table = two_norm_batch(space, chunk[:, None, :], wset._batch)
+            rows.extend(map(tuple, table.tolist()))
     return rows
 
 

@@ -875,6 +875,29 @@ def test_artifacts_match_pinned_bytes(tmp_path):
     assert got == PINNED_SHA256
 
 
+# The gram:8 solve above against the standard basis, named two ways; sha256
+# of the trace and report as the general witness kernel wrote them.
+_GRAM8_BASIS_SHA256 = {
+    "trace": "4ea841962b1d5a0294d9e45d2aebb2f124e746b5429869e05ef518a54bcf7a50",
+    "report": "ba00e2d106c6c90ed0a3d7f8ed8947f74dcc2b9b0f5a5bd3d5dffc904a0e9ded",
+}
+
+
+def test_an_explicit_identity_witness_list_writes_the_basis_bytes(tmp_path):
+    witnesses = GRAM8_ITERATED_SCENARIO[GRAM8_ITERATED_SCENARIO.index("witnesses="):]
+    witnesses = witnesses[: witnesses.index("\ntol=")]
+    identity = ";".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8))
+    got = []
+    for name, value in (("basis", "basis"), ("identity", identity)):
+        text = GRAM8_ITERATED_SCENARIO.replace(witnesses, f"witnesses={value}")
+        trace, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+        assert main(["solve", "--scenario", _write(tmp_path, name, text),
+                     "--trace", str(trace), "--report", str(report)]) == EXIT_CONVERGED
+        got.append({"trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+                    "report": hashlib.sha256(report.read_bytes()).hexdigest()})
+    assert got == [_GRAM8_BASIS_SHA256] * 2
+
+
 # A gram:3 two-region map solved through T^2 with theta=estimate, over a
 # sampling box near the float range.
 _WIDE_BOX = """\
@@ -954,6 +977,24 @@ def test_a_certificate_of_the_sampling_box_keeps_the_run_in_it(tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "x_star=-1.0000000000000000e+00,-1.0000000000000000e+00"
     assert not any(line.startswith("warning=") for line in lines)
+
+
+@pytest.mark.parametrize("x0, domain, line", [
+    ("5,5", "", "Iterate 0 left the box where the certificate holds."),
+    # From (0, 0) the run heads for (-1, -1), inside the box, out of the domain.
+    ("0,0", "domain.kind=box\ndomain.lo=-0.5,-0.5\ndomain.hi=0.5,0.5\n",
+     "Iterate 1 left the configured domain."),
+    # (5, 5) is outside both: the domain names the exit, the warning the box.
+    ("5,5", "domain.kind=box\ndomain.lo=-1,-1\ndomain.hi=1,1\n",
+     "Iterate 0 left the configured domain."),
+], ids=["box-only", "domain-only", "domain-and-box"])
+def test_a_left_domain_report_names_the_region_it_left(x0, domain, line, tmp_path, capsys):
+    text = _BOX_ONLY.format(x0=x0) + domain
+    assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == EXIT_LEFT_DOMAIN
+    out = capsys.readouterr().out
+    assert out.startswith("status=LeftDomain\n")
+    assert f"\n\n{line}\n" in out
+    assert out.count("left the") == 1 + ("warning=iterate" in out)
 
 
 def test_an_asserted_theta_is_checked_against_the_map(tmp_path, capsys):

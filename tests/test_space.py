@@ -481,6 +481,10 @@ def test_witness_norms_checks_dimensions():
     for count in (1, 24):
         with pytest.raises(ValueError):
             witness_norm_rows(gram_space(3), standard_basis(2), np.array([[1.0, 2.0]] * count))
+        # Rows of the wrong width, against the closed form and the general kernel.
+        for wset in (standard_basis(3), WitnessSet((el(0, 1, 0), el(1, 0, 0), el(0, 0, 1)))):
+            with pytest.raises(ValueError):
+                witness_norm_rows(gram_space(3), wset, np.array([[1.0, 2.0]] * count))
 
 
 @st.composite
@@ -703,3 +707,105 @@ def test_witness_norm_rows_array_may_hold_non_finite_rows():
     rows = witness_norm_rows(space, wset, np.array([[math.inf, 0.0], [1.0, 2.0]]))
     assert all(math.isnan(a) for a in rows[0])
     assert rows[1] == witness_norms(space, wset, el(1.0, 2.0))
+
+
+# --- the closed form on the standard basis ----------------------------------------
+
+_BASIS_SPACES = [gram_space(n) for n in range(2, 9)]
+
+
+def _basis_rows(n, count, rng):
+    """``count`` rows for the basis kernel: every few rows a zero or
+    signed-zero row, subnormal or nearly-dependent-on-e_j coordinates, or a
+    ``|v|`` past 1.2e150 (NaN norms), between generic draws."""
+    out = []
+    for i in range(count):
+        kind = i % 8
+        j = i % n
+        if kind == 0:
+            coords = [0.0] * n
+        elif kind == 1:
+            coords = [-0.0 if (i + k) % 2 else 0.0 for k in range(n)]
+        elif kind == 2:
+            coords = [rng.choice([5e-324, -5e-324, 2.2e-308, 0.0]) for _ in range(n)]
+            coords[j] = rng.uniform(-10, 10)
+        elif kind == 3:
+            coords = [1e-12 * rng.uniform(-1, 1) for _ in range(n)]
+            coords[j] = rng.uniform(-10, 10)
+        elif kind == 4:
+            coords = [rng.choice([0.0, -0.0]) for _ in range(n)]
+            coords[j] = rng.uniform(-10, 10)
+        elif kind == 5:
+            coords = [rng.uniform(-1, 1) * 10 ** rng.uniform(140, 160) for _ in range(n)]
+        else:
+            coords = [rng.uniform(-10, 10) for _ in range(n)]
+        out.append(coords)
+    return out
+
+
+def test_only_the_identity_rows_in_order_take_the_closed_form():
+    for n in range(2, 9):
+        rows = np.eye(n)
+        assert standard_basis(n)._basis
+        assert WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))._basis
+        assert not WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows[::-1]))._basis
+        assert not WitnessSet(tuple(SpaceElement(tuple(r)) for r in 2.0 * rows))._basis
+        extra = np.vstack([rows, np.ones(n)])
+        assert not WitnessSet(tuple(SpaceElement(tuple(r)) for r in extra))._basis
+    assert not WitnessSet((el(1.0, -0.0), el(0.0, 1.0)))._basis
+
+
+@pytest.mark.parametrize("space", _BASIS_SPACES, ids=lambda s: f"gram:{s.dimension}")
+def test_basis_witness_norms_match_two_norm_bitwise(space):
+    n = space.dimension
+    wset = standard_basis(n)
+    for coords in _basis_rows(n, 400, random.Random(n)):
+        v = SpaceElement(tuple(coords))
+        want = [two_norm(space, v, z).hex() for z in wset.witnesses]
+        assert [a.hex() for a in witness_norms(space, wset, v)] == want
+        for limit in (0.0, -0.0, math.inf, float.fromhex(want[-1])):
+            norms = [float.fromhex(h) for h in want]
+            got = witness_max_prefix(space, wset, v, limit)
+            assert (got <= limit) == (max(norms) <= limit)
+            if max(norms) <= limit or math.isnan(norms[0]):
+                assert got.hex() == max(norms).hex()
+
+
+@pytest.mark.parametrize("space", _BASIS_SPACES, ids=lambda s: f"gram:{s.dimension}")
+@pytest.mark.parametrize("count", [24, 4097])
+def test_basis_witness_norm_rows_match_the_general_batch_bitwise(space, count, monkeypatch):
+    n = space.dimension
+    wset = standard_basis(n)
+    rows = _basis_rows(n, count, random.Random(count + n))
+    rows[7] = [math.inf] + [0.0] * (n - 1)
+    rows[9] = [1.0] * (n - 1) + [math.nan]
+    rows[11] = [0.0] * (n - 1) + [-math.inf]
+    V = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = two_norm_batch(space, V[:, None], wset._batch)
+    calls = []
+    monkeypatch.setattr(space_module, "two_norm_batch", lambda *a: calls.append(a))
+    got = witness_norm_rows(space, wset, V)
+    assert calls == []  # the closed form, not the general pair step
+    assert [[a.hex() for a in r] for r in got] == [_hexes(r) for r in want]
+    assert all(math.isnan(a) for i in (7, 9, 11) for a in got[i])
+
+
+@pytest.mark.parametrize("rows", [[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 1.0]]],
+                         ids=["permuted", "scaled"])
+def test_a_permuted_or_scaled_basis_takes_the_general_kernel(rows, monkeypatch):
+    space = gram_space(2)
+    wset = WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
+    assert not wset._basis
+    V = np.array(_basis_rows(2, 30, random.Random(2)))
+    calls = []
+    batch = space_module.two_norm_batch
+    monkeypatch.setattr(space_module, "two_norm_batch",
+                        lambda *a: calls.append(a) or batch(*a))
+    got = witness_norm_rows(space, wset, V)
+    assert len(calls) == 1
+    for v, row in zip(V.tolist(), got):
+        v = SpaceElement(tuple(v))
+        want = [two_norm(space, v, z).hex() for z in wset.witnesses]
+        assert [a.hex() for a in row] == want
+        assert [a.hex() for a in witness_norms(space, wset, v)] == want
