@@ -22,13 +22,14 @@ this covers coordinate lists whose length is not the space dimension, a
 negative seed, a gram dimension below 2, a file that is not UTF-8, a map
 tree nested more than 400 averaged/iterated levels deep or making more than
 10000 leaf map evaluations per evaluation of the solved map, ``check-norm
---samples`` below 1, a negative ``--seed`` and a ``--tol`` that is not
-finite and nonnegative, and a path that cannot be written, such as a
-``--trace`` or ``--report`` file in a missing directory: one ``error:``
-line names it), 2 not certifiable / precondition failed, 3 oscillation
-detected, 4 iteration budget exceeded, 5 left the domain, 6 diverged (an
-iterate overflowed), 7 certificate violated (the run met tol, but some trace
-row broke the certificate's a priori bound).
+--samples`` below 1 or drawing more than 8,000,000 coordinates (samples x
+(3n+1) on gram:n, n = 2 for cross2), a negative ``--seed`` and a ``--tol``
+that is not finite and nonnegative, and a path that cannot be written, such
+as a ``--trace`` or ``--report`` file in a missing directory: one
+``error:`` line names it), 2 not certifiable / precondition failed, 3
+oscillation detected, 4 iteration budget exceeded, 5 left the domain, 6
+diverged (an iterate overflowed), 7 certificate violated (the run met tol,
+but some trace row broke the certificate's a priori bound).
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from .space import (
 
 __all__ = [
     "ScenarioError",
-    "SamplingSettings",
     "ScenarioConfig",
     "parse_scenario",
     "parse_scenario_text",
@@ -133,20 +133,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class SamplingSettings:
-    """The ``sampling.*`` and ``seed`` keys.
-
-    ``box`` is the analysis box. ``count`` and ``seed`` are still parsed,
-    checked and written back, so older scenario files run and round-trip
-    unchanged, but nothing samples any more and nothing reads them.
-    """
-
-    count: int
-    seed: int
-    box: Box
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative description of one experiment."""
 
@@ -160,7 +146,7 @@ class ScenarioConfig:
     solve: SolveConfig            # witnesses None is the standard basis
     local_u: Optional[SpaceElement]
     local_r: Optional[float]
-    sampling: SamplingSettings
+    box: Box                      # the analysis box, sampling.lo/hi
 
 
 # --- parsing ------------------------------------------------------------------
@@ -407,8 +393,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     max_iter = _parse_int(kv.pop("max_iter", "10000"), "max_iter")
     if max_iter < 1:
         raise ScenarioError("max_iter: must be at least 1")
-    seed = _parse_int(kv.pop("seed", "0"), "seed")
-    if seed < 0:
+    # seed and sampling.count are checked, so older scenario files keep their
+    # exit codes, but not stored: nothing samples any more.
+    if _parse_int(kv.pop("seed", "0"), "seed") < 0:
         raise ScenarioError("seed: must be nonnegative")
 
     domain: Union[Box, TwoNormBall, None] = None
@@ -458,8 +445,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     if local_r is not None and local_r <= 0:
         raise ScenarioError("local.r: must be positive")
 
-    count = _parse_int(kv.pop("sampling.count", "100000"), "sampling.count")
-    if count < 1:
+    if _parse_int(kv.pop("sampling.count", "100000"), "sampling.count") < 1:
         raise ScenarioError("sampling.count: must be at least 1")
     lo = _parse_coords(kv.pop("sampling.lo", "-10"), "sampling.lo")
     hi = _parse_coords(kv.pop("sampling.hi", "10"), "sampling.hi")
@@ -470,7 +456,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     _require_dim(lo, "sampling.lo", dim)
     _require_dim(hi, "sampling.hi", dim)
     try:
-        sampling = SamplingSettings(count=count, seed=seed, box=Box(lo, hi))
+        box = Box(lo, hi)
     except ValueError as exc:
         raise ScenarioError(f"sampling: {exc}") from None
 
@@ -489,7 +475,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                           domain=domain, bound_beta=beta),
         local_u=local_u,
         local_r=local_r,
-        sampling=sampling,
+        box=box,
     )
 
 
@@ -531,7 +517,6 @@ def write_scenario(cfg: ScenarioConfig) -> str:
                                          for w in _witnesses(cfg).witnesses))
     lines.append(f"tol={fmt_float(solve.tol)}")
     lines.append(f"max_iter={solve.max_iter}")
-    lines.append(f"seed={cfg.sampling.seed}")
     region = solve.domain
     if region is not None:
         if isinstance(region, Box):
@@ -550,9 +535,8 @@ def write_scenario(cfg: ScenarioConfig) -> str:
         lines.append(f"local.u={_fmt_coords(cfg.local_u.coords)}")
     if cfg.local_r is not None:
         lines.append(f"local.r={fmt_float(cfg.local_r)}")
-    lines.append(f"sampling.count={cfg.sampling.count}")
-    lines.append(f"sampling.lo={_fmt_coords(cfg.sampling.box.lo)}")
-    lines.append(f"sampling.hi={_fmt_coords(cfg.sampling.box.hi)}")
+    lines.append(f"sampling.lo={_fmt_coords(cfg.box.lo)}")
+    lines.append(f"sampling.hi={_fmt_coords(cfg.box.hi)}")
     return "\n".join(lines) + "\n"
 
 
@@ -571,11 +555,11 @@ def resolve_certificate(cfg: ScenarioConfig) -> EnrichedCertificate:
     """
     target = cfg.map if cfg.mode != "asymptotic" else iterated(cfg.map, cfg.n)
     if cfg.b == "auto":
-        _, cert = optimize_b(target, cfg.space, cfg.sampling.box)
+        _, cert = optimize_b(target, cfg.space, cfg.box)
         return cert
     b = float(cfg.b)
     if cfg.theta == "estimate":
-        c, box = map_slope(target, cfg.sampling.box)
+        c, box = map_slope(target, cfg.box)
         return certify(b, theta_scalar_affine(c, b), Provenance.closed_form(box))
     domain = cfg.solve.domain
     c, _ = map_slope(target, domain if isinstance(domain, Box) else None)
@@ -826,6 +810,12 @@ seed=0
 
 # --- entry points ---------------------------------------------------------------
 
+# The most coordinates check-norm draws, samples x (3n + 1). Peak RSS grew
+# by 48 to 77 bytes per coordinate (cross2 and gram:2 to gram:32, 0.5 to 5
+# million coordinates; Python 3.11, numpy 2.4), so about 0.6 GB at the cap.
+_CHECK_NORM_COORDS = 8_000_000
+
+
 def _cmd_check_norm(args: argparse.Namespace) -> int:
     label = args.space
     space: Optional[TwoNormSpace] = None
@@ -841,6 +831,11 @@ def _cmd_check_norm(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_INTERNAL
+    coords = args.samples * (3 * space.dimension + 1)
+    if coords > _CHECK_NORM_COORDS:
+        print(f"error: --samples x (3n+1) = {coords} coordinates on {label} is over "
+              f"the limit of {_CHECK_NORM_COORDS}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.seed < 0:
         print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)

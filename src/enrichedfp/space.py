@@ -29,29 +29,27 @@ operand per call; the second may come as an operand already, which is how a
 witness set, built once, meets every batch of vectors.
 
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
-for the witnesses in order. A :class:`WitnessSet` builds, once, the operand
-of its witnesses, and reads each witness's coordinates, Dekker splits and
-double-double ``|z|^2`` off it as Python floats; the kernel splits ``v`` and
-forms ``|v|^2`` once per call, then runs the ``gram`` arithmetic inline. It
-performs the same IEEE operations in the same order as the scalar
-:func:`two_norm`, so its results equal ``two_norm(space, v, z_j)`` bit for
-bit. :func:`witness_norms` collects every
-value; :func:`witness_max_prefix` stops as soon as the running max passes a
-limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
-the rows of an array and, from 24 on, evaluates them with one broadcasting
-:func:`two_norm_batch` call against every witness, bit for bit the same. The
-scalar kernel stays the reference, and serves the ball tests.
+for the witnesses in order. For every set it runs the reference kernel,
+``two_norm(space, v, z_j)``, per witness, so its results are that kernel's
+by construction; only the ``gram`` standard basis (below) is specialised.
+:func:`witness_norms` collects every value; :func:`witness_max_prefix`
+stops as soon as the running max passes a limit, which is all a stopping
+test needs; :func:`witness_norm_rows` takes the rows of an array and, from
+24 on, evaluates them with one broadcasting :func:`two_norm_batch` call
+against the witness operand a :class:`WitnessSet` builds once, bit for bit
+the same. The scalar kernel stays the reference, and serves the ball tests.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
 the scalar and the batch witness kernel. With ``z = e_j`` the general
 kernel's ``<v, z>`` is exactly ``(v_j, 0)``, its ``<v,z>^2`` is the
 ``two_prod(v_j, v_j)`` that ``|v|^2`` sums anyway, and ``|v|^2 |z|^2`` is
-one value per vector. The closed form forms those terms with the same
-formulas, drops only operations on exact zeros (which change no nonzero
-value, and the radicand never comes out ``-0.0``), and ends in the same
-``dd_add`` and square root, so it is bit for bit the general kernel, NaN
-included. Every other set, and all of ``cross2``, runs the general kernel.
+one value per vector, with ``|z|^2`` the constant ``(1, 0)``. The closed
+form forms those terms with the same formulas, drops only operations on
+exact zeros (which change no nonzero value, and the radicand never comes
+out ``-0.0``), and ends in the same ``dd_add`` and square root, so it is
+bit for bit the general kernel, NaN included. Every other set, and all of
+``cross2``, runs the reference kernel per witness.
 
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
@@ -314,13 +312,16 @@ def _gram_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, rh))
 
 
-def _gram_basis_pair(x: NormOperand, unit: tuple) -> np.ndarray:
+# |e_j|^2 as a NormOperand holds it, (h, l, hh, hl): dot_dd(e_j, e_j) = (1, 0)
+# and split(1.0) = (1, 0). Both closed forms multiply |v|^2 by it.
+_UNIT_SQ = (1.0, 0.0, 1.0, 0.0)
+
+
+def _gram_basis_pair(x: NormOperand) -> np.ndarray:
     # _gram_pair of every row of x against every e_j, as an (n, ...) table:
     # with z = e_j, <x, z> = (x_j, 0) exactly, so p2 is x_j's own two_prod,
     # normalised, and p1 = dd_mul(|x|^2, |e_j|^2) is one value per row.
-    # ``unit`` is (h, l, hh, hl) of |e_j|^2 = (1, 0), as the witness operand
-    # holds it.
-    p1h, p1l = dd_mul_split(*x.sq, *unit)
+    p1h, p1l = dd_mul_split(*x.sq, *_UNIT_SQ)
     p, e = x.coord_sq
     p2h, p2l = two_sum(p, e + 0.0)
     rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
@@ -376,15 +377,14 @@ class WitnessSet:
     Spanning guarantees that a vanishing max-residual pins the point down,
     i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds, built
     once, the ``(1, m, n)`` :class:`NormOperand` of its witnesses (with
-    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, the same
-    terms as Python floats per witness for :func:`witness_norms`, and
+    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, and
     whether the witnesses are the standard basis, which on ``gram`` selects
-    the closed form of both.
+    the closed form of both witness kernels; on any other set
+    :func:`witness_norms` runs :func:`two_norm` per witness.
     """
 
     witnesses: tuple[SpaceElement, ...]
     _batch: NormOperand = field(init=False, repr=False, compare=False)
-    _operands: tuple = field(init=False, repr=False, compare=False)
     _basis: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -397,13 +397,7 @@ class WitnessSet:
         mat = np.array([w.coords for w in self.witnesses], dtype=float)
         if np.linalg.matrix_rank(mat) < n:
             raise ValueError("witness set does not span the space")
-        batch = NormOperand(mat[None], squares=True)
-        # Per witness: ((a, ah, al) per coordinate, then |z|^2 as h, l, hh, hl).
-        a, ah, al = (t[:, 0].T.tolist() for t in batch.terms)
-        sq = zip(*(q[0].tolist() for q in batch.sq))
-        operands = tuple((tuple(zip(*c)), *q) for *c, q in zip(a, ah, al, sq))
-        object.__setattr__(self, "_batch", batch)
-        object.__setattr__(self, "_operands", operands)
+        object.__setattr__(self, "_batch", NormOperand(mat[None], squares=True))
         # The rows of the identity, in order and bit for bit (no -0.0): the
         # witnesses on which gram norms have a closed form.
         object.__setattr__(self, "_basis", mat.tobytes() == np.eye(n).tobytes())
@@ -418,7 +412,7 @@ def standard_basis(dimension: int) -> WitnessSet:
     """The unit vectors of the space, one set per dimension.
 
     The set is frozen, so every caller shares it; building it runs an SVD
-    for the spanning check and precomputes the witness operands.
+    for the spanning check and precomputes the witness operand.
     """
     rows = np.eye(dimension)
     return WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
@@ -427,32 +421,28 @@ def standard_basis(dimension: int) -> WitnessSet:
 def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
     """Yield ``||v, z_j||`` in witness order: the one body of the witness kernels.
 
-    For ``gram`` this is :func:`gram_norm` with ``_dd.two_prod``, ``dd_add``
-    and ``dd_mul`` written out inline: ``v``'s splits and ``|v|^2`` are formed
-    once per call and each witness's operands come precomputed from the set,
-    while every remaining operation runs in the order of the scalar kernel.
-    Against the standard basis it runs the closed form (see the module
-    notes): ``dd_mul(|v|^2, |e_j|^2)`` once, then per witness ``v_j``'s
-    ``two_prod`` normalised and the final ``dd_add``. ``cross2`` has no
-    squared norms to share, so it evaluates the scalar kernel per witness.
+    Every set runs the reference kernel per witness, ``two_norm(space, v,
+    z_j)``, save one: on ``gram`` against the standard basis it runs the
+    closed form (see the module notes), which splits ``v`` and forms
+    ``|v|^2`` once, then ``dd_mul(|v|^2, |e_j|^2)`` once, and per witness
+    ``v_j``'s ``two_prod`` normalised and the final ``dd_add``, written out
+    inline in the order of :func:`gram_norm`.
     """
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
     _element_in(space, v)
-    if space.kind is SpaceKind.CROSS2:
+    if not (wset._basis and space.kind is SpaceKind.GRAM):
         for z in wset.witnesses:
             yield two_norm(space, v, z)
         return
 
-    # v's splits, each coordinate's two_prod(a, a), and |v|^2 = dot_dd(v, v)
-    vt = []
+    # Each coordinate's two_prod(a, a), and |v|^2 = dot_dd(v, v)
     squares = []
     h = l = 0.0
     for a in v.coords:
         ah = _SPLIT * a
         ah = ah - (ah - a)
         al = a - ah
-        vt.append((a, ah, al))
         p = a * a
         e = ((ah * ah - p) + ah * al + al * ah) + al * al
         squares.append((p, e))
@@ -465,62 +455,22 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
     svh, svl = h, l
     svhh, svhl = split(svh)
 
+    # z = e_j: |z|^2 = (1, 0) and <v, z> = (v_j, 0) exactly, so p1 is one
+    # value per vector and p2 = dd_mul(<v,z>, <v,z>) is v_j's own two_prod,
+    # normalised; gram_norm's remaining terms are all zeros.
+    szh, szl, szhh, szhl = _UNIT_SQ
+    p = svh * szh
+    e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
+    e = e + (svh * szl + svl * szh)
+    p1h = p + e
+    bb = p1h - p
+    p1l = (p - (p1h - bb)) + (e - bb)
     sqrt = math.sqrt
-    if wset._basis:
-        # z = e_j: |z|^2 = (1, 0) and <v, z> = (v_j, 0) exactly, so p1 is one
-        # value per vector and p2 = dd_mul(<v,z>, <v,z>) is v_j's own two_prod,
-        # normalised; the general body's remaining terms are all zeros.
-        _, szh, szl, szhh, szhl = wset._operands[0]
-        p = svh * szh
-        e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
-        e = e + (svh * szl + svl * szh)
-        p1h = p + e
-        bb = p1h - p
-        p1l = (p - (p1h - bb)) + (e - bb)
-        for p, e in squares:
-            e = e + 0.0
-            p2h = p + e
-            bb = p2h - p
-            p2l = (p - (p2h - bb)) + (e - bb)
-            q = -p2h
-            s = p1h + q
-            bb = s - p1h
-            e = (p1h - (s - bb)) + (q - bb)
-            e = e + (p1l + -p2l)
-            r = s + e
-            yield sqrt(r if r > 0.0 or r != r else 0.0)
-        return
-
-    for zt, szh, szl, szhh, szhl in wset._operands:
-        # <v, z> = dot_dd(v, z)
-        h = l = 0.0
-        for (a, ah, al), (b, bh, bl) in zip(vt, zt):
-            p = a * b
-            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            s = h + p
-            bb = s - h
-            e = (h - (s - bb)) + (p - bb) + (l + e)
-            h = s + e
-            bb = h - s
-            l = (s - (h - bb)) + (e - bb)
-        # p1 = dd_mul(|v|^2, |z|^2)
-        p = svh * szh
-        e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
-        e = e + (svh * szl + svl * szh)
-        p1h = p + e
-        bb = p1h - p
-        p1l = (p - (p1h - bb)) + (e - bb)
-        # p2 = dd_mul(<v,z>, <v,z>)
-        hh = _SPLIT * h
-        hh = hh - (hh - h)
-        hl = h - hh
-        p = h * h
-        e = ((hh * hh - p) + hh * hl + hl * hh) + hl * hl
-        e = e + (h * l + l * h)
+    for p, e in squares:
+        e = e + 0.0
         p2h = p + e
         bb = p2h - p
         p2l = (p - (p2h - bb)) + (e - bb)
-        # radicand = dd_add(p1, -p2), high part only
         q = -p2h
         s = p1h + q
         bb = s - p1h
@@ -565,11 +515,12 @@ def witness_max_prefix(
 # basis): one broadcast two_norm_batch call costs about 45-60 us on cross2,
 # 95-120 us on gram:3, 110-135 us on gram:4 and 160-215 us on gram:8 for 1
 # to 32 vectors (100, 260, 345 and 845 us for 300), while witness_norms costs
-# about 8-9, 9-13, 12 and 30 us per vector. Closed form on the gram standard
-# basis: the batch costs about 65-70, 70-75 and 90-105 us on gram:3, 4 and 8
-# for 1 to 32 vectors (125, 135 and 215 us for 300), against 3.7, 4.3 and
-# 7.1 us per vector for witness_norms. The batch therefore wins from about
-# 6 (cross2), 6 to 10 (general gram) and 14 to 18 (closed form) vectors; it
+# about 8-9 us per vector on cross2 and, running two_norm per witness, 37-48
+# us on gram:3 and 175-240 us on gram:8 (best of 5). Closed form on the gram
+# standard basis: the batch costs about 65-70, 70-75 and 90-105 us on gram:3,
+# 4 and 8 for 1 to 32 vectors (125, 135 and 215 us for 300), against 3.7, 4.3
+# and 7.1 us per vector for witness_norms. The batch therefore wins from
+# about 6 (cross2), 1 to 3 (general gram) and 14 to 18 (closed form) vectors; it
 # takes over at 24, where it is ahead on every space and either kernel, and
 # long traces gain most. Slices of at most 4096 vectors bound its
 # temporaries: the stacked coordinate products of a general gram:8 slice
@@ -611,8 +562,7 @@ def witness_norm_rows(
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
             if basis:
-                table = _gram_basis_pair(NormOperand(chunk, squares=True),
-                                         wset._operands[0][1:]).T
+                table = _gram_basis_pair(NormOperand(chunk, squares=True)).T
             else:
                 table = two_norm_batch(space, chunk[:, None, :], wset._batch)
             rows.extend(map(tuple, table.tolist()))

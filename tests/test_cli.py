@@ -61,9 +61,7 @@ def test_parse_reflection_defaults():
     assert cfg.solve.tol == 1e-10
     assert cfg.solve.max_iter == 10_000
     assert cfg.n == 1
-    assert cfg.sampling.count == 100_000
-    assert cfg.sampling.seed == 0
-    assert cfg.sampling.box.lo == (-10.0, -10.0)
+    assert cfg.box.lo == (-10.0, -10.0)
 
 
 @pytest.mark.parametrize("space", ["space.kind=cross2", "space.kind=gram\nspace.dimension=4"])
@@ -77,7 +75,6 @@ def test_parses_share_one_standard_basis(space):
     assert second.solve.witnesses is shared is standard_basis(shared.dim)
     fresh = WitnessSet(tuple(el(*row) for row in np.eye(shared.dim)))
     assert shared.witnesses == fresh.witnesses
-    assert shared._operands == fresh._operands
     assert all(np.array_equal(a, b) for a, b in zip(shared._batch.terms, fresh._batch.terms))
 
 
@@ -262,14 +259,14 @@ def test_round_trip_property(text):
     written = write_scenario(cfg)
     assert parse_scenario_text(written) == cfg
     assert write_scenario(parse_scenario_text(written)) == written
-    assert cfg.sampling.box.dimension == cfg.space.dimension
+    assert cfg.box.dimension == cfg.space.dimension
 
 
 def test_scalar_sampling_bounds_broadcast():
     text = REFLECTION_SCENARIO + "sampling.lo=-3\nsampling.hi=3\n"
     cfg = parse_scenario_text(text)
-    assert cfg.sampling.box.lo == (-3.0, -3.0)
-    assert cfg.sampling.box.hi == (3.0, 3.0)
+    assert cfg.box.lo == (-3.0, -3.0)
+    assert cfg.box.hi == (3.0, 3.0)
 
 
 # --- run_scenario ----------------------------------------------------------------
@@ -323,7 +320,6 @@ def test_run_asymptotic_with_auto_b():
             .replace("b=1", "b=auto")
             + "sampling.count=30000\n")
     cfg = parse_scenario_text(text)
-    assert cfg.sampling.count == 30_000
     report, code = run_scenario(cfg)
     assert code == EXIT_CONVERGED
     # the constant square needs no averaging: b* = 0 lands in one application
@@ -720,6 +716,20 @@ def test_main_check_norm_rejects_too_few_samples(samples, capsys):
     assert main(["check-norm", "--space", "cross2", "--samples", samples]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("args, coords", [
+    (["--space", "gram:2", "--samples", "1000000000000000000"], 7 * 10**18),
+    (["--space", "gram:2", "--samples", "100000000000000000000"], 7 * 10**20),
+    (["--space", "gram:100000000"], 10_000 * 300_000_001),
+], ids=["samples-1e18", "samples-1e20", "gram-1e8"])
+def test_main_check_norm_refuses_an_oversize_draw(args, coords, capsys):
+    # The first two ended in numpy tracebacks ("array is too big", "Maximum
+    # allowed dimension exceeded"); the cap refuses all three before a draw.
+    assert main(["check-norm", *args]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: --samples x (3n+1) = {coords} coordinates on "
+                                 f"{args[1]} is over the limit of 8000000\n")
 
 
 @pytest.mark.parametrize("flag, value, message", [

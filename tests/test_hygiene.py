@@ -173,5 +173,5 @@ def test_every_dataclass_field_is_read():
 def test_the_field_check_sees_dataclass_fields():
     found = {(p.name, cls, name) for p in MODULES for cls, name, _ in _dataclass_fields(p, _tree(p))}
     assert {("space.py", "AxiomViolation", "deviation"), ("space.py", "WitnessSet", "_batch"),
-            ("solver.py", "TraceRow", "witness_steps"), ("cli.py", "SamplingSettings", "box"),
+            ("solver.py", "TraceRow", "witness_steps"), ("cli.py", "ScenarioConfig", "box"),
             ("analyzer.py", "EnrichedCertificate", "provenance")} <= found

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enrichedfp.space as space_module
-from enrichedfp._dd import dot_dd, split
 from enrichedfp.solver import TwoNormBall
 from enrichedfp.space import (
     EPS,
@@ -676,18 +675,6 @@ def test_gram_pair_needs_an_operand_with_squares():
         two_norm_batch(gram_space(2), np.ones((2, 2)), bare)
 
 
-def test_witness_set_scalar_operands_are_the_scalar_arithmetic():
-    # The per-witness floats, read off the set's (1, m, n) batch operand, are
-    # what dot_dd and the Dekker split give on the witness's coordinates.
-    wset = WitnessSet((el(1.0, 0.5, -0.0), el(0.0, 1.0, 0.5), el(0.1, -3.0, 2e-300)))
-    assert isinstance(wset._batch, NormOperand) and wset._batch.shape == (1, 3, 3)
-    for z, got in zip(wset.witnesses, wset._operands):
-        h, l = dot_dd(z.coords, z.coords)
-        want = (tuple((a, *split(a)) for a in z.coords), h, l, *split(h))
-        assert repr(got) == repr(want)
-        assert all(type(v) is float for v in got[1:])
-
-
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
                          ids=lambda s: f"{s.kind.value}:{s.dimension}")
 @pytest.mark.parametrize("count", [1, 23, 24])
@@ -809,3 +796,27 @@ def test_a_permuted_or_scaled_basis_takes_the_general_kernel(rows, monkeypatch):
         want = [two_norm(space, v, z).hex() for z in wset.witnesses]
         assert [a.hex() for a in row] == want
         assert [a.hex() for a in witness_norms(space, wset, v)] == want
+
+
+def test_off_the_basis_gram_witness_norms_run_two_norm_per_witness(monkeypatch):
+    # A gram set other than the standard basis runs the reference kernel once
+    # per witness evaluated: all of them for witness_norms, and up to the
+    # first norm past the limit for witness_max_prefix.
+    space = gram_space(3)
+    rows = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0))
+    wset = WitnessSet(tuple(SpaceElement(r) for r in rows))
+    v = el(1.0, 0.0, 2.0)  # norms 1, 2, sqrt(5), sqrt(6)
+    want = [two_norm(space, v, z) for z in wset.witnesses]
+    calls = []
+    reference = space_module.two_norm
+    monkeypatch.setattr(space_module, "two_norm",
+                        lambda *a: calls.append(a[2]) or reference(*a))
+    assert list(witness_norms(space, wset, v)) == want
+    assert calls == list(wset.witnesses)
+    for limit, evaluated in ((0.5, 1), (1.5, 2), (2.1, 3), (math.inf, 4)):
+        calls.clear()
+        witness_max_prefix(space, wset, v, limit)
+        assert calls == list(wset.witnesses[:evaluated])
+    calls.clear()
+    witness_norms(space, standard_basis(3), v)
+    assert calls == []  # the basis closed form
