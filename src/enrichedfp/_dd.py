@@ -39,12 +39,6 @@ def split(a):
     return ah, a - ah
 
 
-def two_prod_split(a, ah, al, b, bh, bl):
-    """two_prod(a, b) from splits formed beforehand: the same operations after them."""
-    p = a * b
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def dd_add(xh, xl, yh, yl):
     s, e = two_sum(xh, yh)
     e = e + (xl + yl)
@@ -53,13 +47,6 @@ def dd_add(xh, xl, yh, yl):
 
 def dd_mul(xh, xl, yh, yl):
     p, e = two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    return two_sum(p, e)
-
-
-def dd_mul_split(xh, xl, xhh, xhl, yh, yl, yhh, yhl):
-    """dd_mul(xh, xl, yh, yl) with the high parts' splits formed beforehand."""
-    p, e = two_prod_split(xh, xhh, xhl, yh, yhh, yhl)
     e = e + (xh * yl + xl * yh)
     return two_sum(p, e)
 

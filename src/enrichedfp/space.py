@@ -20,13 +20,8 @@ disagree by thousands of ulps on a noticeable fraction of random pairs; with
 the compensated kernels they agree to a few ulps everywhere except at areas
 below the ~1e-14 double-double noise floor.
 
-The batch kernel :func:`two_norm_batch` works in two parts. A
-:class:`NormOperand` holds the terms of one side alone: the columns of an
-``(..., n)`` array, their Dekker splits and, for ``gram``, the double-double
-``|a|^2``. A pair step then runs the rest of the scalar kernel's operations,
-in their order, on two operands. The first side is always an array, made an
-operand per call; the second may come as an operand already, which is how a
-witness set, built once, meets every batch of vectors.
+The batch kernel :func:`two_norm_batch` is the scalar kernel itself, run on
+coordinate-major arrays.
 
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
 for the witnesses in order. For every set it runs the reference kernel,
@@ -36,8 +31,8 @@ by construction; only the ``gram`` standard basis (below) is specialised.
 stops as soon as the running max passes a limit, which is all a stopping
 test needs; :func:`witness_norm_rows` takes the rows of an array and, from
 24 on, evaluates them with one broadcasting :func:`two_norm_batch` call
-against the witness operand a :class:`WitnessSet` builds once, bit for bit
-the same. The scalar kernel stays the reference, and serves the ball tests.
+against the witness array a :class:`WitnessSet` holds, bit for bit the
+same. The scalar kernel stays the reference, and serves the ball tests.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
@@ -62,21 +57,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._dd import (
-    _SPLIT,
-    dd_add,
-    dd_mul,
-    dd_mul_split,
-    det2_dd,
-    dot_dd,
-    split,
-    two_prod_split,
-    two_sum,
-)
+from ._dd import _SPLIT, dd_add, dd_mul, det2_dd, dot_dd, split, two_prod, two_sum
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -94,7 +79,6 @@ __all__ = [
     "cross2_norm",
     "gram_norm",
     "two_norm",
-    "NormOperand",
     "two_norm_batch",
     "seminorm",
     "standard_basis",
@@ -258,109 +242,58 @@ def two_norm(space: TwoNormSpace, x: SpaceElement, y: SpaceElement) -> float:
     return gram_norm(x, y)
 
 
-class NormOperand:
-    """One side of :func:`two_norm_batch`, prepared once for any number of pairs.
+def two_norm_batch(space: TwoNormSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`two_norm` over the last axis of two broadcast arrays.
 
-    Built from an ``(..., n)`` float array, it holds the terms of one operand
-    alone in the scalar kernels. ``terms`` is ``(a, ah, al)``: the columns,
-    stacked along a new first axis so that ``a[i]`` is coordinate ``i``,
-    contiguous, and their Dekker splits. With ``squares``, ``coord_sq`` is
-    ``(p, e)``, the stacked ``two_prod(a_i, a_i)`` of every coordinate, and
-    ``sq`` is ``(h, l, hh, hl)``: their double-double sum ``|a|^2`` and the
-    split of its high part; ``cross2`` needs only the splits, ``gram`` needs
-    ``sq`` and, against the standard basis, ``coord_sq``.
-    """
-
-    __slots__ = ("shape", "terms", "coord_sq", "sq")
-
-    def __init__(self, xs: np.ndarray, squares: bool):
-        xs = np.asarray(xs, dtype=float)
-        self.shape = xs.shape
-        a = np.moveaxis(xs, -1, 0).copy()
-        self.terms = (a, *split(a))
-        self.coord_sq = self.sq = None
-        if squares:
-            self.coord_sq = two_prod_split(*self.terms, *self.terms)
-            h, l = _dd_sum(self.coord_sq)
-            self.sq = (h, l, *split(h))
-
-
-def _dd_sum(products: tuple) -> tuple:
-    # dot_dd's accumulation, in coordinate order, of the stacked products
-    # (p, e) = two_prod of every coordinate pair.
-    h = l = 0.0
-    for p, e in zip(*products):
-        h, l = dd_add(h, l, p, e)
-    return h, l
-
-
-def _cross2_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
-    # det2_dd(x0, x1, y0, y1): the products x0*y1 and x1*y0, stacked, with
-    # the splits taken from the operands.
-    (p1, p2), (e1, e2) = two_prod_split(*x.terms, *(t[::-1] for t in y.terms))
-    h, _ = dd_add(p1, e1, -p2, -e2)
-    return np.abs(h)
-
-
-def _gram_pair(x: NormOperand, y: NormOperand) -> np.ndarray:
-    # _gram_radicand with |x|^2, |y|^2 and every split taken from the operands.
-    sh, sl = _dd_sum(two_prod_split(*x.terms, *y.terms))
-    p1h, p1l = dd_mul_split(*x.sq, *y.sq)
-    shh, shl = split(sh)
-    p2h, p2l = dd_mul_split(sh, sl, shh, shl, sh, sl, shh, shl)
-    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
-    return np.sqrt(np.maximum(0.0, rh))
-
-
-# |e_j|^2 as a NormOperand holds it, (h, l, hh, hl): dot_dd(e_j, e_j) = (1, 0)
-# and split(1.0) = (1, 0). Both closed forms multiply |v|^2 by it.
-_UNIT_SQ = (1.0, 0.0, 1.0, 0.0)
-
-
-def _gram_basis_pair(x: NormOperand) -> np.ndarray:
-    # _gram_pair of every row of x against every e_j, as an (n, ...) table:
-    # with z = e_j, <x, z> = (x_j, 0) exactly, so p2 is x_j's own two_prod,
-    # normalised, and p1 = dd_mul(|x|^2, |e_j|^2) is one value per row.
-    p1h, p1l = dd_mul_split(*x.sq, *_UNIT_SQ)
-    p, e = x.coord_sq
-    p2h, p2l = two_sum(p, e + 0.0)
-    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
-    return np.sqrt(np.maximum(0.0, rh))
-
-
-def two_norm_batch(space: TwoNormSpace, xs: np.ndarray,
-                   ys: Union[np.ndarray, NormOperand]) -> np.ndarray:
-    """Vectorised :func:`two_norm` over the last axis of two broadcast operands.
-
-    ``xs`` is a float array and ``ys`` a float array or a
-    :class:`NormOperand` of one, of equal ``ndim >= 2``, last axis
+    ``xs`` and ``ys`` are float arrays of equal ``ndim >= 2``, last axis
     ``space.dimension`` and broadcastable leading shapes, so two ``(m, n)``
     arrays give the ``m`` paired norms and ``xs[:, None]`` against
-    ``ys[None]`` gives the ``(k, m)`` table of every pair. An array side is
-    made an operand first; then one pair step runs the rest of the scalar
-    kernel's compensated operation sequence, in its order, so every entry
-    matches the scalar result bit for bit. A ``ys`` operand is reused as is,
-    so a side that meets many others (a witness set) pays for its splits and
-    ``|z|^2`` once, and each further call costs one operand for ``xs`` plus
-    one pair step.
+    ``ys[None]`` gives the ``(k, m)`` table of every pair. The last axis is
+    moved to the front, and the scalar kernel's own functions run on the
+    coordinate arrays: :func:`det2_dd` on ``cross2``, ``_gram_radicand`` on
+    ``gram``. Every ``_dd`` function is elementwise on floats and arrays
+    alike, so each entry is the scalar result bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    if not isinstance(ys, NormOperand):
-        ys = np.asarray(ys, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     n = space.dimension
     if (len(xs.shape) < 2 or len(xs.shape) != len(ys.shape) or xs.shape[-1] != n
             or ys.shape[-1] != n
             or any(a != b and a != 1 and b != 1 for a, b in zip(xs.shape, ys.shape))):
         raise ValueError(f"expected (..., {n}) arrays of equal ndim with broadcastable "
                          f"leading shapes, got {xs.shape} and {ys.shape}")
-    gram = space.kind is SpaceKind.GRAM
-    x = NormOperand(xs, gram)
-    y = ys if isinstance(ys, NormOperand) else NormOperand(ys, gram)
-    if not gram:
-        return _cross2_pair(x, y)
-    if y.sq is None:
-        raise ValueError("a gram norm needs operands built with their squared norms")
-    return _gram_pair(x, y)
+    x, y = np.moveaxis(xs, -1, 0), np.moveaxis(ys, -1, 0)
+    if space.kind is SpaceKind.CROSS2:
+        return np.abs(det2_dd(x[0], x[1], y[0], y[1]))
+    return np.sqrt(np.maximum(0.0, _gram_radicand(x, y)))
+
+
+def _dd_sum(p, e) -> tuple:
+    # dot_dd's accumulation, in coordinate order, of the stacked products
+    # (p, e) = two_prod of every coordinate pair.
+    h = l = 0.0
+    for pi, ei in zip(p, e):
+        h, l = dd_add(h, l, pi, ei)
+    return h, l
+
+
+# |e_j|^2 = dot_dd(e_j, e_j) = (1, 0), with the split of its high part,
+# split(1.0) = (1, 0): the scalar closed form multiplies |v|^2 by it.
+_UNIT_SQ = (1.0, 0.0, 1.0, 0.0)
+
+
+def _gram_basis_pair(chunk: np.ndarray) -> np.ndarray:
+    # gram_norm of every row of a (k, n) chunk against every e_j, as an
+    # (n, k) table: with z = e_j, <v, z> = (v_j, 0) exactly, so p2 is v_j's
+    # own two_prod, normalised, and p1 = dd_mul(|v|^2, |e_j|^2) is one value
+    # per row.
+    a = chunk.T
+    p, e = two_prod(a, a)
+    h, l = _dd_sum(p, e)
+    p1h, p1l = dd_mul(h, l, 1.0, 0.0)
+    p2h, p2l = two_sum(p, e + 0.0)
+    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
+    return np.sqrt(np.maximum(0.0, rh))
 
 
 def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:
@@ -375,16 +308,15 @@ class WitnessSet:
     """A finite spanning family of vectors against which residuals are taken.
 
     Spanning guarantees that a vanishing max-residual pins the point down,
-    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds, built
-    once, the ``(1, m, n)`` :class:`NormOperand` of its witnesses (with
-    ``|z|^2``) that :func:`witness_norm_rows` broadcasts against, and
-    whether the witnesses are the standard basis, which on ``gram`` selects
-    the closed form of both witness kernels; on any other set
-    :func:`witness_norms` runs :func:`two_norm` per witness.
+    i.e. ``max_z ||v, z|| = 0`` implies ``v = 0``. The set also holds the
+    ``(1, m, n)`` array of its witnesses that :func:`witness_norm_rows`
+    broadcasts against, and whether the witnesses are the standard basis,
+    which on ``gram`` selects the closed form of both witness kernels; on
+    any other set :func:`witness_norms` runs :func:`two_norm` per witness.
     """
 
     witnesses: tuple[SpaceElement, ...]
-    _batch: NormOperand = field(init=False, repr=False, compare=False)
+    _batch: np.ndarray = field(init=False, repr=False, compare=False)
     _basis: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -397,7 +329,7 @@ class WitnessSet:
         mat = np.array([w.coords for w in self.witnesses], dtype=float)
         if np.linalg.matrix_rank(mat) < n:
             raise ValueError("witness set does not span the space")
-        object.__setattr__(self, "_batch", NormOperand(mat[None], squares=True))
+        object.__setattr__(self, "_batch", mat[None])
         # The rows of the identity, in order and bit for bit (no -0.0): the
         # witnesses on which gram norms have a closed form.
         object.__setattr__(self, "_basis", mat.tobytes() == np.eye(n).tobytes())
@@ -412,7 +344,7 @@ def standard_basis(dimension: int) -> WitnessSet:
     """The unit vectors of the space, one set per dimension.
 
     The set is frozen, so every caller shares it; building it runs an SVD
-    for the spanning check and precomputes the witness operand.
+    for the spanning check.
     """
     rows = np.eye(dimension)
     return WitnessSet(tuple(SpaceElement(tuple(r)) for r in rows))
@@ -510,21 +442,22 @@ def witness_max_prefix(
 
 
 # Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, best of 7 in each of 4 runs, n witnesses on n
-# coordinates). General kernel (a reversed basis; cross2 with the standard
-# basis): one broadcast two_norm_batch call costs about 45-60 us on cross2,
-# 95-120 us on gram:3, 110-135 us on gram:4 and 160-215 us on gram:8 for 1
-# to 32 vectors (100, 260, 345 and 845 us for 300), while witness_norms costs
-# about 8-9 us per vector on cross2 and, running two_norm per witness, 37-48
-# us on gram:3 and 175-240 us on gram:8 (best of 5). Closed form on the gram
-# standard basis: the batch costs about 65-70, 70-75 and 90-105 us on gram:3,
-# 4 and 8 for 1 to 32 vectors (125, 135 and 215 us for 300), against 3.7, 4.3
-# and 7.1 us per vector for witness_norms. The batch therefore wins from
-# about 6 (cross2), 1 to 3 (general gram) and 14 to 18 (closed form) vectors; it
-# takes over at 24, where it is ahead on every space and either kernel, and
-# long traces gain most. Slices of at most 4096 vectors bound its
-# temporaries: the stacked coordinate products of a general gram:8 slice
-# against 8 witnesses are (8, 4096, 8) arrays, 2 MB each, and the closed
+# 3.11, numpy 2.4, best of 7 in each of 2 runs, n witnesses on n
+# coordinates, the whole witness_norm_rows call with either kernel forced).
+# cross2 (general kernel): the batch costs about 55-60 us for 1 to 32
+# vectors (130 us for 300), witness_norms about 6-7 us per vector. gram
+# standard basis (closed form): the batch costs about 65-85, 70-80 and
+# 100-200 us on gram:3, 4 and 8 for 1 to 32 vectors (135, 165 and 390 us for
+# 300), witness_norms about 5, 5.5 and 13 us per vector. The batch therefore
+# wins from about 9 (cross2) and 14 to 16 (closed form) vectors; it takes
+# over at 24, where it is ahead on every space that a workload sends, and
+# long traces gain most. A non-basis gram set (a reversed basis) would be
+# faster in batch from a few vectors: its batch costs about 265-310, 300-330
+# and 630-925 us on gram:3, 4 and 8 for 1 to 32 vectors (430, 530 and 1380
+# us for 300) against 30-45, 50 and 150-190 us per vector for witness_norms,
+# so it wins from 5 to 9; no workload sends such a set. Slices of at most
+# 4096 vectors bound the batch's temporaries: a general gram:8 slice
+# against 8 witnesses forms (4096, 8) arrays, 256 kB each, and the closed
 # form's are (8, 4096).
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
@@ -539,13 +472,11 @@ def witness_norm_rows(
     :func:`witness_norms` one at a time, as elements of Python floats; more,
     and any array with an inf or NaN, which no element can hold, go through
     one :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
-    rows against the set's ``(1, m, n)`` witness operand, built with the
-    set. That runs the same operation sequence as the scalar kernel, forms
-    each ``|v|^2`` once per call and each ``|z|^2`` once per set. On
-    ``gram`` against the standard basis each slice runs the closed form
-    instead, on the slice's operand alone: its coordinate squares and
-    ``|v|^2``, with no pair step. A vector
-    that overflows the kernel (``|v|`` past about 1.2e150 on ``gram``,
+    rows against the set's ``(1, m, n)`` witness array. That is the scalar
+    kernel run on arrays; it forms each ``|v|^2`` and each ``|z|^2`` once
+    per call. On ``gram`` against the standard basis each slice runs the
+    closed form instead, on the slice's rows alone: their coordinate
+    squares and ``|v|^2``, with no witness array. A vector that overflows the kernel (``|v|`` past about 1.2e150 on ``gram``,
     coordinates past about 1.3e300 on ``cross2``) gets NaN on both paths,
     and numpy's overflow warnings are silenced, as Python float arithmetic
     gives none.
@@ -562,7 +493,7 @@ def witness_norm_rows(
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
             if basis:
-                table = _gram_basis_pair(NormOperand(chunk, squares=True)).T
+                table = _gram_basis_pair(chunk).T
             else:
                 table = two_norm_batch(space, chunk[:, None, :], wset._batch)
             rows.extend(map(tuple, table.tolist()))

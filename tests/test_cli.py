@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,35 @@ def test_parses_share_one_standard_basis(space):
     assert second.solve.witnesses is shared is standard_basis(shared.dim)
     fresh = WitnessSet(tuple(el(*row) for row in np.eye(shared.dim)))
     assert shared.witnesses == fresh.witnesses
-    assert all(np.array_equal(a, b) for a, b in zip(shared._batch.terms, fresh._batch.terms))
+    assert np.array_equal(shared._batch, fresh._batch)
+
+
+# gram:2 witnesses whose squares overflow a double (coordinates past 1e154).
+HUGE_WITNESS_SCENARIO = (REFLECTION_SCENARIO
+                         .replace("space.kind=cross2", "space.kind=gram")
+                         .replace("witnesses=basis", "witnesses=1e200,0;0,1e200")
+                         .replace("max_iter=10000", "max_iter=30"))
+
+
+def test_parse_of_witnesses_past_1e154_warns_nothing():
+    # Building the witness set forms no products of its coordinates, so no
+    # numpy overflow warning (an error under the test settings) reaches stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = parse_scenario_text(HUGE_WITNESS_SCENARIO)
+    assert cfg.solve.witnesses.witnesses == (el(1e200, 0), el(0, 1e200))
+
+
+def test_solve_with_witnesses_past_1e154_warns_nothing(tmp_path, capsys):
+    # The kernel overflows on every step here (its exit code is not pinned),
+    # but silently: 31 trace rows take the batch path, under np.errstate.
+    scenario = _write(tmp_path, "s", HUGE_WITNESS_SCENARIO)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["solve", "--scenario", scenario, "--trace", str(tmp_path / "t.csv")])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 32  # header + rows
 
 
 def test_parse_rejects_local_mode_without_block():

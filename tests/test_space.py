@@ -15,9 +15,7 @@ from enrichedfp.space import (
     EPS,
     Box,
     NonFiniteError,
-    NormOperand,
     SpaceElement,
-    SpaceKind,
     WitnessSet,
     check_axioms,
     cross2_norm,
@@ -349,6 +347,29 @@ def test_batch_norms_match_scalar_bitwise():
     assert [a.hex() for a in paths] == [math.nan.hex()] * 3
 
 
+@pytest.mark.parametrize("space, kernel", [(cross2_space(), "det2_dd"),
+                                           (gram_space(3), "_gram_radicand")],
+                         ids=["cross2", "gram:3"])
+def test_scalar_and_batch_norms_run_one_kernel_body(space, kernel, monkeypatch):
+    # The batch is the scalar kernel run on arrays: two_norm and
+    # two_norm_batch both reach the same det2_dd (cross2) or _gram_radicand
+    # (gram), and nothing else computes the area.
+    calls = []
+    for name in ("det2_dd", "_gram_radicand"):
+        body = getattr(space_module, name)
+        monkeypatch.setattr(space_module, name,
+                            lambda *a, _name=name, _body=body: calls.append(_name) or _body(*a))
+    n = space.dimension
+    v, z = el(*range(1, n + 1)), el(*([0.5] * n))
+    scalar = two_norm(space, v, z)
+    assert calls == [kernel]
+    calls.clear()
+    batch = two_norm_batch(space, np.array([[v.coords]] * 2), np.array([[z.coords] * 3]))
+    assert calls == [kernel]
+    assert batch.shape == (2, 3)
+    assert {float(a).hex() for a in batch.ravel()} == {scalar.hex()}
+
+
 # --- axiom checker -------------------------------------------------------------
 
 def test_check_axioms_passes_cross2():
@@ -638,9 +659,8 @@ def _hexes(values):
 @example(case=(gram_space(4), [[2e150, 5e149, 0.0, 1.0]], [[1.0, 0.0, -0.0, 1.0]]))
 @settings(max_examples=150, deadline=None)
 def test_operand_sides_match_the_array_call_and_scalar_bitwise(case):
-    # An operand on the y side, paired (p, n) and broadcast (k, 1, n) x
-    # (1, m, n): every entry equals the array call and two_norm by float.hex,
-    # NaN included.
+    # Paired (p, n) and broadcast (k, 1, n) x (1, m, n): every entry equals
+    # two_norm by float.hex, NaN included.
     space, xs, ys = case
     X, Y = np.array(xs), np.array(ys)
     p = min(len(X), len(Y))
@@ -652,27 +672,6 @@ def test_operand_sides_match_the_array_call_and_scalar_bitwise(case):
                              ((X[:, None], Y[None]), scalar_table)):
             array_call = two_norm_batch(space, A, B)
             assert _hexes(array_call) == _hexes(want)
-            got = two_norm_batch(space, A, NormOperand(B, space.kind is SpaceKind.GRAM))
-            assert got.shape == array_call.shape
-            assert _hexes(got) == _hexes(array_call)
-
-
-@pytest.mark.parametrize("xs, ys", [
-    (np.ones((2, 3)), NormOperand(np.ones((2, 2)), True)),      # wrong dimension
-    (np.ones((2, 1, 3)), NormOperand(np.ones((2, 3)), True)),   # unequal ndim
-    (np.ones((2, 3)), NormOperand(np.ones((3, 3)), True)),      # no broadcast
-])
-def test_two_norm_batch_rejects_operands_of_the_wrong_dimension_or_shape(xs, ys):
-    with pytest.raises(ValueError, match=r"expected \(\.\.\., 3\) arrays of equal ndim"):
-        two_norm_batch(gram_space(3), xs, ys)
-
-
-def test_gram_pair_needs_an_operand_with_squares():
-    # A cross2 operand carries splits only; a gram pair step needs |a|^2.
-    bare = NormOperand(np.ones((2, 2)), False)
-    assert bare.sq is None
-    with pytest.raises(ValueError, match="squared norms"):
-        two_norm_batch(gram_space(2), np.ones((2, 2)), bare)
 
 
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
