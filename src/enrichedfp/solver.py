@@ -25,11 +25,16 @@ budget, the witness set, and the domain region itself (a ``Box`` or a
 ``TwoNormBall``) with its boundedness constant beta.
 
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
-the loop only the stopping and cycle tests evaluate them, and each stops at
-the first witness that settles the answer (``space.witness_max_prefix``);
-the trace columns and the post-hoc bound check are evaluated after the loop
-in one ``space.witness_norm_rows`` pass, bit for bit what a per-iteration
-evaluation gives.
+the loop only the stopping and cycle tests evaluate them, on the
+differences ``x_n - x_{n-1}``, ``T x_n - x_n`` and ``x_n - x_{n-p}`` kept as
+plain coordinate lists; a difference that overflows ends the run Diverged,
+as ``SpaceElement`` subtraction would. Each test goes through
+``space.witness_max_prefix``: on the standard basis its float screen settles
+a step far past the limit with no double-double work and can never change
+a decision, and otherwise the exact kernel stops at the first witness that
+settles the answer. The trace columns and the post-hoc bound check are
+evaluated after the loop in one ``space.witness_norm_rows`` pass, bit for
+bit what a per-iteration evaluation gives.
 """
 
 from __future__ import annotations
@@ -184,6 +189,19 @@ def aposteriori_step_threshold(cert: EnrichedCertificate, tol: float) -> float:
 _CYCLE_WINDOW = 8
 
 
+def _difference(a: Sequence[float], b: Sequence[float]) -> list[float]:
+    """``a - b`` coordinatewise, as a list of floats.
+
+    Raises :class:`NonFiniteError` on an entry that overflows, as
+    ``SpaceElement.__sub__`` does on the same coordinates; a difference of
+    finite floats is never NaN, so a finite sum settles the common case.
+    """
+    d = [x - y for x, y in zip(a, b, strict=True)]
+    if not math.isfinite(sum(d)) and not all(map(math.isfinite, d)):
+        raise NonFiniteError(f"non-finite coordinates: {tuple(d)}")
+    return d
+
+
 def detect_cycle(
     space: TwoNormSpace,
     witnesses: WitnessSet,
@@ -195,9 +213,12 @@ def detect_cycle(
 
     Returns p when ``x_n ~ x_{n-p}`` and ``x_{n-1} ~ x_{n-1-p}`` both hold
     within eps in witness residual, None otherwise. The two-index requirement
-    avoids flagging a single accidental near-return. Each test stops at the
-    first witness that settles it (``witness_max_prefix``), so it decides as
-    ``witness_residual(...) <= eps`` does, NaN included.
+    avoids flagging a single accidental near-return. Each test takes the
+    difference as a coordinate list and decides it with
+    ``witness_max_prefix``, whose float screen settles a clear miss on the
+    standard basis and whose exact kernel stops at the first witness that
+    settles the rest, so it decides as ``witness_residual(...) <= eps``
+    does, NaN included.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
@@ -206,8 +227,11 @@ def detect_cycle(
         if n - 1 - p < 0:
             break
         if (
-            witness_max_prefix(space, witnesses, xs[n] - xs[n - p], eps) <= eps
-            and witness_max_prefix(space, witnesses, xs[n - 1] - xs[n - 1 - p], eps) <= eps
+            witness_max_prefix(space, witnesses,
+                               _difference(xs[n].coords, xs[n - p].coords), eps) <= eps
+            and witness_max_prefix(space, witnesses,
+                                   _difference(xs[n - 1].coords, xs[n - 1 - p].coords),
+                                   eps) <= eps
         ):
             return p
     return None
@@ -255,12 +279,12 @@ def _solve_core(
     epsilon: Optional[float] = None
     precondition: Optional[tuple[float, float]] = None
     # Row n of the trace is x_n with v_n = x_n - x_{n-1} and d_n = T x_n - x_n
-    # (row 0 has no v_0 or d_0); the loop tests only the stopping rule and,
-    # for Picard, cycles, and every column is evaluated after it in one
-    # witness_norm_rows call.
+    # (row 0 has no v_0 or d_0), the two differences kept as coordinate
+    # lists; the loop tests only the stopping rule and, for Picard, cycles,
+    # and every column is evaluated after it in one witness_norm_rows call.
     xs: list[SpaceElement] = []
-    vs: list[SpaceElement] = []
-    ds: list[SpaceElement] = []
+    vs: list[list[float]] = []
+    ds: list[list[float]] = []
     f0 = math.nan
     x_star: Optional[SpaceElement] = None
     iterations = 0
@@ -299,38 +323,43 @@ def _solve_core(
             x_star = x0
         else:
             status = SolveStatus.MAX_ITER
+            # With d = 0 the averaged map is constant: every step is checked.
+            d_zero = cert is not None and cert.d == 0.0
+            picard = cert is None
             x_n = x0
             for n in range(1, cfg.max_iter + 1):
                 x_prev = x_n
                 x_n = Tlam.combine(x_prev, t_n)
-                v_n = x_n - x_prev
+                v_n = _difference(x_n.coords, x_prev.coords)
                 t_n = T.apply(x_n)
-                d_n = t_n - x_n
+                d_n = _difference(t_n.coords, x_n.coords)
                 xs.append(x_n)
                 vs.append(v_n)
                 ds.append(d_n)
                 iterations = n
 
-                if not all(r.contains(space, x_n) for r in regions):
+                if regions and not all(r.contains(space, x_n) for r in regions):
                     status = SolveStatus.LEFT_DOMAIN
                     break
 
-                # witness_max_prefix stops at the first witness whose norm
-                # lifts the running max past threshold, so step <= threshold
-                # and step > threshold each hold exactly when they hold for
-                # the full max. The cycle test below compares with cfg.tol,
-                # which is exact too: only Picard detects cycles, and without
-                # a certificate threshold == cfg.tol.
+                # witness_max_prefix answers "past threshold" from its float
+                # screen only where the exact max is past it too, and
+                # otherwise stops at the first witness whose norm lifts the
+                # running max past threshold, so step <= threshold and step >
+                # threshold each hold exactly when they hold for the full
+                # max. The cycle test below compares with cfg.tol, which is
+                # exact too: only Picard detects cycles, and without a
+                # certificate threshold == cfg.tol.
                 step = witness_max_prefix(space, wset, v_n, threshold)
-                if (cert is not None and cert.d == 0.0) or step <= threshold:
+                if d_zero or step <= threshold:
                     f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
-                    fixed_n = max(witness_norms(space, wset, d_n))
+                    fixed_n = max(witness_norms(space, wset, SpaceElement(d_n)))
                     if f_lam <= cfg.tol and fixed_n <= cfg.tol:
                         status = SolveStatus.CONVERGED
                         x_star = x_n
                         break
 
-                if cert is None and step > cfg.tol:
+                if picard and step > cfg.tol:
                     period = detect_cycle(space, wset, xs, _CYCLE_WINDOW, cfg.tol)
                     if period is not None:
                         status = SolveStatus.OSCILLATION
@@ -355,7 +384,7 @@ def _solve_core(
     # IEEE subtraction as SpaceElement's; a gap that overflows becomes inf.
     certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
     m = len(vs)
-    block = np.array([e.coords for e in vs + ds + (xs if certified else [])],
+    block = np.array(vs + ds + ([x.coords for x in xs] if certified else []),
                      dtype=float).reshape(-1, space.dimension)
     if certified:
         with np.errstate(over="ignore", invalid="ignore"):

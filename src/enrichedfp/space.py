@@ -28,11 +28,23 @@ for the witnesses in order. For every set it runs the reference kernel,
 ``two_norm(space, v, z_j)``, per witness, so its results are that kernel's
 by construction; only the ``gram`` standard basis (below) is specialised.
 :func:`witness_norms` collects every value; :func:`witness_max_prefix`
-stops as soon as the running max passes a limit, which is all a stopping
-test needs; :func:`witness_norm_rows` takes the rows of an array and, from
-24 on, evaluates them with one broadcasting :func:`two_norm_batch` call
-against the witness array a :class:`WitnessSet` holds, bit for bit the
-same. The scalar kernel stays the reference, and serves the ball tests.
+takes a vector's coordinates and stops as soon as the running max passes a
+limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
+the rows of an array and, from 24 on, evaluates them with one broadcasting
+:func:`two_norm_batch` call against the witness array a :class:`WitnessSet`
+holds, bit for bit the same. The scalar kernel stays the reference, and
+serves the ball tests.
+
+On the standard basis, of ``gram`` or ``cross2``, :func:`witness_max_prefix`
+first runs a float screen: the max norm is ``sqrt(|v|^2 - min_j v_j^2)``,
+and a plain-float ``R = sum(sq) - min(sq)`` past ``limit^2 (1 + 2**-30)``
+settles "past the limit" with no double-double work. Guards on the
+coordinates (every ``|v_i| < 2**400``), on ``limit^2`` (within ``2**+-900``)
+and on the dimension (at most ``2**16``) keep the error of ``R`` and of the
+exact kernel inside that margin, so the screen only ever answers "past the
+limit", and only where the exact kernel does too. Every answer ``<= limit``,
+and every value it returns short of ``math.inf``, comes from the exact
+kernel.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
@@ -57,7 +69,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -419,18 +431,49 @@ def witness_norms(
     return tuple(_witness_norm_iter(space, wset, v))
 
 
-def witness_max_prefix(
-    space: TwoNormSpace, wset: WitnessSet, v: SpaceElement, limit: float
-) -> float:
-    """``max(witness_norms(space, wset, v))``, cut short once it passes ``limit``.
+# The float screen of witness_max_prefix; see its docstring. fl(a * a) <
+# 2**800 holds exactly when |a| < 2**400, as 2**800 is a float.
+_SCREEN_SQ_MAX = 2.0**800
+_SCREEN_LIMIT_SQ_MIN = 2.0**-900
+_SCREEN_LIMIT_SQ_MAX = 2.0**900
+_SCREEN_DIM_MAX = 2**16
+_SCREEN_MARGIN = 1.0 + 2.0**-30
 
-    Keeps the running value of Python's ``max`` in witness order and returns
-    it as soon as it is not ``<= limit``, without evaluating later witnesses.
-    So the result is ``<= limit`` exactly when the full max is, and
-    ``> limit`` exactly when the full max is; a NaN first norm stays NaN, as
-    in ``max``.
+
+def witness_max_prefix(
+    space: TwoNormSpace, wset: WitnessSet, v: Sequence[float], limit: float
+) -> float:
+    """``max(witness_norms(space, wset, SpaceElement(v)))``, cut short once it
+    passes ``limit``; ``v`` is the vector's coordinates.
+
+    On the standard basis, of ``gram`` or ``cross2``, a float screen runs
+    first: there ``||v, e_j||^2 = sum_{i != j} v_i^2``, so the max norm is
+    the square root of ``R* = |v|^2 - min_j v_j^2``. The screen forms
+    ``R = sum(sq) - min(sq)`` in plain floats, with ``sq`` the squares
+    ``v_i * v_i``, and returns ``math.inf`` when every ``|v_i| < 2**400``,
+    ``2**-900 <= limit * limit <= 2**900``, the dimension is at most
+    ``2**16`` and ``R > limit * limit * (1 + 2**-30)``. The error of ``R`` is
+    at most ``2(n+2) eps R* + n 2**-1074``, since ``R* >= |v|^2 / 2``; the
+    guards keep every square finite and the exact kernel free of NaN, and
+    its max norm is within a few ulps of ``sqrt(R*)``. The margin covers
+    both, so the screen answers only "past the limit", and only where the
+    exact kernel does too. A NaN coordinate makes ``R`` NaN, which never
+    passes.
+
+    Otherwise, and on every other set, the exact kernel runs: it keeps the
+    running value of Python's ``max`` in witness order and returns it as
+    soon as it is not ``<= limit``, without evaluating later witnesses. So
+    the result is ``<= limit`` exactly when the full max is, and ``> limit``
+    exactly when the full max is; every result ``<= limit`` is the full max
+    itself, and a NaN first norm stays NaN, as in ``max``.
     """
-    norms = _witness_norm_iter(space, wset, v)
+    if wset._basis and len(v) == len(wset.witnesses) == space.dimension <= _SCREEN_DIM_MAX:
+        lim2 = limit * limit
+        if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
+            sq = [a * a for a in v]
+            if max(sq) < _SCREEN_SQ_MAX and sum(sq) - min(sq) > lim2 * _SCREEN_MARGIN:
+                return math.inf
+    norms = _witness_norm_iter(space, wset, SpaceElement(v))
     r = next(norms)
     if r <= limit:
         for x in norms:
@@ -476,10 +519,10 @@ def witness_norm_rows(
     kernel run on arrays; it forms each ``|v|^2`` and each ``|z|^2`` once
     per call. On ``gram`` against the standard basis each slice runs the
     closed form instead, on the slice's rows alone: their coordinate
-    squares and ``|v|^2``, with no witness array. A vector that overflows the kernel (``|v|`` past about 1.2e150 on ``gram``,
-    coordinates past about 1.3e300 on ``cross2``) gets NaN on both paths,
-    and numpy's overflow warnings are silenced, as Python float arithmetic
-    gives none.
+    squares and ``|v|^2``, with no witness array. A vector that overflows
+    the kernel (``|v|`` past about 1.2e150 on ``gram``, coordinates past
+    about 1.3e300 on ``cross2``) gets NaN on both paths, and numpy's
+    overflow warnings are silenced, as Python float arithmetic gives none.
     """
     if len(vectors) < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
         return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]

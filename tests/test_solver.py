@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enrichedfp.space as space_module
 from enrichedfp.analyzer import Provenance, certify
 from enrichedfp.mapping import (
     Reflection,
@@ -352,6 +353,33 @@ def test_detect_cycle_matches_the_full_residual_definition(case):
     assert detect_cycle(space, wset, xs, window, eps) == _detect_cycle_reference(
         space, wset, xs, window, eps)
 
+
+def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kernel(
+        monkeypatch):
+    # A non-cycling cross2 Picard run makes up to 16 cycle tests and one step
+    # test per iteration, all far past tol: only the two start residuals
+    # enter the witness kernel, and the 2000 rows are evaluated in batch.
+    entered = []
+    kernel = space_module._witness_norm_iter
+    monkeypatch.setattr(space_module, "_witness_norm_iter",
+                        lambda *a: entered.append(a[2]) or kernel(*a))
+    T = ScalarAffine(0.999, el(1, 0))
+    rep = picard_solve(T, el(0.5, 0.25), SolveConfig(tol=1e-14, max_iter=2000), SP)
+    assert rep.status == SolveStatus.MAX_ITER and rep.iterations == 2000
+    assert len(entered) == 2
+    # A step at the threshold still takes the exact kernel: the converging
+    # step, then the two residuals of the convergence check.
+    entered.clear()
+    space = gram_space(8)
+    T = ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2))
+    cert = certify(0.25, 0.55, Provenance.closed_form())
+    rep = krasnoselskij_solve(T, cert, el(3, 1, -4, 1, 5, -9, 2, 6), SolveConfig(tol=1e-12),
+                              space)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations == 38
+    assert len(entered) == 2 + 3
+    assert_trace_matches_scalar_kernel(T, rep, standard_basis(8), space)
+
+
 # --- local ball -------------------------------------------------------------------
 
 def test_local_ball_accepts_and_stays_inside():
@@ -640,3 +668,20 @@ def test_divergent_solve_columns_match_the_scalar_kernel():
                 if math.isnan(r.step_residual) or math.isnan(r.fixed_residual)]
     assert nan_rows == list(range(629, 646))
     assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
+
+
+@pytest.mark.parametrize("space, T, x0, iterations", [
+    (cross2_space(), ScalarAffine(-1.5, el(1, 0)), el(0.5, 0.25), 1751),
+    (gram_space(3), ScalarAffine(-1.5, el(1, 0, -2)), el(0.5, 0.25, 3), 1744),
+], ids=["cross2", "gram:3"])
+def test_divergence_through_an_overflowing_difference(space, T, x0, iterations):
+    # The next Picard point x = T x_n and its image T x are finite, but
+    # T x - x overflows: the run ends Diverged before that row is recorded.
+    wset = standard_basis(space.dimension)
+    rep = picard_solve(T, x0, SolveConfig(), space)
+    assert rep.status == SolveStatus.DIVERGED
+    assert rep.iterations == iterations and len(rep.trace) == iterations + 1
+    x_next = T.apply(rep.trace[-1].x)
+    t_next = T.apply(x_next)
+    assert not all(math.isfinite(a - b) for a, b in zip(t_next.coords, x_next.coords))
+    assert_trace_matches_scalar_kernel(T, rep, wset, space)

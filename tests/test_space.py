@@ -497,7 +497,7 @@ def test_witness_norms_checks_dimensions():
     with pytest.raises(ValueError):
         witness_norms(gram_space(3), standard_basis(3), el(1, 2))
     with pytest.raises(ValueError):
-        witness_max_prefix(gram_space(3), standard_basis(3), el(1, 2), 1.0)
+        witness_max_prefix(gram_space(3), standard_basis(3), (1.0, 2.0), 1.0)
     for count in (1, 24):
         with pytest.raises(ValueError):
             witness_norm_rows(gram_space(3), standard_basis(2), np.array([[1.0, 2.0]] * count))
@@ -534,13 +534,121 @@ def prefix_cases(draw):
 def test_witness_max_prefix_decides_like_the_full_max(case):
     space, wset, v, limit = case
     full = max(witness_norms(space, wset, v))
-    got = witness_max_prefix(space, wset, v, limit)
+    got = witness_max_prefix(space, wset, v.coords, limit)
     assert (got <= limit) == (full <= limit)
     assert (got > limit) == (full > limit)
     if full <= limit:  # no early exit: the value is the full max itself
         assert got.hex() == full.hex()
     if math.isnan(full):
         assert math.isnan(got)
+
+
+# --- the float screen on the standard basis ---------------------------------------
+
+_SCREEN_SPACES = [cross2_space()] + [gram_space(n) for n in range(2, 9)]
+_GUARD = 2.0**400  # the screen needs every |v_i| below this
+_BELOW_GUARD = math.nextafter(_GUARD, 0.0)
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps, up for positive ``k``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def screen_cases(draw):
+    """(space, standard basis, coordinates, limit) for the screened prefix:
+    coordinates of any binade from subnormal to past the 2**400 guard, and
+    a limit a few ulps or a 2**-30-ish margin from the max norm, at the
+    2**+-450 edges of the screened range, a signed zero, inf or a draw."""
+    space = draw(st.sampled_from(_SCREEN_SPACES))
+    n = space.dimension
+    exponent = draw(st.sampled_from([-1074, -1060, -540, -460, -30, 0, 20, 399, 400]))
+    unit = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _GUARD, -_BELOW_GUARD,
+                               _BELOW_GUARD])
+    coords = tuple(draw(st.one_of(unit.map(lambda a: math.ldexp(a, exponent)), special))
+                   for _ in range(n))
+    full = max(witness_norms(space, standard_basis(n), SpaceElement(coords)))
+    near = []
+    if math.isfinite(full):
+        near = [_ulps(full, k) for k in range(-4, 5)]
+        near += [full * (1.0 + f) for f in (-2.0**-29, -2.0**-31, 2.0**-31, 2.0**-29)]
+    limit = draw(st.one_of(
+        st.sampled_from(near or [1.0]),
+        st.sampled_from([0.0, -0.0, math.inf, 2.0**-450, math.nextafter(2.0**-450, 0.0),
+                         2.0**450, math.nextafter(2.0**450, math.inf)]),
+        st.floats(min_value=0.0, max_value=1e4),
+    ))
+    return space, coords, limit
+
+
+@given(screen_cases())
+@example((cross2_space(), (3.0, 4.0), math.nextafter(4.0, 0.0)))  # max norm 4, one ulp off
+@example((cross2_space(), (3.0, 4.0), 4.0))
+@example((gram_space(3), (3.0, 2.0, 1.0), math.nextafter(math.sqrt(13.0), 0.0)))
+@example((gram_space(3), (3.0, 2.0, 1.0), math.nextafter(math.sqrt(13.0), math.inf)))
+@example((gram_space(2), (_GUARD, 1.0), 1.0))  # at the guard: the exact kernel
+@example((gram_space(2), (_BELOW_GUARD, 1.0), 1.0))  # just inside: screened
+@example((gram_space(8), (-_GUARD,) + (1.0,) * 7, 1.0))
+@example((cross2_space(), (_GUARD, _GUARD), 1.0))
+@example((gram_space(2), (2e150, 5e149), 1.0))  # every norm NaN, never screened
+@example((gram_space(3), (5e-324, -5e-324, 5e-324), 0.0))  # subnormal coordinates
+@example((gram_space(3), (5e-324, -5e-324, 5e-324), 2.0**-450))
+@example((gram_space(4), (2.0**-440, 2.0**-440, 0.0, -0.0), 2.0**-450))
+@example((gram_space(4), (2.0**-440, 2.0**-440, 0.0, -0.0),
+          math.nextafter(2.0**-450, 0.0)))
+@example((gram_space(2), (2.0**399, 2.0**399), 2.0**450))
+@example((gram_space(2), (2.0**399, 2.0**399), math.nextafter(2.0**450, math.inf)))
+@example((gram_space(5), (0.0, -0.0, 0.0, 0.0, -0.0), 0.0))  # the zero vector
+@example((gram_space(5), (0.0, -0.0, 0.0, 0.0, -0.0), -0.0))
+@example((cross2_space(), (0.0, 0.0), math.inf))
+@example((gram_space(3), (1.0, 2.0, 3.0), math.inf))
+@example((gram_space(3), (1.0, 2.0, 3.0), -0.0))
+@settings(max_examples=500, deadline=None)
+def test_screened_witness_max_prefix_decides_like_the_full_max(case):
+    space, coords, limit = case
+    wset = standard_basis(space.dimension)
+    full = max(witness_norms(space, wset, SpaceElement(coords)))
+    got = witness_max_prefix(space, wset, coords, limit)
+    assert (got <= limit) == (full <= limit)
+    assert (got > limit) == (full > limit)
+    if full <= limit:  # never screened: the value is the full max itself
+        assert got.hex() == full.hex()
+    if math.isnan(full):
+        assert math.isnan(got)
+
+
+def test_a_clear_cut_step_on_the_basis_runs_no_exact_kernel(monkeypatch):
+    # The screen settles a step far past the limit without entering the
+    # witness kernel; a step near the limit, and any set that is not the
+    # standard basis, still run the exact kernel.
+    entered = []
+    kernel = space_module._witness_norm_iter
+    monkeypatch.setattr(space_module, "_witness_norm_iter",
+                        lambda *a: entered.append(a[1]) or kernel(*a))
+    permuted = WitnessSet((el(0, 1), el(1, 0)))
+    for space in _SCREEN_SPACES:
+        n = space.dimension
+        wset = standard_basis(n)
+        step = tuple(1e-3 * (i + 1) for i in range(n))
+        assert witness_max_prefix(space, wset, step, 1e-11) == math.inf
+        assert entered == []
+        full = max(witness_norms(space, wset, SpaceElement(step)))
+        entered.clear()
+        for limit in (full, math.nextafter(full, 0.0)):
+            got = witness_max_prefix(space, wset, step, limit)
+            assert (got <= limit) == (full <= limit) and got.hex() == full.hex()
+        assert entered == [wset, wset]
+        entered.clear()
+    for space in (cross2_space(), gram_space(2)):
+        # The first norm is past the limit: the exact kernel returns it.
+        first = two_norm(space, el(1e-3, 2e-3), permuted.witnesses[0])
+        assert witness_max_prefix(space, permuted, (1e-3, 2e-3), 1e-11) == first > 1e-11
+        assert entered == [permuted]
+        entered.clear()
 
 
 def _row_vectors(space, count, rng):
@@ -751,7 +859,7 @@ def test_basis_witness_norms_match_two_norm_bitwise(space):
         assert [a.hex() for a in witness_norms(space, wset, v)] == want
         for limit in (0.0, -0.0, math.inf, float.fromhex(want[-1])):
             norms = [float.fromhex(h) for h in want]
-            got = witness_max_prefix(space, wset, v, limit)
+            got = witness_max_prefix(space, wset, v.coords, limit)
             assert (got <= limit) == (max(norms) <= limit)
             if max(norms) <= limit or math.isnan(norms[0]):
                 assert got.hex() == max(norms).hex()
@@ -814,7 +922,7 @@ def test_off_the_basis_gram_witness_norms_run_two_norm_per_witness(monkeypatch):
     assert calls == list(wset.witnesses)
     for limit, evaluated in ((0.5, 1), (1.5, 2), (2.1, 3), (math.inf, 4)):
         calls.clear()
-        witness_max_prefix(space, wset, v, limit)
+        witness_max_prefix(space, wset, v.coords, limit)
         assert calls == list(wset.witnesses[:evaluated])
     calls.clear()
     witness_norms(space, standard_basis(3), v)
