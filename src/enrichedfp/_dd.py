@@ -32,13 +32,6 @@ def two_prod(a, b):
     return p, e
 
 
-def split(a):
-    """Dekker split: a as (high, low) halves of 26 bits, the ones two_prod forms."""
-    ah = _SPLIT * a
-    ah = ah - (ah - a)
-    return ah, a - ah
-
-
 def dd_add(xh, xl, yh, yl):
     s, e = two_sum(xh, yh)
     e = e + (xl + yl)

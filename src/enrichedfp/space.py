@@ -55,8 +55,11 @@ one value per vector, with ``|z|^2`` the constant ``(1, 0)``. The closed
 form forms those terms with the same formulas, drops only operations on
 exact zeros (which change no nonzero value, and the radicand never comes
 out ``-0.0``), and ends in the same ``dd_add`` and square root, so it is
-bit for bit the general kernel, NaN included. Every other set, and all of
-``cross2``, runs the reference kernel per witness.
+bit for bit the general kernel, NaN included. One body,
+``_gram_basis_radicands``, holds it for both kernels, as ``_gram_radicand``
+does for the general ones: it runs on one vector's float coordinates or on
+a slice's coordinate arrays. Every other set, and all of ``cross2``, runs
+the reference kernel per witness.
 
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
@@ -73,7 +76,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._dd import _SPLIT, dd_add, dd_mul, det2_dd, dot_dd, split, two_prod, two_sum
+from ._dd import dd_add, dd_mul, det2_dd, dot_dd, two_prod, two_sum
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -280,32 +283,20 @@ def two_norm_batch(space: TwoNormSpace, xs: np.ndarray, ys: np.ndarray) -> np.nd
     return np.sqrt(np.maximum(0.0, _gram_radicand(x, y)))
 
 
-def _dd_sum(p, e) -> tuple:
-    # dot_dd's accumulation, in coordinate order, of the stacked products
-    # (p, e) = two_prod of every coordinate pair.
+def _gram_basis_radicands(coords):
+    # The radicand of gram_norm(v, e_j) for each j in order; coords holds v's
+    # coordinates, floats for one vector or coordinate arrays for many. With
+    # z = e_j, <v, z> = (v_j, 0) exactly, so p2 is v_j's own two_prod,
+    # normalised, and p1 = dd_mul(|v|^2, |e_j|^2) = dd_mul(|v|^2, (1, 0)) is
+    # one value per vector.
+    squares = [two_prod(a, a) for a in coords]
     h = l = 0.0
-    for pi, ei in zip(p, e):
-        h, l = dd_add(h, l, pi, ei)
-    return h, l
-
-
-# |e_j|^2 = dot_dd(e_j, e_j) = (1, 0), with the split of its high part,
-# split(1.0) = (1, 0): the scalar closed form multiplies |v|^2 by it.
-_UNIT_SQ = (1.0, 0.0, 1.0, 0.0)
-
-
-def _gram_basis_pair(chunk: np.ndarray) -> np.ndarray:
-    # gram_norm of every row of a (k, n) chunk against every e_j, as an
-    # (n, k) table: with z = e_j, <v, z> = (v_j, 0) exactly, so p2 is v_j's
-    # own two_prod, normalised, and p1 = dd_mul(|v|^2, |e_j|^2) is one value
-    # per row.
-    a = chunk.T
-    p, e = two_prod(a, a)
-    h, l = _dd_sum(p, e)
+    for p, e in squares:
+        h, l = dd_add(h, l, p, e)
     p1h, p1l = dd_mul(h, l, 1.0, 0.0)
-    p2h, p2l = two_sum(p, e + 0.0)
-    rh, _ = dd_add(p1h, p1l, -p2h, -p2l)
-    return np.sqrt(np.maximum(0.0, rh))
+    for p, e in squares:
+        p2h, p2l = two_sum(p, e + 0.0)
+        yield dd_add(p1h, p1l, -p2h, -p2l)[0]
 
 
 def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:
@@ -366,11 +357,10 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
     """Yield ``||v, z_j||`` in witness order: the one body of the witness kernels.
 
     Every set runs the reference kernel per witness, ``two_norm(space, v,
-    z_j)``, save one: on ``gram`` against the standard basis it runs the
-    closed form (see the module notes), which splits ``v`` and forms
-    ``|v|^2`` once, then ``dd_mul(|v|^2, |e_j|^2)`` once, and per witness
-    ``v_j``'s ``two_prod`` normalised and the final ``dd_add``, written out
-    inline in the order of :func:`gram_norm`.
+    z_j)``, save one: on ``gram`` against the standard basis it takes the
+    square root of each radicand that ``_gram_basis_radicands`` yields on
+    ``v``'s coordinates (see the module notes), lazily, so an early exit
+    skips the later witnesses.
     """
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
@@ -380,47 +370,8 @@ def _witness_norm_iter(space: TwoNormSpace, wset: WitnessSet, v: SpaceElement):
             yield two_norm(space, v, z)
         return
 
-    # Each coordinate's two_prod(a, a), and |v|^2 = dot_dd(v, v)
-    squares = []
-    h = l = 0.0
-    for a in v.coords:
-        ah = _SPLIT * a
-        ah = ah - (ah - a)
-        al = a - ah
-        p = a * a
-        e = ((ah * ah - p) + ah * al + al * ah) + al * al
-        squares.append((p, e))
-        s = h + p
-        bb = s - h
-        e = (h - (s - bb)) + (p - bb) + (l + e)
-        h = s + e
-        bb = h - s
-        l = (s - (h - bb)) + (e - bb)
-    svh, svl = h, l
-    svhh, svhl = split(svh)
-
-    # z = e_j: |z|^2 = (1, 0) and <v, z> = (v_j, 0) exactly, so p1 is one
-    # value per vector and p2 = dd_mul(<v,z>, <v,z>) is v_j's own two_prod,
-    # normalised; gram_norm's remaining terms are all zeros.
-    szh, szl, szhh, szhl = _UNIT_SQ
-    p = svh * szh
-    e = ((svhh * szhh - p) + svhh * szhl + svhl * szhh) + svhl * szhl
-    e = e + (svh * szl + svl * szh)
-    p1h = p + e
-    bb = p1h - p
-    p1l = (p - (p1h - bb)) + (e - bb)
     sqrt = math.sqrt
-    for p, e in squares:
-        e = e + 0.0
-        p2h = p + e
-        bb = p2h - p
-        p2l = (p - (p2h - bb)) + (e - bb)
-        q = -p2h
-        s = p1h + q
-        bb = s - p1h
-        e = (p1h - (s - bb)) + (q - bb)
-        e = e + (p1l + -p2l)
-        r = s + e
+    for r in _gram_basis_radicands(v.coords):
         yield sqrt(r if r > 0.0 or r != r else 0.0)  # as in gram_norm
 
 
@@ -485,23 +436,25 @@ def witness_max_prefix(
 
 
 # Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, best of 7 in each of 2 runs, n witnesses on n
-# coordinates, the whole witness_norm_rows call with either kernel forced).
-# cross2 (general kernel): the batch costs about 55-60 us for 1 to 32
-# vectors (130 us for 300), witness_norms about 6-7 us per vector. gram
-# standard basis (closed form): the batch costs about 65-85, 70-80 and
-# 100-200 us on gram:3, 4 and 8 for 1 to 32 vectors (135, 165 and 390 us for
-# 300), witness_norms about 5, 5.5 and 13 us per vector. The batch therefore
-# wins from about 9 (cross2) and 14 to 16 (closed form) vectors; it takes
-# over at 24, where it is ahead on every space that a workload sends, and
-# long traces gain most. A non-basis gram set (a reversed basis) would be
-# faster in batch from a few vectors: its batch costs about 265-310, 300-330
-# and 630-925 us on gram:3, 4 and 8 for 1 to 32 vectors (430, 530 and 1380
-# us for 300) against 30-45, 50 and 150-190 us per vector for witness_norms,
-# so it wins from 5 to 9; no workload sends such a set. Slices of at most
-# 4096 vectors bound the batch's temporaries: a general gram:8 slice
-# against 8 witnesses forms (4096, 8) arrays, 256 kB each, and the closed
-# form's are (8, 4096).
+# 3.11, numpy 2.4, best of 7, n witnesses on n coordinates, the whole
+# witness_norm_rows call with either kernel forced, for 1 to 300 vectors).
+# cross2 (general kernel): the batch costs about 60-115 us for 1 to 32
+# vectors (220 us for 300), witness_norms about 7-11 us per vector. gram
+# standard basis (the closed form, one _gram_basis_radicands body on both
+# paths): the batch costs about 120-205, 140-260 and 230-470 us on gram:3, 4
+# and 8 for 1 to 32 vectors (300, 220 and 640 us for 300), witness_norms
+# about 11-13, 9-15 and 17-23 us per vector. The batch therefore wins from
+# about 8 (cross2), 16 (gram:3) and 20 (gram:4) vectors, and on gram:8 the
+# two are level from 20 to 24; it takes over at 24, where it is level or
+# ahead on every space that a workload sends, and long traces gain most. A
+# non-basis gram set (a reversed basis) would be faster in batch from a few
+# vectors: its batch costs about 245-355, 270-530 and 480-1140 us on gram:3,
+# 4 and 8 for 1 to 32 vectors (455, 585 and 1510 us for 300) against about
+# 31, 47 and 160 us per vector for witness_norms, so it wins from 4 to 8; no
+# workload sends such a set. Slices of at most 4096 vectors bound the
+# batch's temporaries: a general gram:8 slice against 8 witnesses forms
+# (4096, 8) arrays, 256 kB each, and the closed form's are (4096,) arrays,
+# one per coordinate.
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
 
@@ -517,12 +470,13 @@ def witness_norm_rows(
     one :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
     rows against the set's ``(1, m, n)`` witness array. That is the scalar
     kernel run on arrays; it forms each ``|v|^2`` and each ``|z|^2`` once
-    per call. On ``gram`` against the standard basis each slice runs the
-    closed form instead, on the slice's rows alone: their coordinate
-    squares and ``|v|^2``, with no witness array. A vector that overflows
-    the kernel (``|v|`` past about 1.2e150 on ``gram``, coordinates past
-    about 1.3e300 on ``cross2``) gets NaN on both paths, and numpy's
-    overflow warnings are silenced, as Python float arithmetic gives none.
+    per call. On ``gram`` against the standard basis each slice runs
+    ``_gram_basis_radicands`` instead, the scalar closed form itself, on the
+    rows of ``chunk.T`` (one array per coordinate), with no witness array. A
+    vector that overflows the kernel (``|v|`` past about 1.2e150 on
+    ``gram``, coordinates past about 1.3e300 on ``cross2``) gets NaN on both
+    paths, and numpy's overflow warnings are silenced, as Python float
+    arithmetic gives none.
     """
     if len(vectors) < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
         return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
@@ -536,7 +490,8 @@ def witness_norm_rows(
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
             if basis:
-                table = _gram_basis_pair(chunk).T
+                radicands = np.array(list(_gram_basis_radicands(chunk.T)))
+                table = np.sqrt(np.maximum(0.0, radicands)).T
             else:
                 table = two_norm_batch(space, chunk[:, None, :], wset._batch)
             rows.extend(map(tuple, table.tolist()))

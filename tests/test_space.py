@@ -370,6 +370,29 @@ def test_scalar_and_batch_norms_run_one_kernel_body(space, kernel, monkeypatch):
     assert {float(a).hex() for a in batch.ravel()} == {scalar.hex()}
 
 
+def test_scalar_and_batch_basis_norms_run_one_closed_form_body(monkeypatch):
+    # On the gram standard basis both witness kernels reach the same
+    # _gram_basis_radicands: once per witness_norms call or exact
+    # witness_max_prefix call, and once per slice of witness_norm_rows.
+    calls = []
+    body = space_module._gram_basis_radicands
+    monkeypatch.setattr(space_module, "_gram_basis_radicands",
+                        lambda coords: calls.append(coords) or body(coords))
+    space, wset = gram_space(3), standard_basis(3)
+    v = el(1.0, 2.0, 3.0)
+    norms = witness_norms(space, wset, v)
+    assert len(calls) == 1
+    calls.clear()
+    # A limit equal to the max norm is one the float screen cannot settle.
+    assert witness_max_prefix(space, wset, v.coords, max(norms)) == max(norms)
+    assert len(calls) == 1
+    for count, entries in ((24, 1), (4097, 2)):
+        calls.clear()
+        rows = witness_norm_rows(space, wset, np.array([v.coords] * count))
+        assert len(calls) == entries
+        assert rows == [norms] * count
+
+
 # --- axiom checker -------------------------------------------------------------
 
 def test_check_axioms_passes_cross2():
@@ -811,7 +834,8 @@ _BASIS_SPACES = [gram_space(n) for n in range(2, 9)]
 def _basis_rows(n, count, rng):
     """``count`` rows for the basis kernel: every few rows a zero or
     signed-zero row, subnormal or nearly-dependent-on-e_j coordinates, or a
-    ``|v|`` past 1.2e150 (NaN norms), between generic draws."""
+    ``|v|`` past 1.2e150 (NaN norms), between generic draws; then eight rows
+    whose squares or ``|v|^2`` overflow."""
     out = []
     for i in range(count):
         kind = i % 8
@@ -833,6 +857,23 @@ def _basis_rows(n, count, rng):
             coords = [rng.uniform(-1, 1) * 10 ** rng.uniform(140, 160) for _ in range(n)]
         else:
             coords = [rng.uniform(-10, 10) for _ in range(n)]
+        out.append(coords)
+    # Then rows where a * a or |v|^2 overflows, among small coordinates: one
+    # coordinate from 1e155 to 1.7e308, one at 1.7e308, two near 1.2e154
+    # (finite squares, infinite sum), or every other one past 1e155.
+    for i in range(8):
+        coords = [rng.choice([0.0, -0.0, rng.uniform(-10, 10)]) for _ in range(n)]
+        kind, j, sign = i % 4, i % n, rng.choice([1.0, -1.0])
+        if kind == 0:
+            coords[j] = sign * min(1.7e308, 10 ** rng.uniform(155, 308.3))
+        elif kind == 1:
+            coords[j] = sign * 1.7e308
+        elif kind == 2:
+            coords[j] = sign * rng.uniform(1.0e154, 1.3e154)
+            coords[(j + 1) % n] = rng.uniform(1.0e154, 1.3e154)
+        else:
+            for k in range(j % 2, n, 2):
+                coords[k] = rng.choice([1.0, -1.0]) * 10 ** rng.uniform(155, 308)
         out.append(coords)
     return out
 
