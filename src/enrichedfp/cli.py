@@ -119,9 +119,12 @@ _STATUS_EXIT = {
 MODES = ("krasnoselskij", "picard", "local", "asymptotic")
 
 
+_FLOAT_CELL = "{:.16e}"
+
+
 def fmt_float(v: float) -> str:
     """17 significant digits: lossless for doubles, stable for golden files."""
-    return f"{v:.16e}"
+    return _FLOAT_CELL.format(v)
 
 
 def _fmt_coords(coords: Sequence[float]) -> str:
@@ -143,7 +146,7 @@ class ScenarioConfig:
     theta: Union[float, str]      # a number or "estimate"
     n: int
     x0: SpaceElement
-    solve: SolveConfig            # witnesses None is the standard basis
+    solve: SolveConfig
     local_u: Optional[SpaceElement]
     local_r: Optional[float]
     box: Box                      # the analysis box, sampling.lo/hi
@@ -491,17 +494,12 @@ def parse_scenario(path: Union[str, Path]) -> ScenarioConfig:
     return parse_scenario_text(text)
 
 
-def _witnesses(cfg: ScenarioConfig) -> WitnessSet:
-    # The solver reads witnesses None as the standard basis; so does the CLI.
-    w = cfg.solve.witnesses
-    return w if w is not None else standard_basis(cfg.space.dimension)
-
-
 def write_scenario(cfg: ScenarioConfig) -> str:
     """Canonical text form of a config; parse(write(cfg)) == cfg.
 
     Witnesses None are written, and parsed back, as the standard basis they
-    stand for.
+    stand for (:meth:`SolveConfig.witness_set`), and a set whose dimension
+    is not the space's is a ``ValueError``, as the parser would refuse it.
     """
     lines = ["schema=1"]
     lines.append(f"space.kind={cfg.space.kind.value}")
@@ -514,7 +512,7 @@ def write_scenario(cfg: ScenarioConfig) -> str:
     lines.append(f"x0={_fmt_coords(cfg.x0.coords)}")
     solve = cfg.solve
     lines.append("witnesses=" + ";".join(_fmt_coords(w.coords)
-                                         for w in _witnesses(cfg).witnesses))
+                                         for w in solve.witness_set(cfg.space).witnesses))
     lines.append(f"tol={fmt_float(solve.tol)}")
     lines.append(f"max_iter={solve.max_iter}")
     region = solve.domain
@@ -595,7 +593,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
             bound_violations=0,
             warnings=(f"certification failed: {exc}",),
         )
-        return report, EXIT_NOT_CERTIFIABLE
+        return report, _STATUS_EXIT[report.status]
 
     if cfg.mode == "krasnoselskij":
         report = krasnoselskij_solve(cfg.map, cert, cfg.x0, cfg.solve, cfg.space)
@@ -618,15 +616,15 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
     bound, then one step-residual column per witness (zero on row 0); the
     witness count is that of the first row's ``witness_steps``. Each row is
     filled by one ``str.format`` call on a format string built once per
-    trace, with :func:`fmt_float`'s spec in every float cell, so the bytes
-    are those of a per-cell ``fmt_float`` join.
+    trace, with :func:`fmt_float`'s ``_FLOAT_CELL`` in every float cell, so
+    the bytes are those of a per-cell ``fmt_float`` join.
     """
     if not trace:
         raise ValueError("refusing to emit an empty trace")
     dim = trace[0].x.dim
     k = len(trace[0].witness_steps)
     lines = [_trace_header(dim, k)]
-    row_fmt = ",".join(["{}"] + ["{:.16e}"] * (dim + 3 + k))
+    row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * (dim + 3 + k))
     for row in trace:
         lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
                                     row.fixed_residual, row.apriori_bound,
@@ -879,7 +877,7 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
         emit_trace_csv(report.trace, trace)
     elif trace:
         _write_lines(trace, [_trace_header(cfg.space.dimension,
-                                           len(_witnesses(cfg).witnesses))])
+                                           len(cfg.solve.witness_set(cfg.space).witnesses))])
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code

@@ -100,7 +100,8 @@ class TwoNormBall:
 class SolveConfig:
     """The settings of one solve.
 
-    ``domain`` is the region every iterate must lie in, if any, and
+    ``witnesses`` None is the standard basis, resolved by :meth:`witness_set`
+    alone. ``domain`` is the region every iterate must lie in, if any, and
     ``bound_beta`` its user-supplied boundedness constant: it is
     consistency-checked against ``||x0 - T_lam x0||`` and never computed, so
     it needs a domain.
@@ -108,7 +109,7 @@ class SolveConfig:
 
     tol: float = 1e-10
     max_iter: int = 10_000
-    witnesses: Optional[WitnessSet] = None  # None picks the standard basis
+    witnesses: Optional[WitnessSet] = None
     domain: Union[Box, TwoNormBall, None] = None
     bound_beta: Optional[float] = None
 
@@ -119,6 +120,13 @@ class SolveConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.bound_beta is not None and self.domain is None:
             raise ValueError("bound_beta needs a domain")
+
+    def witness_set(self, space: TwoNormSpace) -> WitnessSet:
+        """``witnesses``, or the standard basis of ``space`` when it is None."""
+        w = self.witnesses if self.witnesses is not None else standard_basis(space.dimension)
+        if w.dim != space.dimension:
+            raise ValueError("witness set dimension does not match the space")
+        return w
 
 
 @dataclass(frozen=True)
@@ -237,13 +245,6 @@ def detect_cycle(
     return None
 
 
-def _witnesses_for(space: TwoNormSpace, cfg: SolveConfig) -> WitnessSet:
-    w = cfg.witnesses if cfg.witnesses is not None else standard_basis(space.dimension)
-    if w.dim != space.dimension:
-        raise ValueError("witness set dimension does not match the space")
-    return w
-
-
 def _solve_core(
     T: SelfMap,
     cert: Optional[EnrichedCertificate],
@@ -264,7 +265,7 @@ def _solve_core(
     """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
-    wset = _witnesses_for(space, cfg)
+    wset = cfg.witness_set(space)
     lam = cert.lam if cert is not None else 1.0
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
@@ -518,7 +519,7 @@ def asymptotic_solve(
     TN = iterated(T, N)
     report = _solve_core(TN, cert, x0, cfg, space)
     if report.status == SolveStatus.CONVERGED and report.x_star is not None:
-        wset = _witnesses_for(space, cfg)
+        wset = cfg.witness_set(space)
         t_res = witness_residual(space, wset, T.apply(report.x_star), report.x_star)
         if t_res > cfg.tol:
             report = replace(

@@ -30,10 +30,11 @@ by construction; only the ``gram`` standard basis (below) is specialised.
 :func:`witness_norms` collects every value; :func:`witness_max_prefix`
 takes a vector's coordinates and stops as soon as the running max passes a
 limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
-the rows of an array and, from 24 on, evaluates them with one broadcasting
-:func:`two_norm_batch` call against the witness array a :class:`WitnessSet`
-holds, bit for bit the same. The scalar kernel stays the reference, and
-serves the ball tests.
+the rows of an array and, once they cost 24 kernel calls (rows times
+witnesses, or rows alone on the ``gram`` standard basis), evaluates them
+with one broadcasting :func:`two_norm_batch` call against the witness array
+a :class:`WitnessSet` holds, bit for bit the same. The scalar kernel stays
+the reference, and serves the ball tests.
 
 On the standard basis, of ``gram`` or ``cross2``, :func:`witness_max_prefix`
 first runs a float screen: the max norm is ``sqrt(|v|^2 - min_j v_j^2)``,
@@ -435,26 +436,20 @@ def witness_max_prefix(
     return r
 
 
-# Kernel choice for witness_norm_rows. Measured on a shared 2-vCPU VM (Python
-# 3.11, numpy 2.4, best of 7, n witnesses on n coordinates, the whole
-# witness_norm_rows call with either kernel forced, for 1 to 300 vectors).
-# cross2 (general kernel): the batch costs about 60-115 us for 1 to 32
-# vectors (220 us for 300), witness_norms about 7-11 us per vector. gram
-# standard basis (the closed form, one _gram_basis_radicands body on both
-# paths): the batch costs about 120-205, 140-260 and 230-470 us on gram:3, 4
-# and 8 for 1 to 32 vectors (300, 220 and 640 us for 300), witness_norms
-# about 11-13, 9-15 and 17-23 us per vector. The batch therefore wins from
-# about 8 (cross2), 16 (gram:3) and 20 (gram:4) vectors, and on gram:8 the
-# two are level from 20 to 24; it takes over at 24, where it is level or
-# ahead on every space that a workload sends, and long traces gain most. A
-# non-basis gram set (a reversed basis) would be faster in batch from a few
-# vectors: its batch costs about 245-355, 270-530 and 480-1140 us on gram:3,
-# 4 and 8 for 1 to 32 vectors (455, 585 and 1510 us for 300) against about
-# 31, 47 and 160 us per vector for witness_norms, so it wins from 4 to 8; no
-# workload sends such a set. Slices of at most 4096 vectors bound the
-# batch's temporaries: a general gram:8 slice against 8 witnesses forms
-# (4096, 8) arrays, 256 kB each, and the closed form's are (4096,) arrays,
-# one per coordinate.
+# witness_norm_rows runs the batch once its rows cost _ROWS_BATCH_MIN kernel
+# calls: one _gram_basis_radicands body per row on the gram standard basis,
+# one two_norm per row and witness on every other set. Where the batch draws
+# level with witness_norms (whole call, each path forced, best of 27 x 20 on
+# a shared 2-vCPU VM, Python 3.11, numpy 2.4):
+#   witness set (calls per row)         rows     calls
+#   cross2 basis (2)                    8-10     16-20
+#   gram:3, gram:4 basis (1)            ~16      ~16
+#   gram:8 basis (1)                    16-20    16-20
+#   gram:3 permuted unit vectors (3)    8-10     24-30
+#   gram:3 basis + (1, 1, 1) (4)        ~6       ~24
+#   gram:8 permuted unit vectors (8)    3-4      24-32
+# Slices of at most 4096 vectors bound the batch's temporaries: a general
+# gram:8 slice against 8 witnesses forms (4096, 8) arrays, 256 kB each.
 _ROWS_BATCH_MIN = 24
 _ROWS_BATCH_SLICE = 4096
 
@@ -464,10 +459,11 @@ def witness_norm_rows(
 ) -> list[tuple[float, ...]]:
     """``witness_norms(space, wset, v)`` for every row v, equal to it bit for bit.
 
-    ``vectors`` is an ``(N, n)`` float array. Few rows go through
-    :func:`witness_norms` one at a time, as elements of Python floats; more,
-    and any array with an inf or NaN, which no element can hold, go through
-    one :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
+    ``vectors`` is an ``(N, n)`` float array. Rows that cost fewer than 24
+    kernel calls (see ``_ROWS_BATCH_MIN``) go through :func:`witness_norms`
+    one at a time, as elements of Python floats; more, and any array with an
+    inf or NaN, which no element can hold, go through one
+    :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
     rows against the set's ``(1, m, n)`` witness array. That is the scalar
     kernel run on arrays; it forms each ``|v|^2`` and each ``|z|^2`` once
     per call. On ``gram`` against the standard basis each slice runs
@@ -478,11 +474,12 @@ def witness_norm_rows(
     paths, and numpy's overflow warnings are silenced, as Python float
     arithmetic gives none.
     """
-    if len(vectors) < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
+    basis = wset._basis and space.kind is SpaceKind.GRAM
+    calls = len(vectors) * (1 if basis else len(wset.witnesses))
+    if calls < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
         return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
-    basis = wset._basis and space.kind is SpaceKind.GRAM
     if basis and vectors.shape[1:] != (space.dimension,):
         raise ValueError(f"expected ({space.dimension},) rows, got {vectors.shape}")
     rows: list[tuple[float, ...]] = []

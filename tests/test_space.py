@@ -699,16 +699,20 @@ def _row_vectors(space, count, rng):
     return out
 
 
+def _skewed_set(n):
+    """n + 1 witnesses off the standard basis: a skewed basis and (1, -1, ...)."""
+    witnesses = [SpaceElement(tuple(float(i == j) + 0.5 * (j == (i + 1) % n)
+                                    for j in range(n))) for i in range(n)]
+    return WitnessSet(tuple(witnesses) + (el(*([1.0, -1.0] * n)[:n]),))
+
+
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3), gram_space(8)],
                          ids=lambda s: f"{s.kind.value}:{s.dimension}")
-@pytest.mark.parametrize("count, batch_calls", [(1, 0), (23, 0), (24, 1), (4097, 2)])
+@pytest.mark.parametrize("count, batch_calls", [(1, 0), (23, 1), (24, 1), (4097, 2)])
 def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls,
                                                        monkeypatch):
     rng = random.Random(count)
-    n = space.dimension
-    witnesses = [SpaceElement(tuple(float(i == j) + 0.5 * (j == (i + 1) % n)
-                                    for j in range(n))) for i in range(n)]
-    wset = WitnessSet(tuple(witnesses) + (el(*([1.0, -1.0] * n)[:n]),))
+    wset = _skewed_set(space.dimension)
     vectors = _row_vectors(space, count, rng)
     calls = []
     batch = space_module.two_norm_batch
@@ -719,8 +723,8 @@ def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls
 
     monkeypatch.setattr(space_module, "two_norm_batch", counting_batch)
     rows = witness_norm_rows(space, wset, np.array([v.coords for v in vectors]))
-    # Below 24 vectors the scalar path runs; from 24 on one batch call per
-    # slice of at most 4096 vectors.
+    # Below 24 kernel calls (rows times witnesses on these sets) the scalar
+    # path runs; from 24 on one batch call per slice of at most 4096 vectors.
     assert len(calls) == batch_calls
     assert all(c <= 4096 * len(wset.witnesses) for c in calls)
     assert len(rows) == count
@@ -728,6 +732,36 @@ def test_witness_norm_rows_match_witness_norms_bitwise(space, count, batch_calls
         assert [a.hex() for a in row] == [b.hex() for b in witness_norms(space, wset, v)]
     if count >= 4:
         assert any(math.isnan(a) for row in rows for a in row)
+
+
+@pytest.mark.parametrize("space, basis, edge", [
+    (cross2_space(), False, 8), (gram_space(3), False, 6), (gram_space(8), False, 3),
+    (cross2_space(), True, 12), (gram_space(3), True, 24),
+], ids=["cross2:2-skewed", "gram:3-skewed", "gram:8-skewed", "cross2:2-basis", "gram:3-basis"])
+def test_witness_norm_rows_batch_from_24_kernel_calls(space, basis, edge, monkeypatch):
+    # A row costs one closed-form body on the gram standard basis and one
+    # two_norm per witness on every other set, cross2's basis included, so the
+    # batch takes over at ceil(24 / cost) rows: 8, 6 and 3 on the skewed sets
+    # of 3, 4 and 9 witnesses, 12 on cross2's basis and 24 on gram's.
+    n = space.dimension
+    wset = standard_basis(n) if basis else _skewed_set(n)
+    for count, batch_calls in ((edge - 1, 0), (edge, 1)):
+        vectors = _row_vectors(space, count, random.Random(count))
+        scalar, batch = [], []
+        norms = space_module.witness_norms
+        pair_step = space_module.two_norm_batch
+        body = space_module._gram_basis_radicands
+        monkeypatch.setattr(space_module, "witness_norms",
+                            lambda *a: scalar.append(a) or norms(*a))
+        monkeypatch.setattr(space_module, "two_norm_batch",
+                            lambda *a: batch.append(a) or pair_step(*a))
+        monkeypatch.setattr(space_module, "_gram_basis_radicands", lambda coords: (
+            isinstance(coords, np.ndarray) and batch.append(coords)) or body(coords))
+        rows = witness_norm_rows(space, wset, np.array([v.coords for v in vectors]))
+        monkeypatch.undo()
+        assert (len(scalar), len(batch)) == ((0, 1) if batch_calls else (count, 0))
+        for v, row in zip(vectors, rows, strict=True):
+            assert [a.hex() for a in row] == [b.hex() for b in witness_norms(space, wset, v)]
 
 
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3), gram_space(8)],
