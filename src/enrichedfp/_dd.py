@@ -32,6 +32,15 @@ def two_prod(a, b):
     return p, e
 
 
+def two_square(a):
+    """two_prod(a, a) bit for bit, with a split once."""
+    p = a * a
+    ah = _SPLIT * a
+    ah = ah - (ah - a)
+    al = a - ah
+    return p, ((ah * ah - p) + ah * al + al * ah) + al * al
+
+
 def dd_add(xh, xl, yh, yl):
     s, e = two_sum(xh, yh)
     e = e + (xl + yl)

@@ -3,13 +3,16 @@
 Maps are kept as small expression trees rather than opaque callables: the
 analyzer reads a tree node by node and turns it into the affine pieces
 ``x -> c*x + t`` it takes over a box, and scenario files can describe any
-tree as plain data. ``apply`` evaluates a map at one :class:`SpaceElement`.
+tree as plain data. ``apply`` evaluates a map at one :class:`SpaceElement`;
+each node keeps its own ``apply``, and a compound node calls its inner
+map's. A value that is fixed for the life of a map, such as the two-region
+map's ``-u/3``, is built once when the map is.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .space import SpaceElement
 
@@ -81,7 +84,7 @@ class SupNormRegion:
     threshold: float
 
     def contains(self, x: SpaceElement) -> bool:
-        return max(abs(c) for c in x.coords) > self.threshold
+        return max(map(abs, x.coords)) > self.threshold
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,17 @@ class PiecewiseTwoSet(SelfMap):
 
     With both u and -u/3 outside A the square of the map is the constant
     -u/3, so the second iterate contracts even though the map itself is
-    discontinuous and contracts for no averaging parameter.
+    discontinuous and contracts for no averaging parameter. The value -u/3
+    is built once, with the map, so neither branch of ``apply`` builds an
+    element.
     """
 
     region: SupNormRegion
     u: SpaceElement
+    _off: SpaceElement = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_off", SpaceElement(tuple(-c / 3.0 for c in self.u.coords)))
 
     @property
     def dimension(self) -> int:
@@ -102,13 +111,11 @@ class PiecewiseTwoSet(SelfMap):
 
     def fallback(self) -> tuple[float, ...]:
         """The value -u/3 off the region."""
-        return tuple(-c / 3.0 for c in self.u.coords)
+        return self._off.coords
 
     def apply(self, x: SpaceElement) -> SpaceElement:
         self._check_point(x)
-        if self.region.contains(x):
-            return self.u
-        return SpaceElement(self.fallback())
+        return self.u if self.region.contains(x) else self._off
 
 
 @dataclass(frozen=True)

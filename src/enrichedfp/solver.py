@@ -9,7 +9,9 @@ of that proof into machinery:
   loop halts once the step drops below ``tol (1-d)/d`` and then verifies the
   actual fixed-point residual;
 * the a priori tail bound ``d^n/(1-d) ||x0 - x1||`` recorded per row and
-  cross-checked post hoc against the final iterate;
+  cross-checked post hoc against the final iterate; the column is formed
+  after the loop in one pass, with d and 1 - d read once per run, and equals
+  :func:`apriori_bound` on every row bit for bit;
 * cycle detection for the plain Picard variant, which oscillates for maps
   like the reflection x -> w - x;
 * a local variant confined to a closed two-norm ball (and to the configured
@@ -395,17 +397,16 @@ def _solve_core(
     witness_steps = [zeros] + norm_rows[:m]
     fixed = [f0] + [max(r) for r in norm_rows[m : 2 * m]]
     base = max(witness_steps[1]) if m else 0.0
-    rows = tuple(
-        TraceRow(
-            n=i,
-            x=x,
-            step_residual=max(wsteps),
-            fixed_residual=fixed_i,
-            apriori_bound=apriori_bound(cert, i, base) if cert is not None else math.nan,
-            witness_steps=wsteps,
-        )
-        for i, (x, wsteps, fixed_i) in enumerate(zip(xs, witness_steps, fixed))
-    )
+    # The a priori column is apriori_bound(cert, n, base) on every row, bit for
+    # bit: the same expression, with d and 1 - d read once per run.
+    if cert is not None:
+        d = cert.d
+        one_minus_d = 1.0 - d
+        bounds = [d**n * base / one_minus_d for n in range(len(xs))]
+    else:
+        bounds = [math.nan] * len(xs)
+    rows = tuple(map(TraceRow, range(len(xs)), xs, map(max, witness_steps), fixed, bounds,
+                     witness_steps))
 
     bound_violations = 0
     if certified:
@@ -413,8 +414,8 @@ def _solve_core(
         slack = 1e-12 * max(1.0, base)
         # A row passes only when every witness gap is within the bound, so a
         # NaN gap (an overflowed x_n - x_star) or a NaN bound is a violation.
-        for row, gap in zip(rows, norm_rows[2 * m :]):
-            limit = row.apriori_bound + slack
+        for bound, gap in zip(bounds, norm_rows[2 * m :]):
+            limit = bound + slack
             if not all(g <= limit for g in gap):
                 bound_violations += 1
         if bound_violations:

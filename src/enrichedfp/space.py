@@ -55,8 +55,10 @@ kernel's ``<v, z>`` is exactly ``(v_j, 0)``, its ``<v,z>^2`` is the
 one value per vector, with ``|z|^2`` the constant ``(1, 0)``. The closed
 form forms those terms with the same formulas, drops only operations on
 exact zeros (which change no nonzero value, and the radicand never comes
-out ``-0.0``), and ends in the same ``dd_add`` and square root, so it is
-bit for bit the general kernel, NaN included. One body,
+out ``-0.0``), splits each ``v_j`` once for its square, and ends in the
+high part of the same ``dd_add``, formed as the one addition its last
+``two_sum`` makes for it, and the same square root, so it is bit for bit
+the general kernel, NaN included. One body,
 ``_gram_basis_radicands``, holds it for both kernels, as ``_gram_radicand``
 does for the general ones: it runs on one vector's float coordinates or on
 a slice's coordinate arrays. Every other set, and all of ``cross2``, runs
@@ -77,7 +79,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._dd import dd_add, dd_mul, det2_dd, dot_dd, two_prod, two_sum
+from ._dd import dd_add, dd_mul, det2_dd, dot_dd, two_square, two_sum
 
 EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 
@@ -289,15 +291,17 @@ def _gram_basis_radicands(coords):
     # coordinates, floats for one vector or coordinate arrays for many. With
     # z = e_j, <v, z> = (v_j, 0) exactly, so p2 is v_j's own two_prod,
     # normalised, and p1 = dd_mul(|v|^2, |e_j|^2) = dd_mul(|v|^2, (1, 0)) is
-    # one value per vector.
-    squares = [two_prod(a, a) for a in coords]
+    # one value per vector. Each radicand is dd_add(p1, -p2)[0], the rounded
+    # sum that dd_add's last two_sum forms first.
+    squares = [two_square(a) for a in coords]
     h = l = 0.0
     for p, e in squares:
         h, l = dd_add(h, l, p, e)
     p1h, p1l = dd_mul(h, l, 1.0, 0.0)
     for p, e in squares:
         p2h, p2l = two_sum(p, e + 0.0)
-        yield dd_add(p1h, p1l, -p2h, -p2l)[0]
+        s, err = two_sum(p1h, -p2h)
+        yield s + (err + (p1l + -p2l))
 
 
 def seminorm(space: TwoNormSpace, z: SpaceElement, x: SpaceElement) -> float:

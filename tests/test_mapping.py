@@ -157,6 +157,25 @@ def test_piecewise_regions_and_square():
         assert T2.apply(x) == fallback     # the square is constant
 
 
+@pytest.mark.parametrize("u", [
+    (-0.0, 0.0, 1.0),
+    (5e-324, -5e-324, 1.5e-323),
+    (1e308, -1.7976931348623157e308, 3.0),
+    (2.2250738585072014e-308, -1e-310, -0.0),
+], ids=["signed-zero", "subnormal", "huge", "tiny"])
+def test_piecewise_off_region_value_is_minus_u_over_3_bitwise(u):
+    # The value off the region is built once with the map, and is -c / 3.0 of
+    # each coordinate of u bit for bit: -0.0 becomes 0.0, a subnormal -0.0.
+    T = PiecewiseTwoSet(SupNormRegion(2.0), SpaceElement(u))
+    expected = SpaceElement(tuple(-c / 3.0 for c in u))
+    x, y = el(0, 0, 0), el(-1.5, 2.0, 0.25)
+    got = T.apply(x)
+    assert [c.hex() for c in got.coords] == [c.hex() for c in expected.coords]
+    assert [c.hex() for c in T.fallback()] == [c.hex() for c in expected.coords]
+    assert T.apply(y) is got
+    assert T.apply(el(0, 0, 2.5)) is T.u
+
+
 def _branches(region, lo, hi=None):
     """The values the analysis of a two-region node keeps on the box [lo, hi],
     by default the point box of the row lo."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enrichedfp.solver as solver_module
 import enrichedfp.space as space_module
 from enrichedfp.analyzer import Provenance, certify
 from enrichedfp.mapping import (
@@ -685,3 +686,111 @@ def test_divergence_through_an_overflowing_difference(space, T, x0, iterations):
     t_next = T.apply(x_next)
     assert not all(math.isfinite(a - b) for a, b in zip(t_next.coords, x_next.coords))
     assert_trace_matches_scalar_kernel(T, rep, wset, space)
+
+
+# --- the a priori column and the post-hoc bound check -------------------------------
+
+def _apriori_cases():
+    zero_d = certify(1.0, 0.0, Provenance.asserted())
+    pw_cert = certify(1.0, 1.0, Provenance.asserted())
+    slow = certify(0.0, 0.99, Provenance.closed_form())
+    third = reflection_cert()
+    return {
+        "d=0": lambda: krasnoselskij_solve(Reflection(el(2, 0)), zero_d, el(-7.3, 4.4),
+                                           SolveConfig(tol=1e-10), SP),
+        "asymptotic": lambda: asymptotic_solve(default_piecewise(3), 2, pw_cert,
+                                               el(5, -0.5, 3), SolveConfig(tol=1e-10),
+                                               gram_space(3)),
+        "d=0.99": lambda: krasnoselskij_solve(ScalarAffine(0.99, el(1, -2, 0.5)), slow,
+                                              el(0, 0, 0), SolveConfig(tol=1e-4),
+                                              gram_space(3)),
+        "max-iter": lambda: krasnoselskij_solve(Reflection(el(2, 0)), third, el(0, 0),
+                                                SolveConfig(max_iter=3), SP),
+    }
+
+
+@pytest.mark.parametrize("case", ["d=0", "asymptotic", "d=0.99", "max-iter"])
+def test_apriori_column_is_apriori_bound_bitwise(case):
+    # Every row's bound, converged or not, is apriori_bound(cert, n, base)
+    # with base the first step's residual, by float.hex.
+    rep = _apriori_cases()[case]()
+    assert rep.status == (SolveStatus.MAX_ITER if case == "max-iter"
+                          else SolveStatus.CONVERGED)
+    assert rep.certificate is not None and len(rep.trace) >= 2
+    if case == "d=0.99":
+        assert rep.certificate.d == 0.99 and rep.iterations > 1000
+    base = rep.trace[1].step_residual
+    for row in rep.trace:
+        assert row.apriori_bound.hex() == apriori_bound(rep.certificate, row.n, base).hex()
+    if case == "d=0":
+        assert [r.apriori_bound for r in rep.trace] == [base, 0.0]
+
+
+def test_uncertified_rows_have_nan_bounds():
+    converged = picard_solve(ScalarAffine(0.5, el(1, 0)), el(4, -3), SolveConfig(), SP)
+    oscillating = picard_solve(Reflection(el(2, 0)), el(0, 0), SolveConfig(), SP)
+    assert converged.status == SolveStatus.CONVERGED and len(converged.trace) > 2
+    assert oscillating.status == SolveStatus.OSCILLATION
+    for rep in (converged, oscillating):
+        assert rep.bound_violations == 0
+        assert all(math.isnan(r.apriori_bound) for r in rep.trace)
+
+
+def _solve_with_edited_gaps(monkeypatch, edit, space=SP, T=None, x0=None):
+    """A converged, certified solve whose trace rows pass through ``edit``.
+
+    The solver evaluates the step rows, the fixed-point rows and the gaps
+    x_n - x_star in one witness_norm_rows call; ``edit(rows, m)`` may replace
+    any of those ``3m + 1`` rows before the solver reads them.
+    """
+    real = solver_module.witness_norm_rows
+
+    def patched(sp, wset, vectors):
+        rows = real(sp, wset, vectors)
+        m = (len(rows) - 1) // 3
+        assert len(rows) == 3 * m + 1
+        edit(rows, m)
+        return rows
+
+    monkeypatch.setattr(solver_module, "witness_norm_rows", patched)
+    T = T if T is not None else Reflection(el(2, 0))
+    x0 = x0 if x0 is not None else el(0, 0)
+    return krasnoselskij_solve(T, reflection_cert(), x0, SolveConfig(tol=1e-10), space)
+
+
+def _limit(rows, n):
+    # The bound check's limit on row n: the a priori bound plus the slack.
+    base = max(rows[0])
+    return apriori_bound(reflection_cert(), n, base) + 1e-12 * max(1.0, base)
+
+
+@pytest.mark.parametrize("gap, violations", [
+    (lambda rows, m, n: (rows[2 * m + n][0], math.nan), 1),
+    (lambda rows, m, n: (math.inf, rows[2 * m + n][1]), 1),
+    (lambda rows, m, n: (0.0, _limit(rows, n)), 0),
+    (lambda rows, m, n: (0.0, math.nextafter(_limit(rows, n), math.inf)), 1),
+], ids=["nan-gap", "inf-gap", "at-limit", "one-ulp-past-limit"])
+def test_bound_check_counts_one_violation_per_failing_row(monkeypatch, gap, violations):
+    # One witness gap of row 3 is replaced: a NaN or inf gap fails the row
+    # once, a gap exactly at bound + slack passes, one ulp past it fails.
+    def edit(rows, m):
+        rows[2 * m + 3] = gap(rows, m, 3)
+
+    rep = _solve_with_edited_gaps(monkeypatch, edit)
+    assert rep.iterations > 5 and rep.bound_violations == violations
+    assert rep.status == (SolveStatus.CERTIFICATE_VIOLATED if violations
+                          else SolveStatus.CONVERGED)
+
+
+def test_a_nan_base_makes_every_row_one_violation(monkeypatch):
+    # A NaN first step residual makes the base, and so every row's a priori
+    # bound, NaN; each row then fails the check once, however many witnesses
+    # (three here) pass.
+    def edit(rows, m):
+        rows[0] = (math.nan,) + rows[0][1:]
+
+    rep = _solve_with_edited_gaps(monkeypatch, edit, gram_space(3),
+                                  Reflection(el(2, 0, -1)), el(0, 1, 0))
+    assert all(math.isnan(r.apriori_bound) for r in rep.trace)
+    assert rep.bound_violations == len(rep.trace) > 2
+    assert rep.status == SolveStatus.CERTIFICATE_VIOLATED
