@@ -27,22 +27,34 @@ budget, the witness set, and the domain region itself (a ``Box`` or a
 ``TwoNormBall``) with its boundedness constant beta.
 
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
-the loop only the stopping and cycle tests evaluate them, on the
-differences ``x_n - x_{n-1}``, ``T x_n - x_n`` and ``x_n - x_{n-p}`` kept as
-plain coordinate lists; a difference that overflows ends the run Diverged,
-as ``SpaceElement`` subtraction would. Each test goes through
-``space.witness_max_prefix``: on the standard basis its float screen settles
-a step far past the limit with no double-double work and can never change
-a decision, and otherwise the exact kernel stops at the first witness that
-settles the answer. The trace columns and the post-hoc bound check are
-evaluated after the loop in one ``space.witness_norm_rows`` pass, bit for
-bit what a per-iteration evaluation gives.
+the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
+(and on ``T x_n - x_n`` once the step passes), the Picard cycle test on
+``x_n - x_{n-p}``, and the region tests, of which the local ball's compares
+the 2-norm ``||x_n - x0, u||`` with its radius. The differences are plain
+coordinate lists; one that overflows ends the run Diverged, as
+``SpaceElement`` subtraction would. Every test first tries an exact float
+screen and falls back to the unchanged exact kernel on anything the screen
+cannot settle, so no screen changes a decision:
+
+* the stopping and cycle tests run ``space.basis_screen`` on the standard
+  basis, which settles only "past the limit": the stopping test through
+  ``space.witness_max_prefix``, the cycle test on the squared coordinate
+  differences, forming a difference list only for a period the screen
+  leaves open; past the screen, ``witness_max_prefix``'s exact kernel
+  stops at the first witness that settles the answer;
+* the ball test runs ``space.two_norm_screen``, which settles "inside" and
+  "outside" alike, with ``|u|^2`` formed once per ball.
+
+The trace columns and the post-hoc bound check are evaluated after the loop
+in one ``space.witness_norm_rows`` pass, bit for bit what a per-iteration
+evaluation gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -56,8 +68,11 @@ from .space import (
     SpaceElement,
     TwoNormSpace,
     WitnessSet,
+    basis_screen,
+    basis_screen_bound,
     standard_basis,
     two_norm,
+    two_norm_screen,
     witness_max_prefix,
     witness_norm_rows,
     witness_norms,
@@ -88,14 +103,27 @@ class TwoNormBall:
     center: SpaceElement
     radius: float
     closed: bool = True
+    _u_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
+        # |u|^2 for space.two_norm_screen, formed once per ball.
+        object.__setattr__(self, "_u_sq", sum([a * a for a in self.u.coords]))
 
     def contains(self, space: TwoNormSpace, x: SpaceElement) -> bool:
-        dist = two_norm(space, x - self.center, self.u)
-        return dist <= self.radius if self.closed else dist < self.radius
+        """``two_norm(space, x - center, u) <= radius`` (``<`` when open).
+
+        The difference is a coordinate list, which raises where ``x -
+        center`` does; ``space.two_norm_screen`` settles the clear-cut
+        cases, inside or outside alike, and the exact kernel the rest.
+        """
+        v = _difference(x.coords, self.center.coords)
+        inside = two_norm_screen(space, v, self.u.coords, self._u_sq, self.radius)
+        if inside is None:
+            dist = two_norm(space, SpaceElement(v), self.u)
+            inside = dist <= self.radius if self.closed else dist < self.radius
+        return inside
 
 
 @dataclass(frozen=True)
@@ -223,28 +251,44 @@ def detect_cycle(
 
     Returns p when ``x_n ~ x_{n-p}`` and ``x_{n-1} ~ x_{n-1-p}`` both hold
     within eps in witness residual, None otherwise. The two-index requirement
-    avoids flagging a single accidental near-return. Each test takes the
-    difference as a coordinate list and decides it with
-    ``witness_max_prefix``, whose float screen settles a clear miss on the
-    standard basis and whose exact kernel stops at the first witness that
-    settles the rest, so it decides as ``witness_residual(...) <= eps``
-    does, NaN included.
+    avoids flagging a single accidental near-return. On the standard basis
+    each test first runs ``space.basis_screen`` on the squared coordinate
+    differences, which settles a clear miss with no difference list; the
+    rest take the difference as a coordinate list and decide it with
+    ``witness_max_prefix``, whose exact kernel stops at the first witness
+    that settles it. So each test decides as ``witness_residual(...) <=
+    eps`` does, NaN included, and raises ``NonFiniteError`` where it does:
+    the screen settles only differences whose every coordinate is finite.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
     n = len(xs) - 1
+    bound = basis_screen_bound(space, witnesses, eps)
     for p in range(1, window + 1):
         if n - 1 - p < 0:
             break
         if (
-            witness_max_prefix(space, witnesses,
-                               _difference(xs[n].coords, xs[n - p].coords), eps) <= eps
-            and witness_max_prefix(space, witnesses,
-                                   _difference(xs[n - 1].coords, xs[n - 1 - p].coords),
-                                   eps) <= eps
+            _within(space, witnesses, xs[n].coords, xs[n - p].coords, eps, bound)
+            and _within(space, witnesses, xs[n - 1].coords, xs[n - 1 - p].coords, eps, bound)
         ):
             return p
     return None
+
+
+def _within(
+    space: TwoNormSpace,
+    wset: WitnessSet,
+    a: Sequence[float],
+    b: Sequence[float],
+    eps: float,
+    bound: Optional[float],
+) -> bool:
+    """One test of :func:`detect_cycle`: ``max_z ||a - b, z|| <= eps``, with
+    ``bound`` from ``basis_screen_bound`` (None off the standard basis)."""
+    if (bound is not None and len(a) == len(b) == space.dimension
+            and basis_screen([d * d for d in map(operator.sub, a, b)], bound)):
+        return False
+    return witness_max_prefix(space, wset, _difference(a, b), eps) <= eps
 
 
 def _solve_core(

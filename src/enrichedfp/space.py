@@ -34,18 +34,31 @@ the rows of an array and, once they cost 24 kernel calls (rows times
 witnesses, or rows alone on the ``gram`` standard basis), evaluates them
 with one broadcasting :func:`two_norm_batch` call against the witness array
 a :class:`WitnessSet` holds, bit for bit the same. The scalar kernel stays
-the reference, and serves the ball tests.
+the reference, and decides the ball tests that :func:`two_norm_screen`
+leaves open.
 
-On the standard basis, of ``gram`` or ``cross2``, :func:`witness_max_prefix`
-first runs a float screen: the max norm is ``sqrt(|v|^2 - min_j v_j^2)``,
-and a plain-float ``R = sum(sq) - min(sq)`` past ``limit^2 (1 + 2**-30)``
-settles "past the limit" with no double-double work. Guards on the
-coordinates (every ``|v_i| < 2**400``), on ``limit^2`` (within ``2**+-900``)
-and on the dimension (at most ``2**16``) keep the error of ``R`` and of the
-exact kernel inside that margin, so the screen only ever answers "past the
-limit", and only where the exact kernel does too. Every answer ``<= limit``,
-and every value it returns short of ``math.inf``, comes from the exact
-kernel.
+Two exact float screens settle clear-cut comparisons with no double-double
+work; each answers only where the exact kernel gives the same answer, and
+the caller runs the exact kernel on anything it leaves open.
+
+* :func:`basis_screen`, on the standard basis of ``gram`` or ``cross2``:
+  the max norm is ``sqrt(|v|^2 - min_j v_j^2)``, and a plain-float ``R =
+  sum(sq) - min(sq)`` past ``limit^2 (1 + 2**-30)`` settles "past the
+  limit". Guards on the coordinates (every ``|v_i| < 2**400``), on
+  ``limit^2`` (within ``2**+-900``, checked by :func:`basis_screen_bound`)
+  and on the dimension (at most ``2**16``) keep the error of ``R`` and of
+  the exact kernel inside that margin. It only ever answers "past the
+  limit". :func:`witness_max_prefix` runs it on a vector's squares, and the
+  solver's cycle test on squared coordinate differences; every answer
+  ``<= limit``, and every value :func:`witness_max_prefix` returns short
+  of ``math.inf``, comes from the exact kernel.
+* :func:`two_norm_screen`, ``||v, u||`` against a radius on either space:
+  a plain-float ``R = |v|^2 |u|^2 - <v, u>^2`` with an absolute error
+  bound ``(n + 1) 2**-50 |v|^2 |u|^2``, twice the bound on ``R``'s own
+  rounding, so the rest covers the exact kernel's. It answers "inside" or
+  "outside" where ``R`` is clear of ``radius^2`` by that bound and the
+  same ``2**-30`` margin, under the same limit and dimension guards and
+  with ``|v|^2`` and ``|u|^2`` below ``2**100``.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
@@ -73,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -98,9 +112,12 @@ __all__ = [
     "gram_norm",
     "two_norm",
     "two_norm_batch",
+    "two_norm_screen",
     "seminorm",
     "standard_basis",
     "witness_norms",
+    "basis_screen_bound",
+    "basis_screen",
     "witness_max_prefix",
     "witness_norm_rows",
     "witness_residual",
@@ -387,13 +404,49 @@ def witness_norms(
     return tuple(_witness_norm_iter(space, wset, v))
 
 
-# The float screen of witness_max_prefix; see its docstring. fl(a * a) <
-# 2**800 holds exactly when |a| < 2**400, as 2**800 is a float.
+# The float screens of witness_max_prefix (through basis_screen) and of
+# two_norm_screen; see their docstrings. fl(a * a) < 2**800 holds exactly
+# when |a| < 2**400, as 2**800 is a float.
 _SCREEN_SQ_MAX = 2.0**800
 _SCREEN_LIMIT_SQ_MIN = 2.0**-900
 _SCREEN_LIMIT_SQ_MAX = 2.0**900
 _SCREEN_DIM_MAX = 2**16
 _SCREEN_MARGIN = 1.0 + 2.0**-30
+_SCREEN_NORM_SQ_MAX = 2.0**100
+
+
+def basis_screen_bound(space: TwoNormSpace, wset: WitnessSet, limit: float) -> Optional[float]:
+    """The bound ``limit^2 (1 + 2**-30)`` that :func:`basis_screen` compares
+    with, or None where the screen does not apply: off the standard basis,
+    past ``2**16`` dimensions, or with ``limit^2`` outside ``[2**-900,
+    2**900]`` (NaN included). A caller that tests many vectors against one
+    limit forms it once.
+    """
+    if wset._basis and len(wset.witnesses) == space.dimension <= _SCREEN_DIM_MAX:
+        lim2 = limit * limit
+        if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
+            return lim2 * _SCREEN_MARGIN
+    return None
+
+
+def basis_screen(sq: Sequence[float], bound: float) -> bool:
+    """True where ``max_j ||v, e_j|| > limit`` is clear-cut on the standard basis.
+
+    ``sq`` holds the squares ``v_i * v_i`` of all ``space.dimension``
+    coordinates of v, and ``bound`` is :func:`basis_screen_bound`'s. There
+    ``||v, e_j||^2 = sum_{i != j} v_i^2``, so the max norm is the square
+    root of ``R* = |v|^2 - min_j v_j^2``. The screen forms ``R = sum(sq) -
+    min(sq)`` in plain floats and answers True when every ``|v_i| < 2**400``
+    and ``R > limit * limit * (1 + 2**-30)``. The error of ``R`` is at most
+    ``2(n+2) eps R* + n 2**-1074``, since ``R* >= |v|^2 / 2``; the guards
+    (these and the bound's) keep every square finite and the exact kernel
+    free of NaN, and its max norm is within a few ulps of ``sqrt(R*)``. The
+    margin covers both, so True means the exact max is past the limit too.
+    A NaN or infinite square fails the guard on ``|v_i|``, so True also
+    means every ``v_i`` is finite: a difference that overflowed is never
+    screened away. False settles nothing.
+    """
+    return max(sq) < _SCREEN_SQ_MAX and sum(sq) - min(sq) > bound
 
 
 def witness_max_prefix(
@@ -402,19 +455,10 @@ def witness_max_prefix(
     """``max(witness_norms(space, wset, SpaceElement(v)))``, cut short once it
     passes ``limit``; ``v`` is the vector's coordinates.
 
-    On the standard basis, of ``gram`` or ``cross2``, a float screen runs
-    first: there ``||v, e_j||^2 = sum_{i != j} v_i^2``, so the max norm is
-    the square root of ``R* = |v|^2 - min_j v_j^2``. The screen forms
-    ``R = sum(sq) - min(sq)`` in plain floats, with ``sq`` the squares
-    ``v_i * v_i``, and returns ``math.inf`` when every ``|v_i| < 2**400``,
-    ``2**-900 <= limit * limit <= 2**900``, the dimension is at most
-    ``2**16`` and ``R > limit * limit * (1 + 2**-30)``. The error of ``R`` is
-    at most ``2(n+2) eps R* + n 2**-1074``, since ``R* >= |v|^2 / 2``; the
-    guards keep every square finite and the exact kernel free of NaN, and
-    its max norm is within a few ulps of ``sqrt(R*)``. The margin covers
-    both, so the screen answers only "past the limit", and only where the
-    exact kernel does too. A NaN coordinate makes ``R`` NaN, which never
-    passes.
+    On the standard basis, of ``gram`` or ``cross2``, the float screen
+    :func:`basis_screen` runs first, on the squares ``v_i * v_i``, and
+    returns ``math.inf`` where it settles "past the limit"; it answers only
+    that, and only where the exact kernel does too.
 
     Otherwise, and on every other set, the exact kernel runs: it keeps the
     running value of Python's ``max`` in witness order and returns it as
@@ -423,12 +467,10 @@ def witness_max_prefix(
     exactly when the full max is; every result ``<= limit`` is the full max
     itself, and a NaN first norm stays NaN, as in ``max``.
     """
-    if wset._basis and len(v) == len(wset.witnesses) == space.dimension <= _SCREEN_DIM_MAX:
-        lim2 = limit * limit
-        if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
-            sq = [a * a for a in v]
-            if max(sq) < _SCREEN_SQ_MAX and sum(sq) - min(sq) > lim2 * _SCREEN_MARGIN:
-                return math.inf
+    if wset._basis and len(v) == space.dimension:
+        bound = basis_screen_bound(space, wset, limit)
+        if bound is not None and basis_screen([a * a for a in v], bound):
+            return math.inf
     norms = _witness_norm_iter(space, wset, SpaceElement(v))
     r = next(norms)
     if r <= limit:
@@ -438,6 +480,61 @@ def witness_max_prefix(
                 if not r <= limit:
                     break
     return r
+
+
+def two_norm_screen(
+    space: TwoNormSpace, v: Sequence[float], u: Sequence[float], u_sq: float, radius: float
+) -> Optional[bool]:
+    """Whether ``two_norm(space, SpaceElement(v), SpaceElement(u)) < radius``,
+    where a float screen can tell; None where it cannot.
+
+    ``v`` and ``u`` are coordinates and ``u_sq`` is ``sum(a * a for a in
+    u)``, which a caller testing many vectors against one u forms once.
+    Both kernels compute ``sqrt(R*)`` with ``R* = |v|^2 |u|^2 - <v, u>^2``
+    (on ``cross2`` by Lagrange's identity, ``R* = (v1 u2 - v2 u1)^2``). The
+    screen forms ``A = fl(|v|^2) u_sq``, ``P = fl(<v, u>)`` and ``R = A -
+    P * P`` in plain floats, with ``err = (n + 1) 2**-50 A``, and answers
+
+    * False (past the radius) when ``R - err > radius^2 (1 + 2**-30)``;
+    * True (inside, strictly) when ``(R + err) (1 + 2**-30) < radius^2``;
+
+    and only when ``len(v) == len(u) == space.dimension <= 2**16``,
+    ``2**-900 <= radius * radius <= 2**900`` and both ``fl(|v|^2)`` and
+    ``u_sq`` are below ``2**100``. Error bound, with ``eps = 2**-53`` and
+    ``M = |v|^2 |u|^2``: the three n-term sums are off by at most ``n eps (1
+    + 2**-30)`` times ``|v|^2``, ``|u|^2`` and ``|v| |u|`` (Cauchy-Schwarz
+    on ``|v_i u_i|``), so ``|R - R*| <= (4n + 3) eps M (1 + 2**-30) < (n +
+    1) 2**-51 M``, while ``err >= (n + 1) 2**-50 M (1 - 2**-30)``. The
+    other half of ``err`` covers the exact kernel's own absolute error, ``O(n eps^2) M``
+    from its double-double sums (its relative error is a few ulps of
+    ``R*``), so it fits near-dependent pairs, where ``R`` cancels. The guards
+    keep every coordinate below ``2**50``, so no product overflows and no
+    Dekker split in the kernel does. A product that underflows is off by at
+    most ``2**-1075``, and the later products scale that by factors below
+    ``2**101``, so underflow moves either side's radicand by less than
+    ``2**-940`` against ``radius^2 >= 2**-900`` (a ``u`` near ``2**380``
+    would lift it to about ``2**-300``, hence the guard on both). The margin
+    ``2**-30`` covers that, the rounding of ``radius^2`` and of the
+    comparisons, the kernel's few ulps and its square root, so False means
+    the exact norm is ``> radius`` and True that it is ``< radius``, the
+    same answer for a closed and an open ball. A NaN or infinite ``v`` fails
+    the guards. ``u = 0`` and ``v = 0`` give ``R = 0``: inside.
+    """
+    n = space.dimension
+    if len(v) == len(u) == n <= _SCREEN_DIM_MAX and u_sq < _SCREEN_NORM_SQ_MAX:
+        lim2 = radius * radius
+        if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
+            v_sq = sum([a * a for a in v])
+            if v_sq < _SCREEN_NORM_SQ_MAX:
+                a = v_sq * u_sq
+                p = sum(map(operator.mul, v, u))
+                r = a - p * p
+                err = a * ((n + 1) * 2.0**-50)
+                if r - err > lim2 * _SCREEN_MARGIN:
+                    return False
+                if (r + err) * _SCREEN_MARGIN < lim2:
+                    return True
+    return None
 
 
 # witness_norm_rows runs the batch once its rows cost _ROWS_BATCH_MIN kernel

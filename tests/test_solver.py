@@ -32,6 +32,7 @@ from enrichedfp.solver import (
 )
 from enrichedfp.space import (
     Box,
+    NonFiniteError,
     SpaceElement,
     WitnessSet,
     cross2_space,
@@ -298,11 +299,20 @@ def _detect_cycle_reference(space, wset, xs, window, eps):
     return None
 
 
+def _raised(f):
+    """``f()``, or ``NonFiniteError`` where it raises one."""
+    try:
+        return f()
+    except NonFiniteError:
+        return NonFiniteError
+
+
 @st.composite
-def cycle_cases(draw):
-    """An iterate list on cross2 or gram:3 that is near-periodic, converging
-    or overflowing (norms NaN past the Dekker split), a window and an eps
-    that is often one of the residuals the detector compares with it."""
+def cycle_cases(draw, kinds=("periodic", "converging", "overflowing")):
+    """An iterate list on cross2 or gram:3 that is near-periodic, converging,
+    overflowing (norms NaN past the Dekker split) or, among ``kinds`` on
+    request, a periodic orbit whose differences overflow, a window and an
+    eps that is often one of the residuals the detector compares with it."""
     space = draw(st.sampled_from([cross2_space(), gram_space(3)]))
     dim = space.dimension
     wset = standard_basis(dim)
@@ -311,7 +321,7 @@ def cycle_cases(draw):
         return draw(st.lists(st.floats(min_value=lo, max_value=hi), min_size=dim, max_size=dim))
 
     length = draw(st.integers(min_value=1, max_value=14))
-    kind = draw(st.sampled_from(["periodic", "converging", "overflowing"]))
+    kind = draw(st.sampled_from(list(kinds)))
     if kind == "periodic":
         orbit = [point(-10, 10) for _ in range(draw(st.integers(min_value=1, max_value=5)))]
         jitter = draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]))
@@ -322,16 +332,24 @@ def cycle_cases(draw):
         centre, direction = point(-10, 10), point(-10, 10)
         rate = draw(st.floats(min_value=-0.9, max_value=0.9))
         xs = [el(*(c + rate**k * v for c, v in zip(centre, direction))) for k in range(length)]
-    else:
+    elif kind == "overflowing":
         start = point(0.1, 1.0)
         scale = draw(st.sampled_from([1e140, 1e150, 1e295, 1e300]))
         growth = draw(st.sampled_from([-3.0, 3.0]))
         xs = [el(*(c * scale * growth**k for c in start)) for k in range(length)]
+    else:
+        # Each coordinate of each orbit point is small or +-1e308-ish, so some
+        # x_i - x_j overflow in some coordinates and differ clearly in others.
+        big = st.sampled_from([1e308, -1e308, 9e307, -1.7976931348623157e308])
+        orbit = [[draw(st.one_of(big, st.floats(min_value=-10, max_value=10)))
+                  for _ in range(dim)] for _ in range(draw(st.integers(min_value=2, max_value=5)))]
+        xs = [el(*orbit[k % len(orbit)]) for k in range(length)]
 
     window = draw(st.integers(min_value=2, max_value=10))
     n = len(xs) - 1
-    residuals = [witness_residual(space, wset, xs[i], xs[i - p])
+    residuals = [_raised(lambda: witness_residual(space, wset, xs[i], xs[i - p]))
                  for i in (n, n - 1) for p in range(1, window + 1) if i - p >= 0]
+    residuals = [r for r in residuals if r is not NonFiniteError]
     eps = draw(st.one_of(
         st.sampled_from(residuals or [0.0]),
         st.sampled_from([0.0, 1e-10, 1e-8, math.inf]),
@@ -353,6 +371,18 @@ def test_detect_cycle_matches_the_full_residual_definition(case):
     space, wset, xs, window, eps = case
     assert detect_cycle(space, wset, xs, window, eps) == _detect_cycle_reference(
         space, wset, xs, window, eps)
+
+
+@given(cycle_cases(kinds=("overflowing differences",)))
+@example((SP, WIT, [el(1e308, 0), el(-1e308, 0)] * 3, 8, 1e-10))  # alternating, p = 2
+@example((SP, WIT, [el(1, 1e308), el(2, -1e308), el(3, 1e308)] * 2, 8, 1e-10))
+@example((gram_space(3), standard_basis(3),
+          [el(1e308, 5, 0), el(-1e308, 5, 0), el(1e308, 5, 0)] * 2, 8, 1e-10))
+@settings(max_examples=300, deadline=None)
+def test_detect_cycle_raises_where_the_full_residual_definition_does(case):
+    space, wset, xs, window, eps = case
+    assert _raised(lambda: detect_cycle(space, wset, xs, window, eps)) == _raised(
+        lambda: _detect_cycle_reference(space, wset, xs, window, eps))
 
 
 def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kernel(
@@ -379,6 +409,49 @@ def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kern
     assert rep.status == SolveStatus.CONVERGED and rep.iterations == 38
     assert len(entered) == 2 + 3
     assert_trace_matches_scalar_kernel(T, rep, standard_basis(8), space)
+
+
+def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkeypatch):
+    # A local solve whose iterates stay well inside their ball calls the
+    # exact 2-norm once, for the displacement precondition: the float screen
+    # settles every ball test, x0's included.
+    calls = []
+    norm = solver_module.two_norm
+    monkeypatch.setattr(solver_module, "two_norm", lambda *a: calls.append(a) or norm(*a))
+    space = gram_space(3)
+    T = ScalarAffine(0.5, el(1, 0.5, -0.25))  # fixed point (2, 1, -0.5)
+    rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.closed_form()), el(0, 0, 0),
+                           el(0, 0, 1), 10.0, SolveConfig(tol=1e-10), space)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations > 30
+    assert rep.precondition[0] < rep.precondition[1] and rep.epsilon > 6.0
+    assert len(calls) == 1
+    # A contracting cross2 Picard run forms a cycle test's difference only
+    # for a near-cycle, one the screen cannot tell from eps; every other
+    # period is settled from the squared differences.
+    formed, inside = [], []
+    detect, difference = solver_module.detect_cycle, solver_module._difference
+
+    def spy_detect(*a):
+        inside.append(True)
+        try:
+            return detect(*a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver_module, "detect_cycle", spy_detect)
+    monkeypatch.setattr(solver_module, "_difference",
+                        lambda a, b: (inside and formed.append((a, b))) or difference(a, b))
+    rep = picard_solve(ScalarAffine(0.999, el(1, 0)), el(0.5, 0.25),
+                       SolveConfig(tol=1e-14, max_iter=2000), SP)
+    assert rep.status == SolveStatus.MAX_ITER and formed == []
+    # x -> -0.9 x + (1, 0) alternates around its fixed point, so once the
+    # step is a few tol, x_n - x_{n-2} = step / 9 comes within tol.
+    eps = 1e-12
+    rep = picard_solve(ScalarAffine(-0.9, el(1, 0)), el(0.5, 0.25), SolveConfig(tol=eps), SP)
+    assert rep.status == SolveStatus.OSCILLATION and rep.period == 2
+    assert formed
+    for a, b in formed:
+        assert witness_residual(SP, WIT, el(*a), el(*b)) <= eps * (1.0 + 2.0**-29)
 
 
 # --- local ball -------------------------------------------------------------------

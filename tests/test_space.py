@@ -235,6 +235,93 @@ def test_open_ball_is_strict():
         TwoNormBall(u, c, -1.0)
 
 
+_BALL_SPACES = [cross2_space(), gram_space(3), gram_space(8)]
+
+
+def _outcome(f):
+    """``f()``, or the type of the ValueError (NonFiniteError included) it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _exact_membership(space, u, center, x, radius, closed):
+    """The definition: the exact kernel's distance against the radius."""
+    dist = two_norm(space, x - center, u)
+    return dist <= radius if closed else dist < radius
+
+
+@st.composite
+def ball_cases(draw):
+    """(space, u, center, x, radius, closed): coordinates of any binade from
+    2**-600 to past the 2**400 screen guard, the kernels' overflow (a NaN
+    distance) and an overflowing x - center; u drawn, zero, or parallel or
+    nearly parallel to x - center; a radius at the distance, its neighbours,
+    a 2**-30-ish margin from it, subnormal, near 1e308, or a draw. The
+    mantissas come from a seeded generator, as few-bit values would make
+    the plain-float sums exact and hide their rounding."""
+    space = draw(st.sampled_from(_BALL_SPACES))
+    n = space.dimension
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def point():
+        exponent = draw(st.sampled_from([0, -30, 20, 45, -600, 399, 400, 500, 1000, 1022]))
+        coords = [math.ldexp(rng.uniform(-2.0, 2.0), exponent) for _ in range(n)]
+        if draw(st.booleans()):  # some coordinates zero or huge
+            coords = [rng.choice([0.0, -0.0, 1e308, -1e308, 2.0**400]) if rng.random() < 0.3
+                      else a for a in coords]
+        return tuple(coords)
+
+    center, x = point(), point()
+    v = [a - b for a, b in zip(x, center)]
+    kind = draw(st.sampled_from(["drawn", "zero", "parallel"]))
+    u = point()
+    if kind == "zero":
+        u = (0.0,) * n
+    elif kind == "parallel" and all(map(math.isfinite, v)):
+        scale = draw(st.sampled_from([1.0, -3.0, 1e-3, 2.0**-300, 2.0**300]))
+        tilt = draw(st.sampled_from([0.0, 2.0**-45, 2.0**-20, 1e-8]))
+        parallel = tuple(a * scale * (1.0 + tilt * rng.uniform(-1.0, 1.0)) for a in v)
+        if all(map(math.isfinite, parallel)):
+            u = parallel
+    u, center, x = SpaceElement(u), SpaceElement(center), SpaceElement(x)
+    near = []
+    dist = _outcome(lambda: two_norm(space, x - center, u))
+    if isinstance(dist, float) and math.isfinite(dist):
+        near = [_ulps(dist, k) for k in (-2, -1, 0, 1, 2)]
+        near += [dist * (1.0 + f) for f in (-2.0**-29, -2.0**-31, 2.0**-31, 2.0**-29)]
+    radius = draw(st.one_of(
+        st.sampled_from([r for r in near if r > 0.0] or [1.0]),
+        st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 2.0**-450,
+                         math.nextafter(2.0**-450, 0.0), 2.0**450, 1e308,
+                         math.nextafter(1e308, 0.0), 1.7976931348623157e308]),
+        st.floats(min_value=1e-6, max_value=1e4),
+    ))
+    return space, u, center, x, radius, draw(st.booleans())
+
+
+@given(ball_cases())
+@example((cross2_space(), el(0, 1), el(0, 0), el(1, 5), 1.0, True))  # on the sphere
+@example((cross2_space(), el(0, 1), el(0, 0), el(1, 5), 1.0, False))
+@example((gram_space(3), el(0, 0, 0), el(1, 2, 3), el(4, 5, 6), 5e-324, False))  # u = 0
+@example((gram_space(3), el(1, 1 + 2.0**-40, 1), el(0, 0, 0), el(1e10, 1e10, 1e10),
+          9.0, True))  # nearly parallel: R cancels
+@example((gram_space(8), el(*[1.0] * 8), el(*[0.0] * 8), el(*[2.0**400] * 8), 1.0, True))
+@example((cross2_space(), el(0, 1), el(-1e308, 0), el(1e308, 0), 1.0, True))  # x - c overflows
+@example((gram_space(3), el(0, 1, 0), el(0, 0, 0), el(2e150, 0, 1), 1e308, True))  # NaN
+# x_i^2 underflows while |u|^2 is near 2**760: outside, past the |.|^2 < 2**100 guard.
+@example((cross2_space(), el(4.615519231456158e+114, 4.581432719491532e+114), el(0, 0),
+          el(-2.0710402641085454e-163, 1.9763712461693054e-163), 1.2406874083041786e-48,
+          True))
+@settings(max_examples=500, deadline=None)
+def test_ball_membership_is_the_exact_distance_against_the_radius(case):
+    space, u, center, x, radius, closed = case
+    ball = TwoNormBall(u, center, radius, closed)
+    assert _outcome(lambda: ball.contains(space, x)) == _outcome(
+        lambda: _exact_membership(space, u, center, x, radius, closed))
+
+
 # --- norm axioms as properties -------------------------------------------------
 
 SPACES = [cross2_space(), gram_space(2), gram_space(3), gram_space(4)]
