@@ -5,8 +5,10 @@ analyzer reads a tree node by node and turns it into the affine pieces
 ``x -> c*x + t`` it takes over a box, and scenario files can describe any
 tree as plain data. ``apply`` evaluates a map at one :class:`SpaceElement`;
 each node keeps its own ``apply``, and a compound node calls its inner
-map's. A value that is fixed for the life of a map, such as the two-region
-map's ``-u/3``, is built once when the map is.
+map's. Only the leaves check a point's dimension: every compound node
+evaluates a leaf first, which raises the same error. A value that is fixed
+for the life of a map, such as the two-region map's ``-u/3``, is built once
+when the map is.
 """
 
 from __future__ import annotations
@@ -138,7 +140,6 @@ class Averaged(SelfMap):
         return self.inner.dimension
 
     def apply(self, x: SpaceElement) -> SpaceElement:
-        self._check_point(x)
         return self.combine(x, self.inner.apply(x))
 
     def combine(self, x: SpaceElement, t: SpaceElement) -> SpaceElement:
@@ -169,7 +170,6 @@ class Iterated(SelfMap):
         return self.inner.dimension
 
     def apply(self, x: SpaceElement) -> SpaceElement:
-        self._check_point(x)
         for _ in range(self.times):
             x = self.inner.apply(x)
         return x

@@ -32,9 +32,10 @@ the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
 ``x_n - x_{n-p}``, and the region tests, of which the local ball's compares
 the 2-norm ``||x_n - x0, u||`` with its radius. The differences are plain
 coordinate lists; one that overflows ends the run Diverged, as
-``SpaceElement`` subtraction would. Every test first tries an exact float
-screen and falls back to the unchanged exact kernel on anything the screen
-cannot settle, so no screen changes a decision:
+``SpaceElement`` subtraction would. Every test first tries the exact float
+screen of ``space``, one decision body with one error bound, and falls back
+to the unchanged exact kernel on anything the screen cannot settle, so no
+screen changes a decision. The tests reach it through its two entry points:
 
 * the stopping and cycle tests run ``space.basis_screen`` on the standard
   basis, which settles only "past the limit": the stopping test through
@@ -68,8 +69,8 @@ from .space import (
     SpaceElement,
     TwoNormSpace,
     WitnessSet,
+    _exact_max_prefix,
     basis_screen,
-    basis_screen_bound,
     standard_basis,
     two_norm,
     two_norm_screen,
@@ -252,43 +253,41 @@ def detect_cycle(
     Returns p when ``x_n ~ x_{n-p}`` and ``x_{n-1} ~ x_{n-1-p}`` both hold
     within eps in witness residual, None otherwise. The two-index requirement
     avoids flagging a single accidental near-return. On the standard basis
-    each test first runs ``space.basis_screen`` on the squared coordinate
-    differences, which settles a clear miss with no difference list; the
-    rest take the difference as a coordinate list and decide it with
-    ``witness_max_prefix``, whose exact kernel stops at the first witness
-    that settles it. So each test decides as ``witness_residual(...) <=
-    eps`` does, NaN included, and raises ``NonFiniteError`` where it does:
-    the screen settles only differences whose every coordinate is finite.
+    each test first runs ``space.basis_screen``, the step test's screen, on
+    the squared coordinate differences against eps, which settles a clear
+    miss with no difference list; the rest take the difference as a
+    coordinate list and decide it with ``witness_max_prefix``'s exact
+    kernel, which stops at the first witness that settles it and is not
+    screened a second time. So each test decides as ``witness_residual(...)
+    <= eps`` does, NaN included, and raises ``NonFiniteError`` where it
+    does: the screen settles only differences whose every coordinate is
+    finite.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
     n = len(xs) - 1
-    bound = basis_screen_bound(space, witnesses, eps)
     for p in range(1, window + 1):
         if n - 1 - p < 0:
             break
         if (
-            _within(space, witnesses, xs[n].coords, xs[n - p].coords, eps, bound)
-            and _within(space, witnesses, xs[n - 1].coords, xs[n - 1 - p].coords, eps, bound)
+            _within(space, witnesses, xs[n].coords, xs[n - p].coords, eps)
+            and _within(space, witnesses, xs[n - 1].coords, xs[n - 1 - p].coords, eps)
         ):
             return p
     return None
 
 
 def _within(
-    space: TwoNormSpace,
-    wset: WitnessSet,
-    a: Sequence[float],
-    b: Sequence[float],
-    eps: float,
-    bound: Optional[float],
+    space: TwoNormSpace, wset: WitnessSet, a: Sequence[float], b: Sequence[float], eps: float
 ) -> bool:
-    """One test of :func:`detect_cycle`: ``max_z ||a - b, z|| <= eps``, with
-    ``bound`` from ``basis_screen_bound`` (None off the standard basis)."""
-    if (bound is not None and len(a) == len(b) == space.dimension
-            and basis_screen([d * d for d in map(operator.sub, a, b)], bound)):
+    """One test of :func:`detect_cycle`: ``max_z ||a - b, z|| <= eps``. The
+    squared differences are formed only on the standard basis, the one set
+    ``space.basis_screen`` covers."""
+    if wset._basis and len(a) == len(b) and basis_screen(
+        space, wset, [d * d for d in map(operator.sub, a, b)], eps
+    ):
         return False
-    return witness_max_prefix(space, wset, _difference(a, b), eps) <= eps
+    return _exact_max_prefix(space, wset, _difference(a, b), eps) <= eps
 
 
 def _solve_core(

@@ -37,28 +37,16 @@ a :class:`WitnessSet` holds, bit for bit the same. The scalar kernel stays
 the reference, and decides the ball tests that :func:`two_norm_screen`
 leaves open.
 
-Two exact float screens settle clear-cut comparisons with no double-double
-work; each answers only where the exact kernel gives the same answer, and
-the caller runs the exact kernel on anything it leaves open.
-
-* :func:`basis_screen`, on the standard basis of ``gram`` or ``cross2``:
-  the max norm is ``sqrt(|v|^2 - min_j v_j^2)``, and a plain-float ``R =
-  sum(sq) - min(sq)`` past ``limit^2 (1 + 2**-30)`` settles "past the
-  limit". Guards on the coordinates (every ``|v_i| < 2**400``), on
-  ``limit^2`` (within ``2**+-900``, checked by :func:`basis_screen_bound`)
-  and on the dimension (at most ``2**16``) keep the error of ``R`` and of
-  the exact kernel inside that margin. It only ever answers "past the
-  limit". :func:`witness_max_prefix` runs it on a vector's squares, and the
-  solver's cycle test on squared coordinate differences; every answer
-  ``<= limit``, and every value :func:`witness_max_prefix` returns short
-  of ``math.inf``, comes from the exact kernel.
-* :func:`two_norm_screen`, ``||v, u||`` against a radius on either space:
-  a plain-float ``R = |v|^2 |u|^2 - <v, u>^2`` with an absolute error
-  bound ``(n + 1) 2**-50 |v|^2 |u|^2``, twice the bound on ``R``'s own
-  rounding, so the rest covers the exact kernel's. It answers "inside" or
-  "outside" where ``R`` is clear of ``radius^2`` by that bound and the
-  same ``2**-30`` margin, under the same limit and dimension guards and
-  with ``|v|^2`` and ``|u|^2`` below ``2**100``.
+One exact float screen settles clear-cut comparisons with no double-double
+work, and only where the exact kernel gives the same answer; the caller runs
+the exact kernel on anything it leaves open. Its one decision body,
+``_screen``, holds the forward-error model: the error bound, the margin and
+the guards. It has two entry points: :func:`two_norm_screen`, ``||v, u||``
+against a radius on either space, for the solver's ball test; and
+:func:`basis_screen`, the same test at ``u = e_j`` on the standard basis,
+which only ever answers "past the limit", for :func:`witness_max_prefix`
+(so every value it returns short of ``math.inf`` comes from the exact
+kernel) and the solver's cycle test.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
@@ -116,7 +104,6 @@ __all__ = [
     "seminorm",
     "standard_basis",
     "witness_norms",
-    "basis_screen_bound",
     "basis_screen",
     "witness_max_prefix",
     "witness_norm_rows",
@@ -404,9 +391,7 @@ def witness_norms(
     return tuple(_witness_norm_iter(space, wset, v))
 
 
-# The float screens of witness_max_prefix (through basis_screen) and of
-# two_norm_screen; see their docstrings. fl(a * a) < 2**800 holds exactly
-# when |a| < 2**400, as 2**800 is a float.
+# The float screen's guards and margin; see _screen and its two entry points.
 _SCREEN_SQ_MAX = 2.0**800
 _SCREEN_LIMIT_SQ_MIN = 2.0**-900
 _SCREEN_LIMIT_SQ_MAX = 2.0**900
@@ -415,38 +400,69 @@ _SCREEN_MARGIN = 1.0 + 2.0**-30
 _SCREEN_NORM_SQ_MAX = 2.0**100
 
 
-def basis_screen_bound(space: TwoNormSpace, wset: WitnessSet, limit: float) -> Optional[float]:
-    """The bound ``limit^2 (1 + 2**-30)`` that :func:`basis_screen` compares
-    with, or None where the screen does not apply: off the standard basis,
-    past ``2**16`` dimensions, or with ``limit^2`` outside ``[2**-900,
-    2**900]`` (NaN included). A caller that tests many vectors against one
-    limit forms it once.
+def _screen(n: int, a: float, r: float, radius: float) -> Optional[bool]:
+    """The one decision body of the float screens: True where ``||v, u|| <
+    radius`` is clear-cut, False where ``||v, u|| > radius`` is, None where
+    the screen cannot tell.
+
+    ``n`` is the dimension, ``a = fl(|v|^2) fl(|u|^2)`` and ``r = a -
+    fl(<v, u>)^2``, a plain-float ``R* = |v|^2 |u|^2 - <v, u>^2``, whose
+    square root both exact kernels compute (on ``cross2`` by Lagrange's
+    identity, ``R* = (v1 u2 - v2 u1)^2``). With ``err = (n + 1) 2**-50 a``
+    it answers
+
+    * False (past the radius) when ``r - err > radius^2 (1 + 2**-30)``;
+    * True (inside, strictly) when ``(r + err) (1 + 2**-30) < radius^2``;
+
+    and only when ``n <= 2**16``, ``a < 2**800`` and ``2**-900 <= radius *
+    radius <= 2**900``; NaN fails the guards. Error bound, with ``eps =
+    2**-53`` and ``M = |v|^2 |u|^2``: the three n-term sums are off by at
+    most ``n eps (1 + 2**-30)`` times ``|v|^2``, ``|u|^2`` and ``|v| |u|``
+    (Cauchy-Schwarz on ``|v_i u_i|``), so ``|r - R*| <= (4n + 3) eps M (1
+    + 2**-30) < (n + 1) 2**-51 M``, while ``err >= (n + 1) 2**-50 M (1 -
+    2**-30)``. The other half of ``err`` covers the exact kernel's own
+    absolute error, ``O(n eps^2) M`` from its double-double sums (its
+    relative error is a few ulps of ``R*``), so it fits near-dependent
+    pairs, where ``r`` cancels. The margin ``2**-30`` covers what underflow
+    leaves (each entry point bounds it below ``2**-940``), the rounding of
+    ``radius^2`` and of the comparisons, the kernel's few ulps and its
+    square root, so False means the exact norm is ``> radius`` and True
+    that it is ``< radius``, the same answer for a closed and an open ball.
     """
-    if wset._basis and len(wset.witnesses) == space.dimension <= _SCREEN_DIM_MAX:
-        lim2 = limit * limit
+    if n <= _SCREEN_DIM_MAX and a < _SCREEN_SQ_MAX:
+        lim2 = radius * radius
         if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
-            return lim2 * _SCREEN_MARGIN
+            err = a * ((n + 1) * 2.0**-50)
+            if r - err > lim2 * _SCREEN_MARGIN:
+                return False
+            if (r + err) * _SCREEN_MARGIN < lim2:
+                return True
     return None
 
 
-def basis_screen(sq: Sequence[float], bound: float) -> bool:
+def basis_screen(
+    space: TwoNormSpace, wset: WitnessSet, sq: Sequence[float], limit: float
+) -> bool:
     """True where ``max_j ||v, e_j|| > limit`` is clear-cut on the standard basis.
 
     ``sq`` holds the squares ``v_i * v_i`` of all ``space.dimension``
-    coordinates of v, and ``bound`` is :func:`basis_screen_bound`'s. There
-    ``||v, e_j||^2 = sum_{i != j} v_i^2``, so the max norm is the square
-    root of ``R* = |v|^2 - min_j v_j^2``. The screen forms ``R = sum(sq) -
-    min(sq)`` in plain floats and answers True when every ``|v_i| < 2**400``
-    and ``R > limit * limit * (1 + 2**-30)``. The error of ``R`` is at most
-    ``2(n+2) eps R* + n 2**-1074``, since ``R* >= |v|^2 / 2``; the guards
-    (these and the bound's) keep every square finite and the exact kernel
-    free of NaN, and its max norm is within a few ulps of ``sqrt(R*)``. The
-    margin covers both, so True means the exact max is past the limit too.
-    A NaN or infinite square fails the guard on ``|v_i|``, so True also
-    means every ``v_i`` is finite: a difference that overflowed is never
-    screened away. False settles nothing.
+    coordinates of v. There ``||v, e_j||^2 = |v|^2 - v_j^2``, so the
+    squared max norm is :func:`two_norm_screen`'s ``R*`` at ``u = e_j``,
+    with j the index of the smallest square: there ``fl(|u|^2) = 1`` and
+    ``fl(<v, u>) = v_j`` exactly, so ``a = sum(sq)`` and ``r = a -
+    min(sq)`` are that screen's, its error bound holds as it stands, and
+    True is :func:`_screen`'s "outside". Every product is a square, so
+    underflow moves ``r`` by at most ``n 2**-1075``, and ``a < 2**800``
+    keeps every ``|v_i| < 2**400``, where no kernel overflows. A NaN or
+    infinite square fails that guard, so True also means every ``v_i`` is
+    finite: a difference that overflowed is never screened away. False
+    settles nothing, and so does a set other than the standard basis.
     """
-    return max(sq) < _SCREEN_SQ_MAX and sum(sq) - min(sq) > bound
+    n = space.dimension
+    if wset._basis and len(wset.witnesses) == len(sq) == n:
+        a = sum(sq)
+        return _screen(n, a, a - min(sq), limit) is False
+    return False
 
 
 def witness_max_prefix(
@@ -456,9 +472,9 @@ def witness_max_prefix(
     passes ``limit``; ``v`` is the vector's coordinates.
 
     On the standard basis, of ``gram`` or ``cross2``, the float screen
-    :func:`basis_screen` runs first, on the squares ``v_i * v_i``, and
-    returns ``math.inf`` where it settles "past the limit"; it answers only
-    that, and only where the exact kernel does too.
+    runs first, through :func:`basis_screen` on the squares ``v_i * v_i``,
+    and returns ``math.inf`` where it settles "past the limit"; it answers
+    only that, and only where the exact kernel does too.
 
     Otherwise, and on every other set, the exact kernel runs: it keeps the
     running value of Python's ``max`` in witness order and returns it as
@@ -467,10 +483,16 @@ def witness_max_prefix(
     exactly when the full max is; every result ``<= limit`` is the full max
     itself, and a NaN first norm stays NaN, as in ``max``.
     """
-    if wset._basis and len(v) == space.dimension:
-        bound = basis_screen_bound(space, wset, limit)
-        if bound is not None and basis_screen([a * a for a in v], bound):
-            return math.inf
+    if wset._basis and basis_screen(space, wset, [a * a for a in v], limit):
+        return math.inf
+    return _exact_max_prefix(space, wset, v, limit)
+
+
+def _exact_max_prefix(
+    space: TwoNormSpace, wset: WitnessSet, v: Sequence[float], limit: float
+) -> float:
+    """:func:`witness_max_prefix` past its screen, for a caller that has
+    screened ``v`` already: the exact kernel alone."""
     norms = _witness_norm_iter(space, wset, SpaceElement(v))
     r = next(norms)
     if r <= limit:
@@ -489,51 +511,26 @@ def two_norm_screen(
     where a float screen can tell; None where it cannot.
 
     ``v`` and ``u`` are coordinates and ``u_sq`` is ``sum(a * a for a in
-    u)``, which a caller testing many vectors against one u forms once.
-    Both kernels compute ``sqrt(R*)`` with ``R* = |v|^2 |u|^2 - <v, u>^2``
-    (on ``cross2`` by Lagrange's identity, ``R* = (v1 u2 - v2 u1)^2``). The
-    screen forms ``A = fl(|v|^2) u_sq``, ``P = fl(<v, u>)`` and ``R = A -
-    P * P`` in plain floats, with ``err = (n + 1) 2**-50 A``, and answers
-
-    * False (past the radius) when ``R - err > radius^2 (1 + 2**-30)``;
-    * True (inside, strictly) when ``(R + err) (1 + 2**-30) < radius^2``;
-
-    and only when ``len(v) == len(u) == space.dimension <= 2**16``,
-    ``2**-900 <= radius * radius <= 2**900`` and both ``fl(|v|^2)`` and
-    ``u_sq`` are below ``2**100``. Error bound, with ``eps = 2**-53`` and
-    ``M = |v|^2 |u|^2``: the three n-term sums are off by at most ``n eps (1
-    + 2**-30)`` times ``|v|^2``, ``|u|^2`` and ``|v| |u|`` (Cauchy-Schwarz
-    on ``|v_i u_i|``), so ``|R - R*| <= (4n + 3) eps M (1 + 2**-30) < (n +
-    1) 2**-51 M``, while ``err >= (n + 1) 2**-50 M (1 - 2**-30)``. The
-    other half of ``err`` covers the exact kernel's own absolute error, ``O(n eps^2) M``
-    from its double-double sums (its relative error is a few ulps of
-    ``R*``), so it fits near-dependent pairs, where ``R`` cancels. The guards
-    keep every coordinate below ``2**50``, so no product overflows and no
-    Dekker split in the kernel does. A product that underflows is off by at
-    most ``2**-1075``, and the later products scale that by factors below
-    ``2**101``, so underflow moves either side's radicand by less than
-    ``2**-940`` against ``radius^2 >= 2**-900`` (a ``u`` near ``2**380``
-    would lift it to about ``2**-300``, hence the guard on both). The margin
-    ``2**-30`` covers that, the rounding of ``radius^2`` and of the
-    comparisons, the kernel's few ulps and its square root, so False means
-    the exact norm is ``> radius`` and True that it is ``< radius``, the
-    same answer for a closed and an open ball. A NaN or infinite ``v`` fails
-    the guards. ``u = 0`` and ``v = 0`` give ``R = 0``: inside.
+    u)``, which a caller testing many vectors against one u forms once. It
+    forms ``a = fl(|v|^2) u_sq`` and ``r = a - fl(<v, u>)^2`` and returns
+    :func:`_screen`'s answer, only when ``len(v) == len(u) ==
+    space.dimension`` and both ``fl(|v|^2)`` and ``u_sq`` are below
+    ``2**100``. Those guards keep every coordinate below ``2**50``, so no
+    product overflows and no Dekker split in the kernel does. A product that
+    underflows is off by at most ``2**-1075``, and the later products scale
+    that by factors below ``2**101``, so underflow moves either side's
+    radicand by less than ``2**-940`` against ``radius^2 >= 2**-900`` (a
+    ``u`` near ``2**380`` would lift it to about ``2**-300``, hence the
+    guard on both). A NaN or infinite ``v`` fails the guards. ``u = 0`` and
+    ``v = 0`` give ``r = 0``: inside.
     """
     n = space.dimension
-    if len(v) == len(u) == n <= _SCREEN_DIM_MAX and u_sq < _SCREEN_NORM_SQ_MAX:
-        lim2 = radius * radius
-        if _SCREEN_LIMIT_SQ_MIN <= lim2 <= _SCREEN_LIMIT_SQ_MAX:
-            v_sq = sum([a * a for a in v])
-            if v_sq < _SCREEN_NORM_SQ_MAX:
-                a = v_sq * u_sq
-                p = sum(map(operator.mul, v, u))
-                r = a - p * p
-                err = a * ((n + 1) * 2.0**-50)
-                if r - err > lim2 * _SCREEN_MARGIN:
-                    return False
-                if (r + err) * _SCREEN_MARGIN < lim2:
-                    return True
+    if len(v) == len(u) == n and u_sq < _SCREEN_NORM_SQ_MAX:
+        v_sq = sum([a * a for a in v])
+        if v_sq < _SCREEN_NORM_SQ_MAX:
+            a = v_sq * u_sq
+            p = sum(map(operator.mul, v, u))
+            return _screen(n, a, a - p * p, radius)
     return None
 
 

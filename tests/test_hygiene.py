@@ -122,6 +122,7 @@ def test_every_private_helper_is_used():
 def test_the_helper_check_sees_private_names_and_dd_functions():
     found = {p.name: {name for name, _, _ in _helpers(p, _tree(p))} for p in MODULES}
     assert {"_solve_core", "_CYCLE_WINDOW", "_difference"} <= found["solver.py"]
+    assert {"_screen", "_witness_norm_iter"} <= found["space.py"]
     assert {"_pieces", "_PIECE_LIMIT"} <= found["analyzer.py"]
     assert {"two_sum", "dd_add"} <= found["_dd.py"]
     assert "__all__" not in found["cli.py"]

@@ -51,8 +51,15 @@ def test_averaged_reflection_half_is_constant():
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        Reflection(el(2, 0)).apply(el(1, 2, 3))
+    # Only the leaves check a point's dimension: every compound node
+    # evaluates a leaf first, so it raises the leaf's error and message.
+    leaf = Reflection(el(2, 0))
+    piecewise = default_piecewise(2)
+    for T in (leaf, ScalarAffine(0.5, el(1, 0)), piecewise, averaged(leaf, 0.5),
+              iterated(leaf, 2), iterated(piecewise, 2),
+              averaged(iterated(averaged(leaf, 0.5), 3), 0.25)):
+        with pytest.raises(ValueError, match="^dimension mismatch: point 3, map 2$"):
+            T.apply(el(1, 2, 3))
 
 
 def test_scalar_affine_apply():

@@ -454,6 +454,37 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
         assert witness_residual(SP, WIT, el(*a), el(*b)) <= eps * (1.0 + 2.0**-29)
 
 
+@pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
+                         ids=lambda s: f"{s.kind.value}{s.dimension}")
+def test_the_step_cycle_and_ball_tests_run_one_screen_body(space, monkeypatch):
+    # The step test (witness_max_prefix), the cycle test (detect_cycle) and
+    # the ball test (TwoNormBall.contains) all reach the one decision body,
+    # space._screen, and decide nothing on their own: with the body settling
+    # nothing, every test falls to the exact kernel and decides the same.
+    calls = []
+    body = space_module._screen
+    n = space.dimension
+    wset = standard_basis(n)
+    xs = [el(*[float(i * 7 + j) for j in range(n)]) for i in range(6)]
+    ball = TwoNormBall(el(*[0.0] * (n - 1), 1.0), el(*[0.0] * n), 10.0)
+    step = tuple(1e-3 * (i + 1) for i in range(n))
+    decisions = []
+    for settle in (True, False):
+        monkeypatch.setattr(space_module, "_screen", lambda *a, _settle=settle:
+                            calls.append(a[0]) or (body(*a) if _settle else None))
+        decisions.append((
+            solver_module.witness_max_prefix(space, wset, step, 1e-11) > 1e-11,
+            detect_cycle(space, wset, xs, 2, 1e-10),
+            ball.contains(space, el(*[1.0] * n)),
+        ))
+        # One step test, one cycle test per period (each misses on its
+        # first pair), one ball test: a cycle test the body leaves open goes
+        # on to the exact kernel without asking the body again.
+        assert calls == [n] * 4
+        calls.clear()
+    assert decisions[0] == decisions[1] == (True, None, True)
+
+
 # --- local ball -------------------------------------------------------------------
 
 def test_local_ball_accepts_and_stays_inside():

@@ -17,6 +17,7 @@ from enrichedfp.space import (
     NonFiniteError,
     SpaceElement,
     WitnessSet,
+    basis_screen,
     check_axioms,
     cross2_norm,
     cross2_space,
@@ -26,6 +27,7 @@ from enrichedfp.space import (
     standard_basis,
     two_norm,
     two_norm_batch,
+    two_norm_screen,
     witness_max_prefix,
     witness_norm_rows,
     witness_norms,
@@ -656,8 +658,27 @@ def test_witness_max_prefix_decides_like_the_full_max(case):
 # --- the float screen on the standard basis ---------------------------------------
 
 _SCREEN_SPACES = [cross2_space()] + [gram_space(n) for n in range(2, 9)]
-_GUARD = 2.0**400  # the screen needs every |v_i| below this
+_SUM_GUARD = 2.0**800  # the screen needs sum(v_i * v_i) below this
+_GUARD = 2.0**400  # so every |v_i| is below this
 _BELOW_GUARD = math.nextafter(_GUARD, 0.0)
+
+
+def _sum_guard_edges(n):
+    """Two coordinate tuples of dimension n, every entry below 2**400, whose
+    squares sum to exactly 2**800 and to the float just below it."""
+    head = (2.0**399,) * min(n - 1, 3) + (0.0,) * max(n - 4, 0)
+    total = lambda c: sum([a * a for a in head + (c,)])  # noqa: E731
+    at = math.sqrt(_SUM_GUARD - total(0.0))
+    while total(at) < _SUM_GUARD:
+        at = math.nextafter(at, math.inf)
+    while total(at) > _SUM_GUARD:
+        at = math.nextafter(at, 0.0)
+    below = math.nextafter(at, 0.0)
+    while total(below) >= _SUM_GUARD:
+        below = math.nextafter(below, 0.0)
+    assert total(at) == _SUM_GUARD and total(below) == math.nextafter(_SUM_GUARD, 0.0)
+    assert max(head + (at,)) < _GUARD
+    return head + (at,), head + (below,)
 
 
 def _ulps(x, k):
@@ -669,18 +690,23 @@ def _ulps(x, k):
 
 @st.composite
 def screen_cases(draw):
-    """(space, standard basis, coordinates, limit) for the screened prefix:
-    coordinates of any binade from subnormal to past the 2**400 guard, and
-    a limit a few ulps or a 2**-30-ish margin from the max norm, at the
-    2**+-450 edges of the screened range, a signed zero, inf or a draw."""
+    """(space, coordinates, limit) for the screened prefix: coordinates of
+    any binade from subnormal to past 2**400, whose squares sum to anything
+    from zero to past the 2**800 guard, one in five exactly at or just below
+    it, and a limit a few ulps or a 2**-30-ish margin from the max norm, at
+    the 2**+-450 edges of the screened range, a signed zero, inf or a draw."""
     space = draw(st.sampled_from(_SCREEN_SPACES))
     n = space.dimension
     exponent = draw(st.sampled_from([-1074, -1060, -540, -460, -30, 0, 20, 399, 400]))
     unit = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _GUARD, -_BELOW_GUARD,
                                _BELOW_GUARD])
-    coords = tuple(draw(st.one_of(unit.map(lambda a: math.ldexp(a, exponent)), special))
-                   for _ in range(n))
+    pick = draw(st.integers(0, 9))
+    if pick < 2:
+        coords = _sum_guard_edges(n)[pick]
+    else:
+        coords = tuple(draw(st.one_of(unit.map(lambda a: math.ldexp(a, exponent)), special))
+                       for _ in range(n))
     full = max(witness_norms(space, standard_basis(n), SpaceElement(coords)))
     near = []
     if math.isfinite(full):
@@ -700,10 +726,15 @@ def screen_cases(draw):
 @example((cross2_space(), (3.0, 4.0), 4.0))
 @example((gram_space(3), (3.0, 2.0, 1.0), math.nextafter(math.sqrt(13.0), 0.0)))
 @example((gram_space(3), (3.0, 2.0, 1.0), math.nextafter(math.sqrt(13.0), math.inf)))
-@example((gram_space(2), (_GUARD, 1.0), 1.0))  # at the guard: the exact kernel
-@example((gram_space(2), (_BELOW_GUARD, 1.0), 1.0))  # just inside: screened
-@example((gram_space(8), (-_GUARD,) + (1.0,) * 7, 1.0))
-@example((cross2_space(), (_GUARD, _GUARD), 1.0))
+@example((gram_space(2), (_GUARD, 1.0), 1.0))  # squares sum to 2**800: the exact kernel
+@example((gram_space(2), (_BELOW_GUARD, 1.0), 1.0))  # sum just below 2**800: screened
+@example((gram_space(8), (-_GUARD,) + (1.0,) * 7, 1.0))  # sum at the guard
+@example((cross2_space(), (_GUARD, _GUARD), 1.0))  # sum past the guard
+@example((gram_space(4), (2.0**399,) * 4, 1.0))  # sum exactly 2**800: the exact kernel
+@example((gram_space(4), _sum_guard_edges(4)[1], 1.0))  # the float below: screened
+@example((cross2_space(), _sum_guard_edges(2)[0], 1.0))
+@example((cross2_space(), _sum_guard_edges(2)[1], 1.0))
+@example((gram_space(3), _sum_guard_edges(3)[1], 2.0**450))
 @example((gram_space(2), (2e150, 5e149), 1.0))  # every norm NaN, never screened
 @example((gram_space(3), (5e-324, -5e-324, 5e-324), 0.0))  # subnormal coordinates
 @example((gram_space(3), (5e-324, -5e-324, 5e-324), 2.0**-450))
@@ -729,6 +760,33 @@ def test_screened_witness_max_prefix_decides_like_the_full_max(case):
         assert got.hex() == full.hex()
     if math.isnan(full):
         assert math.isnan(got)
+
+
+@given(screen_cases())
+@example((gram_space(4), (3.0, -0.0, 5e-324, 1.0), 3.0))  # the smallest square is -0.0's
+@example((cross2_space(), (2.0**46, 1.0), 2.0**46))  # as large as the scaling leaves it
+@settings(max_examples=300, deadline=None)
+def test_basis_screen_is_the_ball_screen_at_the_smallest_square(case):
+    # On the standard basis max_j ||v, e_j||^2 = |v|^2 - min_j v_j^2, which
+    # is two_norm_screen's R at u = e_j, j the index of the smallest square:
+    # both entry points hand the one body the same a and r, so basis_screen
+    # says "past the limit" exactly where two_norm_screen says "outside".
+    space, coords, limit = case
+    n = space.dimension
+    # Below two_norm_screen's own guard on |v|^2: a case past it is scaled
+    # by a power of two, exactly, to coordinates below 2**47.
+    shift = max(0, math.frexp(max(map(abs, coords)))[1] - 47)
+    coords = tuple(math.ldexp(a, -shift) for a in coords)
+    limit = math.ldexp(limit, -shift)
+    sq = [a * a for a in coords]
+    assert sum(sq) < 2.0**100
+    j = sq.index(min(sq))
+    e_j = tuple(1.0 if i == j else 0.0 for i in range(n))
+    full = max(witness_norms(space, standard_basis(n), SpaceElement(coords)))
+    # The case's limit, and limits clear of the max norm on either side.
+    for lim in (limit, full * 0.5, full * (1.0 - 2.0**-20), full * (1.0 + 2.0**-20), full * 2.0):
+        outside = two_norm_screen(space, coords, e_j, 1.0, lim) is False
+        assert basis_screen(space, standard_basis(n), sq, lim) == outside
 
 
 def test_a_clear_cut_step_on_the_basis_runs_no_exact_kernel(monkeypatch):
