@@ -14,6 +14,7 @@ from .space import (
     NonFiniteError,
     SpaceElement,
     SpaceKind,
+    TwoNormBall,
     TwoNormSpace,
     WitnessSet,
     check_axioms,
@@ -56,7 +57,6 @@ from .solver import (
     SolveReport,
     SolveStatus,
     TraceRow,
-    TwoNormBall,
     aposteriori_step_threshold,
     apriori_bound,
     asymptotic_solve,

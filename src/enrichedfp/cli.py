@@ -65,7 +65,6 @@ from .solver import (
     SolveReport,
     SolveStatus,
     TraceRow,
-    TwoNormBall,
     asymptotic_solve,
     krasnoselskij_solve,
     local_ball_solve,
@@ -74,6 +73,7 @@ from .solver import (
 from .space import (
     Box,
     SpaceElement,
+    TwoNormBall,
     TwoNormSpace,
     WitnessSet,
     check_axioms,

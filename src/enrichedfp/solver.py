@@ -28,23 +28,15 @@ budget, the witness set, and the domain region itself (a ``Box`` or a
 
 All residuals are ``max_z ||., z||`` over the configured witness set. Inside
 the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
-(and on ``T x_n - x_n`` once the step passes), the Picard cycle test on
-``x_n - x_{n-p}``, and the region tests, of which the local ball's compares
-the 2-norm ``||x_n - x0, u||`` with its radius. The differences are plain
-coordinate lists; one that overflows ends the run Diverged, as
-``SpaceElement`` subtraction would. Every test first tries the exact float
-screen of ``space``, one decision body with one error bound, and falls back
-to the unchanged exact kernel on anything the screen cannot settle, so no
-screen changes a decision. The tests reach it through its two entry points:
-
-* the stopping and cycle tests run ``space.basis_screen`` on the standard
-  basis, which settles only "past the limit": the stopping test through
-  ``space.witness_max_prefix``, the cycle test on the squared coordinate
-  differences, forming a difference list only for a period the screen
-  leaves open; past the screen, ``witness_max_prefix``'s exact kernel
-  stops at the first witness that settles the answer;
-* the ball test runs ``space.two_norm_screen``, which settles "inside" and
-  "outside" alike, with ``|u|^2`` formed once per ball.
+(and the fixed-point residuals of ``T`` and ``T_lam`` once the step passes),
+the Picard cycle test on ``x_n - x_{n-p}``, and the region tests. Each asks
+``space`` whether a residual is past a bound, and ``space`` alone decides
+how, exactly as the full residual would: the step through
+``witness_max_prefix``, since the trace keeps that difference; every other
+residual through the pair test ``witness_gap_within``; a region through its
+own ``contains``. The loop never sees a screen. The differences it keeps are
+coordinate lists (``space.difference``); one that overflows ends the run
+Diverged, as ``SpaceElement`` subtraction would.
 
 The trace columns and the post-hoc bound check are evaluated after the loop
 in one ``space.witness_norm_rows`` pass, bit for bit what a per-iteration
@@ -54,8 +46,7 @@ evaluation gives.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -67,16 +58,15 @@ from .space import (
     Box,
     NonFiniteError,
     SpaceElement,
+    TwoNormBall,
     TwoNormSpace,
     WitnessSet,
-    _exact_max_prefix,
-    basis_screen,
+    difference,
     standard_basis,
     two_norm,
-    two_norm_screen,
+    witness_gap_within,
     witness_max_prefix,
     witness_norm_rows,
-    witness_norms,
     witness_residual,
 )
 
@@ -94,37 +84,6 @@ __all__ = [
     "local_ball_solve",
     "asymptotic_solve",
 ]
-
-
-@dataclass(frozen=True)
-class TwoNormBall:
-    """The ball ``{x : ||x - center, u|| <= radius}``, or ``<`` when open."""
-
-    u: SpaceElement
-    center: SpaceElement
-    radius: float
-    closed: bool = True
-    _u_sq: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
-        # |u|^2 for space.two_norm_screen, formed once per ball.
-        object.__setattr__(self, "_u_sq", sum([a * a for a in self.u.coords]))
-
-    def contains(self, space: TwoNormSpace, x: SpaceElement) -> bool:
-        """``two_norm(space, x - center, u) <= radius`` (``<`` when open).
-
-        The difference is a coordinate list, which raises where ``x -
-        center`` does; ``space.two_norm_screen`` settles the clear-cut
-        cases, inside or outside alike, and the exact kernel the rest.
-        """
-        v = _difference(x.coords, self.center.coords)
-        inside = two_norm_screen(space, v, self.u.coords, self._u_sq, self.radius)
-        if inside is None:
-            dist = two_norm(space, SpaceElement(v), self.u)
-            inside = dist <= self.radius if self.closed else dist < self.radius
-        return inside
 
 
 @dataclass(frozen=True)
@@ -228,19 +187,6 @@ def aposteriori_step_threshold(cert: EnrichedCertificate, tol: float) -> float:
 _CYCLE_WINDOW = 8
 
 
-def _difference(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """``a - b`` coordinatewise, as a list of floats.
-
-    Raises :class:`NonFiniteError` on an entry that overflows, as
-    ``SpaceElement.__sub__`` does on the same coordinates; a difference of
-    finite floats is never NaN, so a finite sum settles the common case.
-    """
-    d = [x - y for x, y in zip(a, b, strict=True)]
-    if not math.isfinite(sum(d)) and not all(map(math.isfinite, d)):
-        raise NonFiniteError(f"non-finite coordinates: {tuple(d)}")
-    return d
-
-
 def detect_cycle(
     space: TwoNormSpace,
     witnesses: WitnessSet,
@@ -252,16 +198,9 @@ def detect_cycle(
 
     Returns p when ``x_n ~ x_{n-p}`` and ``x_{n-1} ~ x_{n-1-p}`` both hold
     within eps in witness residual, None otherwise. The two-index requirement
-    avoids flagging a single accidental near-return. On the standard basis
-    each test first runs ``space.basis_screen``, the step test's screen, on
-    the squared coordinate differences against eps, which settles a clear
-    miss with no difference list; the rest take the difference as a
-    coordinate list and decide it with ``witness_max_prefix``'s exact
-    kernel, which stops at the first witness that settles it and is not
-    screened a second time. So each test decides as ``witness_residual(...)
-    <= eps`` does, NaN included, and raises ``NonFiniteError`` where it
-    does: the screen settles only differences whose every coordinate is
-    finite.
+    avoids flagging a single accidental near-return. Each test is
+    ``space.witness_gap_within``, which decides as ``witness_residual(...)
+    <= eps`` does and raises ``NonFiniteError`` where it does.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
@@ -270,24 +209,12 @@ def detect_cycle(
         if n - 1 - p < 0:
             break
         if (
-            _within(space, witnesses, xs[n].coords, xs[n - p].coords, eps)
-            and _within(space, witnesses, xs[n - 1].coords, xs[n - 1 - p].coords, eps)
+            witness_gap_within(space, witnesses, xs[n].coords, xs[n - p].coords, eps)
+            and witness_gap_within(space, witnesses, xs[n - 1].coords,
+                                   xs[n - 1 - p].coords, eps)
         ):
             return p
     return None
-
-
-def _within(
-    space: TwoNormSpace, wset: WitnessSet, a: Sequence[float], b: Sequence[float], eps: float
-) -> bool:
-    """One test of :func:`detect_cycle`: ``max_z ||a - b, z|| <= eps``. The
-    squared differences are formed only on the standard basis, the one set
-    ``space.basis_screen`` covers."""
-    if wset._basis and len(a) == len(b) and basis_screen(
-        space, wset, [d * d for d in map(operator.sub, a, b)], eps
-    ):
-        return False
-    return _exact_max_prefix(space, wset, _difference(a, b), eps) <= eps
 
 
 def _solve_core(
@@ -310,6 +237,9 @@ def _solve_core(
     """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
+    if cfg.domain is not None and cfg.domain.dimension != space.dimension:
+        raise ValueError(f"domain dimension {cfg.domain.dimension} does not match "
+                         f"the space ({space.dimension})")
     wset = cfg.witness_set(space)
     lam = cert.lam if cert is not None else 1.0
     Tlam = averaged(T, lam)
@@ -376,9 +306,9 @@ def _solve_core(
             for n in range(1, cfg.max_iter + 1):
                 x_prev = x_n
                 x_n = Tlam.combine(x_prev, t_n)
-                v_n = _difference(x_n.coords, x_prev.coords)
+                v_n = difference(x_n.coords, x_prev.coords)
                 t_n = T.apply(x_n)
-                d_n = _difference(t_n.coords, x_n.coords)
+                d_n = difference(t_n.coords, x_n.coords)
                 xs.append(x_n)
                 vs.append(v_n)
                 ds.append(d_n)
@@ -388,19 +318,18 @@ def _solve_core(
                     status = SolveStatus.LEFT_DOMAIN
                     break
 
-                # witness_max_prefix answers "past threshold" from its float
-                # screen only where the exact max is past it too, and
-                # otherwise stops at the first witness whose norm lifts the
-                # running max past threshold, so step <= threshold and step >
-                # threshold each hold exactly when they hold for the full
-                # max. The cycle test below compares with cfg.tol, which is
-                # exact too: only Picard detects cycles, and without a
+                # step <= threshold and step > threshold each hold exactly
+                # when they hold for the full max (witness_max_prefix's
+                # contract). The cycle test below compares with cfg.tol, which
+                # is exact too: only Picard detects cycles, and without a
                 # certificate threshold == cfg.tol.
                 step = witness_max_prefix(space, wset, v_n, threshold)
                 if d_zero or step <= threshold:
-                    f_lam = witness_residual(space, wset, Tlam.combine(x_n, t_n), x_n)
-                    fixed_n = max(witness_norms(space, wset, SpaceElement(d_n)))
-                    if f_lam <= cfg.tol and fixed_n <= cfg.tol:
+                    # The residuals of T_lam and of T at x_n against tol.
+                    if (witness_gap_within(space, wset, Tlam.combine(x_n, t_n).coords,
+                                           x_n.coords, cfg.tol)
+                            and witness_gap_within(space, wset, t_n.coords, x_n.coords,
+                                                   cfg.tol)):
                         status = SolveStatus.CONVERGED
                         x_star = x_n
                         break

@@ -13,57 +13,48 @@ Convergence of iterates is always measured against a finite *witness set*: a
 spanning family of vectors z, so that ``max_z ||v, z|| = 0`` forces ``v = 0``.
 This is the computational stand-in for quantifying over every second argument.
 
-Both norm kernels accumulate in double-double arithmetic (see ``_dd``), so the
-returned value is the correctly rounded area of the given float vectors even
-when the pair is close to dependent. With the naive formulas the two kinds
-disagree by thousands of ulps on a noticeable fraction of random pairs; with
-the compensated kernels they agree to a few ulps everywhere except at areas
-below the ~1e-14 double-double noise floor.
-
-The batch kernel :func:`two_norm_batch` is the scalar kernel itself, run on
-coordinate-major arrays.
+Both norm kernels accumulate in double-double arithmetic (see ``_dd``). On
+``cross2`` the result is the correctly rounded area of the given float
+vectors, even for nearly dependent pairs. On ``gram`` it is not always:
+about 13% of basis witness norms miss by one ulp, the general kernel loses
+accuracy near dependence, and the basis closed form cancels when magnitudes
+spread, so ``||(1e20, 1e-5, 1e-5), e_1||`` reads 0.0, not 1.41e-05 (ROADMAP
+item 11). The batch kernel :func:`two_norm_batch` is the scalar kernel
+itself, run on coordinate-major arrays.
 
 Witness residuals go through one kernel body, which yields ``||v, z_j||``
-for the witnesses in order. For every set it runs the reference kernel,
-``two_norm(space, v, z_j)``, per witness, so its results are that kernel's
-by construction; only the ``gram`` standard basis (below) is specialised.
-:func:`witness_norms` collects every value; :func:`witness_max_prefix`
-takes a vector's coordinates and stops as soon as the running max passes a
-limit, which is all a stopping test needs; :func:`witness_norm_rows` takes
-the rows of an array and, once they cost 24 kernel calls (rows times
-witnesses, or rows alone on the ``gram`` standard basis), evaluates them
-with one broadcasting :func:`two_norm_batch` call against the witness array
-a :class:`WitnessSet` holds, bit for bit the same. The scalar kernel stays
-the reference, and decides the ball tests that :func:`two_norm_screen`
-leaves open.
+for the witnesses in order: ``two_norm(space, v, z_j)`` per witness, save
+on the ``gram`` standard basis (below). :func:`witness_norms` collects every
+value; :func:`witness_norm_rows` evaluates the rows of an array, through one
+broadcasting :func:`two_norm_batch` call once they cost 24 kernel calls,
+bit for bit the same.
 
-One exact float screen settles clear-cut comparisons with no double-double
-work, and only where the exact kernel gives the same answer; the caller runs
-the exact kernel on anything it leaves open. Its one decision body,
-``_screen``, holds the forward-error model: the error bound, the margin and
-the guards. It has two entry points: :func:`two_norm_screen`, ``||v, u||``
-against a radius on either space, for the solver's ball test; and
+Every decision of the solve loop is asked here, and decides exactly as the
+full residual or distance would: :func:`witness_max_prefix` for a step,
+which stops once the running max passes the limit; the pair test
+:func:`witness_gap_within`, ``max_z ||a - b, z|| <= limit`` for two
+coordinate lists, for every other residual; and the regions :class:`Box`
+and :class:`TwoNormBall`. :func:`difference` is their one coordinate
+difference, raising where ``SpaceElement`` subtraction does. One exact
+float screen settles clear-cut comparisons with no double-double work, and
+only where the exact kernel gives the same answer; the exact kernel decides
+the rest. Its one decision body, ``_screen``, holds the forward-error model:
+the error bound, the margin and the guards. Its two entry points are
+:func:`two_norm_screen`, ``||v, u||`` against a radius, for the ball; and
 :func:`basis_screen`, the same test at ``u = e_j`` on the standard basis,
-which only ever answers "past the limit", for :func:`witness_max_prefix`
-(so every value it returns short of ``math.inf`` comes from the exact
-kernel) and the solver's cycle test.
+which only ever answers "past the limit", for the step and pair tests.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
-the scalar and the batch witness kernel. With ``z = e_j`` the general
-kernel's ``<v, z>`` is exactly ``(v_j, 0)``, its ``<v,z>^2`` is the
-``two_prod(v_j, v_j)`` that ``|v|^2`` sums anyway, and ``|v|^2 |z|^2`` is
-one value per vector, with ``|z|^2`` the constant ``(1, 0)``. The closed
-form forms those terms with the same formulas, drops only operations on
-exact zeros (which change no nonzero value, and the radicand never comes
-out ``-0.0``), splits each ``v_j`` once for its square, and ends in the
-high part of the same ``dd_add``, formed as the one addition its last
-``two_sum`` makes for it, and the same square root, so it is bit for bit
-the general kernel, NaN included. One body,
-``_gram_basis_radicands``, holds it for both kernels, as ``_gram_radicand``
-does for the general ones: it runs on one vector's float coordinates or on
-a slice's coordinate arrays. Every other set, and all of ``cross2``, runs
-the reference kernel per witness.
+witness kernels. With ``z = e_j`` the general kernel's ``<v, z>`` is exactly
+``(v_j, 0)``, its ``<v,z>^2`` is the ``two_prod(v_j, v_j)`` that ``|v|^2``
+sums anyway, and ``|v|^2 |z|^2`` is one value per vector. The closed form
+forms those terms with the same formulas, drops only operations on exact
+zeros (which change no nonzero value, and the radicand never comes out
+``-0.0``) and ends in the same ``dd_add`` high part and square root, so it
+is bit for bit the general kernel, NaN included. One body,
+``_gram_basis_radicands``, holds it for both kernels, on one vector's
+floats or on a slice's coordinate arrays.
 
 The coordinate spaces here are complete (every Cauchy sequence converges),
 which the convergence theory assumes; completeness is a property of the space
@@ -88,7 +79,9 @@ EPS = 2.220446049250313e-16  # 2**-52, one ulp at 1.0
 __all__ = [
     "NonFiniteError",
     "SpaceElement",
+    "difference",
     "Box",
+    "TwoNormBall",
     "SpaceKind",
     "TwoNormSpace",
     "WitnessSet",
@@ -100,12 +93,11 @@ __all__ = [
     "gram_norm",
     "two_norm",
     "two_norm_batch",
-    "two_norm_screen",
     "seminorm",
     "standard_basis",
     "witness_norms",
-    "basis_screen",
     "witness_max_prefix",
+    "witness_gap_within",
     "witness_norm_rows",
     "witness_residual",
     "check_axioms",
@@ -151,6 +143,20 @@ class SpaceElement:
         return SpaceElement([s * a for a in self.coords])
 
 
+def difference(a: Sequence[float], b: Sequence[float]) -> list[float]:
+    """``a - b`` coordinatewise, as a list of floats.
+
+    Raises :class:`NonFiniteError` on an entry that overflows, as
+    ``SpaceElement.__sub__`` does on the same coordinates, and ``ValueError``
+    on lists of different lengths; a difference of finite floats is never
+    NaN, so a finite sum settles the common case.
+    """
+    d = [x - y for x, y in zip(a, b, strict=True)]
+    if not math.isfinite(sum(d)) and not all(map(math.isfinite, d)):
+        raise NonFiniteError(f"non-finite coordinates: {tuple(d)}")
+    return d
+
+
 @dataclass(frozen=True)
 class Box:
     """An axis-aligned box: an analysis box or a solver domain."""
@@ -179,6 +185,45 @@ class Box:
 
     def contains(self, space: "TwoNormSpace", x: SpaceElement) -> bool:
         return all(a <= c <= b for a, c, b in zip(self.lo, x.coords, self.hi, strict=True))
+
+
+@dataclass(frozen=True)
+class TwoNormBall:
+    """The ball ``{x : ||x - center, u|| <= radius}``, or ``<`` when open: a
+    solver domain, and the local solve's region."""
+
+    u: SpaceElement
+    center: SpaceElement
+    radius: float
+    closed: bool = True
+    _u_sq: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        if self.u.dim != self.center.dim:
+            raise ValueError(f"ball direction and center differ in dimension: "
+                             f"{self.u.dim} vs {self.center.dim}")
+        # |u|^2 for two_norm_screen, formed once per ball.
+        object.__setattr__(self, "_u_sq", sum([a * a for a in self.u.coords]))
+
+    @property
+    def dimension(self) -> int:
+        return self.center.dim
+
+    def contains(self, space: "TwoNormSpace", x: SpaceElement) -> bool:
+        """``two_norm(space, x - center, u) <= radius`` (``<`` when open).
+
+        The difference is a coordinate list, which raises where ``x -
+        center`` does; :func:`two_norm_screen` settles the clear-cut cases,
+        inside or outside alike, and the exact kernel the rest.
+        """
+        v = difference(x.coords, self.center.coords)
+        inside = two_norm_screen(space, v, self.u.coords, self._u_sq, self.radius)
+        if inside is None:
+            dist = two_norm(space, SpaceElement(v), self.u)
+            inside = dist <= self.radius if self.closed else dist < self.radius
+        return inside
 
 
 def _same_dim(x: SpaceElement, y: SpaceElement) -> None:
@@ -502,6 +547,27 @@ def _exact_max_prefix(
                 if not r <= limit:
                     break
     return r
+
+
+def witness_gap_within(
+    space: TwoNormSpace, wset: WitnessSet, a: Sequence[float], b: Sequence[float],
+    limit: float,
+) -> bool:
+    """Whether ``max_z ||a - b, z|| <= limit``, for two coordinate lists.
+
+    Decides as ``witness_residual(space, wset, SpaceElement(a),
+    SpaceElement(b)) <= limit`` does, NaN included, and raises
+    :class:`NonFiniteError` wherever that subtraction does. On the standard
+    basis, the one set it covers, :func:`basis_screen` first settles a
+    clear miss from the squared differences, with no difference list (it
+    answers only where every difference is finite); the rest run the exact
+    kernel of :func:`witness_max_prefix`, not screened a second time.
+    """
+    if wset._basis and len(a) == len(b) and basis_screen(
+        space, wset, [d * d for d in map(operator.sub, a, b)], limit
+    ):
+        return False
+    return _exact_max_prefix(space, wset, difference(a, b), limit) <= limit
 
 
 def two_norm_screen(

@@ -8,7 +8,9 @@ class or constant whose name starts with ``_``), and every function of
 and so must every ``__all__`` name, save a few kept for users (the imports
 of ``__init__`` do not count as uses). Every annotated field of a dataclass
 must be read as an attribute somewhere in the package or in the tests, or it
-is state that nothing uses.
+is state that nothing uses. No module imports a private name of another
+package module, or reads a private dataclass field of another module's
+class: a module's private names are its own.
 """
 
 import ast
@@ -121,7 +123,7 @@ def test_every_private_helper_is_used():
 
 def test_the_helper_check_sees_private_names_and_dd_functions():
     found = {p.name: {name for name, _, _ in _helpers(p, _tree(p))} for p in MODULES}
-    assert {"_solve_core", "_CYCLE_WINDOW", "_difference"} <= found["solver.py"]
+    assert {"_solve_core", "_CYCLE_WINDOW"} <= found["solver.py"]
     assert {"_screen", "_witness_norm_iter"} <= found["space.py"]
     assert {"_pieces", "_PIECE_LIMIT"} <= found["analyzer.py"]
     assert {"two_sum", "dd_add"} <= found["_dd.py"]
@@ -176,3 +178,55 @@ def test_the_field_check_sees_dataclass_fields():
     assert {("space.py", "AxiomViolation", "deviation"), ("space.py", "WitnessSet", "_batch"),
             ("solver.py", "TraceRow", "witness_steps"), ("cli.py", "ScenarioConfig", "box"),
             ("analyzer.py", "EnrichedCertificate", "provenance")} <= found
+
+
+def _package_imports(tree):
+    """Each (name, line) that a ``from`` import binds from a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == PACKAGE.name
+        ):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def _private_imports(tree):
+    # _dd is a module, not a private name: importing its public functions is fine.
+    return [f"{name} (line {line})" for name, line in _package_imports(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert _private_imports(_tree(path)) == []
+
+
+def _private_fields():
+    """Each module's private dataclass field names."""
+    return {p.name: {name for _, name, _ in _dataclass_fields(p, _tree(p)) if name.startswith("_")}
+            for p in MODULES}
+
+
+def _foreign_field_reads(name, tree, fields):
+    """Reads in module ``name`` of a private field that only another module's
+    dataclasses declare, as ``line .field``."""
+    foreign = set().union(*(f for module, f in fields.items() if module != name))
+    foreign -= fields.get(name, set())
+    return [f"{node.lineno} .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in foreign]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_private_field_of_another_modules_class(path):
+    assert _foreign_field_reads(path.name, _tree(path), _private_fields()) == []
+
+
+def test_the_private_name_checks_see_imports_and_field_reads():
+    fields = _private_fields()
+    assert {"_batch", "_basis", "_u_sq"} <= fields["space.py"]
+    tree = ast.parse("from .space import _exact_max_prefix, two_norm\n"
+                     "from ._dd import dd_add\n"
+                     "from enrichedfp.space import _screen\n"
+                     "ok = wset._basis\n")
+    assert _private_imports(tree) == ["_exact_max_prefix (line 1)", "_screen (line 3)"]
+    assert _foreign_field_reads("solver.py", tree, fields) == ["4 ._basis"]
+    assert _foreign_field_reads("space.py", tree, fields) == []

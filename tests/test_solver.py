@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import enrichedfp.solver as solver_module
 import enrichedfp.space as space_module
 from enrichedfp.analyzer import Provenance, certify
+from enrichedfp.cli import emit_trace_csv, report_text
 from enrichedfp.mapping import (
     Reflection,
     ScalarAffine,
@@ -413,11 +414,12 @@ def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kern
 
 def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkeypatch):
     # A local solve whose iterates stay well inside their ball calls the
-    # exact 2-norm once, for the displacement precondition: the float screen
-    # settles every ball test, x0's included.
+    # exact 2-norm once, for the displacement precondition (in solver): the
+    # float screen settles every ball test (in space), x0's included.
     calls = []
-    norm = solver_module.two_norm
-    monkeypatch.setattr(solver_module, "two_norm", lambda *a: calls.append(a) or norm(*a))
+    norm = space_module.two_norm
+    for module in (solver_module, space_module):
+        monkeypatch.setattr(module, "two_norm", lambda *a: calls.append(a) or norm(*a))
     space = gram_space(3)
     T = ScalarAffine(0.5, el(1, 0.5, -0.25))  # fixed point (2, 1, -0.5)
     rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.closed_form()), el(0, 0, 0),
@@ -427,9 +429,10 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
     assert len(calls) == 1
     # A contracting cross2 Picard run forms a cycle test's difference only
     # for a near-cycle, one the screen cannot tell from eps; every other
-    # period is settled from the squared differences.
+    # period is settled from the squared differences. The pair test
+    # (space.witness_gap_within) forms it with space.difference.
     formed, inside = [], []
-    detect, difference = solver_module.detect_cycle, solver_module._difference
+    detect, difference = solver_module.detect_cycle, space_module.difference
 
     def spy_detect(*a):
         inside.append(True)
@@ -439,7 +442,7 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
             inside.pop()
 
     monkeypatch.setattr(solver_module, "detect_cycle", spy_detect)
-    monkeypatch.setattr(solver_module, "_difference",
+    monkeypatch.setattr(space_module, "difference",
                         lambda a, b: (inside and formed.append((a, b))) or difference(a, b))
     rep = picard_solve(ScalarAffine(0.999, el(1, 0)), el(0.5, 0.25),
                        SolveConfig(tol=1e-14, max_iter=2000), SP)
@@ -483,6 +486,36 @@ def test_the_step_cycle_and_ball_tests_run_one_screen_body(space, monkeypatch):
         assert calls == [n] * 4
         calls.clear()
     assert decisions[0] == decisions[1] == (True, None, True)
+
+
+@pytest.mark.parametrize("space", [cross2_space()] + [gram_space(n) for n in range(3, 9)],
+                         ids=lambda s: f"{s.kind.value}{s.dimension}")
+def test_a_certified_solve_is_the_same_with_the_screen_deciding_nothing(
+        space, monkeypatch, tmp_path):
+    # With lam = 1/4 the residual of T at x_n is four times that of T_lam,
+    # so the convergence check misses at least once, clearly, before it
+    # passes: the pair test's screen can settle that miss. With the one
+    # screen body settling nothing, the report and trace keep every byte.
+    n = space.dimension
+    T = ScalarAffine(-0.8, el(*[1, -2, 0.5, 3, -0.25, 0, -1.5, 2][:n]))
+    cert = certify(3.0, 2.2, Provenance.closed_form())  # |b + c| = 2.2, d = 0.55
+    x0 = el(*[3, 1, -4, 1, 5, -9, 2, 6][:n])
+    answers = []
+    gap_within = solver_module.witness_gap_within
+    monkeypatch.setattr(solver_module, "witness_gap_within",
+                        lambda *a: answers.append(gap_within(*a)) or answers[-1])
+    body = space_module._screen
+    outputs = []
+    for screen in (body, lambda *a: None):
+        monkeypatch.setattr(space_module, "_screen", screen)
+        rep = krasnoselskij_solve(T, cert, x0, SolveConfig(tol=1e-12), space)
+        assert rep.status == SolveStatus.CONVERGED
+        trace = tmp_path / f"trace{len(outputs)}.csv"
+        emit_trace_csv(rep.trace, trace)
+        outputs.append((report_text(rep), trace.read_bytes()))
+        assert False in answers and answers[-1] is True
+        answers.clear()
+    assert outputs[0] == outputs[1]
 
 
 # --- local ball -------------------------------------------------------------------
@@ -587,6 +620,18 @@ def test_two_norm_ball_domain():
     rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                               SolveConfig(domain=ball), SP)
     assert rep.status == SolveStatus.CONVERGED
+
+
+@pytest.mark.parametrize("domain", [Box((-9,) * 3, (9,) * 3),
+                                    TwoNormBall(el(0, 0, 1), el(0, 0, 0), 5.0)],
+                         ids=["box", "ball"])
+def test_a_domain_of_another_dimension_is_refused_by_name(domain):
+    # Refused before any region test, with a message that names the domain.
+    cfg = SolveConfig(domain=domain)
+    with pytest.raises(ValueError, match="domain dimension 3 does not match the space"):
+        krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0), cfg, SP)
+    with pytest.raises(ValueError, match="domain dimension 3 does not match the space"):
+        picard_solve(Reflection(el(2, 0)), el(0, 0), cfg, SP)
 
 
 # --- map evaluations per iteration -------------------------------------------------

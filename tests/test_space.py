@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import enrichedfp.space as space_module
 from enrichedfp.solver import TwoNormBall
+from test_solver import cycle_cases
 from enrichedfp.space import (
     EPS,
     Box,
@@ -28,6 +29,7 @@ from enrichedfp.space import (
     two_norm,
     two_norm_batch,
     two_norm_screen,
+    witness_gap_within,
     witness_max_prefix,
     witness_norm_rows,
     witness_norms,
@@ -235,6 +237,13 @@ def test_open_ball_is_strict():
         TwoNormBall(u, c, 0.0, closed=False)
     with pytest.raises(ValueError):
         TwoNormBall(u, c, -1.0)
+
+
+def test_ball_refuses_a_direction_and_center_of_different_dimensions():
+    for u, c in ((el(0, 1), el(0, 0, 0)), (el(0, 0, 1), el(0, 0))):
+        with pytest.raises(ValueError, match=r"differ in dimension: (2 vs 3|3 vs 2)"):
+            TwoNormBall(u, c, 1.0)
+    assert TwoNormBall(el(0, 0, 1), el(0, 0, 0), 1.0).dimension == 3
 
 
 _BALL_SPACES = [cross2_space(), gram_space(3), gram_space(8)]
@@ -849,6 +858,51 @@ def _skewed_set(n):
     witnesses = [SpaceElement(tuple(float(i == j) + 0.5 * (j == (i + 1) % n)
                                     for j in range(n))) for i in range(n)]
     return WitnessSet(tuple(witnesses) + (el(*([1.0, -1.0] * n)[:n]),))
+
+
+# --- the pair test -------------------------------------------------------------------
+
+@st.composite
+def gap_cases(draw):
+    """(space, wset, a, b, limit) for witness_gap_within, on the standard
+    basis or a skewed set: either a screened case whose difference ``a - b``
+    is exactly its coordinates (a minus zero, 2v minus v, or zero minus -v),
+    so the sum-``2**800`` edges and the near limits reach the pair test
+    intact, or two iterates of an overflowing Picard orbit, whose norms are
+    NaN or whose differences overflow, against one of the cycle test's eps."""
+    if draw(st.integers(0, 2)) < 2:
+        space, coords, limit = draw(screen_cases())
+        zero = tuple(0.0 for _ in coords)
+        a, b = draw(st.sampled_from([
+            (coords, zero),
+            (tuple(2.0 * c for c in coords), coords),
+            (zero, tuple(-c for c in coords)),
+        ]))
+    else:
+        space, _, xs, _, limit = draw(
+            cycle_cases(kinds=("overflowing", "overflowing differences")))
+        a = draw(st.sampled_from(xs)).coords
+        b = draw(st.sampled_from(xs)).coords
+    n = space.dimension
+    wset = _skewed_set(n) if draw(st.booleans()) else standard_basis(n)
+    return space, wset, a, b, limit
+
+
+@given(gap_cases())
+@example((cross2_space(), standard_basis(2), (1e308, 0.0), (-1e308, 0.0), 1e-10))  # overflows
+@example((cross2_space(), _skewed_set(2), (1e308, 0.0), (-1e308, 0.0), math.inf))
+# Norms sqrt(5), sqrt(10), sqrt(13): the limit is a running max that a later
+# witness exceeds.
+@example((gram_space(3), standard_basis(3), (3.0, 2.0, 1.0), (0.0, 0.0, 0.0), math.sqrt(10.0)))
+@example((gram_space(2), standard_basis(2), (2e150, 5e149), (0.0, 0.0), 1.0))  # every norm NaN
+@example((gram_space(4), standard_basis(4), (2.0**399,) * 4, (0.0,) * 4, 1.0))  # sum 2**800
+@example((gram_space(4), standard_basis(4), _sum_guard_edges(4)[1], (0.0,) * 4, 1.0))
+@example((gram_space(8), _skewed_set(8), _sum_guard_edges(8)[1], (0.0,) * 8, 1.0))
+@settings(max_examples=500, deadline=None)
+def test_the_pair_test_decides_as_the_witness_residual_against_the_limit(case):
+    space, wset, a, b, limit = case
+    assert _outcome(lambda: witness_gap_within(space, wset, a, b, limit)) == _outcome(
+        lambda: witness_residual(space, wset, SpaceElement(a), SpaceElement(b)) <= limit)
 
 
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3), gram_space(8)],
