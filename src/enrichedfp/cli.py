@@ -35,12 +35,16 @@ but some trace row broke the certificate's a priori bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
+import numpy as np
+
+from ._dd import two_prod, two_sum
 from .analyzer import (
     EnrichedCertificate,
     NotCertifiableError,
@@ -129,6 +133,160 @@ def fmt_float(v: float) -> str:
 
 def _fmt_coords(coords: Sequence[float]) -> str:
     return ",".join(fmt_float(c) for c in coords)
+
+
+# --- the cell kernel: fmt_float over a whole float matrix at once -----------
+#
+# A cell x with 1e-280 <= |x| <= 1e280 has decade k = floor(log10|x|) and
+# 17 significant digits round(D), D = |x| 10^(16 - k) in [1e16, 1e17). D is
+# formed in double-double against 10^p = hi + lo (both correctly rounded, so
+# |hi + lo - 10^p| <= 2**-106 10^p), which puts the pair (s, t) = D within
+# about 2**-104 D < 1e-14 of the true product. s >= 1e16 > 2**53 is an
+# integer, so rint(t) (ties to even, as CPython's formatter) rounds D unless
+# D lies within 2**-30 of a tie. Those cells, those whose decade estimate is
+# off (s < 1e16, s == 1e16 with t < 0, or digits past 1e17), and cells out
+# of range, NaN and inf are hard: they take fmt_float itself. A carry to
+# exactly 1e17 reads 1e16 one decade up. The range keeps every Dekker split
+# and partial product of two_prod normal and finite, with -264 <= p <= 297.
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+_POW10_P_MIN, _POW10_P_MAX = -264, 297
+# A cell's slot is 28 bytes, seven uint32 words of four text bytes each:
+# (pad, sign, digit, "."), four words of four digits, ("e", sign, hundreds
+# or pad, tens) and (ones, ",", pad, pad). Zero bytes are padding, removed
+# after assembly; the tables are built as bytes, so no word order matters.
+_SLOT = 28
+# The exponent table covers -300 to 300; the kernel's exponents lie in -281 to 281.
+_EXP_OFFSET = 300
+
+# emit_trace_csv runs the kernel for traces of at least this many float
+# cells. Its fixed cost is about 70 us a call, so on the emit alone it draws
+# level with the row loop near 150 to 230 cells (a gram:8 trace cut to size:
+# 152 cells 179 against 165 us, 228 cells 193 against 214 us). In the
+# workloads' cycles a low crossover costs more than the emit shows, so it is
+# set from them: scenarios/s at seed 1 (median of 5 alternating 10 s runs of
+# perfbench, 2 vCPUs, Python 3.11, numpy 2.4; scenario-sweep's p50 in ms):
+#   crossover   long-solve   auto-certify   scenario-sweep (p50)
+#   150         363.0        1208           1231 (0.878)
+#   400         361.3        1205           1259 (0.821)
+#   1000        357.4        1201           1257 (0.792)
+# At 1000 no auto-certify or scenario-sweep trace reaches the kernel (their
+# largest hold 570 and 561 float cells); 110 of 120 long-solve traces do.
+_TRACE_KERNEL_MIN = 1000
+
+
+def _digit_words() -> np.ndarray:
+    """Entry i: the four digits of i, built from the ten digit bytes (built
+    by integer division of 0..9999, the table raised peak RSS by 1.1 MB)."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    return np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+
+def _exponent_words(digits4: np.ndarray) -> np.ndarray:
+    """Entry k + _EXP_OFFSET: the eight bytes "e", sign, hundreds or pad,
+    tens, ones, ",", pad, pad, as one uint64: the slot's last two words."""
+    k = np.arange(-_EXP_OFFSET, _EXP_OFFSET + 1)
+    a = np.abs(k)
+    b = np.zeros((k.size, 8), np.uint8)
+    b[:, 0] = ord("e")
+    b[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    b[:, 2:5] = digits4[a].view(np.uint8).reshape(-1, 4)[:, 1:]
+    b[a < 100, 2] = 0
+    b[:, 5] = ord(",")
+    return b.view(np.uint64).ravel()
+
+
+def _lead_words() -> np.ndarray:
+    """Entry neg * 10 + d: (pad, "-" if neg else pad, the digit d, ".")."""
+    b = np.zeros((20, 4), np.uint8)
+    b[10:, 1] = ord("-")
+    b[:, 2] = np.tile(np.arange(ord("0"), ord("9") + 1), 2)
+    b[:, 3] = ord(".")
+    return b.view(np.uint32).ravel()
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lead, four-digit and exponent words, and a ``(2, 562)`` array of
+    10^p as (hi, lo) at column p - _POW10_P_MIN, NaN until a cell needs that
+    p. Built on the kernel's first call: each numpy routine first run at
+    import raised the peak RSS of every run by about 0.1 MB, kernel or not."""
+    digits4 = _digit_words()
+    return (_lead_words(), digits4, _exponent_words(digits4),
+            np.full((2, _POW10_P_MAX - _POW10_P_MIN + 1), np.nan))
+
+
+def _pow10_pair(p: int) -> tuple[float, float]:
+    """10^p as (hi, lo), each correctly rounded: int true division rounds so."""
+    if p >= 0:
+        n = 10**p
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-p
+    hi = 1 / d
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _pow10_dd(pow10: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` of 10^p for each p, from the memo ``pow10``, filled as needed."""
+    i = p - _POW10_P_MIN
+    hi = pow10[0, i]
+    missing = np.isnan(hi)
+    if missing.any():
+        for q in set(p[missing].tolist()):
+            pow10[:, q - _POW10_P_MIN] = _pow10_pair(q)
+        hi = pow10[0, i]
+    return hi, pow10[1, i]
+
+
+def _decimal_digits(x: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each cell of the flat array x: its 17 significant digits as one
+    integer (0 for zero), its decade, and whether it is hard, so that its
+    digits are not proved. See the kernel notes above ``_KERNEL_MIN``."""
+    ax = np.abs(x)
+    fast = (ax >= _KERNEL_MIN) & (ax <= _KERNEL_MAX)
+    xe = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(xe)).astype(np.int64)
+    hi, lo = _pow10_dd(pow10, 16 - k)
+    p, e = two_prod(xe, hi)
+    s, t = two_sum(p, e + xe * lo)
+    r = np.rint(t)
+    digits = s.astype(np.int64) + r.astype(np.int64)
+    hard = ((~fast & (ax != 0.0)) | (0.5 - np.abs(t - r) < 2.0**-30) | (s < 1e16)
+            | ((s == 1e16) & (t < 0.0)) | (digits > 10**17))
+    top = digits == 10**17
+    digits[top] = 10**16
+    k += top
+    digits[hard | (ax == 0.0)] = 0
+    return digits, k, hard
+
+
+def _float_rows(table: np.ndarray) -> np.ndarray:
+    """The cells of a ``(rows, cells)`` float64 array as ``(rows, cells * 28)``
+    uint8 text: each row is ``",".join(map(fmt_float, row)) + "\\n"`` once the
+    zero bytes are removed, every hard cell written by fmt_float itself."""
+    lead_words, digit_words, exponent_words, pow10 = _kernel_tables()
+    rows, cells = table.shape
+    x = table.ravel()
+    digits, k, hard = _decimal_digits(x, pow10)
+    # digits = lead 10^16 + high 10^8 + low, each half four-digit groups.
+    upper = digits // 10**8
+    lead = upper // 10**8
+    halves = np.stack([upper - lead * 10**8, digits - upper * 10**8], axis=1)
+    top4 = halves // 10**4
+    out = np.empty((x.size, _SLOT // 4), np.uint32)
+    out[:, 0] = lead_words[lead + 10 * np.signbit(x)]
+    out[:, 1:5] = digit_words[np.stack([top4, halves - top4 * 10**4], axis=2).reshape(-1, 4)]
+    out[:, 5:] = exponent_words[k + _EXP_OFFSET].view(np.uint32).reshape(-1, 2)
+    text = out.view(np.uint8)
+    idx = np.flatnonzero(hard)
+    if idx.size:
+        fallback = b"".join(fmt_float(v).encode().ljust(25, b"\0") + b",\0\0"
+                            for v in x[idx].tolist())
+        text[idx] = np.frombuffer(fallback, np.uint8).reshape(-1, _SLOT)
+    text = text.reshape(rows, cells, _SLOT)
+    text[:, -1, 25] = ord("\n")
+    return text.reshape(rows, cells * _SLOT)
 
 
 class ScenarioError(ValueError):
@@ -614,22 +772,37 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
 
     Columns: n, the coordinates, step and fixed-point residuals, the a priori
     bound, then one step-residual column per witness (zero on row 0); the
-    witness count is that of the first row's ``witness_steps``. Each row is
-    filled by one ``str.format`` call on a format string built once per
-    trace, with :func:`fmt_float`'s ``_FLOAT_CELL`` in every float cell, so
-    the bytes are those of a per-cell ``fmt_float`` join.
+    witness count is that of the first row's ``witness_steps``. The bytes
+    are those of a per-cell :func:`fmt_float` join, written one of two ways.
+    A trace of fewer than 1000 float cells (``_TRACE_KERNEL_MIN``) fills
+    each row by one ``str.format`` call on a format string built once per
+    trace, with ``_FLOAT_CELL`` in every float cell. A longer one goes
+    through the cell kernel: the float cells as one matrix, whose 17 digits
+    are computed for every cell at once and written into fixed byte slots,
+    with ``fmt_float`` itself for each cell the kernel cannot prove (see the
+    notes above ``_KERNEL_MIN``).
     """
     if not trace:
         raise ValueError("refusing to emit an empty trace")
     dim = trace[0].x.dim
     k = len(trace[0].witness_steps)
-    lines = [_trace_header(dim, k)]
-    row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * (dim + 3 + k))
-    for row in trace:
-        lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
-                                    row.fixed_residual, row.apriori_bound,
-                                    *row.witness_steps))
-    _write_lines(path, lines)
+    header = _trace_header(dim, k)
+    if len(trace) * (dim + 3 + k) < _TRACE_KERNEL_MIN:
+        lines = [header]
+        row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * (dim + 3 + k))
+        for row in trace:
+            lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
+                                        row.fixed_residual, row.apriori_bound,
+                                        *row.witness_steps))
+        _write_lines(path, lines)
+        return
+    table = np.array([(*row.x.coords, row.step_residual, row.fixed_residual,
+                       row.apriori_bound, *row.witness_steps) for row in trace], dtype=float)
+    # "n," in a zero-padded fixed-width column, then the float slots.
+    first = np.array([f"{row.n}," for row in trace], dtype="S").view(np.uint8)
+    body = np.concatenate([first.reshape(len(trace), -1), _float_rows(table)],
+                          axis=1).tobytes()
+    Path(path).write_bytes(header.encode() + b"\n" + body.translate(None, b"\0"))
 
 
 def _trace_header(dim: int, witness_count: int) -> str:

@@ -240,13 +240,16 @@ def _solve_core(
     if cfg.domain is not None and cfg.domain.dimension != space.dimension:
         raise ValueError(f"domain dimension {cfg.domain.dimension} does not match "
                          f"the space ({space.dimension})")
+    cert_box = cert.provenance.box if cert is not None else None
+    if cert_box is not None and cert_box.dimension != space.dimension:
+        raise ValueError(f"certificate box dimension {cert_box.dimension} does not match "
+                         f"the space ({space.dimension})")
     wset = cfg.witness_set(space)
     lam = cert.lam if cert is not None else 1.0
     Tlam = averaged(T, lam)
     threshold = aposteriori_step_threshold(cert, cfg.tol) if cert is not None else cfg.tol
     regions: list[Union[Box, TwoNormBall]] = [cfg.domain] if cfg.domain is not None else []
     # A certificate that holds only on a box confines the run to that box.
-    cert_box = cert.provenance.box if cert is not None else None
     if cert_box is not None:
         regions.append(cert_box)
 

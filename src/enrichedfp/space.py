@@ -42,7 +42,10 @@ the rest. Its one decision body, ``_screen``, holds the forward-error model:
 the error bound, the margin and the guards. Its two entry points are
 :func:`two_norm_screen`, ``||v, u||`` against a radius, for the ball; and
 :func:`basis_screen`, the same test at ``u = e_j`` on the standard basis,
-which only ever answers "past the limit", for the step and pair tests.
+for the step and pair tests. The step takes only its "past the limit"
+answer, since a pass must return the max itself; the pair test takes both,
+so a clear pass, such as a converged run's confirmation, runs no exact
+kernel either.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
 (the standard basis, however it was written), takes a closed form in both
@@ -487,27 +490,31 @@ def _screen(n: int, a: float, r: float, radius: float) -> Optional[bool]:
 
 def basis_screen(
     space: TwoNormSpace, wset: WitnessSet, sq: Sequence[float], limit: float
-) -> bool:
-    """True where ``max_j ||v, e_j|| > limit`` is clear-cut on the standard basis.
+) -> Optional[bool]:
+    """Whether ``max_j ||v, e_j|| < limit`` on the standard basis, where the
+    float screen can tell; None where it cannot.
 
     ``sq`` holds the squares ``v_i * v_i`` of all ``space.dimension``
     coordinates of v. There ``||v, e_j||^2 = |v|^2 - v_j^2``, so the
     squared max norm is :func:`two_norm_screen`'s ``R*`` at ``u = e_j``,
     with j the index of the smallest square: there ``fl(|u|^2) = 1`` and
     ``fl(<v, u>) = v_j`` exactly, so ``a = sum(sq)`` and ``r = a -
-    min(sq)`` are that screen's, its error bound holds as it stands, and
-    True is :func:`_screen`'s "outside". Every product is a square, so
-    underflow moves ``r`` by at most ``n 2**-1075``, and ``a < 2**800``
-    keeps every ``|v_i| < 2**400``, where no kernel overflows. A NaN or
-    infinite square fails that guard, so True also means every ``v_i`` is
-    finite: a difference that overflowed is never screened away. False
-    settles nothing, and so does a set other than the standard basis.
+    min(sq)`` are that screen's, its error bound holds as it stands, and the
+    answer is :func:`_screen`'s. False (past the limit) holds for that one
+    witness. True (inside) holds for every witness: each exact ``R*_j`` is
+    at most ``R*`` at the smallest square, and the kernel's error bound is
+    the same for every j, since ``M = |v|^2`` for each. Every product is a
+    square, so underflow moves ``r`` by at most ``n 2**-1075``, and ``a <
+    2**800`` keeps every ``|v_i| < 2**400``, where no kernel overflows. A
+    NaN or infinite square fails that guard, so an answer also means every
+    ``v_i`` is finite: a difference that overflowed is never screened away.
+    A set other than the standard basis gets None.
     """
     n = space.dimension
     if wset._basis and len(wset.witnesses) == len(sq) == n:
         a = sum(sq)
-        return _screen(n, a, a - min(sq), limit) is False
-    return False
+        return _screen(n, a, a - min(sq), limit)
+    return None
 
 
 def witness_max_prefix(
@@ -519,7 +526,8 @@ def witness_max_prefix(
     On the standard basis, of ``gram`` or ``cross2``, the float screen
     runs first, through :func:`basis_screen` on the squares ``v_i * v_i``,
     and returns ``math.inf`` where it settles "past the limit"; it answers
-    only that, and only where the exact kernel does too.
+    only that (an "inside" answer would not give the max itself), and only
+    where the exact kernel does too.
 
     Otherwise, and on every other set, the exact kernel runs: it keeps the
     running value of Python's ``max`` in witness order and returns it as
@@ -528,7 +536,7 @@ def witness_max_prefix(
     exactly when the full max is; every result ``<= limit`` is the full max
     itself, and a NaN first norm stays NaN, as in ``max``.
     """
-    if wset._basis and basis_screen(space, wset, [a * a for a in v], limit):
+    if wset._basis and basis_screen(space, wset, [a * a for a in v], limit) is False:
         return math.inf
     return _exact_max_prefix(space, wset, v, limit)
 
@@ -559,14 +567,15 @@ def witness_gap_within(
     SpaceElement(b)) <= limit`` does, NaN included, and raises
     :class:`NonFiniteError` wherever that subtraction does. On the standard
     basis, the one set it covers, :func:`basis_screen` first settles a
-    clear miss from the squared differences, with no difference list (it
-    answers only where every difference is finite); the rest run the exact
-    kernel of :func:`witness_max_prefix`, not screened a second time.
+    clear miss or a clear pass from the squared differences, with no
+    difference list (it answers only where every difference is finite, so
+    no ``NonFiniteError`` is screened away); the rest run the exact kernel
+    of :func:`witness_max_prefix`, not screened a second time.
     """
-    if wset._basis and len(a) == len(b) and basis_screen(
-        space, wset, [d * d for d in map(operator.sub, a, b)], limit
-    ):
-        return False
+    if wset._basis and len(a) == len(b):
+        within = basis_screen(space, wset, [d * d for d in map(operator.sub, a, b)], limit)
+        if within is not None:
+            return within
     return _exact_max_prefix(space, wset, difference(a, b), limit) <= limit
 
 

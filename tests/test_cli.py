@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -474,6 +476,170 @@ def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
 def test_emit_trace_csv_refuses_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_trace_csv((), tmp_path / "x.csv")
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _fmt_join(table):
+    """The text fmt_float gives a matrix: one comma-joined line per row."""
+    return "".join(",".join(map(fmt_float, row)) + "\n" for row in table).encode()
+
+
+def _kernel_text(table):
+    return cli._float_rows(np.array(table, dtype=float)).tobytes().translate(None, b"\0")
+
+
+@st.composite
+def _decimal_ties(draw):
+    # x = m 2**-k is m 5**k / 10**k exactly: with m odd and m 5**k an
+    # 18-digit integer, its last digit is a 5, so x lies exactly halfway
+    # between two 17-digit decimals. k from 2 to 25 keeps m within 2**53.
+    k = draw(st.integers(2, 25))
+    lo, hi = -(-10**17 // 5**k), min(2**53, (10**18 - 1) // 5**k)
+    m = draw(st.integers(lo, hi)) | 1
+    if m > hi:
+        m -= 2
+    exact = m * 5**k
+    assert len(str(exact)) == 18 and exact % 10 == 5
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(m, -k)
+
+
+def _decades(k):
+    p = float(f"1e{k}")
+    return [p, math.nextafter(p, math.inf), math.nextafter(p, 0.0), 10.0**k]
+
+
+_KERNEL_EDGES = [1e-280, 1e280, math.nextafter(1e-280, 0.0), math.nextafter(1e280, math.inf),
+                 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 math.inf, -math.inf, math.nan]
+
+_cells = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),                      # every bit pattern
+    st.integers(1, 2**52 - 1).map(_double),                      # subnormals
+    st.sampled_from(_KERNEL_EDGES),
+    st.integers(-323, 308).flatmap(lambda k: st.sampled_from(_decades(k))),
+    st.floats(1e100, 1.7976931348623157e308) | st.floats(5e-324, 1e-100),  # 3-digit exponents
+    _decimal_ties(),
+    st.floats(allow_nan=True, allow_infinity=True),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@given(st.lists(_cells, min_size=1, max_size=48), st.integers(1, 8))
+@settings(max_examples=400, deadline=None)
+def test_the_cell_kernel_writes_fmt_float_of_every_cell(cells, width):
+    # Each cell's text is fmt_float's, hard cells (near ties, a decade
+    # estimate off, out of range, NaN, inf) included: rows joined by commas.
+    rows = [cells[i : i + width] for i in range(0, len(cells) - width + 1, width)]
+    rows = rows or [cells]
+    assert _kernel_text(rows) == _fmt_join(rows)
+
+
+def test_the_cell_kernel_matches_fmt_float_on_every_decade_and_tie():
+    rng = random.Random(27)
+    cells = [c for k in range(-323, 309) for c in _decades(k)] + _KERNEL_EDGES
+    for k in range(2, 26):  # decimal ties, as _decimal_ties draws them, and neighbours
+        lo, hi = -(-10**17 // 5**k), min(2**53, (10**18 - 1) // 5**k)
+        for _ in range(40):
+            x = math.ldexp(rng.randrange(lo, hi) | 1, -k)
+            cells += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    cells += [_double(rng.getrandbits(64)) for _ in range(20_000)]
+    cells += [-c for c in cells]
+    cells = cells[: len(cells) // 19 * 19]
+    rows = [cells[i : i + 19] for i in range(0, len(cells), 19)]
+    assert _kernel_text(rows) == _fmt_join(rows)
+
+
+def _near_ties(q):
+    """Floats x with x / 10**q = N + 1/2 +- 1 / (2 5**q), N a 17-digit integer:
+    within 2**-30 of a tie between two 17-digit decimals, and not on one."""
+    mod, found = 5**q, []
+    for c in ((mod + 1) // 2, (mod - 1) // 2):  # the fraction of x / 10**q is c / 5**q
+        for e in range(q + 1, 200):  # x = m 2**e with m 2**(e - q) = c (mod 5**q)
+            m = c * pow(2, q - e, mod) % mod
+            m += mod * max(0, -(-(2**52 - m) // mod))
+            if m < 2**53 and 10**(16 + q) <= m * 2**e < 10**(17 + q):
+                found.append(math.ldexp(m, e))
+    return found
+
+
+def test_the_cell_kernel_leaves_every_cell_near_a_tie_to_fmt_float(monkeypatch):
+    # The kernel's digits are off by up to about 2**-104 of the value, so it
+    # proves no cell within 2**-30 of a decimal tie: fmt_float, CPython's
+    # own rounding, writes those. Exact ties and ties off by 1 / (2 5**q)
+    # go there; cells clear of a tie do not.
+    rng = random.Random(5)
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min(2**53, (10**18 - 1) // 5**k)
+        ties += [math.ldexp(m, -k) for m in {rng.randrange(lo, hi + 1) | 1 for _ in range(8)}
+                 if m <= hi]
+    near = [x for q in range(18, 23) for x in _near_ties(q)]
+    assert len(near) >= 20
+    clear = [1.5, 0.1, 1e-5, 123.456, 2.0**-20, 6.02214076e23, 1.602176634e-19]
+    routed = []
+    fmt = cli.fmt_float
+    monkeypatch.setattr(cli, "fmt_float", lambda v: routed.append(v) or fmt(v))
+    cells = [c for x in ties + near + clear for c in (x, -x)]
+    assert _kernel_text([cells]) == _fmt_join([cells])
+    assert sorted(routed) == sorted(c for x in ties + near for c in (x, -x))
+
+
+def test_emit_trace_csv_above_the_crossover_is_a_per_cell_fmt_float_join(tmp_path,
+                                                                         monkeypatch):
+    # gram:8 rows hold 19 float cells: 60 rows are past the crossover, so the
+    # kernel writes them, NaN bounds, infinities, ties and subnormals included.
+    rng = random.Random(8)
+    specials = _KERNEL_EDGES + [math.ldexp(4503599627370497, -2), 1e-5, 1e22, 1e23]
+    dim = 8
+
+    def cell(pool=specials):
+        if rng.random() < 0.2:
+            return rng.choice(pool)
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 5)
+
+    finite = [c for c in specials if math.isfinite(c)]  # a point's coordinates
+    rows = tuple(
+        TraceRow(n, SpaceElement(tuple(cell(finite) for _ in range(dim))), cell(), cell(),
+                 cell(), tuple(cell() for _ in range(dim)))
+        for n in range(60)
+    )
+    assert len(rows) * (2 * dim + 3) >= cli._TRACE_KERNEL_MIN
+    calls = []
+    kernel = cli._float_rows
+    monkeypatch.setattr(cli, "_float_rows",
+                        lambda table: calls.append(table.shape) or kernel(table))
+    path = tmp_path / "t.csv"
+    emit_trace_csv(rows, path)
+    assert calls == [(60, 2 * dim + 3)]
+    want = [",".join(["n"] + [f"x_{i}" for i in range(dim)]
+                     + ["step_residual", "fixed_residual", "apriori_bound"]
+                     + [f"res_w{j}" for j in range(dim)])]
+    for r in rows:
+        cells = [*r.x.coords, r.step_residual, r.fixed_residual, r.apriori_bound,
+                 *r.witness_steps]
+        want.append(",".join([str(r.n)] + [fmt_float(c) for c in cells]))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    # One row short of the crossover's cells, the row loop writes the same bytes.
+    calls.clear()
+    short = rows[: -(-cli._TRACE_KERNEL_MIN // (2 * dim + 3)) - 1]
+    emit_trace_csv(short, path)
+    assert calls == []
+    assert path.read_bytes() == ("\n".join(want[: len(short) + 1]) + "\n").encode()
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    # The kernel's tables come from numpy and 10**p from int arithmetic: an
+    # import of fractions (and with it decimal) raised peak RSS by 1.5 MB.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, enrichedfp.cli\n"
+            "print(sorted({'fractions', 'decimal', '_pydecimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_trace_csv_bound_column_recomputable(tmp_path):

@@ -400,7 +400,8 @@ def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kern
     assert rep.status == SolveStatus.MAX_ITER and rep.iterations == 2000
     assert len(entered) == 2
     # A step at the threshold still takes the exact kernel: the converging
-    # step, then the two residuals of the convergence check.
+    # step. The two residuals of the convergence check are clear passes,
+    # which the pair test's screen settles.
     entered.clear()
     space = gram_space(8)
     T = ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2))
@@ -408,7 +409,7 @@ def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kern
     rep = krasnoselskij_solve(T, cert, el(3, 1, -4, 1, 5, -9, 2, 6), SolveConfig(tol=1e-12),
                               space)
     assert rep.status == SolveStatus.CONVERGED and rep.iterations == 38
-    assert len(entered) == 2 + 3
+    assert len(entered) == 2 + 1
     assert_trace_matches_scalar_kernel(T, rep, standard_basis(8), space)
 
 
@@ -429,8 +430,9 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
     assert len(calls) == 1
     # A contracting cross2 Picard run forms a cycle test's difference only
     # for a near-cycle, one the screen cannot tell from eps; every other
-    # period is settled from the squared differences. The pair test
-    # (space.witness_gap_within) forms it with space.difference.
+    # period, a clear cycle included, is settled from the squared
+    # differences. The pair test (space.witness_gap_within) forms it with
+    # space.difference.
     formed, inside = [], []
     detect, difference = solver_module.detect_cycle, space_module.difference
 
@@ -448,9 +450,13 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
                        SolveConfig(tol=1e-14, max_iter=2000), SP)
     assert rep.status == SolveStatus.MAX_ITER and formed == []
     # x -> -0.9 x + (1, 0) alternates around its fixed point, so once the
-    # step is a few tol, x_n - x_{n-2} = step / 9 comes within tol.
-    eps = 1e-12
-    rep = picard_solve(ScalarAffine(-0.9, el(1, 0)), el(0.5, 0.25), SolveConfig(tol=eps), SP)
+    # step is a few tol, x_n - x_{n-2} = step / 9 comes within tol: clearly
+    # within 1e-12, and exactly within a tol set to that very gap.
+    T = ScalarAffine(-0.9, el(1, 0))
+    rep = picard_solve(T, el(0.5, 0.25), SolveConfig(tol=1e-12), SP)
+    assert rep.status == SolveStatus.OSCILLATION and rep.period == 2 and formed == []
+    eps = witness_residual(SP, WIT, rep.trace[-1].x, rep.trace[-3].x)
+    rep = picard_solve(T, el(0.5, 0.25), SolveConfig(tol=eps), SP)
     assert rep.status == SolveStatus.OSCILLATION and rep.period == 2
     assert formed
     for a, b in formed:
@@ -632,6 +638,18 @@ def test_a_domain_of_another_dimension_is_refused_by_name(domain):
         krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0), cfg, SP)
     with pytest.raises(ValueError, match="domain dimension 3 does not match the space"):
         picard_solve(Reflection(el(2, 0)), el(0, 0), cfg, SP)
+
+
+def test_a_certificate_box_of_another_dimension_is_refused_by_name():
+    # Refused beside the domain check, naming both dimensions, not at x0's
+    # region test with zip's "argument 2 is shorter than argument 1".
+    cert = certify(0.5, 0.5, Provenance.closed_form(Box((-9.0,) * 3, (9.0,) * 3)))
+    match = r"certificate box dimension 3 does not match the space \(2\)"
+    with pytest.raises(ValueError, match=match):
+        krasnoselskij_solve(Reflection(el(2, 0)), cert, el(0, 0), SolveConfig(), SP)
+    with pytest.raises(ValueError, match=match):
+        local_ball_solve(Reflection(el(2, 0)), cert, el(0, 0), el(1, 1), 1.0,
+                         SolveConfig(), SP)
 
 
 # --- map evaluations per iteration -------------------------------------------------

@@ -779,7 +779,7 @@ def test_basis_screen_is_the_ball_screen_at_the_smallest_square(case):
     # On the standard basis max_j ||v, e_j||^2 = |v|^2 - min_j v_j^2, which
     # is two_norm_screen's R at u = e_j, j the index of the smallest square:
     # both entry points hand the one body the same a and r, so basis_screen
-    # says "past the limit" exactly where two_norm_screen says "outside".
+    # answers as two_norm_screen does: outside, inside or undecided.
     space, coords, limit = case
     n = space.dimension
     # Below two_norm_screen's own guard on |v|^2: a case past it is scaled
@@ -794,8 +794,8 @@ def test_basis_screen_is_the_ball_screen_at_the_smallest_square(case):
     full = max(witness_norms(space, standard_basis(n), SpaceElement(coords)))
     # The case's limit, and limits clear of the max norm on either side.
     for lim in (limit, full * 0.5, full * (1.0 - 2.0**-20), full * (1.0 + 2.0**-20), full * 2.0):
-        outside = two_norm_screen(space, coords, e_j, 1.0, lim) is False
-        assert basis_screen(space, standard_basis(n), sq, lim) == outside
+        ball = two_norm_screen(space, coords, e_j, 1.0, lim)
+        assert basis_screen(space, standard_basis(n), sq, lim) is ball
 
 
 def test_a_clear_cut_step_on_the_basis_runs_no_exact_kernel(monkeypatch):
