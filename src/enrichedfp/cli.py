@@ -771,8 +771,9 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
     """Write the trace rows as CSV: one row per iterate, 17-digit floats, LF ends.
 
     Columns: n, the coordinates, step and fixed-point residuals, the a priori
-    bound, then one step-residual column per witness (zero on row 0); the
-    witness count is that of the first row's ``witness_steps``. The bytes
+    bound, then one step-residual column per witness (zero on row 0). A row
+    whose coordinate or witness count differs from the first row's is refused
+    with a ``ValueError`` naming it, before anything is written. The bytes
     are those of a per-cell :func:`fmt_float` join, written one of two ways.
     A trace of fewer than 1000 float cells (``_TRACE_KERNEL_MIN``) fills
     each row by one ``str.format`` call on a format string built once per
@@ -786,6 +787,10 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
         raise ValueError("refusing to emit an empty trace")
     dim = trace[0].x.dim
     k = len(trace[0].witness_steps)
+    for n, row in enumerate(trace):
+        if len(row.x.coords) != dim or len(row.witness_steps) != k:
+            raise ValueError(f"trace row {n} has {row.x.dim} coordinates and "
+                             f"{len(row.witness_steps)} witness steps, row 0 has {dim} and {k}")
     header = _trace_header(dim, k)
     if len(trace) * (dim + 3 + k) < _TRACE_KERNEL_MIN:
         lines = [header]

@@ -32,15 +32,19 @@ the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
 the Picard cycle test on ``x_n - x_{n-p}``, and the region tests. Each asks
 ``space`` whether a residual is past a bound, and ``space`` alone decides
 how, exactly as the full residual would: the step through
-``witness_max_prefix``, since the trace keeps that difference; every other
-residual through the pair test ``witness_gap_within``; a region through its
-own ``contains``. The loop never sees a screen. The differences it keeps are
-coordinate lists (``space.difference``); one that overflows ends the run
-Diverged, as ``SpaceElement`` subtraction would.
+``witness_max_prefix``, every other residual through the pair test
+``witness_gap_within`` and a region through its own ``contains``. The loop
+never sees a screen. It keeps the iterates and the coordinates of each
+``T x_n``, and forms only the step ``x_n - x_{n-1}``, as a coordinate list
+(``space.difference``); one that overflows ends the run Diverged, as
+``SpaceElement`` subtraction would.
 
-The trace columns and the post-hoc bound check are evaluated after the loop
-in one ``space.witness_norm_rows`` pass, bit for bit what a per-iteration
-evaluation gives.
+After the loop the step rows, the fixed-point rows ``T x_n - x_n`` and the
+gaps to a certified fixed point are subtracted from the iterate arrays, the
+same IEEE subtractions, and the trace columns and the post-hoc bound check
+come from one ``space.witness_norm_rows`` pass over them, bit for bit what a
+per-iteration evaluation gives. A fixed-point row that overflows ends the run
+Diverged at the iterate before it, as forming it in the loop would have.
 """
 
 from __future__ import annotations
@@ -257,13 +261,11 @@ def _solve_core(
     period: Optional[int] = None
     epsilon: Optional[float] = None
     precondition: Optional[tuple[float, float]] = None
-    # Row n of the trace is x_n with v_n = x_n - x_{n-1} and d_n = T x_n - x_n
-    # (row 0 has no v_0 or d_0), the two differences kept as coordinate
-    # lists; the loop tests only the stopping rule and, for Picard, cycles,
-    # and every column is evaluated after it in one witness_norm_rows call.
+    # Row n of the trace is x_n; the loop keeps x_n and the coordinates of
+    # T x_n (n >= 1), tests only the stopping rule and, for Picard, cycles,
+    # and every column is evaluated after it from those two arrays.
     xs: list[SpaceElement] = []
-    vs: list[list[float]] = []
-    ds: list[list[float]] = []
+    ts: list[tuple[float, ...]] = []
     f0 = math.nan
     x_star: Optional[SpaceElement] = None
     iterations = 0
@@ -311,10 +313,8 @@ def _solve_core(
                 x_n = Tlam.combine(x_prev, t_n)
                 v_n = difference(x_n.coords, x_prev.coords)
                 t_n = T.apply(x_n)
-                d_n = difference(t_n.coords, x_n.coords)
                 xs.append(x_n)
-                vs.append(v_n)
-                ds.append(d_n)
+                ts.append(t_n.coords)
                 iterations = n
 
                 if regions and not all(r.contains(space, x_n) for r in regions):
@@ -346,6 +346,23 @@ def _solve_core(
         # A point overflowed: the iteration diverges, whatever the certificate
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
+    # The trace's rows, each the IEEE subtraction of space.difference and
+    # SpaceElement's: the steps x_n - x_{n-1} (finite: the loop formed them),
+    # D = T x_n - x_n (n >= 1) and, for a certified fixed point, the gaps
+    # x_n - x_star for the bound check (one that overflows becomes inf). D's
+    # first overflowed row r ends the run Diverged at x_{r-1}, as forming it in
+    # the loop would have, whatever the loop went on to find.
+    X = np.array([x.coords for x in xs], dtype=float).reshape(-1, space.dimension)
+    with np.errstate(over="ignore"):
+        D = np.array(ts, dtype=float).reshape(-1, space.dimension) - X[1:]
+        if not np.isfinite(D).all():
+            cut = int(np.isfinite(D).all(axis=1).argmin()) + 1  # r
+            xs, X, D = xs[:cut], X[:cut], D[: cut - 1]
+            iterations = cut - 1
+            status = SolveStatus.DIVERGED
+            x_star = period = None
+        certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
+        gaps = X - x_star.coords if certified else X[:0]
     left_certificate_box = False
     if (status == SolveStatus.LEFT_DOMAIN and cert_box is not None
             and not cert_box.contains(space, xs[-1])):
@@ -356,21 +373,11 @@ def _solve_core(
         left_certificate_box = all(r.contains(space, xs[-1])
                                    for r in regions if r is not cert_box)
 
-    # One pass over the trace: the step rows, the fixed-point rows and, for a
-    # certified fixed point, each row's distance to it for the bound check.
-    # The gaps x_n - x_star are one numpy subtraction, elementwise the same
-    # IEEE subtraction as SpaceElement's; a gap that overflows becomes inf.
-    certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
-    m = len(vs)
-    block = np.array(vs + ds + ([x.coords for x in xs] if certified else []),
-                     dtype=float).reshape(-1, space.dimension)
-    if certified:
-        with np.errstate(over="ignore", invalid="ignore"):
-            block[2 * m :] -= x_star.coords
-    norm_rows = witness_norm_rows(space, wset, block)
+    m = len(D)
+    norms = witness_norm_rows(space, wset, np.concatenate([X[1:] - X[:-1], D, gaps]))
     zeros = tuple(0.0 for _ in wset.witnesses)
-    witness_steps = [zeros] + norm_rows[:m]
-    fixed = [f0] + [max(r) for r in norm_rows[m : 2 * m]]
+    witness_steps = [zeros, *map(tuple, norms[:m].tolist())]
+    fixed = [f0, *map(max, norms[m : 2 * m].tolist())]
     base = max(witness_steps[1]) if m else 0.0
     # The a priori column is apriori_bound(cert, n, base) on every row, bit for
     # bit: the same expression, with d and 1 - d read once per run.
@@ -386,13 +393,11 @@ def _solve_core(
     bound_violations = 0
     if certified:
         # Post-hoc check of the tail bound against the returned fixed point.
-        slack = 1e-12 * max(1.0, base)
-        # A row passes only when every witness gap is within the bound, so a
-        # NaN gap (an overflowed x_n - x_star) or a NaN bound is a violation.
-        for bound, gap in zip(bounds, norm_rows[2 * m :]):
-            limit = bound + slack
-            if not all(g <= limit for g in gap):
-                bound_violations += 1
+        # A row passes only when every witness gap is within bound + slack, so
+        # a NaN gap (an overflowed x_n - x_star) or a NaN bound is a violation.
+        limits = np.array(bounds) + 1e-12 * max(1.0, base)
+        failed = ~(norms[2 * m :] <= limits[:, None]).all(axis=1)
+        bound_violations = int(failed.sum())
         if bound_violations:
             # The run met tol, but not the tail bound its certificate promised,
             # so the certificate is wrong for this run: never report Converged.

@@ -629,33 +629,36 @@ _ROWS_BATCH_SLICE = 4096
 
 def witness_norm_rows(
     space: TwoNormSpace, wset: WitnessSet, vectors: np.ndarray
-) -> list[tuple[float, ...]]:
+) -> np.ndarray:
     """``witness_norms(space, wset, v)`` for every row v, equal to it bit for bit.
 
-    ``vectors`` is an ``(N, n)`` float array. Rows that cost fewer than 24
-    kernel calls (see ``_ROWS_BATCH_MIN``) go through :func:`witness_norms`
-    one at a time, as elements of Python floats; more, and any array with an
-    inf or NaN, which no element can hold, go through one
-    :func:`two_norm_batch` call per slice, on the slice's ``(k, 1, n)``
-    rows against the set's ``(1, m, n)`` witness array. That is the scalar
-    kernel run on arrays; it forms each ``|v|^2`` and each ``|z|^2`` once
-    per call. On ``gram`` against the standard basis each slice runs
-    ``_gram_basis_radicands`` instead, the scalar closed form itself, on the
-    rows of ``chunk.T`` (one array per coordinate), with no witness array. A
-    vector that overflows the kernel (``|v|`` past about 1.2e150 on
-    ``gram``, coordinates past about 1.3e300 on ``cross2``) gets NaN on both
-    paths, and numpy's overflow warnings are silenced, as Python float
-    arithmetic gives none.
+    ``vectors`` is an ``(N, n)`` float array; the result is the ``(N, m)``
+    float64 array whose row i holds ``||v_i, z_j||`` for the m witnesses, on
+    both paths. Rows that cost fewer than 24 kernel calls (see
+    ``_ROWS_BATCH_MIN``) go through :func:`witness_norms` one at a time, as
+    elements of Python floats; more, and any array with an inf or NaN, which
+    no element can hold, go through one :func:`two_norm_batch` call per
+    slice, on the slice's ``(k, 1, n)`` rows against the set's ``(1, m, n)``
+    witness array. That is the scalar kernel run on arrays; it forms each
+    ``|v|^2`` and each ``|z|^2`` once per call. On ``gram`` against the
+    standard basis each slice runs ``_gram_basis_radicands`` instead, the
+    scalar closed form itself, on the rows of ``chunk.T`` (one array per
+    coordinate), with no witness array. A vector that overflows the kernel
+    (``|v|`` past about 1.2e150 on ``gram``, coordinates past about 1.3e300
+    on ``cross2``) gets NaN on both paths, and numpy's overflow warnings are
+    silenced, as Python float arithmetic gives none.
     """
     basis = wset._basis and space.kind is SpaceKind.GRAM
-    calls = len(vectors) * (1 if basis else len(wset.witnesses))
+    k = len(wset.witnesses)
+    calls = len(vectors) * (1 if basis else k)
     if calls < _ROWS_BATCH_MIN and np.isfinite(vectors).all():
-        return [witness_norms(space, wset, SpaceElement(c)) for c in vectors.tolist()]
+        return np.array([witness_norms(space, wset, SpaceElement(c))
+                         for c in vectors.tolist()], dtype=float).reshape(-1, k)
     if wset.dim != space.dimension:
         raise ValueError("witness set dimension does not match the space")
     if basis and vectors.shape[1:] != (space.dimension,):
         raise ValueError(f"expected ({space.dimension},) rows, got {vectors.shape}")
-    rows: list[tuple[float, ...]] = []
+    rows = np.empty((len(vectors), k))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(vectors), _ROWS_BATCH_SLICE):
             chunk = vectors[start : start + _ROWS_BATCH_SLICE]
@@ -664,7 +667,7 @@ def witness_norm_rows(
                 table = np.sqrt(np.maximum(0.0, radicands)).T
             else:
                 table = two_norm_batch(space, chunk[:, None, :], wset._batch)
-            rows.extend(map(tuple, table.tolist()))
+            rows[start : start + len(chunk)] = table
     return rows
 
 

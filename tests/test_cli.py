@@ -478,6 +478,29 @@ def test_emit_trace_csv_refuses_empty(tmp_path):
         emit_trace_csv((), tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("count", [20, 301])  # the row loop, then the cell kernel
+@pytest.mark.parametrize("coords, steps", [
+    ((0.5, 0.25), (1.0, 2.0, 3.0)),   # one witness step too many
+    ((0.5, 0.25), (1.0,)),            # one too few
+    ((0.5, 0.25, 0.0), (1.0,)),       # as many cells as row 0, shifted by one column
+], ids=["extra-step", "missing-step", "shifted"])
+def test_emit_trace_csv_names_the_first_ragged_row(count, coords, steps, tmp_path):
+    # Cross2 rows with two witness steps hold 7 float cells: 20 rows take the
+    # row loop, 301 the kernel. Both refuse the trace at its first row whose
+    # coordinate or witness count differs from row 0's, and write nothing.
+    rows = [TraceRow(n, el(0.5, 0.25), 1.0, 2.0, 3.0, (1.0, 2.0)) for n in range(count)]
+    assert (count * 7 >= cli._TRACE_KERNEL_MIN) == (count == 301)
+    first = count // 2
+    for n in (first, count - 1):
+        rows[n] = TraceRow(n, el(*coords), 1.0, 2.0, 3.0, steps)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=rf"^trace row {first} has {len(coords)} "
+                                         rf"coordinates and {len(steps)} witness steps, "
+                                         r"row 0 has 2 and 2$"):
+        emit_trace_csv(rows, path)
+    assert not path.exists()
+
+
 def _double(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 

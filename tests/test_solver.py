@@ -826,6 +826,29 @@ def test_gram8_solve_columns_match_the_scalar_kernel():
     assert_trace_matches_scalar_kernel(T, rep, wset, space)
 
 
+@pytest.mark.parametrize("space, T, theta, x0, tol, batch", [
+    (cross2_space(), ScalarAffine(-0.5, el(1, 2)), 0.25, el(0.5, 1), 1e-2, False),
+    (gram_space(8), ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2)), 0.55,
+     el(3, 1, -4, 1, 5, -9, 2, 6), 1e-12, True),
+], ids=["cross2-scalar-path", "gram:8-batch-path"])
+def test_trace_rows_hold_python_floats_on_both_paths(space, T, theta, x0, tol, batch):
+    # The columns come out of one float64 array; every value the report
+    # hands on is a Python float (n an int), whichever path evaluated it.
+    rep = krasnoselskij_solve(T, certify(0.25, theta, Provenance.closed_form()), x0,
+                              SolveConfig(tol=tol), space)
+    assert rep.status == SolveStatus.CONVERGED and rep.bound_violations == 0
+    # The block's kernel calls: 3m + 1 rows, each two_norm per cross2 witness
+    # or one closed form on the gram basis.
+    calls = (3 * rep.iterations + 1) * (1 if batch else 2)
+    assert (calls >= space_module._ROWS_BATCH_MIN) == batch
+    for row in rep.trace:
+        assert type(row.n) is int
+        for value in (row.step_residual, row.fixed_residual, row.apriori_bound,
+                      *row.witness_steps, *row.x.coords):
+            assert type(value) is float
+    assert all(type(c) is float for c in rep.x_star.coords)
+
+
 def test_divergent_solve_columns_match_the_scalar_kernel():
     # Past about 1.3e300 the cross2 kernels give NaN: rows 629-645 of this
     # Picard run hold NaN residuals, and the batch path must keep them NaN.
@@ -853,6 +876,31 @@ def test_divergence_through_an_overflowing_difference(space, T, x0, iterations):
     t_next = T.apply(x_next)
     assert not all(math.isfinite(a - b) for a, b in zip(t_next.coords, x_next.coords))
     assert_trace_matches_scalar_kernel(T, rep, wset, space)
+
+
+@pytest.mark.parametrize("hi, status, warned", [
+    (None, SolveStatus.DIVERGED, False),
+    (3.2e307, SolveStatus.DIVERGED, False),
+    (1e307, SolveStatus.LEFT_DOMAIN, True),
+], ids=["no-box", "box-past-x39", "box-short-of-x39"])
+def test_an_overflowing_difference_ends_the_run_before_the_box_test(hi, status, warned):
+    # x -> -5x averaged with lam = 1/2 doubles and flips the point: x_n =
+    # (-2)^n x0, so x_39 = -1.65e307 and x_40 = 3.3e307 are finite, but T x_40
+    # - x_40 = -1.98e308 overflows. A run ends Diverged at that difference,
+    # before x_40 meets any box it leaves; a box that x_39 leaves already
+    # ends it LeftDomain at iteration 39, with the box's warning.
+    box = Box((-hi, -1.0), (hi, 1.0)) if hi is not None else None
+    T = ScalarAffine(-5.0, el(0, 0))
+    rep = krasnoselskij_solve(T, certify(1.0, 1.5, Provenance.closed_form(box)),
+                              el(3.3e307 / 2**40, 0), SolveConfig(max_iter=200), cross2_space())
+    assert rep.status == status
+    assert rep.iterations == 39 and len(rep.trace) == 40
+    assert rep.trace[-1].x.coords[0] == -1.65e307
+    assert rep.x_star is None and rep.period is None
+    assert rep.left_certificate_box is warned
+    assert rep.warnings == ((f"iterate 39 left the box lo={box.lo} hi={box.hi}, "
+                             "the only region where the certificate holds",) if warned else ())
+    assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
 
 
 # --- the a priori column and the post-hoc bound check -------------------------------
@@ -907,8 +955,9 @@ def _solve_with_edited_gaps(monkeypatch, edit, space=SP, T=None, x0=None):
     """A converged, certified solve whose trace rows pass through ``edit``.
 
     The solver evaluates the step rows, the fixed-point rows and the gaps
-    x_n - x_star in one witness_norm_rows call; ``edit(rows, m)`` may replace
-    any of those ``3m + 1`` rows before the solver reads them.
+    x_n - x_star in one witness_norm_rows call, an ``(3m + 1, k)`` array;
+    ``edit(rows, m)`` may overwrite any of its entries before the solver
+    reads them.
     """
     real = solver_module.witness_norm_rows
 
@@ -954,7 +1003,7 @@ def test_a_nan_base_makes_every_row_one_violation(monkeypatch):
     # bound, NaN; each row then fails the check once, however many witnesses
     # (three here) pass.
     def edit(rows, m):
-        rows[0] = (math.nan,) + rows[0][1:]
+        rows[0, 0] = math.nan
 
     rep = _solve_with_edited_gaps(monkeypatch, edit, gram_space(3),
                                   Reflection(el(2, 0, -1)), el(0, 1, 0))

@@ -488,7 +488,7 @@ def test_scalar_and_batch_basis_norms_run_one_closed_form_body(monkeypatch):
         calls.clear()
         rows = witness_norm_rows(space, wset, np.array([v.coords] * count))
         assert len(calls) == entries
-        assert rows == [norms] * count
+        assert rows.tolist() == [list(norms)] * count
 
 
 # --- axiom checker -------------------------------------------------------------
@@ -1045,9 +1045,11 @@ def test_witness_norm_rows_takes_an_array(space, count):
     vectors = _row_vectors(space, count, random.Random(count))
     wset = standard_basis(space.dimension)
     rows = witness_norm_rows(space, wset, np.array([v.coords for v in vectors]))
-    assert [[a.hex() for a in r] for r in rows] == [
+    # One (N, m) float64 array on the scalar path and the batch path alike.
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (count, len(wset.witnesses))
+    assert [[a.hex() for a in r] for r in rows.tolist()] == [
         [a.hex() for a in witness_norms(space, wset, v)] for v in vectors]
-    assert all(type(a) is float for r in rows for a in r)
 
 
 def test_witness_norm_rows_array_may_hold_non_finite_rows():
@@ -1056,7 +1058,7 @@ def test_witness_norm_rows_array_may_hold_non_finite_rows():
     space, wset = cross2_space(), standard_basis(2)
     rows = witness_norm_rows(space, wset, np.array([[math.inf, 0.0], [1.0, 2.0]]))
     assert all(math.isnan(a) for a in rows[0])
-    assert rows[1] == witness_norms(space, wset, el(1.0, 2.0))
+    assert tuple(rows[1].tolist()) == witness_norms(space, wset, el(1.0, 2.0))
 
 
 # --- the closed form on the standard basis ----------------------------------------
