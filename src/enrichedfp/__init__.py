@@ -56,6 +56,7 @@ from .solver import (
     SolveConfig,
     SolveReport,
     SolveStatus,
+    Trace,
     TraceRow,
     aposteriori_step_threshold,
     apriori_bound,

@@ -68,6 +68,7 @@ from .solver import (
     SolveConfig,
     SolveReport,
     SolveStatus,
+    Trace,
     TraceRow,
     asymptotic_solve,
     krasnoselskij_solve,
@@ -747,7 +748,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
             x_star=None,
             iterations=0,
             certificate=None,
-            trace=(),
+            trace=Trace.from_rows(()),
             bound_violations=0,
             warnings=(f"certification failed: {exc}",),
         )
@@ -771,43 +772,39 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
     """Write the trace rows as CSV: one row per iterate, 17-digit floats, LF ends.
 
     Columns: n, the coordinates, step and fixed-point residuals, the a priori
-    bound, then one step-residual column per witness (zero on row 0). A row
-    whose coordinate or witness count differs from the first row's is refused
-    with a ``ValueError`` naming it, before anything is written. The bytes
-    are those of a per-cell :func:`fmt_float` join, written one of two ways.
-    A trace of fewer than 1000 float cells (``_TRACE_KERNEL_MIN``) fills
-    each row by one ``str.format`` call on a format string built once per
-    trace, with ``_FLOAT_CELL`` in every float cell. A longer one goes
-    through the cell kernel: the float cells as one matrix, whose 17 digits
-    are computed for every cell at once and written into fixed byte slots,
-    with ``fmt_float`` itself for each cell the kernel cannot prove (see the
-    notes above ``_KERNEL_MIN``).
+    bound, then one step-residual column per witness (zero on row 0): the
+    columns of ``Trace.table``. A sequence of rows that is not a
+    :class:`Trace` is converted to one first, by :meth:`Trace.from_rows`,
+    which refuses a ragged row with a ``ValueError`` naming it, before
+    anything is written. The bytes are those of a per-cell :func:`fmt_float`
+    join, written one of two ways. A trace of fewer than 1000 float cells
+    (``_TRACE_KERNEL_MIN``) fills each row of ``table.tolist()`` by one
+    ``str.format`` call on a format string built once per trace, with
+    ``_FLOAT_CELL`` in every float cell. A longer one goes through the cell
+    kernel: the table's 17 digits are computed for every cell at once and
+    written into fixed byte slots, with ``fmt_float`` itself for each cell
+    the kernel cannot prove (see the notes above ``_KERNEL_MIN``).
     """
+    trace = _as_trace(trace)
     if not trace:
         raise ValueError("refusing to emit an empty trace")
-    dim = trace[0].x.dim
-    k = len(trace[0].witness_steps)
-    for n, row in enumerate(trace):
-        if len(row.x.coords) != dim or len(row.witness_steps) != k:
-            raise ValueError(f"trace row {n} has {row.x.dim} coordinates and "
-                             f"{len(row.witness_steps)} witness steps, row 0 has {dim} and {k}")
-    header = _trace_header(dim, k)
-    if len(trace) * (dim + 3 + k) < _TRACE_KERNEL_MIN:
-        lines = [header]
-        row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * (dim + 3 + k))
-        for row in trace:
-            lines.append(row_fmt.format(row.n, *row.x.coords, row.step_residual,
-                                        row.fixed_residual, row.apriori_bound,
-                                        *row.witness_steps))
-        _write_lines(path, lines)
+    table = trace.table
+    dim = trace.xs[0].dim
+    header = _trace_header(dim, table.shape[1] - dim - 3)
+    if table.size < _TRACE_KERNEL_MIN:
+        row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * table.shape[1])
+        _write_lines(path, [header, *(row_fmt.format(n, *cells)
+                                      for n, cells in enumerate(table.tolist()))])
         return
-    table = np.array([(*row.x.coords, row.step_residual, row.fixed_residual,
-                       row.apriori_bound, *row.witness_steps) for row in trace], dtype=float)
     # "n," in a zero-padded fixed-width column, then the float slots.
-    first = np.array([f"{row.n}," for row in trace], dtype="S").view(np.uint8)
-    body = np.concatenate([first.reshape(len(trace), -1), _float_rows(table)],
+    first = np.array([f"{n}," for n in range(len(table))], dtype="S").view(np.uint8)
+    body = np.concatenate([first.reshape(len(table), -1), _float_rows(table)],
                           axis=1).tobytes()
     Path(path).write_bytes(header.encode() + b"\n" + body.translate(None, b"\0"))
+
+
+def _as_trace(trace: Sequence[TraceRow]) -> Trace:
+    return trace if isinstance(trace, Trace) else Trace.from_rows(trace)
 
 
 def _trace_header(dim: int, witness_count: int) -> str:
@@ -820,11 +817,13 @@ def _write_lines(path: Union[str, Path], lines: Sequence[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _worst_step_ratio(rows: Sequence[TraceRow]) -> float:
+def _worst_step_ratio(trace: Sequence[TraceRow]) -> float:
+    trace = _as_trace(trace)
+    steps = trace.table[1:, trace.xs[0].dim].tolist() if trace else []
     worst = math.nan
-    for prev, cur in zip(rows[1:], rows[2:]):
-        if prev.step_residual > 0.0:
-            r = cur.step_residual / prev.step_residual
+    for prev, cur in zip(steps, steps[1:]):
+        if prev > 0.0:
+            r = cur / prev
             if math.isnan(worst) or r > worst:
                 worst = r
     return worst

@@ -45,14 +45,20 @@ same IEEE subtractions, and the trace columns and the post-hoc bound check
 come from one ``space.witness_norm_rows`` pass over them, bit for bit what a
 per-iteration evaluation gives. A fixed-point row that overflows ends the run
 Diverged at the iterate before it, as forming it in the loop would have.
+
+The report's trace is a :class:`Trace`: the iterates and one float64 table
+in trace-CSV column order, filled from those arrays by slice assignment. A
+:class:`TraceRow` is built only when a caller reads one; the CLI writes the
+CSV and the report from the table alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -78,6 +84,7 @@ __all__ = [
     "TwoNormBall",
     "SolveConfig",
     "TraceRow",
+    "Trace",
     "SolveStatus",
     "SolveReport",
     "apriori_bound",
@@ -133,6 +140,88 @@ class TraceRow:
     witness_steps: tuple[float, ...]  # per-witness ||x_n - x_{n-1}, z_j||
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Trace(Sequence[TraceRow]):
+    """The rows of a solve, held as columns; a :class:`TraceRow` is built per read.
+
+    ``xs`` holds the iterates x_0 ... x_N and ``table`` the read-only
+    ``(N + 1, cells)`` float64 array in trace-CSV column order: the
+    coordinates, the step and fixed-point residuals, the a priori bound, then
+    one step residual per witness. Row n, read by index or by iteration, is
+    the TraceRow with ``n``, ``x = xs[n]`` and the Python floats of table row
+    n; a slice is a tuple of rows. Two traces are equal when their iterates
+    and tables are, NaN equal to NaN; a tuple of rows is compared as the trace
+    :meth:`from_rows` makes of it. The hash is that of the iterates.
+    """
+
+    xs: tuple[SpaceElement, ...]
+    table: np.ndarray
+
+    def __post_init__(self):
+        if self.table.ndim != 2 or len(self.table) != len(self.xs):
+            raise ValueError(f"a trace of {len(self.xs)} iterates needs as many table "
+                             f"rows, got shape {self.table.shape}")
+        table = self.table.view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[TraceRow]) -> "Trace":
+        """The trace of a sequence of rows, row i numbered i.
+
+        A row whose coordinate or witness count differs from row 0's, or
+        whose ``n`` is not its index, is refused with a ``ValueError`` naming
+        the first such row.
+        """
+        if not rows:
+            return cls((), np.empty((0, 0)))
+        dim, k = rows[0].x.dim, len(rows[0].witness_steps)
+        for n, row in enumerate(rows):
+            if row.x.dim != dim or len(row.witness_steps) != k:
+                raise ValueError(f"trace row {n} has {row.x.dim} coordinates and "
+                                 f"{len(row.witness_steps)} witness steps, row 0 has "
+                                 f"{dim} and {k}")
+            if row.n != n:
+                raise ValueError(f"trace row {n} has n = {row.n!r}")
+        table = np.array([(*row.x.coords, row.step_residual, row.fixed_residual,
+                           row.apriori_bound, *row.witness_steps) for row in rows],
+                         dtype=float)
+        return cls(tuple(row.x for row in rows), table)
+
+    def _row(self, n: int) -> TraceRow:
+        x = self.xs[n]
+        cells = self.table[n].tolist()
+        d = x.dim
+        return TraceRow(n, x, cells[d], cells[d + 1], cells[d + 2], tuple(cells[d + 3 :]))
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i):
+        picked = range(len(self.xs))[i]
+        return tuple(map(self._row, picked)) if isinstance(picked, range) else self._row(picked)
+
+    def __iter__(self):
+        return map(self._row, range(len(self.xs)))
+
+    def __eq__(self, other):
+        if isinstance(other, tuple) and all(isinstance(r, TraceRow) for r in other):
+            try:
+                other = Trace.from_rows(other)
+            except ValueError:
+                return False
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.xs == other.xs and (
+            not self.xs or np.array_equal(self.table, other.table, equal_nan=True))
+
+    def __hash__(self) -> int:
+        return hash(self.xs)
+
+    def __repr__(self) -> str:
+        return f"Trace({tuple(self)!r})"
+
+
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     OSCILLATION = "OscillationDetected"
@@ -149,7 +238,7 @@ class SolveReport:
     x_star: Optional[SpaceElement]
     iterations: int
     certificate: Optional[EnrichedCertificate]
-    trace: tuple[TraceRow, ...]
+    trace: Trace
     bound_violations: int
     period: Optional[int] = None
     epsilon: Optional[float] = None
@@ -374,28 +463,36 @@ def _solve_core(
                                    for r in regions if r is not cert_box)
 
     m = len(D)
+    dim = space.dimension
     norms = witness_norm_rows(space, wset, np.concatenate([X[1:] - X[:-1], D, gaps]))
-    zeros = tuple(0.0 for _ in wset.witnesses)
-    witness_steps = [zeros, *map(tuple, norms[:m].tolist())]
-    fixed = [f0, *map(max, norms[m : 2 * m].tolist())]
-    base = max(witness_steps[1]) if m else 0.0
+    # The trace table, in CSV column order: x_n, step, fixed, bound, the
+    # witness steps. Row 0 has zero steps and the fixed residual f0.
+    table = np.zeros((len(xs), dim + 3 + len(wset.witnesses)))
+    table[:, :dim] = X
+    table[:1, dim + 1] = f0
+    table[1:, dim + 3 :] = norms[:m]
+    # Each step and fixed residual is its row's largest witness norm by Python
+    # max's NaN rule: NaN when the first witness's norm is NaN, a later NaN
+    # skipped.
+    rows = norms[: 2 * m]
+    top = np.where(np.isnan(rows[:, 0]), math.nan, np.fmax.reduce(rows, axis=1))
+    table[1:, dim], table[1:, dim + 1] = top[:m], top[m:]
+    base = table[1, dim].item() if m else 0.0
     # The a priori column is apriori_bound(cert, n, base) on every row, bit for
     # bit: the same expression, with d and 1 - d read once per run.
     if cert is not None:
         d = cert.d
         one_minus_d = 1.0 - d
-        bounds = [d**n * base / one_minus_d for n in range(len(xs))]
+        table[:, dim + 2] = [d**n * base / one_minus_d for n in range(len(xs))]
     else:
-        bounds = [math.nan] * len(xs)
-    rows = tuple(map(TraceRow, range(len(xs)), xs, map(max, witness_steps), fixed, bounds,
-                     witness_steps))
+        table[:, dim + 2] = math.nan
 
     bound_violations = 0
     if certified:
         # Post-hoc check of the tail bound against the returned fixed point.
         # A row passes only when every witness gap is within bound + slack, so
         # a NaN gap (an overflowed x_n - x_star) or a NaN bound is a violation.
-        limits = np.array(bounds) + 1e-12 * max(1.0, base)
+        limits = table[:, dim + 2] + 1e-12 * max(1.0, base)
         failed = ~(norms[2 * m :] <= limits[:, None]).all(axis=1)
         bound_violations = int(failed.sum())
         if bound_violations:
@@ -408,7 +505,7 @@ def _solve_core(
         x_star=x_star,
         iterations=iterations,
         certificate=cert,
-        trace=rows,
+        trace=Trace(tuple(xs), table),
         bound_violations=bound_violations,
         period=period,
         epsilon=epsilon,

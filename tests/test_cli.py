@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import cli
-from enrichedfp.analyzer import Provenance
+from enrichedfp.analyzer import Provenance, certify
 from enrichedfp.cli import (
     DEMO_SCENARIOS,
     EXIT_CERTIFICATE_VIOLATED,
@@ -39,9 +39,23 @@ from enrichedfp.cli import (
     run_scenario,
     write_scenario,
 )
-from enrichedfp.mapping import Reflection, default_piecewise
-from enrichedfp.solver import SolveConfig, SolveReport, SolveStatus, TraceRow
-from enrichedfp.space import SpaceElement, WitnessSet, cross2_space, standard_basis
+from enrichedfp.mapping import Reflection, ScalarAffine, default_piecewise
+from enrichedfp.solver import (
+    SolveConfig,
+    SolveReport,
+    SolveStatus,
+    TraceRow,
+    krasnoselskij_solve,
+    picard_solve,
+)
+from enrichedfp.space import (
+    SpaceElement,
+    WitnessSet,
+    cross2_space,
+    gram_space,
+    standard_basis,
+    witness_norms,
+)
 
 REFLECTION_SCENARIO = DEMO_SCENARIOS["reflection"]
 
@@ -650,6 +664,116 @@ def test_emit_trace_csv_above_the_crossover_is_a_per_cell_fmt_float_join(tmp_pat
     emit_trace_csv(short, path)
     assert calls == []
     assert path.read_bytes() == ("\n".join(want[: len(short) + 1]) + "\n").encode()
+
+
+def _emit_both_ways(trace, tmp_path, monkeypatch):
+    """The bytes emit_trace_csv writes for a Trace and for the tuple of its
+    rows, and the float table shapes the cell kernel received."""
+    calls = []
+    kernel = cli._float_rows
+    monkeypatch.setattr(cli, "_float_rows",
+                        lambda table: calls.append(table.shape) or kernel(table))
+    emit_trace_csv(trace, tmp_path / "a.csv")
+    emit_trace_csv(tuple(trace), tmp_path / "b.csv")
+    return (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes(), calls
+
+
+# Gram:2 Picard runs of x -> 3x + (1, 0) against a witness set with one long
+# witness, put first or last: past |v| |z| of about 1.2e150 a gram norm is
+# NaN, so rows 311-314 hold one NaN witness step, the long witness's, and
+# every step from row 315 on is NaN. The run ends Diverged at 645.
+_NAN_WITNESS_SETS = {
+    "long-first": WitnessSet((el(1e6, 0), el(0, 1))),
+    "long-last": WitnessSet((el(0, 1), el(1e6, 0))),
+}
+
+
+def _nan_witness_run(name):
+    wset = _NAN_WITNESS_SETS[name]
+    T = ScalarAffine(3.0, el(1, 0))
+    return T, wset, picard_solve(T, el(0.5, 0.25), SolveConfig(witnesses=wset), gram_space(2))
+
+
+@pytest.mark.parametrize("run, kernel", [
+    ("cross2", False), ("gram:8", True), ("long-first", True), ("long-last", True),
+])
+def test_a_trace_and_its_rows_emit_the_same_bytes(run, kernel, tmp_path, monkeypatch):
+    # A short cross2 solve (8 rows of 7 float cells) takes the row loop; the
+    # gram:8 scenario's 93 rows of 20 cells and the NaN runs take the kernel.
+    if run == "cross2":
+        cert = certify(0.25, 0.25, Provenance.closed_form())
+        trace = krasnoselskij_solve(ScalarAffine(-0.5, el(1, 2)), cert, el(4, -3),
+                                    SolveConfig(tol=1e-4), cross2_space()).trace
+    elif run == "gram:8":
+        trace = run_scenario(parse_scenario_text(GRAM8_ITERATED_SCENARIO))[0].trace
+    else:
+        trace = _nan_witness_run(run)[2].trace
+    assert (trace.table.size >= cli._TRACE_KERNEL_MIN) == kernel
+    a, b, calls = _emit_both_ways(trace, tmp_path, monkeypatch)
+    assert a == b
+    assert calls == ([trace.table.shape] * 2 if kernel else [])
+
+
+def _python_worst_step_ratio(steps):
+    """The report's worst step ratio over a list of Python float steps."""
+    worst = math.nan
+    for prev, cur in zip(steps[1:], steps[2:]):
+        if prev > 0.0:
+            r = cur / prev
+            if math.isnan(worst) or r > worst:
+                worst = r
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_WITNESS_SETS))
+def test_nan_witness_norms_keep_python_max_in_every_column(name):
+    # A residual is max over its witnesses by Python's rule: NaN when the
+    # first witness's norm is NaN, a later NaN skipped.
+    T, wset, rep = _nan_witness_run(name)
+    space = gram_space(2)
+    assert rep.status == SolveStatus.DIVERGED and rep.iterations == 645
+    rows = tuple(rep.trace)
+    one_nan = [r.n for r in rows if sum(map(math.isnan, r.witness_steps)) == 1]
+    assert one_nan == [311, 312, 313, 314]
+    long_first = name == "long-first"
+    for r in rows:
+        assert r.step_residual.hex() == max(r.witness_steps).hex()
+        fixed = max(witness_norms(space, wset, T.apply(r.x) - r.x))
+        assert r.fixed_residual.hex() == fixed.hex()
+        if r.n in one_nan:
+            assert math.isnan(r.step_residual) == long_first
+    steps = [max(r.witness_steps) for r in rows]
+    want = _python_worst_step_ratio(steps)
+    assert cli._worst_step_ratio(rep.trace).hex() == want.hex()
+    assert cli._worst_step_ratio(rows).hex() == want.hex()
+    assert f"worst_step_ratio={fmt_float(want)}\n" in report_text(rep)
+
+
+def test_worst_step_ratio_matches_the_python_loop_on_special_steps():
+    # Zero, subnormal, huge, infinite and NaN steps: the ratios overflow, come
+    # out NaN (inf / inf) or are skipped (a step of zero or NaN before them).
+    rng = random.Random(29)
+    pool = [0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, math.inf, math.nan]
+    for count in range(8):
+        for _ in range(60):
+            steps = [0.0] + [rng.choice(pool) for _ in range(count)]
+            rows = tuple(TraceRow(n, el(0.5, 0.25), step, 0.0, 0.0, (step, 0.0))
+                         for n, step in enumerate(steps))
+            assert cli._worst_step_ratio(rows).hex() == _python_worst_step_ratio(steps).hex()
+
+
+def test_a_cli_solve_builds_no_trace_row(tmp_path, monkeypatch):
+    # The trace goes from the solver to the CSV and the report as one table.
+    built = []
+    init = TraceRow.__init__
+    monkeypatch.setattr(TraceRow, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    trace, report = tmp_path / "t.csv", tmp_path / "r.txt"
+    assert main(["solve", "--scenario", _write(tmp_path, "s", GRAM8_ITERATED_SCENARIO),
+                 "--trace", str(trace), "--report", str(report)]) == EXIT_CONVERGED
+    assert trace.stat().st_size > 0 and built == []
+    assert len(run_scenario(parse_scenario_text(GRAM8_ITERATED_SCENARIO))[0].trace[:2]) == 2
+    assert len(built) == 2  # the spy sees rows that are read
 
 
 def test_importing_the_cli_loads_neither_fractions_nor_decimal():

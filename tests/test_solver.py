@@ -22,6 +22,7 @@ from enrichedfp.mapping import (
 from enrichedfp.solver import (
     SolveConfig,
     SolveStatus,
+    Trace,
     TwoNormBall,
     aposteriori_step_threshold,
     apriori_bound,
@@ -176,6 +177,47 @@ def test_trace_row_structure():
     for r in rows:
         assert r.apriori_bound == apriori_bound(rep.certificate, r.n, base)
         assert max(r.witness_steps) == r.step_residual or r.n == 0
+
+
+def test_the_trace_is_a_read_only_sequence_of_rows():
+    rep = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
+                              SolveConfig(tol=1e-10), SP)
+    trace = rep.trace
+    rows = tuple(trace)
+    assert isinstance(trace, Trace) and trace
+    assert len(trace) == len(rows) == rep.iterations + 1 > 4
+    assert trace[-1].n == rep.iterations and trace[-1] == rows[-1] == trace[len(rows) - 1]
+    assert trace[1:4] == rows[1:4] and type(trace[1:4]) is tuple
+    assert trace[::-2] == rows[::-2] and trace[5:2] == ()
+    assert [row.n for row in trace] == list(range(len(rows)))
+    with pytest.raises(IndexError):
+        trace[len(rows)]
+    # Equal to the tuple of its rows, both ways round, and to no shorter one.
+    assert trace == rows and rows == trace and trace != rows[:-1] and trace != ()
+    assert Trace.from_rows(rows) == trace
+    # The table is read-only, and the report still hashes.
+    assert trace.table.shape == (len(rows), 2 + 3 + 2)
+    assert not trace.table.flags.writeable
+    with pytest.raises(ValueError):
+        trace.table[0, 0] = 1.0
+    again = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
+                                SolveConfig(tol=1e-10), SP)
+    assert again == rep and hash(again) == hash(rep)
+    # An uncertified trace, NaN bounds and all, equals its rows too.
+    picard = picard_solve(Reflection(el(2, 0)), el(0, 0), SolveConfig(), SP)
+    assert picard.trace == tuple(picard.trace) and hash(picard) == hash(picard)
+    # A run with no iterate has an empty trace.
+    empty = picard_solve(ScalarAffine(3.0, el(1, 0)), el(1e308, 0), SolveConfig(), SP).trace
+    assert not empty and len(empty) == 0 and empty == () and tuple(empty) == ()
+    assert empty[:] == () and empty == Trace.from_rows(())
+
+
+def test_a_trace_from_rows_refuses_a_row_out_of_order():
+    rows = tuple(krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
+                                     SolveConfig(tol=1e-10), SP).trace)
+    with pytest.raises(ValueError, match=r"^trace row 2 has n = 3$"):
+        Trace.from_rows(rows[:2] + rows[3:])
+    assert Trace(tuple(row.x for row in rows), Trace.from_rows(rows).table) == rows
 
 
 def test_uniqueness_probe_across_starts():
@@ -801,12 +843,19 @@ def assert_trace_matches_scalar_kernel(T, rep, wset, space):
     assert rep.bound_violations == violations
 
 
-def test_short_solve_columns_match_the_scalar_kernel():
-    # 3 * iterations + 1 < 24 vectors: the columns take the per-vector path.
+def test_short_solve_columns_match_the_scalar_kernel(monkeypatch):
+    # 3 * iterations + 1 rows at two cross2 witnesses each cost fewer than 24
+    # kernel calls: the columns take the per-vector path, not the batch.
+    batch_calls = []
+    batch = space_module.two_norm_batch
+    monkeypatch.setattr(space_module, "two_norm_batch",
+                        lambda *a: batch_calls.append(a) or batch(*a))
     T = ScalarAffine(-0.5, el(1.0, 2.0))
     cert = certify(0.25, 0.25, Provenance.closed_form())
-    rep = krasnoselskij_solve(T, cert, el(4, -3), SolveConfig(tol=1e-4), SP)
-    assert rep.status == SolveStatus.CONVERGED and 3 * rep.iterations + 1 < 24
+    rep = krasnoselskij_solve(T, cert, el(4, -3), SolveConfig(tol=1e-1), SP)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations == 3
+    assert (3 * rep.iterations + 1) * 2 < space_module._ROWS_BATCH_MIN
+    assert batch_calls == []
     assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
 
 
