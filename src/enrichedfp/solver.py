@@ -31,20 +31,23 @@ the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
 (and the fixed-point residuals of ``T`` and ``T_lam`` once the step passes),
 the Picard cycle test on ``x_n - x_{n-p}``, and the region tests. Each asks
 ``space`` whether a residual is past a bound, and ``space`` alone decides
-how, exactly as the full residual would: the step through
-``witness_max_prefix``, every other residual through the pair test
-``witness_gap_within`` and a region through its own ``contains``. The loop
-never sees a screen. It keeps the iterates and the coordinates of each
-``T x_n``, and forms only the step ``x_n - x_{n-1}``, as a coordinate list
-(``space.difference``); one that overflows ends the run Diverged, as
-``SpaceElement`` subtraction would.
+how, exactly as the full residual would: every residual through the pair
+test ``witness_gap_within``, and a region through its own ``contains``. The
+step is asked once per iteration, and its one answer drives both the
+convergence check and, for Picard, the cycle test: a step whose norms are
+NaN is not within tol, so Picard looks for a cycle. The loop never sees a
+screen and forms no coordinate difference. It keeps the iterates and the
+coordinates of each ``T x_n``; a step ``x_n - x_{n-1}`` or a fixed-point row
+``T x_n - x_n`` that overflows ends the run Diverged before x_n is recorded,
+as ``SpaceElement`` subtraction would. The pair test raises on the step, and
+one float sum screens the fixed-point row, which ``space.difference`` forms
+only where that sum is not finite.
 
 After the loop the step rows, the fixed-point rows ``T x_n - x_n`` and the
 gaps to a certified fixed point are subtracted from the iterate arrays, the
 same IEEE subtractions, and the trace columns and the post-hoc bound check
 come from one ``space.witness_norm_rows`` pass over them, bit for bit what a
-per-iteration evaluation gives. A fixed-point row that overflows ends the run
-Diverged at the iterate before it, as forming it in the loop would have.
+per-iteration evaluation gives.
 
 The report's trace is a :class:`Trace`: the iterates and one float64 table
 in trace-CSV column order, filled from those arrays by slice assignment. A
@@ -55,6 +58,7 @@ CSV and the report from the table alone.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -75,7 +79,6 @@ from .space import (
     standard_basis,
     two_norm,
     witness_gap_within,
-    witness_max_prefix,
     witness_norm_rows,
     witness_residual,
 )
@@ -400,8 +403,15 @@ def _solve_core(
             for n in range(1, cfg.max_iter + 1):
                 x_prev = x_n
                 x_n = Tlam.combine(x_prev, t_n)
-                v_n = difference(x_n.coords, x_prev.coords)
+                # Whether the step is within threshold, as for the full max;
+                # a step that overflows raises here.
+                within = witness_gap_within(space, wset, x_n.coords, x_prev.coords, threshold)
                 t_n = T.apply(x_n)
+                # A difference of finite floats is never NaN, so a finite sum
+                # clears x_n's fixed-point row; difference raises on one that
+                # overflowed.
+                if not math.isfinite(sum(map(operator.sub, t_n.coords, x_n.coords))):
+                    difference(t_n.coords, x_n.coords)
                 xs.append(x_n)
                 ts.append(t_n.coords)
                 iterations = n
@@ -410,13 +420,10 @@ def _solve_core(
                     status = SolveStatus.LEFT_DOMAIN
                     break
 
-                # step <= threshold and step > threshold each hold exactly
-                # when they hold for the full max (witness_max_prefix's
-                # contract). The cycle test below compares with cfg.tol, which
-                # is exact too: only Picard detects cycles, and without a
-                # certificate threshold == cfg.tol.
-                step = witness_max_prefix(space, wset, v_n, threshold)
-                if d_zero or step <= threshold:
+                # One answer for both tests: only Picard detects cycles, and
+                # without a certificate threshold == cfg.tol, so "not within"
+                # is a step past tol or one whose norms are NaN.
+                if d_zero or within:
                     # The residuals of T_lam and of T at x_n against tol.
                     if (witness_gap_within(space, wset, Tlam.combine(x_n, t_n).coords,
                                            x_n.coords, cfg.tol)
@@ -426,7 +433,7 @@ def _solve_core(
                         x_star = x_n
                         break
 
-                if picard and step > cfg.tol:
+                if picard and not within:
                     period = detect_cycle(space, wset, xs, _CYCLE_WINDOW, cfg.tol)
                     if period is not None:
                         status = SolveStatus.OSCILLATION
@@ -436,21 +443,13 @@ def _solve_core(
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
     # The trace's rows, each the IEEE subtraction of space.difference and
-    # SpaceElement's: the steps x_n - x_{n-1} (finite: the loop formed them),
-    # D = T x_n - x_n (n >= 1) and, for a certified fixed point, the gaps
-    # x_n - x_star for the bound check (one that overflows becomes inf). D's
-    # first overflowed row r ends the run Diverged at x_{r-1}, as forming it in
-    # the loop would have, whatever the loop went on to find.
+    # SpaceElement's: the steps x_n - x_{n-1} and D = T x_n - x_n (n >= 1),
+    # finite since the loop tested them, and, for a certified fixed point, the
+    # gaps x_n - x_star for the bound check (one that overflows becomes inf).
     X = np.array([x.coords for x in xs], dtype=float).reshape(-1, space.dimension)
+    D = np.array(ts, dtype=float).reshape(-1, space.dimension) - X[1:]
+    certified = status == SolveStatus.CONVERGED and cert is not None
     with np.errstate(over="ignore"):
-        D = np.array(ts, dtype=float).reshape(-1, space.dimension) - X[1:]
-        if not np.isfinite(D).all():
-            cut = int(np.isfinite(D).all(axis=1).argmin()) + 1  # r
-            xs, X, D = xs[:cut], X[:cut], D[: cut - 1]
-            iterations = cut - 1
-            status = SolveStatus.DIVERGED
-            x_star = period = None
-        certified = status == SolveStatus.CONVERGED and cert is not None and x_star is not None
         gaps = X - x_star.coords if certified else X[:0]
     left_certificate_box = False
     if (status == SolveStatus.LEFT_DOMAIN and cert_box is not None

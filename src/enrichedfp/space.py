@@ -30,21 +30,20 @@ broadcasting :func:`two_norm_batch` call once they cost 24 kernel calls,
 bit for bit the same.
 
 Every decision of the solve loop is asked here, and decides exactly as the
-full residual or distance would: :func:`witness_max_prefix` for a step,
-which stops once the running max passes the limit; the pair test
-:func:`witness_gap_within`, ``max_z ||a - b, z|| <= limit`` for two
-coordinate lists, for every other residual; and the regions :class:`Box`
-and :class:`TwoNormBall`. :func:`difference` is their one coordinate
-difference, raising where ``SpaceElement`` subtraction does. One exact
-float screen settles clear-cut comparisons with no double-double work, and
-only where the exact kernel gives the same answer; the exact kernel decides
-the rest. Its one decision body, ``_screen``, holds the forward-error model:
-the error bound, the margin and the guards. Its two entry points are
+full residual or distance would: the pair test :func:`witness_gap_within`,
+``max_z ||a - b, z|| <= limit`` for two coordinate lists, for every
+residual (the step, the convergence check and the cycle test); and the
+regions :class:`Box` and :class:`TwoNormBall`, through ``contains``.
+:func:`difference` is their one coordinate difference, raising where
+``SpaceElement`` subtraction does. One exact float screen settles
+clear-cut comparisons with no double-double work, and only where the
+exact kernel gives the same answer; the exact kernel decides the rest. Its
+one decision body, ``_screen``, holds the forward-error model: the error
+bound, the margin and the guards. Its two entry points are
 :func:`two_norm_screen`, ``||v, u||`` against a radius, for the ball; and
 :func:`basis_screen`, the same test at ``u = e_j`` on the standard basis,
-for the step and pair tests. The step takes only its "past the limit"
-answer, since a pass must return the max itself; the pair test takes both,
-so a clear pass, such as a converged run's confirmation, runs no exact
+for the pair test. The pair test takes both of its answers, so a clear
+pass, such as a converged run's last step and confirmation, runs no exact
 kernel either.
 
 On ``gram``, a set whose witnesses are the rows of the identity, in order
@@ -99,7 +98,6 @@ __all__ = [
     "seminorm",
     "standard_basis",
     "witness_norms",
-    "witness_max_prefix",
     "witness_gap_within",
     "witness_norm_rows",
     "witness_residual",
@@ -492,7 +490,8 @@ def basis_screen(
     space: TwoNormSpace, wset: WitnessSet, sq: Sequence[float], limit: float
 ) -> Optional[bool]:
     """Whether ``max_j ||v, e_j|| < limit`` on the standard basis, where the
-    float screen can tell; None where it cannot.
+    float screen can tell; None where it cannot. It is the screen of the pair
+    test :func:`witness_gap_within`, which takes both answers.
 
     ``sq`` holds the squares ``v_i * v_i`` of all ``space.dimension``
     coordinates of v. There ``||v, e_j||^2 = |v|^2 - v_j^2``, so the
@@ -517,46 +516,6 @@ def basis_screen(
     return None
 
 
-def witness_max_prefix(
-    space: TwoNormSpace, wset: WitnessSet, v: Sequence[float], limit: float
-) -> float:
-    """``max(witness_norms(space, wset, SpaceElement(v)))``, cut short once it
-    passes ``limit``; ``v`` is the vector's coordinates.
-
-    On the standard basis, of ``gram`` or ``cross2``, the float screen
-    runs first, through :func:`basis_screen` on the squares ``v_i * v_i``,
-    and returns ``math.inf`` where it settles "past the limit"; it answers
-    only that (an "inside" answer would not give the max itself), and only
-    where the exact kernel does too.
-
-    Otherwise, and on every other set, the exact kernel runs: it keeps the
-    running value of Python's ``max`` in witness order and returns it as
-    soon as it is not ``<= limit``, without evaluating later witnesses. So
-    the result is ``<= limit`` exactly when the full max is, and ``> limit``
-    exactly when the full max is; every result ``<= limit`` is the full max
-    itself, and a NaN first norm stays NaN, as in ``max``.
-    """
-    if wset._basis and basis_screen(space, wset, [a * a for a in v], limit) is False:
-        return math.inf
-    return _exact_max_prefix(space, wset, v, limit)
-
-
-def _exact_max_prefix(
-    space: TwoNormSpace, wset: WitnessSet, v: Sequence[float], limit: float
-) -> float:
-    """:func:`witness_max_prefix` past its screen, for a caller that has
-    screened ``v`` already: the exact kernel alone."""
-    norms = _witness_norm_iter(space, wset, SpaceElement(v))
-    r = next(norms)
-    if r <= limit:
-        for x in norms:
-            if x > r:
-                r = x
-                if not r <= limit:
-                    break
-    return r
-
-
 def witness_gap_within(
     space: TwoNormSpace, wset: WitnessSet, a: Sequence[float], b: Sequence[float],
     limit: float,
@@ -566,17 +525,21 @@ def witness_gap_within(
     Decides as ``witness_residual(space, wset, SpaceElement(a),
     SpaceElement(b)) <= limit`` does, NaN included, and raises
     :class:`NonFiniteError` wherever that subtraction does. On the standard
-    basis, the one set it covers, :func:`basis_screen` first settles a
+    basis, of ``gram`` or ``cross2``, :func:`basis_screen` first settles a
     clear miss or a clear pass from the squared differences, with no
     difference list (it answers only where every difference is finite, so
-    no ``NonFiniteError`` is screened away); the rest run the exact kernel
-    of :func:`witness_max_prefix`, not screened a second time.
+    no ``NonFiniteError`` is screened away). The rest run the exact kernel
+    on the difference list, in witness order, and stop at the first norm
+    past ``limit`` without evaluating later witnesses: Python's ``max`` is
+    within the limit exactly when its first value is (so a NaN first norm
+    is not) and no later value exceeds it (a later NaN is skipped).
     """
     if wset._basis and len(a) == len(b):
         within = basis_screen(space, wset, [d * d for d in map(operator.sub, a, b)], limit)
         if within is not None:
             return within
-    return _exact_max_prefix(space, wset, difference(a, b), limit) <= limit
+    norms = _witness_norm_iter(space, wset, SpaceElement(difference(a, b)))
+    return next(norms) <= limit and not any(x > limit for x in norms)
 
 
 def two_norm_screen(

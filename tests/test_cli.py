@@ -1046,6 +1046,23 @@ def test_main_divergent_gram_solve_exits_six(dim, certificate, tmp_path, capsys)
     assert err == ""
 
 
+@pytest.mark.parametrize("space", ["gram\nspace.dimension=2", "cross2"],
+                         ids=["gram:2", "cross2"])
+@pytest.mark.parametrize("x0", ["1e200", "1e302"])
+def test_main_picard_finds_the_cycle_of_steps_with_nan_norms(space, x0, tmp_path, capsys):
+    # x -> (2, 0) - x alternates between x0 and (2, 0) - x0. Each step's
+    # norms are NaN (gram past |v| ~ 1.2e150, cross2 past ~1.3e300), which is
+    # not within tol, so Picard runs its cycle test; x_n - x_{n-2} is exactly
+    # 0. Such a step once skipped the cycle test, and the run went on for
+    # 10,000 iterations to exit 4.
+    scenario = _write(tmp_path, "s", f"schema=1\nspace.kind={space}\nmode=picard\n"
+                      f"map.kind=reflection\nmap.w=2,0\nx0={x0},0\n")
+    assert main(["solve", "--scenario", scenario]) == EXIT_OSCILLATION
+    out, err = capsys.readouterr()
+    assert out.startswith("status=OscillationDetected\nperiod=2\niterations=3\n")
+    assert err == ""
+
+
 @pytest.mark.parametrize("label", ["gram:1", "gram:x", "gram:", "hilbert"])
 def test_main_check_norm_rejects_bad_space(label, capsys):
     assert main(["check-norm", "--space", label, "--samples", "10"]) == EXIT_INTERNAL

@@ -223,10 +223,10 @@ def test_no_module_reads_a_private_field_of_another_modules_class(path):
 def test_the_private_name_checks_see_imports_and_field_reads():
     fields = _private_fields()
     assert {"_batch", "_basis", "_u_sq"} <= fields["space.py"]
-    tree = ast.parse("from .space import _exact_max_prefix, two_norm\n"
+    tree = ast.parse("from .space import _witness_norm_iter, two_norm\n"
                      "from ._dd import dd_add\n"
                      "from enrichedfp.space import _screen\n"
                      "ok = wset._basis\n")
-    assert _private_imports(tree) == ["_exact_max_prefix (line 1)", "_screen (line 3)"]
+    assert _private_imports(tree) == ["_witness_norm_iter (line 1)", "_screen (line 3)"]
     assert _foreign_field_reads("solver.py", tree, fields) == ["4 ._basis"]
     assert _foreign_field_reads("space.py", tree, fields) == []

@@ -12,9 +12,11 @@ import enrichedfp.space as space_module
 from enrichedfp.analyzer import Provenance, certify
 from enrichedfp.cli import emit_trace_csv, report_text
 from enrichedfp.mapping import (
+    PiecewiseTwoSet,
     Reflection,
     ScalarAffine,
     SelfMap,
+    SupNormRegion,
     averaged,
     default_piecewise,
     iterated,
@@ -428,6 +430,12 @@ def test_detect_cycle_raises_where_the_full_residual_definition_does(case):
         lambda: _detect_cycle_reference(space, wset, xs, window, eps))
 
 
+# A certified gram:8 solve that converges in 38 iterations.
+_GRAM8_SOLVE = (ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2)),
+                certify(0.25, 0.55, Provenance.closed_form()), el(3, 1, -4, 1, 5, -9, 2, 6),
+                gram_space(8))
+
+
 def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kernel(
         monkeypatch):
     # A non-cycling cross2 Picard run makes up to 16 cycle tests and one step
@@ -441,18 +449,29 @@ def test_the_loop_settles_clear_cut_steps_and_cycle_tests_without_the_exact_kern
     rep = picard_solve(T, el(0.5, 0.25), SolveConfig(tol=1e-14, max_iter=2000), SP)
     assert rep.status == SolveStatus.MAX_ITER and rep.iterations == 2000
     assert len(entered) == 2
-    # A step at the threshold still takes the exact kernel: the converging
-    # step. The two residuals of the convergence check are clear passes,
-    # which the pair test's screen settles.
+    # The converging step and the two residuals of the convergence check are
+    # clear passes, which the pair test's screen settles.
     entered.clear()
-    space = gram_space(8)
-    T = ScalarAffine(-0.8, el(1, -2, 0.5, 3, -0.25, 0, -1.5, 2))
-    cert = certify(0.25, 0.55, Provenance.closed_form())
-    rep = krasnoselskij_solve(T, cert, el(3, 1, -4, 1, 5, -9, 2, 6), SolveConfig(tol=1e-12),
-                              space)
+    T, cert, x0, space = _GRAM8_SOLVE
+    rep = krasnoselskij_solve(T, cert, x0, SolveConfig(tol=1e-12), space)
     assert rep.status == SolveStatus.CONVERGED and rep.iterations == 38
-    assert len(entered) == 2 + 1
+    assert len(entered) == 2
     assert_trace_matches_scalar_kernel(T, rep, standard_basis(8), space)
+
+
+def test_the_loop_forms_no_coordinate_difference_for_a_finite_step(monkeypatch):
+    # The step test asks the pair test, which screens the squared
+    # differences, and one float sum clears each fixed-point row: the loop
+    # forms no difference list, in solver or in space.
+    formed = []
+    difference = space_module.difference
+    for module in (solver_module, space_module):
+        monkeypatch.setattr(module, "difference",
+                            lambda a, b: formed.append((a, b)) or difference(a, b))
+    T, cert, x0, space = _GRAM8_SOLVE
+    rep = krasnoselskij_solve(T, cert, x0, SolveConfig(tol=1e-12), space)
+    assert rep.status == SolveStatus.CONVERGED and rep.iterations == 38
+    assert formed == []
 
 
 def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkeypatch):
@@ -508,7 +527,7 @@ def test_the_ball_and_cycle_tests_leave_only_near_cases_to_the_exact_work(monkey
 @pytest.mark.parametrize("space", [cross2_space(), gram_space(3)],
                          ids=lambda s: f"{s.kind.value}{s.dimension}")
 def test_the_step_cycle_and_ball_tests_run_one_screen_body(space, monkeypatch):
-    # The step test (witness_max_prefix), the cycle test (detect_cycle) and
+    # The step test (the pair test against 0), the cycle test (detect_cycle) and
     # the ball test (TwoNormBall.contains) all reach the one decision body,
     # space._screen, and decide nothing on their own: with the body settling
     # nothing, every test falls to the exact kernel and decides the same.
@@ -524,7 +543,7 @@ def test_the_step_cycle_and_ball_tests_run_one_screen_body(space, monkeypatch):
         monkeypatch.setattr(space_module, "_screen", lambda *a, _settle=settle:
                             calls.append(a[0]) or (body(*a) if _settle else None))
         decisions.append((
-            solver_module.witness_max_prefix(space, wset, step, 1e-11) > 1e-11,
+            not solver_module.witness_gap_within(space, wset, step, (0.0,) * n, 1e-11),
             detect_cycle(space, wset, xs, 2, 1e-10),
             ball.contains(space, el(*[1.0] * n)),
         ))
@@ -550,8 +569,14 @@ def test_a_certified_solve_is_the_same_with_the_screen_deciding_nothing(
     x0 = el(*[3, 1, -4, 1, 5, -9, 2, 6][:n])
     answers = []
     gap_within = solver_module.witness_gap_within
-    monkeypatch.setattr(solver_module, "witness_gap_within",
-                        lambda *a: answers.append(gap_within(*a)) or answers[-1])
+
+    def spy(*a):
+        within = gap_within(*a)
+        if a[4] == 1e-12:  # the convergence check's tol, not the step threshold
+            answers.append(within)
+        return within
+
+    monkeypatch.setattr(solver_module, "witness_gap_within", spy)
     body = space_module._screen
     outputs = []
     for screen in (body, lambda *a: None):
@@ -949,6 +974,21 @@ def test_an_overflowing_difference_ends_the_run_before_the_box_test(hi, status, 
     assert rep.left_certificate_box is warned
     assert rep.warnings == ((f"iterate 39 left the box lo={box.lo} hi={box.hi}, "
                              "the only region where the certificate holds",) if warned else ())
+    assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
+
+
+def test_an_overflowing_fixed_point_row_ends_the_run_at_once():
+    # With lam = 3/4, T x0 = -u/3 = (-5e307, 0) and x1 = (-3.75e307, 0), which
+    # lies in the region: T x1 = u = (1.5e308, 0), and T x1 - x1 overflows.
+    # The run ends Diverged before recording x1, with T evaluated twice; it
+    # once went on for 28 more evaluations, whose rows the trace then cut.
+    T = CountingMap(PiecewiseTwoSet(SupNormRegion(2.0), el(1.5e308, 0)))
+    rep = krasnoselskij_solve(T, certify(1 / 3, 0.5, Provenance.asserted()), el(0, 0),
+                              SolveConfig(max_iter=10_000), SP)
+    assert rep.status == SolveStatus.DIVERGED
+    assert rep.iterations == 0 and len(rep.trace) == 1
+    assert rep.x_star is None and rep.period is None
+    assert T.calls == 2
     assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
 
 

@@ -30,7 +30,6 @@ from enrichedfp.space import (
     two_norm_batch,
     two_norm_screen,
     witness_gap_within,
-    witness_max_prefix,
     witness_norm_rows,
     witness_norms,
     witness_residual,
@@ -470,8 +469,8 @@ def test_scalar_and_batch_norms_run_one_kernel_body(space, kernel, monkeypatch):
 
 def test_scalar_and_batch_basis_norms_run_one_closed_form_body(monkeypatch):
     # On the gram standard basis both witness kernels reach the same
-    # _gram_basis_radicands: once per witness_norms call or exact
-    # witness_max_prefix call, and once per slice of witness_norm_rows.
+    # _gram_basis_radicands: once per witness_norms call or exact pair test,
+    # and once per slice of witness_norm_rows.
     calls = []
     body = space_module._gram_basis_radicands
     monkeypatch.setattr(space_module, "_gram_basis_radicands",
@@ -482,7 +481,7 @@ def test_scalar_and_batch_basis_norms_run_one_closed_form_body(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # A limit equal to the max norm is one the float screen cannot settle.
-    assert witness_max_prefix(space, wset, v.coords, max(norms)) == max(norms)
+    assert witness_gap_within(space, wset, v.coords, (0.0,) * 3, max(norms))
     assert len(calls) == 1
     for count, entries in ((24, 1), (4097, 2)):
         calls.clear()
@@ -618,7 +617,7 @@ def test_witness_norms_checks_dimensions():
     with pytest.raises(ValueError):
         witness_norms(gram_space(3), standard_basis(3), el(1, 2))
     with pytest.raises(ValueError):
-        witness_max_prefix(gram_space(3), standard_basis(3), (1.0, 2.0), 1.0)
+        witness_gap_within(gram_space(3), standard_basis(3), (1.0, 2.0), (0.0, 0.0), 1.0)
     for count in (1, 24):
         with pytest.raises(ValueError):
             witness_norm_rows(gram_space(3), standard_basis(2), np.array([[1.0, 2.0]] * count))
@@ -629,7 +628,7 @@ def test_witness_norms_checks_dimensions():
 
 
 @st.composite
-def prefix_cases(draw):
+def limit_cases(draw):
     """A kernel case plus a limit: one of its norms, a signed zero or a draw."""
     space, wset, v = draw(kernel_cases())
     norms = witness_norms(space, wset, v)
@@ -641,7 +640,7 @@ def prefix_cases(draw):
     return space, wset, v, limit
 
 
-@given(prefix_cases())
+@given(limit_cases())
 @example((gram_space(2), standard_basis(2), el(2e150, 5e149), 1.0))  # every norm NaN
 @example((gram_space(2), standard_basis(2), el(2e150, 5e149), math.inf))
 @example((gram_space(3), standard_basis(3), el(0.0, -0.0, 0.0), 0.0))
@@ -652,16 +651,12 @@ def prefix_cases(draw):
 # witness exceeds, so stopping at a max equal to the limit would be wrong.
 @example((gram_space(3), standard_basis(3), el(3.0, 2.0, 1.0), math.sqrt(10.0)))
 @settings(max_examples=400, deadline=None)
-def test_witness_max_prefix_decides_like_the_full_max(case):
+def test_the_pair_test_against_zero_decides_like_the_full_max(case):
+    # v - 0.0 is v bit for bit, so the pair test sees v's own norms.
     space, wset, v, limit = case
     full = max(witness_norms(space, wset, v))
-    got = witness_max_prefix(space, wset, v.coords, limit)
-    assert (got <= limit) == (full <= limit)
-    assert (got > limit) == (full > limit)
-    if full <= limit:  # no early exit: the value is the full max itself
-        assert got.hex() == full.hex()
-    if math.isnan(full):
-        assert math.isnan(got)
+    zero = (0.0,) * space.dimension
+    assert witness_gap_within(space, wset, v.coords, zero, limit) == (full <= limit)
 
 
 # --- the float screen on the standard basis ---------------------------------------
@@ -699,7 +694,7 @@ def _ulps(x, k):
 
 @st.composite
 def screen_cases(draw):
-    """(space, coordinates, limit) for the screened prefix: coordinates of
+    """(space, coordinates, limit) for the screened pair test: coordinates of
     any binade from subnormal to past 2**400, whose squares sum to anything
     from zero to past the 2**800 guard, one in five exactly at or just below
     it, and a limit a few ulps or a 2**-30-ish margin from the max norm, at
@@ -758,17 +753,13 @@ def screen_cases(draw):
 @example((gram_space(3), (1.0, 2.0, 3.0), math.inf))
 @example((gram_space(3), (1.0, 2.0, 3.0), -0.0))
 @settings(max_examples=500, deadline=None)
-def test_screened_witness_max_prefix_decides_like_the_full_max(case):
+def test_the_screened_pair_test_against_zero_decides_like_the_full_max(case):
+    # coords - 0.0 is coords bit for bit, so the screen sees their squares.
     space, coords, limit = case
     wset = standard_basis(space.dimension)
     full = max(witness_norms(space, wset, SpaceElement(coords)))
-    got = witness_max_prefix(space, wset, coords, limit)
-    assert (got <= limit) == (full <= limit)
-    assert (got > limit) == (full > limit)
-    if full <= limit:  # never screened: the value is the full max itself
-        assert got.hex() == full.hex()
-    if math.isnan(full):
-        assert math.isnan(got)
+    zero = (0.0,) * space.dimension
+    assert witness_gap_within(space, wset, coords, zero, limit) == (full <= limit)
 
 
 @given(screen_cases())
@@ -799,9 +790,9 @@ def test_basis_screen_is_the_ball_screen_at_the_smallest_square(case):
 
 
 def test_a_clear_cut_step_on_the_basis_runs_no_exact_kernel(monkeypatch):
-    # The screen settles a step far past the limit without entering the
-    # witness kernel; a step near the limit, and any set that is not the
-    # standard basis, still run the exact kernel.
+    # The screen settles a step far past the limit, or far inside it, without
+    # entering the witness kernel; a step near the limit, and any set that is
+    # not the standard basis, still run the exact kernel.
     entered = []
     kernel = space_module._witness_norm_iter
     monkeypatch.setattr(space_module, "_witness_norm_iter",
@@ -810,20 +801,21 @@ def test_a_clear_cut_step_on_the_basis_runs_no_exact_kernel(monkeypatch):
     for space in _SCREEN_SPACES:
         n = space.dimension
         wset = standard_basis(n)
-        step = tuple(1e-3 * (i + 1) for i in range(n))
-        assert witness_max_prefix(space, wset, step, 1e-11) == math.inf
+        step, zero = tuple(1e-3 * (i + 1) for i in range(n)), (0.0,) * n
+        assert not witness_gap_within(space, wset, step, zero, 1e-11)
+        assert witness_gap_within(space, wset, step, zero, 1.0)
         assert entered == []
         full = max(witness_norms(space, wset, SpaceElement(step)))
         entered.clear()
         for limit in (full, math.nextafter(full, 0.0)):
-            got = witness_max_prefix(space, wset, step, limit)
-            assert (got <= limit) == (full <= limit) and got.hex() == full.hex()
+            assert witness_gap_within(space, wset, step, zero, limit) == (full <= limit)
         assert entered == [wset, wset]
         entered.clear()
     for space in (cross2_space(), gram_space(2)):
-        # The first norm is past the limit: the exact kernel returns it.
+        # The first norm is past the limit: the exact kernel stops there.
         first = two_norm(space, el(1e-3, 2e-3), permuted.witnesses[0])
-        assert witness_max_prefix(space, permuted, (1e-3, 2e-3), 1e-11) == first > 1e-11
+        assert first > 1e-11
+        assert not witness_gap_within(space, permuted, (1e-3, 2e-3), (0.0, 0.0), 1e-11)
         assert entered == [permuted]
         entered.clear()
 
@@ -1135,10 +1127,8 @@ def test_basis_witness_norms_match_two_norm_bitwise(space):
         assert [a.hex() for a in witness_norms(space, wset, v)] == want
         for limit in (0.0, -0.0, math.inf, float.fromhex(want[-1])):
             norms = [float.fromhex(h) for h in want]
-            got = witness_max_prefix(space, wset, v.coords, limit)
-            assert (got <= limit) == (max(norms) <= limit)
-            if max(norms) <= limit or math.isnan(norms[0]):
-                assert got.hex() == max(norms).hex()
+            assert witness_gap_within(space, wset, v.coords, (0.0,) * n, limit) == (
+                max(norms) <= limit)
 
 
 @pytest.mark.parametrize("space", _BASIS_SPACES, ids=lambda s: f"gram:{s.dimension}")
@@ -1184,7 +1174,7 @@ def test_a_permuted_or_scaled_basis_takes_the_general_kernel(rows, monkeypatch):
 def test_off_the_basis_gram_witness_norms_run_two_norm_per_witness(monkeypatch):
     # A gram set other than the standard basis runs the reference kernel once
     # per witness evaluated: all of them for witness_norms, and up to the
-    # first norm past the limit for witness_max_prefix.
+    # first norm past the limit for the pair test.
     space = gram_space(3)
     rows = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0))
     wset = WitnessSet(tuple(SpaceElement(r) for r in rows))
@@ -1198,7 +1188,8 @@ def test_off_the_basis_gram_witness_norms_run_two_norm_per_witness(monkeypatch):
     assert calls == list(wset.witnesses)
     for limit, evaluated in ((0.5, 1), (1.5, 2), (2.1, 3), (math.inf, 4)):
         calls.clear()
-        witness_max_prefix(space, wset, v.coords, limit)
+        within = witness_gap_within(space, wset, v.coords, (0.0, 0.0, 0.0), limit)
+        assert within is (limit == math.inf)
         assert calls == list(wset.witnesses[:evaluated])
     calls.clear()
     witness_norms(space, standard_basis(3), v)
