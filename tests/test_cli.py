@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1760,3 +1761,89 @@ def test_an_asymptotic_fixed_point_that_the_map_moves_reports_no_x_star(tmp_path
     assert lines[0] == "status=MaxIterExceeded" and "x_star=none" in lines
     assert ("warning=fixed point of the 2-th iterate is not fixed by the map itself: "
             "residual 73.63 exceeds tol 1.0") in lines
+
+
+# --- the stop sentence of every outcome ------------------------------------------------
+
+_LOCAL_REFLECTION = _with({"b": "1", "theta": "0", "mode": "local", "local.u": "0,1",
+                           "local.r": "0.5"})
+# x0 - T x0 is nearly parallel to u: gram's general kernel reads its norm as 0
+# where the exact value is 6.7e-16, so the precondition passes with eps = r/2
+# = 5e-17, and the 15th iterate leaves that ball.
+_LEAVES_THE_BALL = """\
+schema=1
+space.kind=gram
+space.dimension=2
+mode=local
+map.kind=scalar_affine
+map.scale=-0.5
+map.shift=0.3,0.3
+b=0
+theta=estimate
+x0=1,3
+local.u=2,7
+local.r=1e-16
+"""
+
+_STOP_SENTENCES = {
+    "converged-at-x0": (_with({"x0": "1,0"}), EXIT_CONVERGED,
+                        "Converged after 0 iteration(s) to (1.0, 0.0)."),
+    "converged": (REFLECTION_SCENARIO, EXIT_CONVERGED,
+                  "Converged after 22 iteration(s) to (0.9999999999681337, 0.0)."),
+    "oscillation": (DEMO_SCENARIOS["picard-oscillation"], EXIT_OSCILLATION,
+                    "Picard iteration locked into a period-2 orbit; the plain iteration "
+                    "does not converge for this map."),
+    "precondition": (_LOCAL_REFLECTION, EXIT_NOT_CERTIFIABLE,
+                     "Rejected: displacement 2.0 is not below (b+1-theta)*r = 1.0."),
+    "certification": (DEMO_SCENARIOS["asymptotic-piecewise"]
+                      .replace("mode=asymptotic", "mode=krasnoselskij")
+                      .replace("theta=1\n", "theta=1.5\n"),
+                      EXIT_NOT_CERTIFIABLE, "Rejected before iterating; see warnings."),
+    "left-box": (_BOX_ONLY.format(x0="5,5"), EXIT_LEFT_DOMAIN,
+                 "Iterate 0 left the box where the certificate holds."),
+    "left-domain": (_BOX_ONLY.format(x0="0,0")
+                    + "domain.kind=box\ndomain.lo=-0.5,-0.5\ndomain.hi=0.5,0.5\n",
+                    EXIT_LEFT_DOMAIN, "Iterate 1 left the configured domain."),
+    "left-ball": (_LEAVES_THE_BALL, EXIT_LEFT_DOMAIN, "Iterate 15 left the configured domain."),
+    "diverged": (_DIVERGENT + "mode=picard\nmap.kind=scalar_affine\nmap.scale=3\n"
+                 "map.shift=1,0\n", EXIT_DIVERGED,
+                 "Diverged: the iteration overflowed after 645 iteration(s)."),
+    "certificate-violated": (
+        "schema=1\nspace.kind=cross2\nspace.dimension=2\nmode=krasnoselskij\n"
+        "map.kind=scalar_affine\nmap.scale=0.02\nmap.shift=-8.0164e307,0\n"
+        "b=0\ntheta=estimate\nx0=1e308,0\ntol=1e300\n",
+        EXIT_CERTIFICATE_VIOLATED,
+        "Met tol after 6 iteration(s), but the trace broke the certificate's a priori "
+        "bound, so the certificate does not hold for this run."),
+    "max-iter": (_with({"max_iter": "1"}), EXIT_MAX_ITER,
+                 "Stopped after 1 iteration(s) without meeting tol."),
+    "asymptotic-downgrade": (
+        _with({"mode": "asymptotic", "map.kind": "scalar_affine", "map.w": None,
+               "map.scale": "-0.99", "map.shift": "0,0", "b": "0", "theta": "0.99",
+               "n": "2", "tol": "1", "x0": "37,0"}),
+        EXIT_MAX_ITER, "Stopped after 0 iteration(s) without meeting tol."),
+}
+
+
+@pytest.mark.parametrize("text, code, sentence", _STOP_SENTENCES.values(),
+                         ids=_STOP_SENTENCES.keys())
+def test_each_outcome_states_why_the_run_stopped(text, code, sentence, tmp_path, capsys):
+    # The human block opens with one sentence saying why the run stopped.
+    assert main(["solve", "--scenario", _write(tmp_path, "s", text)]) == code
+    human = capsys.readouterr().out.split("\n\n", 1)[1]
+    assert human.splitlines()[0] == sentence
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the stopping rule has no rounding "
+                   "term, so the float iterates stall short of the fixed point")
+def test_a_converged_run_lies_within_tol_of_the_exact_fixed_point():
+    # The float map x -> 0.999 x + (1, 0) has the exact fixed point
+    # (1 / (1 - 0.999), 0), 0.999 read as its double. The run stops where the
+    # float iterates stall, at a step and residual of 0, about 57 tol away.
+    text = _with({"map.kind": "scalar_affine", "map.w": None, "map.scale": "0.999",
+                  "map.shift": "1,0", "b": "auto", "tol": "1e-12", "max_iter": "100000"})
+    report, code = run_scenario(parse_scenario_text(text))
+    assert code == EXIT_CONVERGED
+    exact = (1 / (1 - Fraction(0.999)), Fraction(0))
+    error = max(abs(Fraction(x) - e) for x, e in zip(report.x_star.coords, exact))
+    assert error <= Fraction(1e-12)
