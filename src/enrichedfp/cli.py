@@ -733,8 +733,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
 
     The picard mode runs uncertified: the oscillating reflection map is not
     enriched at b = 0, so demanding a certificate would reject exactly the
-    runs this mode exists to demonstrate. Failed certification elsewhere is
-    reported as a PreconditionFailed report carrying the reason.
+    runs this mode exists to demonstrate. Failed certification elsewhere ends
+    in a PreconditionFailed report, rejected before iterating, whose warning
+    names the failure.
     """
     if cfg.mode == "picard":
         report = picard_solve(cfg.map, cfg.x0, cfg.solve, cfg.space)
@@ -751,6 +752,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
             trace=Trace.from_rows(()),
             bound_violations=0,
             warnings=(f"certification failed: {exc}",),
+            reason="Rejected before iterating; see warnings.",
         )
         return report, _STATUS_EXIT[report.status]
 
@@ -864,38 +866,7 @@ def report_text(report: SolveReport) -> str:
     for w in report.warnings:
         lines.append(f"warning={w}")
 
-    human = [""]
-    if report.status == SolveStatus.CONVERGED and report.x_star is not None:
-        pt = ", ".join(repr(c) for c in report.x_star.coords)
-        human.append(f"Converged after {report.iterations} iteration(s) to ({pt}).")
-    elif report.status == SolveStatus.OSCILLATION:
-        human.append(
-            f"Picard iteration locked into a period-{report.period} orbit; "
-            "the plain iteration does not converge for this map."
-        )
-    elif report.status == SolveStatus.PRECONDITION_FAILED:
-        if report.precondition is not None:
-            lhs, rhs = report.precondition
-            human.append(
-                f"Rejected: displacement {lhs!r} is not below (b+1-theta)*r = {rhs!r}."
-            )
-        else:
-            human.append("Rejected before iterating; see warnings.")
-    elif report.left_certificate_box:
-        human.append(f"Iterate {report.iterations} left the box where the certificate holds.")
-    elif report.status == SolveStatus.LEFT_DOMAIN:
-        human.append(f"Iterate {report.iterations} left the configured domain.")
-    elif report.status == SolveStatus.DIVERGED:
-        human.append(
-            f"Diverged: the iteration overflowed after {report.iterations} iteration(s)."
-        )
-    elif report.status == SolveStatus.CERTIFICATE_VIOLATED:
-        human.append(
-            f"Met tol after {report.iterations} iteration(s), but the trace broke the "
-            "certificate's a priori bound, so the certificate does not hold for this run."
-        )
-    else:
-        human.append(f"Stopped after {report.iterations} iteration(s) without meeting tol.")
+    human = ["", report.reason]
     if cert is not None:
         human.append(
             f"Certificate: ({fmt_float(cert.b)}, {fmt_float(cert.theta)})-enriched, "

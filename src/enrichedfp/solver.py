@@ -26,22 +26,24 @@ One :class:`SolveConfig` holds every setting of a solve: tol, the iteration
 budget, the witness set, and the domain region itself (a ``Box`` or a
 ``TwoNormBall``) with its boundedness constant beta.
 
-All residuals are ``max_z ||., z||`` over the configured witness set. Inside
-the loop three kinds of test run: the stopping test on ``x_n - x_{n-1}``
-(and the fixed-point residuals of ``T`` and ``T_lam`` once the step passes),
-the Picard cycle test on ``x_n - x_{n-p}``, and the region tests. Each asks
-``space`` whether a residual is past a bound, and ``space`` alone decides
-how, exactly as the full residual would: every residual through the pair
-test ``witness_gap_within``, and a region through its own ``contains``. The
-step is asked once per iteration, and its one answer drives both the
-convergence check and, for Picard, the cycle test: a step whose norms are
-NaN is not within tol, so Picard looks for a cycle. The loop never sees a
-screen and forms no coordinate difference. It keeps the iterates and the
-coordinates of each ``T x_n``; a step ``x_n - x_{n-1}`` or a fixed-point row
-``T x_n - x_n`` that overflows ends the run Diverged before x_n is recorded,
-as ``SpaceElement`` subtraction would. The pair test raises on the step, and
-one float sum screens the fixed-point row, which ``space.difference`` forms
-only where that sum is not finite.
+All residuals are ``max_z ||., z||`` over the configured witness set. The
+loop runs x0 as iteration 0 and each x_n through three kinds of test: the
+region tests, the stopping test on ``x_n - x_{n-1}`` (x0 has none) and then
+the fixed-point residuals of ``T`` and ``T_lam``, and the Picard cycle test
+on ``x_n - x_{n-p}``. Each asks ``space`` whether a residual is past a bound,
+and ``space`` alone decides how, exactly as the full residual would: every
+residual through the pair test ``witness_gap_within``, and a region through
+its own ``contains``. The step is asked once per iteration, and its one
+answer drives both the convergence check and, for Picard, the cycle test: a
+step whose norms are NaN is not within tol, so Picard looks for a cycle. The
+loop never sees a screen and forms no coordinate difference. It keeps the
+iterates and the coordinates of each ``T x_n``; a step ``x_n - x_{n-1}`` or a
+fixed-point row ``T x_n - x_n`` that overflows ends the run Diverged before
+x_n is recorded, as ``SpaceElement`` subtraction would. The pair test raises
+on the step, and one float sum screens the fixed-point row, which
+``space.difference`` forms only where that sum is not finite. The test that
+ends the run, or the spent budget, sets the report's ``reason``: one sentence
+saying why it stopped.
 
 After the loop the step rows, the fixed-point rows ``T x_n - x_n`` and the
 gaps to a certified fixed point are subtracted from the iterate arrays, the
@@ -237,6 +239,23 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """The outcome of one solve.
+
+    * ``status``: how the run ended.
+    * ``x_star``: the fixed point found; None unless the run converged.
+    * ``iterations``: the index of the last recorded iterate; x0 is 0.
+    * ``certificate``: None for Picard and for a failed certification.
+    * ``trace``: one row per recorded iterate, x_0 first.
+    * ``bound_violations``: the rows whose gap to ``x_star`` broke the
+      certificate's a priori bound; counted only on a certified converged run.
+    * ``period``: the orbit's period when Picard found a cycle.
+    * ``epsilon``: the local ball's radius once the precondition passed.
+    * ``precondition``: (lhs, rhs) of the local displacement test.
+    * ``warnings``: diagnostics, in the order they arose.
+    * ``reason``: one sentence saying why the run stopped, set where that was
+      decided; the report's human block leads with it.
+    """
+
     status: SolveStatus
     x_star: Optional[SpaceElement]
     iterations: int
@@ -245,11 +264,13 @@ class SolveReport:
     bound_violations: int
     period: Optional[int] = None
     epsilon: Optional[float] = None
-    precondition: Optional[tuple[float, float]] = None  # (lhs, rhs) of the ball test
+    precondition: Optional[tuple[float, float]] = None
     warnings: tuple[str, ...] = ()
-    # LeftDomain only: the last iterate left the certificate's box and no
-    # other region (no configured domain, no local ball).
-    left_certificate_box: bool = False
+    reason: str = ""
+
+
+def _unmet(iterations: int) -> str:
+    return f"Stopped after {iterations} iteration(s) without meeting tol."
 
 
 def apriori_bound(cert: EnrichedCertificate, n: int, base: float) -> float:
@@ -324,12 +345,12 @@ def _solve_core(
     """The one solve loop; without a certificate it is Picard with cycle tests.
 
     Every iterate must lie in ``cfg.domain``, and in the box of a certificate
-    that holds only on a box (``cert.provenance.box``); leaving that box adds a
-    warning naming it. With ``local=(u, r)`` (and a certificate) the loop
-    first tests the displacement precondition
-    ``||x0 - T x0, u|| < (b + 1 - theta) r`` on its own ``T x0``: a failure
-    ends the run PreconditionFailed, before the x0 domain test, and a pass
-    confines every iterate to the closed ball of radius epsilon around x0 too.
+    that holds only on a box (``cert.provenance.box``); leaving that box adds
+    a warning naming it. With ``local=(u, r)`` (and a certificate) the loop
+    first tests ``||x0 - T x0, u|| < (b + 1 - theta) r`` on its own ``T x0``:
+    a failure ends the run PreconditionFailed, before iteration 0's region
+    test, and a pass confines every iterate to the closed ball of radius
+    epsilon around x0 too.
     """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
@@ -353,9 +374,10 @@ def _solve_core(
     period: Optional[int] = None
     epsilon: Optional[float] = None
     precondition: Optional[tuple[float, float]] = None
+    status: Optional[SolveStatus] = None
     # Row n of the trace is x_n; the loop keeps x_n and the coordinates of
-    # T x_n (n >= 1), tests only the stopping rule and, for Picard, cycles,
-    # and every column is evaluated after it from those two arrays.
+    # T x_n (n >= 1) for its tests, and every column is evaluated after it
+    # from those two arrays.
     xs: list[SpaceElement] = []
     ts: list[tuple[float, ...]] = []
     f0 = math.nan
@@ -385,63 +407,76 @@ def _solve_core(
                 # closed ball of radius r invariant under T_lam too.
                 epsilon = 0.5 * (lhs / margin + r) or r
                 regions.append(TwoNormBall(u=u, center=x0, radius=epsilon, closed=True))
+            else:
+                status = SolveStatus.PRECONDITION_FAILED
+                reason = f"Rejected: displacement {lhs!r} is not below (b+1-theta)*r = {rhs!r}."
         xs.append(x0)
 
-        if precondition is not None and epsilon is None:  # the test failed
-            status = SolveStatus.PRECONDITION_FAILED
-        elif not all(r.contains(space, x0) for r in regions):
-            status = SolveStatus.LEFT_DOMAIN
-        elif f0 <= cfg.tol and f0_lam <= cfg.tol:
-            status = SolveStatus.CONVERGED
-            x_star = x0
-        else:
-            status = SolveStatus.MAX_ITER
+        if status is None:
             # With d = 0 the averaged map is constant: every step is checked.
             d_zero = cert is not None and cert.d == 0.0
-            picard = cert is None
             x_n = x0
-            for n in range(1, cfg.max_iter + 1):
-                x_prev = x_n
-                x_n = Tlam.combine(x_prev, t_n)
-                # Whether the step is within threshold, as for the full max;
-                # a step that overflows raises here.
-                within = witness_gap_within(space, wset, x_n.coords, x_prev.coords, threshold)
-                t_n = T.apply(x_n)
-                # A difference of finite floats is never NaN, so a finite sum
-                # clears x_n's fixed-point row; difference raises on one that
-                # overflowed.
-                if not math.isfinite(sum(map(operator.sub, t_n.coords, x_n.coords))):
-                    difference(t_n.coords, x_n.coords)
-                xs.append(x_n)
-                ts.append(t_n.coords)
-                iterations = n
+            within = True  # x0 has no step: it goes straight to the residual tests
+            for n in range(cfg.max_iter + 1):
+                if n:
+                    x_prev = x_n
+                    x_n = Tlam.combine(x_prev, t_n)
+                    # Whether the step is within threshold, as for the full
+                    # max; a step that overflows raises here.
+                    within = witness_gap_within(space, wset, x_n.coords, x_prev.coords,
+                                                threshold)
+                    t_n = T.apply(x_n)
+                    # A difference of finite floats is never NaN, so a finite
+                    # sum clears x_n's fixed-point row; difference raises on
+                    # one that overflowed.
+                    if not math.isfinite(sum(map(operator.sub, t_n.coords, x_n.coords))):
+                        difference(t_n.coords, x_n.coords)
+                    xs.append(x_n)
+                    ts.append(t_n.coords)
+                    iterations = n
 
                 if regions and not all(r.contains(space, x_n) for r in regions):
                     status = SolveStatus.LEFT_DOMAIN
+                    left = "configured domain"
+                    if cert_box is not None and not cert_box.contains(space, x_n):
+                        warnings.append(f"iterate {n} left the box lo={cert_box.lo} "
+                                        f"hi={cert_box.hi}, the only region where the "
+                                        "certificate holds")
+                        if all(r.contains(space, x_n) for r in regions if r is not cert_box):
+                            left = "box where the certificate holds"
+                    reason = f"Iterate {n} left the {left}."
                     break
 
                 # One answer for both tests: only Picard detects cycles, and
                 # without a certificate threshold == cfg.tol, so "not within"
-                # is a step past tol or one whose norms are NaN.
-                if d_zero or within:
-                    # The residuals of T_lam and of T at x_n against tol.
-                    if (witness_gap_within(space, wset, Tlam.combine(x_n, t_n).coords,
-                                           x_n.coords, cfg.tol)
-                            and witness_gap_within(space, wset, t_n.coords, x_n.coords,
-                                                   cfg.tol)):
-                        status = SolveStatus.CONVERGED
-                        x_star = x_n
-                        break
+                # is a step past tol or one whose norms are NaN. Once the step
+                # passes, the residuals of T_lam and of T at x_n against tol.
+                if ((d_zero or within)
+                        and witness_gap_within(space, wset, Tlam.combine(x_n, t_n).coords,
+                                               x_n.coords, cfg.tol)
+                        and witness_gap_within(space, wset, t_n.coords, x_n.coords,
+                                               cfg.tol)):
+                    status = SolveStatus.CONVERGED
+                    x_star = x_n
+                    reason = (f"Converged after {n} iteration(s) to "
+                              f"({', '.join(map(repr, x_n.coords))}).")
+                    break
 
-                if picard and not within:
+                if cert is None and not within:
                     period = detect_cycle(space, wset, xs, _CYCLE_WINDOW, cfg.tol)
                     if period is not None:
                         status = SolveStatus.OSCILLATION
+                        reason = (f"Picard iteration locked into a period-{period} orbit; "
+                                  "the plain iteration does not converge for this map.")
                         break
+            else:
+                status = SolveStatus.MAX_ITER
+                reason = _unmet(iterations)
     except NonFiniteError:
         # A point overflowed: the iteration diverges, whatever the certificate
         # claimed. The trace keeps every iterate recorded before that.
         status = SolveStatus.DIVERGED
+        reason = f"Diverged: the iteration overflowed after {iterations} iteration(s)."
     # The trace's rows, each the IEEE subtraction of space.difference and
     # SpaceElement's: the steps x_n - x_{n-1} and D = T x_n - x_n (n >= 1),
     # finite since the loop tested them, and, for a certified fixed point, the
@@ -451,15 +486,6 @@ def _solve_core(
     certified = status == SolveStatus.CONVERGED and cert is not None
     with np.errstate(over="ignore"):
         gaps = X - x_star.coords if certified else X[:0]
-    left_certificate_box = False
-    if (status == SolveStatus.LEFT_DOMAIN and cert_box is not None
-            and not cert_box.contains(space, xs[-1])):
-        warnings.append(
-            f"iterate {len(xs) - 1} left the box lo={cert_box.lo} hi={cert_box.hi}, "
-            "the only region where the certificate holds"
-        )
-        left_certificate_box = all(r.contains(space, xs[-1])
-                                   for r in regions if r is not cert_box)
 
     m = len(D)
     dim = space.dimension
@@ -495,9 +521,10 @@ def _solve_core(
         failed = ~(norms[2 * m :] <= limits[:, None]).all(axis=1)
         bound_violations = int(failed.sum())
         if bound_violations:
-            # The run met tol, but not the tail bound its certificate promised,
-            # so the certificate is wrong for this run: never report Converged.
             status = SolveStatus.CERTIFICATE_VIOLATED
+            reason = (f"Met tol after {iterations} iteration(s), but the trace broke the "
+                      "certificate's a priori bound, so the certificate does not hold for "
+                      "this run.")
 
     return SolveReport(
         status=status,
@@ -510,7 +537,7 @@ def _solve_core(
         epsilon=epsilon,
         precondition=precondition,
         warnings=tuple(warnings),
-        left_certificate_box=left_certificate_box,
+        reason=reason,
     )
 
 
@@ -589,7 +616,7 @@ def asymptotic_solve(
     by T (applying T to it yields another fixed point of T^N, which must be
     the same point), and the final T-residual is verified against tol. A
     failed verification downgrades the report to MaxIterExceeded with a
-    diagnostic and no x_star.
+    diagnostic, no x_star and its own reason in place of the loop's.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
@@ -603,6 +630,7 @@ def asymptotic_solve(
                 report,
                 status=SolveStatus.MAX_ITER,
                 x_star=None,
+                reason=_unmet(report.iterations),
                 warnings=report.warnings
                 + (
                     f"fixed point of the {N}-th iterate is not fixed by the map "

@@ -952,12 +952,15 @@ def test_divergence_through_an_overflowing_difference(space, T, x0, iterations):
     assert_trace_matches_scalar_kernel(T, rep, wset, space)
 
 
-@pytest.mark.parametrize("hi, status, warned", [
-    (None, SolveStatus.DIVERGED, False),
-    (3.2e307, SolveStatus.DIVERGED, False),
-    (1e307, SolveStatus.LEFT_DOMAIN, True),
+_DIVERGED_AT_39 = "Diverged: the iteration overflowed after 39 iteration(s)."
+
+
+@pytest.mark.parametrize("hi, status, warned, reason", [
+    (None, SolveStatus.DIVERGED, False, _DIVERGED_AT_39),
+    (3.2e307, SolveStatus.DIVERGED, False, _DIVERGED_AT_39),
+    (1e307, SolveStatus.LEFT_DOMAIN, True, "Iterate 39 left the box where the certificate holds."),
 ], ids=["no-box", "box-past-x39", "box-short-of-x39"])
-def test_an_overflowing_difference_ends_the_run_before_the_box_test(hi, status, warned):
+def test_an_overflowing_difference_ends_the_run_before_the_box_test(hi, status, warned, reason):
     # x -> -5x averaged with lam = 1/2 doubles and flips the point: x_n =
     # (-2)^n x0, so x_39 = -1.65e307 and x_40 = 3.3e307 are finite, but T x_40
     # - x_40 = -1.98e308 overflows. A run ends Diverged at that difference,
@@ -971,7 +974,7 @@ def test_an_overflowing_difference_ends_the_run_before_the_box_test(hi, status, 
     assert rep.iterations == 39 and len(rep.trace) == 40
     assert rep.trace[-1].x.coords[0] == -1.65e307
     assert rep.x_star is None and rep.period is None
-    assert rep.left_certificate_box is warned
+    assert rep.reason == reason
     assert rep.warnings == ((f"iterate 39 left the box lo={box.lo} hi={box.hi}, "
                              "the only region where the certificate holds",) if warned else ())
     assert_trace_matches_scalar_kernel(T, rep, WIT, SP)
