@@ -69,7 +69,6 @@ from .solver import (
     SolveReport,
     SolveStatus,
     Trace,
-    TraceRow,
     asymptotic_solve,
     krasnoselskij_solve,
     local_ball_solve,
@@ -744,12 +743,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
     try:
         cert = resolve_certificate(cfg)
     except NotCertifiableError as exc:
+        dim = cfg.space.dimension
+        k = len(cfg.solve.witness_set(cfg.space).witnesses)
         report = SolveReport(
             status=SolveStatus.PRECONDITION_FAILED,
             x_star=None,
             iterations=0,
             certificate=None,
-            trace=Trace.from_rows(()),
+            trace=Trace(dim, np.empty((0, dim + 3 + k))),
             bound_violations=0,
             warnings=(f"certification failed: {exc}",),
             reason="Rejected before iterating; see warnings.",
@@ -770,16 +771,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[SolveReport, int]:
 
 # --- artifact emission --------------------------------------------------------
 
-def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
-    """Write the trace rows as CSV: one row per iterate, 17-digit floats, LF ends.
+def emit_trace_csv(trace: Trace, path: Union[str, Path]) -> None:
+    """Write the trace as CSV: one row per iterate, 17-digit floats, LF ends.
 
     Columns: n, the coordinates, step and fixed-point residuals, the a priori
     bound, then one step-residual column per witness (zero on row 0): the
-    columns of ``Trace.table``. A sequence of rows that is not a
-    :class:`Trace` is converted to one first, by :meth:`Trace.from_rows`,
-    which refuses a ragged row with a ``ValueError`` naming it, before
-    anything is written. The bytes are those of a per-cell :func:`fmt_float`
-    join, written one of two ways. A trace of fewer than 1000 float cells
+    columns of ``Trace.table``. The header comes from ``trace.dim`` and the
+    table's width, so a trace without rows writes its header line alone. The
+    bytes are those of a per-cell :func:`fmt_float` join, written one of two
+    ways. A trace of fewer than 1000 float cells
     (``_TRACE_KERNEL_MIN``) fills each row of ``table.tolist()`` by one
     ``str.format`` call on a format string built once per trace, with
     ``_FLOAT_CELL`` in every float cell. A longer one goes through the cell
@@ -787,12 +787,8 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
     written into fixed byte slots, with ``fmt_float`` itself for each cell
     the kernel cannot prove (see the notes above ``_KERNEL_MIN``).
     """
-    trace = _as_trace(trace)
-    if not trace:
-        raise ValueError("refusing to emit an empty trace")
     table = trace.table
-    dim = trace.xs[0].dim
-    header = _trace_header(dim, table.shape[1] - dim - 3)
+    header = _trace_header(trace.dim, table.shape[1] - trace.dim - 3)
     if table.size < _TRACE_KERNEL_MIN:
         row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * table.shape[1])
         _write_lines(path, [header, *(row_fmt.format(n, *cells)
@@ -805,10 +801,6 @@ def emit_trace_csv(trace: Sequence[TraceRow], path: Union[str, Path]) -> None:
     Path(path).write_bytes(header.encode() + b"\n" + body.translate(None, b"\0"))
 
 
-def _as_trace(trace: Sequence[TraceRow]) -> Trace:
-    return trace if isinstance(trace, Trace) else Trace.from_rows(trace)
-
-
 def _trace_header(dim: int, witness_count: int) -> str:
     return ",".join(["n"] + [f"x_{i}" for i in range(dim)]
                     + ["step_residual", "fixed_residual", "apriori_bound"]
@@ -819,9 +811,8 @@ def _write_lines(path: Union[str, Path], lines: Sequence[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _worst_step_ratio(trace: Sequence[TraceRow]) -> float:
-    trace = _as_trace(trace)
-    steps = trace.table[1:, trace.xs[0].dim].tolist() if trace else []
+def _worst_step_ratio(trace: Trace) -> float:
+    steps = trace.table[1:, trace.dim].tolist()
     worst = math.nan
     for prev, cur in zip(steps, steps[1:]):
         if prev > 0.0:
@@ -1016,16 +1007,13 @@ def _solve_and_emit(scenario: Union[str, Path], trace: Union[str, Path, None],
                     report_path: Union[str, Path, None]) -> int:
     """Run one scenario file and emit its artifacts; returns the exit code.
 
-    A run without iterates (certification failed) writes a header-only trace
-    CSV, so no earlier run's trace survives at the path.
+    Every run writes its trace CSV when asked: one without iterates (failed
+    certification, or divergence at x0) writes the header line alone, so no
+    earlier run's trace survives at the path.
     """
-    cfg = parse_scenario(scenario)
-    report, code = run_scenario(cfg)
-    if trace and report.trace:
+    report, code = run_scenario(parse_scenario(scenario))
+    if trace:
         emit_trace_csv(report.trace, trace)
-    elif trace:
-        _write_lines(trace, [_trace_header(cfg.space.dimension,
-                                           len(cfg.solve.witness_set(cfg.space).witnesses))])
     dests = [report_path] if report_path else []
     emit_report(report, *dests, sys.stdout)
     return code

@@ -51,10 +51,11 @@ same IEEE subtractions, and the trace columns and the post-hoc bound check
 come from one ``space.witness_norm_rows`` pass over them, bit for bit what a
 per-iteration evaluation gives.
 
-The report's trace is a :class:`Trace`: the iterates and one float64 table
-in trace-CSV column order, filled from those arrays by slice assignment. A
-:class:`TraceRow` is built only when a caller reads one; the CLI writes the
-CSV and the report from the table alone.
+The report's trace is a :class:`Trace`: the space's dimension and one
+float64 table in trace-CSV column order, filled from those arrays by slice
+assignment, whose first ``dim`` columns hold the iterates; the table is the
+one copy of them the report keeps. A :class:`TraceRow` is built only when a
+caller reads one; the CLI writes the CSV and the report from the table alone.
 """
 
 from __future__ import annotations
@@ -145,86 +146,53 @@ class TraceRow:
     witness_steps: tuple[float, ...]  # per-witness ||x_n - x_{n-1}, z_j||
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Trace(Sequence[TraceRow]):
-    """The rows of a solve, held as columns; a :class:`TraceRow` is built per read.
+    """The rows of a solve, held as one table; a :class:`TraceRow` is built per read.
 
-    ``xs`` holds the iterates x_0 ... x_N and ``table`` the read-only
-    ``(N + 1, cells)`` float64 array in trace-CSV column order: the
-    coordinates, the step and fixed-point residuals, the a priori bound, then
-    one step residual per witness. Row n, read by index or by iteration, is
-    the TraceRow with ``n``, ``x = xs[n]`` and the Python floats of table row
-    n; a slice is a tuple of rows. Two traces are equal when their iterates
-    and tables are, NaN equal to NaN; a tuple of rows is compared as the trace
-    :meth:`from_rows` makes of it. The hash is that of the iterates.
+    ``table`` is the read-only ``(N + 1, cells)`` float64 array in trace-CSV
+    column order: the ``dim`` coordinates of x_n, the step and fixed-point
+    residuals, the a priori bound, then one step residual per witness. Row n,
+    read by index or by iteration, is the TraceRow with ``n``, ``x`` the point
+    of the first ``dim`` cells of table row n and the Python floats of the
+    rest; a slice is a tuple of rows. Two traces are equal when their ``dim``
+    and tables are, NaN equal to NaN.
     """
 
-    xs: tuple[SpaceElement, ...]
+    dim: int
     table: np.ndarray
 
     def __post_init__(self):
-        if self.table.ndim != 2 or len(self.table) != len(self.xs):
-            raise ValueError(f"a trace of {len(self.xs)} iterates needs as many table "
-                             f"rows, got shape {self.table.shape}")
+        if self.table.ndim != 2 or self.table.shape[1] < self.dim + 3:
+            raise ValueError(f"a trace of {self.dim} coordinates needs a table of at least "
+                             f"{self.dim + 3} columns, got shape {self.table.shape}")
         table = self.table.view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[TraceRow]) -> "Trace":
-        """The trace of a sequence of rows, row i numbered i.
-
-        A row whose coordinate or witness count differs from row 0's, or
-        whose ``n`` is not its index, is refused with a ``ValueError`` naming
-        the first such row.
-        """
-        if not rows:
-            return cls((), np.empty((0, 0)))
-        dim, k = rows[0].x.dim, len(rows[0].witness_steps)
-        for n, row in enumerate(rows):
-            if row.x.dim != dim or len(row.witness_steps) != k:
-                raise ValueError(f"trace row {n} has {row.x.dim} coordinates and "
-                                 f"{len(row.witness_steps)} witness steps, row 0 has "
-                                 f"{dim} and {k}")
-            if row.n != n:
-                raise ValueError(f"trace row {n} has n = {row.n!r}")
-        table = np.array([(*row.x.coords, row.step_residual, row.fixed_residual,
-                           row.apriori_bound, *row.witness_steps) for row in rows],
-                         dtype=float)
-        return cls(tuple(row.x for row in rows), table)
-
     def _row(self, n: int) -> TraceRow:
-        x = self.xs[n]
         cells = self.table[n].tolist()
-        d = x.dim
-        return TraceRow(n, x, cells[d], cells[d + 1], cells[d + 2], tuple(cells[d + 3 :]))
+        d = self.dim
+        return TraceRow(n, SpaceElement(cells[:d]), cells[d], cells[d + 1], cells[d + 2],
+                        tuple(cells[d + 3 :]))
 
     def __len__(self) -> int:
-        return len(self.xs)
+        return len(self.table)
 
     def __getitem__(self, i):
-        picked = range(len(self.xs))[i]
+        picked = range(len(self.table))[i]
         return tuple(map(self._row, picked)) if isinstance(picked, range) else self._row(picked)
 
     def __iter__(self):
-        return map(self._row, range(len(self.xs)))
+        return map(self._row, range(len(self.table)))
 
     def __eq__(self, other):
-        if isinstance(other, tuple) and all(isinstance(r, TraceRow) for r in other):
-            try:
-                other = Trace.from_rows(other)
-            except ValueError:
-                return False
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.xs == other.xs and (
-            not self.xs or np.array_equal(self.table, other.table, equal_nan=True))
+        return self.dim == other.dim and np.array_equal(self.table, other.table, equal_nan=True)
 
     def __hash__(self) -> int:
-        return hash(self.xs)
-
-    def __repr__(self) -> str:
-        return f"Trace({tuple(self)!r})"
+        return hash((self.dim, self.table.shape))
 
 
 class SolveStatus(Enum):
@@ -375,9 +343,9 @@ def _solve_core(
     epsilon: Optional[float] = None
     precondition: Optional[tuple[float, float]] = None
     status: Optional[SolveStatus] = None
-    # Row n of the trace is x_n; the loop keeps x_n and the coordinates of
-    # T x_n (n >= 1) for its tests, and every column is evaluated after it
-    # from those two arrays.
+    # Row n of the trace is x_n; the loop keeps x_n, for its cycle test, and
+    # the coordinates of T x_n (n >= 1), and every column is evaluated after
+    # it from those two arrays.
     xs: list[SpaceElement] = []
     ts: list[tuple[float, ...]] = []
     f0 = math.nan
@@ -531,7 +499,7 @@ def _solve_core(
         x_star=x_star,
         iterations=iterations,
         certificate=cert,
-        trace=Trace(tuple(xs), table),
+        trace=Trace(dim, table),
         bound_violations=bound_violations,
         period=period,
         epsilon=epsilon,

@@ -40,11 +40,12 @@ from enrichedfp.cli import (
     run_scenario,
     write_scenario,
 )
-from enrichedfp.mapping import Reflection, ScalarAffine, default_piecewise
+from enrichedfp.mapping import Reflection, ScalarAffine, averaged, default_piecewise
 from enrichedfp.solver import (
     SolveConfig,
     SolveReport,
     SolveStatus,
+    Trace,
     TraceRow,
     krasnoselskij_solve,
     picard_solve,
@@ -454,16 +455,32 @@ def test_run_local_mode_checks_the_domain_beta():
 
 # --- trace CSV --------------------------------------------------------------------
 
+def _cell_trace(dim, cells):
+    """The trace whose table holds ``cells``, one list of floats per row."""
+    return Trace(dim, np.array(cells, dtype=float))
+
+
+def _header(dim, k):
+    """The trace CSV header of ``dim`` coordinates and ``k`` witnesses."""
+    return ",".join(["n"] + [f"x_{i}" for i in range(dim)]
+                    + ["step_residual", "fixed_residual", "apriori_bound"]
+                    + [f"res_w{j}" for j in range(k)])
+
+
+def _csv_of_cells(header, cells):
+    """The CSV bytes of a per-cell fmt_float join: the header, then n and the
+    cells of each row."""
+    lines = [header] + [",".join([str(n)] + [fmt_float(c) for c in row])
+                        for n, row in enumerate(cells)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_emit_trace_csv_serialises_manual_trace(tmp_path):
     # a one-iterate trace of a constant map applied at its own value:
     # the second row's step residual is exactly zero
-    x = el(0.3, 0.7)
-    rows = (
-        TraceRow(0, x, 0.0, 0.0, 0.0, (0.0, 0.0)),
-        TraceRow(1, x, 0.0, 0.0, 0.0, (0.0, 0.0)),
-    )
+    trace = _cell_trace(2, [[0.3, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2)
     path = tmp_path / "t.csv"
-    emit_trace_csv(rows, path)
+    emit_trace_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1"
     assert len(lines) == 3
@@ -472,48 +489,21 @@ def test_emit_trace_csv_serialises_manual_trace(tmp_path):
 
 def test_emit_trace_csv_rows_are_a_per_cell_fmt_float_join(tmp_path):
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
-    rows = tuple(
-        TraceRow(n, el(specials[3 + n % 3], specials[3 + (n + 1) % 3]),
-                 specials[n % 6], specials[(n + 1) % 6], specials[(n + 2) % 6],
-                 tuple(specials[(n + j) % 6] for j in (3, 4, 5)))
-        for n in range(7)
-    )
+    cells = [[specials[3 + n % 3], specials[3 + (n + 1) % 3],
+              specials[n % 6], specials[(n + 1) % 6], specials[(n + 2) % 6],
+              *(specials[(n + j) % 6] for j in (3, 4, 5))]
+             for n in range(7)]
     path = tmp_path / "t.csv"
-    emit_trace_csv(rows, path)
-    want = ["n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1,res_w2"]
-    for r in rows:
-        cells = [r.x.coords[0], r.x.coords[1], r.step_residual, r.fixed_residual,
-                 r.apriori_bound, *r.witness_steps]
-        want.append(",".join([str(r.n)] + [fmt_float(c) for c in cells]))
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    emit_trace_csv(_cell_trace(2, cells), path)
+    assert path.read_bytes() == _csv_of_cells(
+        "n,x_0,x_1,step_residual,fixed_residual,apriori_bound,res_w0,res_w1,res_w2", cells)
 
 
-def test_emit_trace_csv_refuses_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit_trace_csv((), tmp_path / "x.csv")
-
-
-@pytest.mark.parametrize("count", [20, 301])  # the row loop, then the cell kernel
-@pytest.mark.parametrize("coords, steps", [
-    ((0.5, 0.25), (1.0, 2.0, 3.0)),   # one witness step too many
-    ((0.5, 0.25), (1.0,)),            # one too few
-    ((0.5, 0.25, 0.0), (1.0,)),       # as many cells as row 0, shifted by one column
-], ids=["extra-step", "missing-step", "shifted"])
-def test_emit_trace_csv_names_the_first_ragged_row(count, coords, steps, tmp_path):
-    # Cross2 rows with two witness steps hold 7 float cells: 20 rows take the
-    # row loop, 301 the kernel. Both refuse the trace at its first row whose
-    # coordinate or witness count differs from row 0's, and write nothing.
-    rows = [TraceRow(n, el(0.5, 0.25), 1.0, 2.0, 3.0, (1.0, 2.0)) for n in range(count)]
-    assert (count * 7 >= cli._TRACE_KERNEL_MIN) == (count == 301)
-    first = count // 2
-    for n in (first, count - 1):
-        rows[n] = TraceRow(n, el(*coords), 1.0, 2.0, 3.0, steps)
+@pytest.mark.parametrize("dim, k", [(2, 3), (8, 8)])
+def test_an_empty_trace_writes_its_header_line_only(dim, k, tmp_path):
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match=rf"^trace row {first} has {len(coords)} "
-                                         rf"coordinates and {len(steps)} witness steps, "
-                                         r"row 0 has 2 and 2$"):
-        emit_trace_csv(rows, path)
-    assert not path.exists()
+    emit_trace_csv(Trace(dim, np.empty((0, dim + 3 + k))), path)
+    assert path.read_bytes() == (_header(dim, k) + "\n").encode()
 
 
 def _double(bits):
@@ -638,45 +628,31 @@ def test_emit_trace_csv_above_the_crossover_is_a_per_cell_fmt_float_join(tmp_pat
         return rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 5)
 
     finite = [c for c in specials if math.isfinite(c)]  # a point's coordinates
-    rows = tuple(
-        TraceRow(n, SpaceElement(tuple(cell(finite) for _ in range(dim))), cell(), cell(),
-                 cell(), tuple(cell() for _ in range(dim)))
-        for n in range(60)
-    )
-    assert len(rows) * (2 * dim + 3) >= cli._TRACE_KERNEL_MIN
-    calls = []
-    kernel = cli._float_rows
-    monkeypatch.setattr(cli, "_float_rows",
-                        lambda table: calls.append(table.shape) or kernel(table))
+    cells = [[*(cell(finite) for _ in range(dim)), cell(), cell(), cell(),
+              *(cell() for _ in range(dim))]
+             for _ in range(60)]
+    assert len(cells) * (2 * dim + 3) >= cli._TRACE_KERNEL_MIN
+    calls = _spy_on_the_kernel(monkeypatch)
     path = tmp_path / "t.csv"
-    emit_trace_csv(rows, path)
+    emit_trace_csv(_cell_trace(dim, cells), path)
     assert calls == [(60, 2 * dim + 3)]
-    want = [",".join(["n"] + [f"x_{i}" for i in range(dim)]
-                     + ["step_residual", "fixed_residual", "apriori_bound"]
-                     + [f"res_w{j}" for j in range(dim)])]
-    for r in rows:
-        cells = [*r.x.coords, r.step_residual, r.fixed_residual, r.apriori_bound,
-                 *r.witness_steps]
-        want.append(",".join([str(r.n)] + [fmt_float(c) for c in cells]))
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    header = _header(dim, dim)
+    assert path.read_bytes() == _csv_of_cells(header, cells)
     # One row short of the crossover's cells, the row loop writes the same bytes.
     calls.clear()
-    short = rows[: -(-cli._TRACE_KERNEL_MIN // (2 * dim + 3)) - 1]
-    emit_trace_csv(short, path)
+    short = cells[: -(-cli._TRACE_KERNEL_MIN // (2 * dim + 3)) - 1]
+    emit_trace_csv(_cell_trace(dim, short), path)
     assert calls == []
-    assert path.read_bytes() == ("\n".join(want[: len(short) + 1]) + "\n").encode()
+    assert path.read_bytes() == _csv_of_cells(header, short)
 
 
-def _emit_both_ways(trace, tmp_path, monkeypatch):
-    """The bytes emit_trace_csv writes for a Trace and for the tuple of its
-    rows, and the float table shapes the cell kernel received."""
+def _spy_on_the_kernel(monkeypatch):
+    """The list of float table shapes the cell kernel receives from now on."""
     calls = []
     kernel = cli._float_rows
     monkeypatch.setattr(cli, "_float_rows",
                         lambda table: calls.append(table.shape) or kernel(table))
-    emit_trace_csv(trace, tmp_path / "a.csv")
-    emit_trace_csv(tuple(trace), tmp_path / "b.csv")
-    return (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes(), calls
+    return calls
 
 
 # Gram:2 Picard runs of x -> 3x + (1, 0) against a witness set with one long
@@ -710,9 +686,13 @@ def test_a_trace_and_its_rows_emit_the_same_bytes(run, kernel, tmp_path, monkeyp
     else:
         trace = _nan_witness_run(run)[2].trace
     assert (trace.table.size >= cli._TRACE_KERNEL_MIN) == kernel
-    a, b, calls = _emit_both_ways(trace, tmp_path, monkeypatch)
-    assert a == b
-    assert calls == ([trace.table.shape] * 2 if kernel else [])
+    calls = _spy_on_the_kernel(monkeypatch)
+    emit_trace_csv(trace, tmp_path / "t.csv")
+    assert calls == ([trace.table.shape] if kernel else [])
+    header = _header(trace.dim, len(trace[0].witness_steps))
+    rows = [[*r.x.coords, r.step_residual, r.fixed_residual, r.apriori_bound,
+             *r.witness_steps] for r in trace]
+    assert (tmp_path / "t.csv").read_bytes() == _csv_of_cells(header, rows)
 
 
 def _python_worst_step_ratio(steps):
@@ -746,7 +726,6 @@ def test_nan_witness_norms_keep_python_max_in_every_column(name):
     steps = [max(r.witness_steps) for r in rows]
     want = _python_worst_step_ratio(steps)
     assert cli._worst_step_ratio(rep.trace).hex() == want.hex()
-    assert cli._worst_step_ratio(rows).hex() == want.hex()
     assert f"worst_step_ratio={fmt_float(want)}\n" in report_text(rep)
 
 
@@ -758,9 +737,8 @@ def test_worst_step_ratio_matches_the_python_loop_on_special_steps():
     for count in range(8):
         for _ in range(60):
             steps = [0.0] + [rng.choice(pool) for _ in range(count)]
-            rows = tuple(TraceRow(n, el(0.5, 0.25), step, 0.0, 0.0, (step, 0.0))
-                         for n, step in enumerate(steps))
-            assert cli._worst_step_ratio(rows).hex() == _python_worst_step_ratio(steps).hex()
+            trace = _cell_trace(2, [[0.5, 0.25, step, 0.0, 0.0, step, 0.0] for step in steps])
+            assert cli._worst_step_ratio(trace).hex() == _python_worst_step_ratio(steps).hex()
 
 
 def test_a_cli_solve_builds_no_trace_row(tmp_path, monkeypatch):
@@ -842,7 +820,7 @@ def test_report_status_line_is_the_status_value():
     ]
     for status in SolveStatus:
         report = SolveReport(status=status, x_star=None, iterations=0, certificate=None,
-                             trace=(), bound_violations=0)
+                             trace=Trace(2, np.empty((0, 7))), bound_violations=0)
         assert report_text(report).startswith(f"status={status.value}\niterations=0\n")
 
 
@@ -1442,6 +1420,33 @@ def test_a_run_without_iterates_replaces_an_earlier_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_run_diverging_at_x0_writes_the_header_line_only(tmp_path, capsys):
+    # T x0 = 3e308 + 1 overflows, so the run ends Diverged with no iterate
+    # recorded, and the CSV holds the header of its three witnesses alone.
+    text = ("schema=1\nspace.kind=cross2\nmode=picard\nmap.kind=scalar_affine\n"
+            "map.scale=3\nmap.shift=1,0\nx0=1e308,0\nwitnesses=1,0;0,1;1,1\n")
+    trace = tmp_path / "t.csv"
+    code = main(["solve", "--scenario", _write(tmp_path, "s", text), "--trace", str(trace)])
+    assert code == EXIT_DIVERGED == 6
+    assert capsys.readouterr().out.startswith("status=Diverged\n")
+    assert trace.read_bytes() == (b"n,x_0,x_1,step_residual,fixed_residual,apriori_bound,"
+                                  b"res_w0,res_w1,res_w2\n")
+
+
+def test_each_trace_row_reads_back_the_loops_iterate_bit_for_bit():
+    # The table is the one copy of the iterates: row n's x is the loop's x_n,
+    # rebuilt here from x0 as x_{n+1} = T_lam x_n, to the last bit.
+    cfg = parse_scenario_text(GRAM8_ITERATED_SCENARIO)
+    report, code = run_scenario(cfg)
+    assert code == EXIT_CONVERGED and len(report.trace) > 90
+    Tlam = averaged(cfg.map, report.certificate.lam)
+    x = cfg.x0
+    for row in report.trace:
+        assert [c.hex() for c in row.x.coords] == [c.hex() for c in x.coords]
+        last, x = x, Tlam.combine(x, cfg.map.apply(x))
+    assert last == report.x_star
+
+
 def _basis_free(text):
     """The scenario with a hand-built ``SolveConfig()``: witnesses None, default tol."""
     return dataclasses.replace(parse_scenario_text(text), solve=SolveConfig())
@@ -1847,3 +1852,18 @@ def test_a_converged_run_lies_within_tol_of_the_exact_fixed_point():
     exact = (1 / (1 - Fraction(0.999)), Fraction(0))
     error = max(abs(Fraction(x) - e) for x, e in zip(report.x_star.coords, exact))
     assert error <= Fraction(1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the gram kernel reads 0 for a pair "
+                   "close to dependence, so the local precondition passes")
+def test_a_near_dependent_local_precondition_fails_on_gram_as_on_cross2():
+    # ||x0 - T x0, u|| = ||(1.2, 4.2), (2, 7)|| is 6.66e-16 exactly rounded,
+    # past (b + 1 - theta) r = 5e-17: cross2 rejects the run before iterating,
+    # and gram:2, the same space, must do the same.
+    text = ("schema=1\nspace.kind={space}\nmode=local\nmap.kind=scalar_affine\n"
+            "map.scale=-0.5\nmap.shift=0.3,0.3\nb=0\ntheta=estimate\nx0=1,3\n"
+            "local.u=2,7\nlocal.r=1e-16\n")
+    cross2 = run_scenario(parse_scenario_text(text.format(space="cross2")))[1]
+    assert cross2 == EXIT_NOT_CERTIFIABLE == 2
+    gram = run_scenario(parse_scenario_text(text.format(space="gram\nspace.dimension=2")))[1]
+    assert gram == EXIT_NOT_CERTIFIABLE

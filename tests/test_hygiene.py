@@ -5,8 +5,9 @@ to re-export, so it is exempt), and every ``__all__`` entry must be a name
 the module defines or imports. Every private module-level helper (a function,
 class or constant whose name starts with ``_``), and every function of
 ``_dd``, must be used somewhere in the package outside its own definition,
-and so must every ``__all__`` name, save a few kept for users (the imports
-of ``__init__`` do not count as uses). Every annotated field of a dataclass
+and so must every ``__all__`` name, read as a name and not merely as an
+attribute that shares it, save a few kept for users (the imports of
+``__init__`` do not count as uses). Every annotated field of a dataclass
 must be read as an attribute somewhere in the package or in the tests, or it
 is state that nothing uses. No module imports a private name of another
 package module, or reads a private dataclass field of another module's
@@ -95,14 +96,15 @@ def _helpers(path, tree):
             or (path.name == "_dd.py" and isinstance(node, ast.FunctionDef))]
 
 
-def _uses():
-    """Each (module, name, line) where the package reads a name or attribute."""
+def _uses(attributes=True):
+    """Each (module, name, line) where the package reads a name, and with
+    ``attributes`` also each where it reads an attribute of that name."""
     uses = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.append((path.name, node.id, node.lineno))
-            elif isinstance(node, ast.Attribute):
+            elif attributes and isinstance(node, ast.Attribute):
                 uses.append((path.name, node.attr, node.lineno))
     return uses
 
@@ -132,14 +134,20 @@ def test_the_helper_check_sees_private_names_and_dd_functions():
 
 # Public names kept for users of the package although no module reads them:
 # the console-script entry, the scenario writer, the shipped example map, the
-# seminorm view of the 2-norm and the theta of a map at a given b.
+# seminorm view of the 2-norm, the theta of a map at a given b and the a
+# priori bound of one row, which users call per row. The solver's a priori
+# column repeats that expression inline: for a 140-row column, calling the
+# function per row took 46 us against 14 us inline on a 2-vCPU Xeon, with
+# bit-identical values.
 _USER_FACING = {"main_entry", "write_scenario", "default_piecewise", "seminorm",
-                "estimate_theta"}
+                "estimate_theta", "apriori_bound"}
 
 
 def test_every_public_name_is_used():
-    # The package __init__ only re-exports, so its imports read nothing.
-    uses = [u for u in _uses() if u[0] != "__init__.py"]
+    # Only a loaded name counts: an attribute of the same name (a field, a
+    # method) is not a read of the module-level one. The package __init__
+    # only re-exports, so its imports read nothing.
+    uses = [u for u in _uses(attributes=False) if u[0] != "__init__.py"]
     unused = []
     for path in MODULES:
         tree = _tree(path)

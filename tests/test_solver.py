@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -194,9 +195,10 @@ def test_the_trace_is_a_read_only_sequence_of_rows():
     assert [row.n for row in trace] == list(range(len(rows)))
     with pytest.raises(IndexError):
         trace[len(rows)]
-    # Equal to the tuple of its rows, both ways round, and to no shorter one.
-    assert trace == rows and rows == trace and trace != rows[:-1] and trace != ()
-    assert Trace.from_rows(rows) == trace
+    # Equal to a trace of the same dim and table, to no shorter one, and not
+    # to the tuple of its rows.
+    assert trace == Trace(2, trace.table.copy()) and trace != Trace(2, trace.table[:-1])
+    assert trace != rows and trace != Trace(3, trace.table)
     # The table is read-only, and the report still hashes.
     assert trace.table.shape == (len(rows), 2 + 3 + 2)
     assert not trace.table.flags.writeable
@@ -205,21 +207,15 @@ def test_the_trace_is_a_read_only_sequence_of_rows():
     again = krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
                                 SolveConfig(tol=1e-10), SP)
     assert again == rep and hash(again) == hash(rep)
-    # An uncertified trace, NaN bounds and all, equals its rows too.
+    # An uncertified trace, NaN bounds and all, equals its copy too.
     picard = picard_solve(Reflection(el(2, 0)), el(0, 0), SolveConfig(), SP)
-    assert picard.trace == tuple(picard.trace) and hash(picard) == hash(picard)
-    # A run with no iterate has an empty trace.
+    copy = Trace(2, picard.trace.table.copy())
+    assert picard.trace == copy and hash(picard.trace) == hash(copy)
+    assert hash(picard) == hash(picard)
+    # A run with no iterate has an empty trace, as wide as any other.
     empty = picard_solve(ScalarAffine(3.0, el(1, 0)), el(1e308, 0), SolveConfig(), SP).trace
-    assert not empty and len(empty) == 0 and empty == () and tuple(empty) == ()
-    assert empty[:] == () and empty == Trace.from_rows(())
-
-
-def test_a_trace_from_rows_refuses_a_row_out_of_order():
-    rows = tuple(krasnoselskij_solve(Reflection(el(2, 0)), reflection_cert(), el(0, 0),
-                                     SolveConfig(tol=1e-10), SP).trace)
-    with pytest.raises(ValueError, match=r"^trace row 2 has n = 3$"):
-        Trace.from_rows(rows[:2] + rows[3:])
-    assert Trace(tuple(row.x for row in rows), Trace.from_rows(rows).table) == rows
+    assert not empty and len(empty) == 0 and tuple(empty) == () and empty[:] == ()
+    assert empty == Trace(2, np.empty((0, 7))) and empty != Trace(2, np.empty((0, 8)))
 
 
 def test_uniqueness_probe_across_starts():
@@ -834,10 +830,10 @@ def test_divergence_on_the_first_map_evaluation():
     x0 = el(1e308, 0)
     rep = picard_solve(T, x0, SolveConfig(), SP)
     assert rep.status == SolveStatus.DIVERGED
-    assert rep.iterations == 0 and rep.trace == ()
+    assert rep.iterations == 0 and len(rep.trace) == 0
     rep = local_ball_solve(T, certify(0.0, 0.5, Provenance.asserted()), x0, el(0, 1),
                            1.0, SolveConfig(), SP)
-    assert rep.status == SolveStatus.DIVERGED and rep.trace == ()
+    assert rep.status == SolveStatus.DIVERGED and len(rep.trace) == 0
 
 
 # --- trace columns against a scalar recomputation ------------------------------------

@@ -1194,3 +1194,14 @@ def test_off_the_basis_gram_witness_norms_run_two_norm_per_witness(monkeypatch):
     calls.clear()
     witness_norms(space, standard_basis(3), v)
     assert calls == []  # the basis closed form
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the gram basis closed form forms "
+                   "|v|^2 - v_j^2, which cancels when the magnitudes spread")
+def test_the_gram_basis_norm_keeps_n1_when_magnitudes_spread():
+    # ||v, e_1||^2 = v_2^2 + v_3^2 exactly, so the norm is sqrt(2) 1e-5
+    # correctly rounded, not 0: a nonzero pair off a line has a nonzero norm.
+    space, v, e1 = gram_space(3), el(1e20, 1e-5, 1e-5), el(1, 0, 0)
+    want = 1.4142135623730951e-05
+    assert two_norm(space, v, e1) == want
+    assert witness_norms(space, standard_basis(3), v)[0] == want
