@@ -150,10 +150,12 @@ def _fmt_coords(coords: Sequence[float]) -> str:
 # and partial product of two_prod normal and finite, with -264 <= p <= 297.
 _KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
 _POW10_P_MIN, _POW10_P_MAX = -264, 297
-# A cell's slot is 28 bytes, seven uint32 words of four text bytes each:
-# (pad, sign, digit, "."), four words of four digits, ("e", sign, hundreds
-# or pad, tens) and (ones, ",", pad, pad). Zero bytes are padding, removed
-# after assembly; the tables are built as bytes, so no word order matters.
+# A cell's slot is 28 bytes, seven uint32 words of four text bytes each: the
+# lead (",", sign or pad, digit, "."), four words of four digits, and the
+# exponent's 8 bytes ("e", sign, 2 or 3 digits, pads). Zero bytes are
+# padding, removed after assembly, so a pad may sit anywhere; the tables are
+# built as bytes, so no word order matters. A row of slots is
+# "," + ",".join(map(fmt_float, row)): the n column goes before it.
 _SLOT = 28
 # The exponent table covers -300 to 300; the kernel's exponents lie in -281 to 281.
 _EXP_OFFSET = 300
@@ -174,45 +176,22 @@ _EXP_OFFSET = 300
 _TRACE_KERNEL_MIN = 1000
 
 
-def _digit_words() -> np.ndarray:
-    """Entry i: the four digits of i, built from the ten digit bytes (built
-    by integer division of 0..9999, the table raised peak RSS by 1.1 MB)."""
-    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    return np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).view(np.uint32).ravel()
-
-
-def _exponent_words(digits4: np.ndarray) -> np.ndarray:
-    """Entry k + _EXP_OFFSET: the eight bytes "e", sign, hundreds or pad,
-    tens, ones, ",", pad, pad, as one uint64: the slot's last two words."""
-    k = np.arange(-_EXP_OFFSET, _EXP_OFFSET + 1)
-    a = np.abs(k)
-    b = np.zeros((k.size, 8), np.uint8)
-    b[:, 0] = ord("e")
-    b[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    b[:, 2:5] = digits4[a].view(np.uint8).reshape(-1, 4)[:, 1:]
-    b[a < 100, 2] = 0
-    b[:, 5] = ord(",")
-    return b.view(np.uint64).ravel()
-
-
-def _lead_words() -> np.ndarray:
-    """Entry neg * 10 + d: (pad, "-" if neg else pad, the digit d, ".")."""
-    b = np.zeros((20, 4), np.uint8)
-    b[10:, 1] = ord("-")
-    b[:, 2] = np.tile(np.arange(ord("0"), ord("9") + 1), 2)
-    b[:, 3] = ord(".")
-    return b.view(np.uint32).ravel()
-
-
 @functools.cache
 def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lead, four-digit and exponent words, and a ``(2, 562)`` array of
-    10^p as (hi, lo) at column p - _POW10_P_MIN, NaN until a cell needs that
-    p. Built on the kernel's first call: each numpy routine first run at
-    import raised the peak RSS of every run by about 0.1 MB, kernel or not."""
-    digits4 = _digit_words()
-    return (_lead_words(), digits4, _exponent_words(digits4),
-            np.full((2, _POW10_P_MAX - _POW10_P_MIN + 1), np.nan))
+    """The kernel's tables, built on its first call (each numpy routine first
+    run at import raised the peak RSS of every run by about 0.1 MB, kernel or
+    not): lead word ``neg * 10 + d``; four-digit word i, from the ten digit
+    bytes (a table built by integer division of 0..9999 raised peak RSS by
+    1.1 MB); the exponent's two words at row ``k + _EXP_OFFSET``; and 10^p as
+    (hi, lo) in column ``p - _POW10_P_MIN`` of a ``(2, 562)`` array."""
+    lead = b"".join(b",%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10))
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits4 = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).view(np.uint32).ravel()
+    exponent = b"".join((b"e%+03d" % k).ljust(8, b"\0")
+                        for k in range(-_EXP_OFFSET, _EXP_OFFSET + 1))
+    pow10 = np.array([_pow10_pair(p) for p in range(_POW10_P_MIN, _POW10_P_MAX + 1)]).T
+    return (np.frombuffer(lead, np.uint32), digits4,
+            np.frombuffer(exponent, np.uint32).reshape(-1, 2), pow10)
 
 
 def _pow10_pair(p: int) -> tuple[float, float]:
@@ -227,18 +206,6 @@ def _pow10_pair(p: int) -> tuple[float, float]:
     return hi, (den - num * d) / (den * d)
 
 
-def _pow10_dd(pow10: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` of 10^p for each p, from the memo ``pow10``, filled as needed."""
-    i = p - _POW10_P_MIN
-    hi = pow10[0, i]
-    missing = np.isnan(hi)
-    if missing.any():
-        for q in set(p[missing].tolist()):
-            pow10[:, q - _POW10_P_MIN] = _pow10_pair(q)
-        hi = pow10[0, i]
-    return hi, pow10[1, i]
-
-
 def _decimal_digits(x: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, ...]:
     """For each cell of the flat array x: its 17 significant digits as one
     integer (0 for zero), its decade, and whether it is hard, so that its
@@ -247,7 +214,7 @@ def _decimal_digits(x: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, ...]:
     fast = (ax >= _KERNEL_MIN) & (ax <= _KERNEL_MAX)
     xe = np.where(fast, ax, 1.0)
     k = np.floor(np.log10(xe)).astype(np.int64)
-    hi, lo = _pow10_dd(pow10, 16 - k)
+    hi, lo = pow10[:, 16 - k - _POW10_P_MIN]
     p, e = two_prod(xe, hi)
     s, t = two_sum(p, e + xe * lo)
     r = np.rint(t)
@@ -263,7 +230,7 @@ def _decimal_digits(x: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _float_rows(table: np.ndarray) -> np.ndarray:
     """The cells of a ``(rows, cells)`` float64 array as ``(rows, cells * 28)``
-    uint8 text: each row is ``",".join(map(fmt_float, row)) + "\\n"`` once the
+    uint8 text: each row is ``"," + ",".join(map(fmt_float, row))`` once the
     zero bytes are removed, every hard cell written by fmt_float itself."""
     lead_words, digit_words, exponent_words, pow10 = _kernel_tables()
     rows, cells = table.shape
@@ -277,16 +244,13 @@ def _float_rows(table: np.ndarray) -> np.ndarray:
     out = np.empty((x.size, _SLOT // 4), np.uint32)
     out[:, 0] = lead_words[lead + 10 * np.signbit(x)]
     out[:, 1:5] = digit_words[np.stack([top4, halves - top4 * 10**4], axis=2).reshape(-1, 4)]
-    out[:, 5:] = exponent_words[k + _EXP_OFFSET].view(np.uint32).reshape(-1, 2)
-    text = out.view(np.uint8)
+    out[:, 5:] = exponent_words[k + _EXP_OFFSET]
     idx = np.flatnonzero(hard)
     if idx.size:
-        fallback = b"".join(fmt_float(v).encode().ljust(25, b"\0") + b",\0\0"
+        fallback = b"".join((b"," + fmt_float(v).encode()).ljust(_SLOT, b"\0")
                             for v in x[idx].tolist())
-        text[idx] = np.frombuffer(fallback, np.uint8).reshape(-1, _SLOT)
-    text = text.reshape(rows, cells, _SLOT)
-    text[:, -1, 25] = ord("\n")
-    return text.reshape(rows, cells * _SLOT)
+        out[idx] = np.frombuffer(fallback, np.uint32).reshape(-1, _SLOT // 4)
+    return out.view(np.uint8).reshape(rows, cells * _SLOT)
 
 
 class ScenarioError(ValueError):
@@ -784,31 +748,31 @@ def emit_trace_csv(trace: Trace, path: Union[str, Path]) -> None:
     ``str.format`` call on a format string built once per trace, with
     ``_FLOAT_CELL`` in every float cell. A longer one goes through the cell
     kernel: the table's 17 digits are computed for every cell at once and
-    written into fixed byte slots, with ``fmt_float`` itself for each cell
-    the kernel cannot prove (see the notes above ``_KERNEL_MIN``).
+    written into fixed comma-led byte slots, with ``fmt_float`` itself for
+    each cell the kernel cannot prove (see the notes above ``_KERNEL_MIN``),
+    between the n column and a newline column. Either way the file is
+    written once, from bytes.
     """
     table = trace.table
     header = _trace_header(trace.dim, table.shape[1] - trace.dim - 3)
     if table.size < _TRACE_KERNEL_MIN:
-        row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * table.shape[1])
-        _write_lines(path, [header, *(row_fmt.format(n, *cells)
-                                      for n, cells in enumerate(table.tolist()))])
-        return
-    # "n," in a zero-padded fixed-width column, then the float slots.
-    first = np.array([f"{n}," for n in range(len(table))], dtype="S").view(np.uint8)
-    body = np.concatenate([first.reshape(len(table), -1), _float_rows(table)],
-                          axis=1).tobytes()
-    Path(path).write_bytes(header.encode() + b"\n" + body.translate(None, b"\0"))
+        row_fmt = ",".join(["{}"] + [_FLOAT_CELL] * table.shape[1]) + "\n"
+        body = "".join(row_fmt.format(n, *cells)
+                       for n, cells in enumerate(table.tolist())).encode()
+    else:
+        # n in a zero-padded fixed-width column, the float slots, then "\n".
+        rows = len(table)
+        first = np.array([f"{n}" for n in range(rows)], dtype="S").view(np.uint8)
+        ends = np.full((rows, 1), ord("\n"), np.uint8)
+        body = np.concatenate([first.reshape(rows, -1), _float_rows(table), ends],
+                              axis=1).tobytes().translate(None, b"\0")
+    Path(path).write_bytes(header.encode() + b"\n" + body)
 
 
 def _trace_header(dim: int, witness_count: int) -> str:
     return ",".join(["n"] + [f"x_{i}" for i in range(dim)]
                     + ["step_residual", "fixed_residual", "apriori_bound"]
                     + [f"res_w{j}" for j in range(witness_count)])
-
-
-def _write_lines(path: Union[str, Path], lines: Sequence[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _worst_step_ratio(trace: Trace) -> float:

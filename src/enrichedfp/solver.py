@@ -318,7 +318,8 @@ def _solve_core(
     first tests ``||x0 - T x0, u|| < (b + 1 - theta) r`` on its own ``T x0``:
     a failure ends the run PreconditionFailed, before iteration 0's region
     test, and a pass confines every iterate to the closed ball of radius
-    epsilon around x0 too.
+    epsilon around x0 too. ``||x0 - T_lam x0||`` is formed only to check
+    ``cfg.bound_beta``.
     """
     if T.dimension != space.dimension or x0.dim != space.dimension:
         raise ValueError("map, start point and space must share one dimension")
@@ -356,13 +357,14 @@ def _solve_core(
         # T is evaluated once per point: T x_n feeds both the fixed-point
         # residual and x_{n+1} = Tlam.combine(x_n, T x_n), which is Tlam x_n.
         t_n = T.apply(x0)
-        f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
         f0 = witness_residual(space, wset, t_n, x0)
-        if cfg.bound_beta is not None and f0_lam > cfg.bound_beta:
-            warnings.append(
-                f"bound_beta consistency check failed: ||x0 - T_lam x0|| = {f0_lam!r} "
-                f"exceeds beta = {cfg.bound_beta!r}"
-            )
+        if cfg.bound_beta is not None:
+            f0_lam = witness_residual(space, wset, Tlam.combine(x0, t_n), x0)
+            if f0_lam > cfg.bound_beta:
+                warnings.append(
+                    f"bound_beta consistency check failed: ||x0 - T_lam x0|| = "
+                    f"{f0_lam!r} exceeds beta = {cfg.bound_beta!r}"
+                )
         if local is not None:
             u, r = local
             lhs = two_norm(space, x0 - t_n, u)

@@ -511,8 +511,8 @@ def _double(bits):
 
 
 def _fmt_join(table):
-    """The text fmt_float gives a matrix: one comma-joined line per row."""
-    return "".join(",".join(map(fmt_float, row)) + "\n" for row in table).encode()
+    """The text fmt_float gives a matrix: each cell led by a comma."""
+    return "".join("," + ",".join(map(fmt_float, row)) for row in table).encode()
 
 
 def _kernel_text(table):
@@ -644,6 +644,16 @@ def test_emit_trace_csv_above_the_crossover_is_a_per_cell_fmt_float_join(tmp_pat
     emit_trace_csv(_cell_trace(dim, short), path)
     assert calls == []
     assert path.read_bytes() == _csv_of_cells(header, short)
+
+
+def test_the_power_of_ten_pairs_are_correctly_rounded_on_the_whole_range():
+    # The kernel's 10^p table, p in [-264, 297]: hi is 10^p correctly
+    # rounded, and hi + lo lies within 2**-106 10^p of it.
+    for p in range(cli._POW10_P_MIN, cli._POW10_P_MAX + 1):
+        exact = Fraction(10) ** p
+        hi, lo = cli._pow10_pair(p)
+        assert hi == float(exact)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= Fraction(2) ** -106 * exact
 
 
 def _spy_on_the_kernel(monkeypatch):
@@ -1867,3 +1877,17 @@ def test_a_near_dependent_local_precondition_fails_on_gram_as_on_cross2():
     assert cross2 == EXIT_NOT_CERTIFIABLE == 2
     gram = run_scenario(parse_scenario_text(text.format(space="gram\nspace.dimension=2")))[1]
     assert gram == EXIT_NOT_CERTIFIABLE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the gram norm's Dekker split overflows "
+                   "past |v| of about 1.2e150, so the bound check reads NaN gaps as violations")
+def test_a_run_at_the_exact_fixed_point_far_out_holds_its_certificate():
+    # The reflection x -> w - x from x0 = 0 steps to w / 2, its exact fixed
+    # point, in one iteration. |w| / 2 is past the gram kernel's reach, so
+    # the gaps x_n - x_star have NaN norms and the run exits 7.
+    text = _with({"space.kind": "gram\nspace.dimension=2",
+                  "map.w": "0,2.3146366876930233e+150", "b": "1", "tol": "1",
+                  "max_iter": "1"})
+    report, code = run_scenario(parse_scenario_text(text))
+    assert report.x_star.coords == (0.0, 2.3146366876930233e+150 / 2)
+    assert code == EXIT_CONVERGED

@@ -11,7 +11,8 @@ attribute that shares it, save a few kept for users (the imports of
 must be read as an attribute somewhere in the package or in the tests, or it
 is state that nothing uses. No module imports a private name of another
 package module, or reads a private dataclass field of another module's
-class: a module's private names are its own.
+class: a module's private names are its own. Every ``pytest.mark.xfail``
+in the tests is strict and names the ROADMAP item whose defect it pins.
 """
 
 import ast
@@ -238,3 +239,50 @@ def test_the_private_name_checks_see_imports_and_field_reads():
     assert _private_imports(tree) == ["_witness_norm_iter (line 1)", "_screen (line 3)"]
     assert _foreign_field_reads("solver.py", tree, fields) == ["4 ._basis"]
     assert _foreign_field_reads("space.py", tree, fields) == []
+
+
+def _xfail_marks(tree):
+    """Each ``pytest.mark.xfail`` in a module as (line, keyword arguments),
+    the keywords ``None`` for a mark used without a call."""
+    marks = {node: None for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and ast.unparse(node) == "pytest.mark.xfail"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.func in marks:
+            marks[node.func] = {kw.arg: kw.value for kw in node.keywords}
+    return sorted(((node.lineno, kws) for node, kws in marks.items()), key=lambda m: m[0])
+
+
+def _xfail_faults(tree):
+    """The lines of xfail marks that set ``strict`` to anything but True, or
+    whose reason is not a literal starting ``"ROADMAP item "``."""
+    bad = []
+    for line, kws in _xfail_marks(tree):
+        kws = kws or {}
+        strict, reason = kws.get("strict"), kws.get("reason")
+        if ((strict is not None and not (isinstance(strict, ast.Constant) and strict.value is True))
+                or not (isinstance(reason, ast.Constant) and isinstance(reason.value, str)
+                        and reason.value.startswith("ROADMAP item "))):
+            bad.append(line)
+    return bad
+
+
+def test_every_xfail_is_strict_and_names_its_roadmap_item():
+    # pyproject sets xfail_strict, so a mark fails the suite once its defect
+    # is mended; the reason says which item mends it.
+    paths = TESTS + sorted(PACKAGE.parents[1].glob("perfbench/test_*.py"))
+    bad = [f"{path.name}:{line}" for path in paths for line in _xfail_faults(_tree(path))]
+    assert bad == []
+
+
+def test_the_xfail_check_sees_marks_in_every_form():
+    tree = ast.parse("@pytest.mark.xfail(strict=True, reason='ROADMAP item 5: overflow')\n"
+                     "def test_a(): pass\n"
+                     "@pytest.mark.xfail(strict=False, reason='ROADMAP item 5')\n"
+                     "def test_b(): pass\n"
+                     "@pytest.mark.xfail(reason='flaky')\n"
+                     "def test_c(): pass\n"
+                     "@pytest.mark.xfail\n"
+                     "def test_d(): pass\n"
+                     "cases = [pytest.param(1, marks=pytest.mark.xfail(reason=f'ROADMAP item {n}'))]\n")
+    assert [line for line, _ in _xfail_marks(tree)] == [1, 3, 5, 7, 9]
+    assert _xfail_faults(tree) == [3, 5, 7, 9]
